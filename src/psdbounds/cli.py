@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -22,12 +21,17 @@ from .cutpoly import appendix_reduction_check, graph_H, iter_slack_rows
 from .embed import (
     embedding_from_psd,
     embedding_from_rank_factorization,
-    embrkl_bounds,
     psd_from_embedding,
     verify_embedding,
 )
 from .linalg import rank
-from .pattern import SearchBudgetExceeded, boolean_rank, support, triangular_rank
+from .pattern import (
+    DEFAULT_BUDGET,
+    SearchBudgetExceeded,
+    boolean_rank,
+    support,
+    triangular_rank,
+)
 from .psd import (
     RealizationError,
     generate_sn,
@@ -42,8 +46,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
-
-THREADS_ENV = "PSDBOUNDS_THREADS"
 
 
 def _read(path: str) -> str:
@@ -134,17 +136,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact lower bounds on positive semidefinite and nonnegative rank.",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get(THREADS_ENV, "1")),
-        help=f"worker threads for enumerations (default ${THREADS_ENV} or 1)",
-    )
-    # the same flags are accepted after the subcommand; SUPPRESS keeps a
-    # subparser from clobbering values given before it
+    # the same flag is accepted after the subcommand; SUPPRESS keeps a
+    # subparser from clobbering a value given before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -158,9 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     with_input(command(sub, "rank", help="exact rank of a matrix"))
     with_input(command(sub, "trirank", help="triangular rank of the support"))
     p = with_input(command(sub, "boolrank", help="boolean rank of the support"))
-    p.add_argument("--budget", type=int, default=2_000_000, help="search node cap")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node cap")
     p = with_input(command(sub, "bounds", help="full bound report"))
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_embed = sub.add_parser("embed", help="build embeddings")
     embed_sub = p_embed.add_subparsers(dest="mode", required=True)
@@ -263,7 +258,7 @@ def _dispatch(args) -> int:
     if cmd == "boolrank":
         pat = support(formats.parse_matrix(_read(args.file)))
         try:
-            value = boolean_rank(pat, budget=args.budget, threads=args.threads)
+            value = boolean_rank(pat, budget=args.budget)
         except SearchBudgetExceeded as exc:
             _emit(
                 {
@@ -334,8 +329,7 @@ def _dispatch(args) -> int:
         rows = [k - 1 for k in args.rows]
         cols = [l - 1 for l in args.cols]
         result = min_sqrt_rank(
-            matrix, rows, cols,
-            fix_global_sign=not args.no_sign_fix, threads=args.threads,
+            matrix, rows, cols, fix_global_sign=not args.no_sign_fix
         )
         doc = {
             "kind": "sqrt_bound",
@@ -352,9 +346,7 @@ def _dispatch(args) -> int:
 
     if cmd == "order3-exclude":
         matrix = formats.parse_matrix(_read(args.file))
-        cert = order3_exclusion(
-            matrix, fix_global_sign=not args.no_sign_fix, threads=args.threads
-        )
+        cert = order3_exclusion(matrix, fix_global_sign=not args.no_sign_fix)
         if args.json:
             print(formats.certificate_to_json(cert), end="")
         elif cert.conclusive:
@@ -424,15 +416,14 @@ def _cmd_bounds(args) -> int:
     rk = rank(matrix)
     tri = triangular_rank(pat)
     try:
-        brank, bbounds = boolean_rank(pat, budget=args.budget, threads=args.threads), None
+        brank, bbounds = boolean_rank(pat, budget=args.budget), None
     except SearchBudgetExceeded as exc:
         brank, bbounds = None, (exc.lower, exc.upper)
-    emb_lo, emb_hi = embrkl_bounds(matrix)
     psd_lb, source = tri, "triangular rank"
     if matrix.is_nonnegative():
         # keep the report snappy: small enumeration cap and few blocks here,
         # the dedicated order3-exclude command has the full defaults
-        cert = order3_exclusion(matrix, cap=12, max_attempts=8, threads=args.threads)
+        cert = order3_exclusion(matrix, cap=12, max_attempts=8)
         if cert.conclusive and cert.bound > psd_lb:
             psd_lb, source = cert.bound, "order-3 exclusion certificate"
     report = BoundReport(
@@ -441,7 +432,8 @@ def _cmd_bounds(args) -> int:
         triangular_rank=tri,
         boolean_rank=brank,
         boolean_rank_bounds=bbounds,
-        embedding_dim_bounds=(emb_lo, emb_hi),
+        # embrkl_bounds(matrix) is (triangular rank, rank): reuse both
+        embedding_dim_bounds=(tri, rk),
         psd_lower_bound=psd_lb,
         psd_lower_bound_source=source,
     )

@@ -8,7 +8,6 @@ traversal order is deterministic, so results are reproducible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .linalg import ExactMatrix
@@ -417,19 +416,19 @@ class _CoverSearch:
     def root_lower_bound(self) -> int:
         return _fooling_bound(self.co_cover, self.universe)
 
-    def solve(self, threads: int = 1) -> tuple[tuple[int, ...], int]:
+    def solve(self) -> tuple[tuple[int, ...], int]:
         """Returns (chosen set indices, nodes explored)."""
         if not self.universe:
             return (), 0
         greedy = _greedy_cover(self.cov, self.universe)
-        # Branch on the hardest element at the root; subtrees are
-        # independent searches merged by (size, branch index), so the
-        # result does not depend on the worker count.
+        # Branch on the hardest element at the root.  Each subtree is an
+        # independent search with its own budget and the greedy incumbent,
+        # merged by (size, chosen sets): the budget applies per branch, not
+        # in total, and node counts and exhaustion bounds depend on that.
         e = min(range(self.n), key=lambda x: (len(self.covers_of[x]), x))
-        branches = self._ordered_candidates(e, self.universe)
         ub = len(greedy)
-
-        def run_branch(i: int):
+        results = []
+        for i in self._ordered_candidates(e, self.universe):
             best: list = [ub, greedy]
             nodes = [0]
             exhausted = False
@@ -437,13 +436,7 @@ class _CoverSearch:
                 self._dfs(self.universe & ~self.cov[i], 1, (i,), best, nodes)
             except SearchBudgetExceeded:
                 exhausted = True
-            return best[0], best[1], nodes[0], exhausted
-
-        if threads > 1 and len(branches) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_branch, branches))
-        else:
-            results = [run_branch(i) for i in branches]
+            results.append((best[0], best[1], nodes[0], exhausted))
 
         total_nodes = sum(r[2] for r in results)
         best_size, best_choice = min((r[0], tuple(r[1])) for r in results)
@@ -493,7 +486,7 @@ def _coverage_masks(bicliques, positions_index, adj) -> list[int]:
 
 
 def minimum_biclique_cover(
-    m: SupportPattern, budget: int = DEFAULT_BUDGET, threads: int = 1
+    m: SupportPattern, budget: int = DEFAULT_BUDGET
 ) -> CoverSearchResult:
     """Exact minimum cover of the 1-entries by all-ones submatrices."""
     ones = m.ones_positions()
@@ -503,27 +496,24 @@ def minimum_biclique_cover(
     rects = sorted(_maximal_bicliques(list(m.row_bits), m.rows, m.cols))
     cov = _coverage_masks(rects, index, list(m.row_bits))
     search = _CoverSearch(cov, len(ones), budget)
-    chosen, nodes = search.solve(threads=threads)
+    chosen, nodes = search.solve()
     cover = BicliqueCover(tuple(Biclique(*rects[i]) for i in chosen))
     return CoverSearchResult(len(chosen), cover, nodes)
 
 
-def boolean_rank(
-    m: SupportPattern, budget: int = DEFAULT_BUDGET, threads: int = 1
-) -> int:
+def boolean_rank(m: SupportPattern, budget: int = DEFAULT_BUDGET) -> int:
     """Minimum number of bicliques (all-ones submatrices) covering the 1s.
 
     Raises :class:`SearchBudgetExceeded` with proven bounds if the search
     exceeds ``budget`` nodes.
     """
-    return minimum_biclique_cover(m, budget=budget, threads=threads).size
+    return minimum_biclique_cover(m, budget=budget).size
 
 
 def minimum_feasible_cover(
     ones: BipartiteGraph,
     forbidden: BipartiteGraph,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> CoverSearchResult:
     """Minimum number of bicliques covering E(ones), none containing a
     forbidden edge.
@@ -552,7 +542,7 @@ def minimum_feasible_cover(
     rects = [rects[i] for i in keep]
     cov = [cov[i] for i in keep]
     search = _CoverSearch(cov, len(edges), budget)
-    chosen, nodes = search.solve(threads=threads)
+    chosen, nodes = search.solve()
     cover = BicliqueCover(tuple(Biclique(*rects[i]) for i in chosen))
     return CoverSearchResult(len(chosen), cover, nodes)
 
@@ -561,8 +551,5 @@ def feasible_biclique_cover(
     ones: BipartiteGraph,
     forbidden: BipartiteGraph,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> int:
-    return minimum_feasible_cover(
-        ones, forbidden, budget=budget, threads=threads
-    ).size
+    return minimum_feasible_cover(ones, forbidden, budget=budget).size

@@ -10,14 +10,13 @@ reduction lives in :mod:`psdbounds.reduction` instead.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 
 from .linalg import ExactMatrix, rank, trace_product
-from .pattern import SupportPattern, support
+from .pattern import SupportPattern, _bits, support
 from .scalars import MultiQuadScalar, sqrt_embed
 
 DEFAULT_SIGN_CAP = 24
@@ -251,7 +250,6 @@ def min_sqrt_rank(
     col_set,
     fix_global_sign: bool = True,
     cap: int = DEFAULT_SIGN_CAP,
-    threads: int = 1,
 ) -> SqrtRankResult:
     """Minimum exact rank over all entrywise square roots of a submatrix.
 
@@ -286,29 +284,15 @@ def min_sqrt_rank(
     n_free = z - 1 if fix_global_sign else z
     total = 1 << n_free
 
-    def rank_of(code: int) -> int:
+    best_rank, best_code = sub.rows + sub.cols + 1, -1
+    for code in range(total):
         signs = _signs_from_code(code, z, fix_global_sign)
         entries = [[zero] * sub.cols for _ in range(sub.rows)]
         for t, (i, j) in enumerate(local):
             entries[i][j] = roots[t] if signs[t] > 0 else -roots[t]
-        return rank(ExactMatrix.from_rows(entries))
-
-    def scan(chunk: range) -> tuple[int, int]:
-        best_rank, best_code = sub.rows + sub.cols + 1, -1
-        for code in chunk:
-            r = rank_of(code)
-            if r < best_rank:
-                best_rank, best_code = r, code
-        return best_rank, best_code
-
-    if threads > 1 and total > 1:
-        bounds = [total * i // threads for i in range(threads + 1)]
-        chunks = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, chunks))
-        best_rank, best_code = min(results)
-    else:
-        best_rank, best_code = scan(range(total))
+        r = rank(ExactMatrix.from_rows(entries))
+        if r < best_rank:
+            best_rank, best_code = r, code
 
     witness = SignAssignment(
         tuple(positions), _signs_from_code(best_code, z, fix_global_sign)
@@ -364,13 +348,6 @@ class Order3Certificate:
         return "psd rank >= 4" if self.conclusive else "inconclusive"
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _pinned_sets(pat: SupportPattern) -> tuple[list[int], list[int]]:
     """Rows forced to 1-dimensional lines and columns forced to planes.
 
@@ -415,7 +392,6 @@ def order3_exclusion(
     fix_global_sign: bool = True,
     cap: int = DEFAULT_SIGN_CAP,
     max_attempts: int = 64,
-    threads: int = 1,
 ) -> Order3Certificate:
     """Certificate that a nonnegative matrix has psd rank at least 4.
 
@@ -470,8 +446,7 @@ def order3_exclusion(
             break
         attempts += 1
         result = min_sqrt_rank(
-            s, krows, lcols,
-            fix_global_sign=fix_global_sign, cap=cap, threads=threads,
+            s, krows, lcols, fix_global_sign=fix_global_sign, cap=cap
         )
         if result.min_rank >= 4:
             return Order3Certificate(

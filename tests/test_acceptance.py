@@ -260,9 +260,10 @@ def test_criterion_10_determinism(roundtrip_corpus, factorizations):
     assert sequential_roundtrips == threaded_roundtrips
 
     pats = criterion5_patterns()
-    values_1 = [boolean_rank(p, threads=1) for p in pats]
-    values_4 = [boolean_rank(p, threads=4) for p in pats]
-    assert values_1 == values_4
+    sequential_values = [boolean_rank(p) for p in pats]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded_values = list(pool.map(boolean_rank, pats))
+    assert sequential_values == threaded_values
 
     jobs = [(i, f) for i, (_, f, _) in enumerate(factorizations)]
     sequential_t = [realization_text(job) for job in jobs]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from psdbounds import formats, generate_sn
+from psdbounds import cli, embed, formats, generate_sn
 from psdbounds.cli import run
 
 
@@ -211,14 +211,28 @@ def test_help_exits_zero(capsys):
     assert invoke(capsys, ["--help"])[0] == 0
 
 
-def test_threads_env_default(capsys, monkeypatch):
+def test_no_threads_option(capsys, monkeypatch):
+    assert invoke(capsys, ["--threads", "2", "rank"], stdin=s6_text())[0] == 2
+    assert invoke(capsys, ["rank", "--threads", "2"], stdin=s6_text())[0] == 2
     monkeypatch.setenv("PSDBOUNDS_THREADS", "4")
-    code, out, _ = invoke(capsys, ["trirank"], stdin=s6_text())
-    assert code == 0 and out.strip() == "3"
-    monkeypatch.setenv("PSDBOUNDS_THREADS", "2")
     code, out, _ = invoke(
         capsys,
         ["sqrt-bound", "--rows", "3,4,5,6", "--cols", "1,2,3,4"],
         stdin=s6_text(),
     )
     assert code == 0 and "minimum rank 4" in out
+
+
+def test_bounds_computes_triangular_rank_once(capsys, monkeypatch):
+    calls = []
+    original = cli.triangular_rank
+
+    def counted(pattern):
+        calls.append(pattern)
+        return original(pattern)
+
+    monkeypatch.setattr(cli, "triangular_rank", counted)
+    monkeypatch.setattr(embed, "triangular_rank", counted)
+    code, out, _ = invoke(capsys, ["bounds"], stdin=s6_text())
+    assert code == 0 and "embedding dimension:  between 3 and 3" in out
+    assert len(calls) == 1

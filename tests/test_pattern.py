@@ -206,13 +206,6 @@ def test_feasible_cover_validation():
         feasible_biclique_cover(g, BipartiteGraph(3, 2, [0, 0, 0]))
 
 
-def test_threads_do_not_change_results():
-    rng = random.Random(33)
-    pats = [random_pattern(rng, 5, 5) for _ in range(15)]
-    for p in pats:
-        assert boolean_rank(p, threads=1) == boolean_rank(p, threads=4)
-
-
 def test_biclique_validation_and_pattern_accessors():
     with pytest.raises(ValueError):
         Biclique(0, 3)

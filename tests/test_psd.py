@@ -209,15 +209,6 @@ def test_min_sqrt_rank_invariant_under_global_flip():
     assert exact_rank(build(res.witness.signs)) == exact_rank(build(flipped))
 
 
-def test_min_sqrt_rank_threads_agree():
-    s = generate_sn(6)
-    seq = min_sqrt_rank(s, [2, 3, 4, 5], [0, 1, 2, 3], fix_global_sign=False)
-    par = min_sqrt_rank(
-        s, [2, 3, 4, 5], [0, 1, 2, 3], fix_global_sign=False, threads=4
-    )
-    assert (seq.min_rank, seq.witness) == (par.min_rank, par.witness)
-
-
 def test_min_sqrt_rank_validation():
     with pytest.raises(ValueError):
         min_sqrt_rank(-ExactMatrix.identity(2), [0], [0])
