@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import MultiQuadScalar
+from .scalars import MultiQuadScalar, _mul_terms
 
 
 def _normalize_entries(entries):
@@ -251,24 +251,10 @@ def _quad_rows_as_int_dicts(m: ExactMatrix) -> list[list[dict[int, int]]]:
     return out
 
 
-def _dict_mul(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-    acc: dict[int, int] = {}
-    for s, a in x.items():
-        for t, b in y.items():
-            g = gcd(s, t)
-            r = (s // g) * (t // g)
-            v = acc.get(r, 0) + a * b * g
-            if v:
-                acc[r] = v
-            else:
-                acc.pop(r, None)
-    return acc
-
-
 def _dict_combine(p, xi, q, yi):
     # p*xi - q*yi over radicand->int dicts
-    acc = _dict_mul(p, xi)
-    for r, v in _dict_mul(q, yi).items():
+    acc = _mul_terms(p, xi)
+    for r, v in _mul_terms(q, yi).items():
         w = acc.get(r, 0) - v
         if w:
             acc[r] = w

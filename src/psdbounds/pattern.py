@@ -2,8 +2,8 @@
 
 Patterns and bipartite graphs are stored as bitsets (one int per left
 vertex), which keeps the branch-and-bound searches allocation-free.  Both
-cover searches are exact at desk scale and carry an explicit node budget;
-traversal order is deterministic, so results are reproducible.
+cover problems run one exact search at desk scale under one total node
+budget; traversal order is deterministic, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -396,109 +396,66 @@ def _fooling_bound(co_cover: list[int], uncovered: int) -> int:
     return count
 
 
-class _CoverSearch:
-    def __init__(self, cov_masks: list[int], n_elems: int, budget: int):
-        self.cov = cov_masks
-        self.n = n_elems
-        self.budget = budget
-        self.universe = (1 << n_elems) - 1
-        self.covers_of = [
-            [i for i, cov in enumerate(cov_masks) if (cov >> e) & 1]
-            for e in range(n_elems)
-        ]
-        if any(not c for c in self.covers_of):
-            raise ValueError("an element is covered by no candidate set")
-        self.co_cover = [0] * n_elems
-        for e in range(n_elems):
-            for i in self.covers_of[e]:
-                self.co_cover[e] |= self.cov[i]
+def _min_set_cover(
+    cov: list[int], n_elems: int, budget: int
+) -> tuple[tuple[int, ...], int]:
+    """Exact minimum cover of elements 0..n_elems-1 by the bitsets ``cov``.
 
-    def root_lower_bound(self) -> int:
-        return _fooling_bound(self.co_cover, self.universe)
+    One depth-first branch and bound from the root with one node counter
+    and one incumbent, the greedy cover first.  Each node branches on the
+    uncovered element with the fewest covering sets and tries those sets
+    by gain; the fooling bound prunes.  Returns (chosen set indices, nodes
+    explored).  Past ``budget`` nodes it raises
+    :class:`SearchBudgetExceeded` with the root fooling bound and the best
+    size found, unless the incumbent already meets that bound.
+    """
+    universe = (1 << n_elems) - 1
+    covers_of = [
+        [i for i, c in enumerate(cov) if (c >> e) & 1] for e in range(n_elems)
+    ]
+    if any(not c for c in covers_of):
+        raise ValueError("an element is covered by no candidate set")
+    co_cover = [0] * n_elems
+    for e in range(n_elems):
+        for i in covers_of[e]:
+            co_cover[e] |= cov[i]
+    lower = _fooling_bound(co_cover, universe)
+    best = _greedy_cover(cov, universe)
+    nodes = 0
 
-    def solve(self) -> tuple[tuple[int, ...], int]:
-        """Returns (chosen set indices, nodes explored)."""
-        if not self.universe:
-            return (), 0
-        greedy = _greedy_cover(self.cov, self.universe)
-        # Branch on the hardest element at the root.  Each subtree is an
-        # independent search with its own budget and the greedy incumbent,
-        # merged by (size, chosen sets): the budget applies per branch, not
-        # in total, and node counts and exhaustion bounds depend on that.
-        e = min(range(self.n), key=lambda x: (len(self.covers_of[x]), x))
-        ub = len(greedy)
-        results = []
-        for i in self._ordered_candidates(e, self.universe):
-            best: list = [ub, greedy]
-            nodes = [0]
-            exhausted = False
-            try:
-                self._dfs(self.universe & ~self.cov[i], 1, (i,), best, nodes)
-            except SearchBudgetExceeded:
-                exhausted = True
-            results.append((best[0], best[1], nodes[0], exhausted))
-
-        total_nodes = sum(r[2] for r in results)
-        best_size, best_choice = min((r[0], tuple(r[1])) for r in results)
-        if any(r[3] for r in results):
-            lower = self.root_lower_bound()
-            if best_size > lower:
-                raise SearchBudgetExceeded(lower, best_size, total_nodes)
-        return best_choice, total_nodes
-
-    def _ordered_candidates(self, e: int, uncovered: int) -> list[int]:
-        return sorted(
-            self.covers_of[e],
-            key=lambda i: (-(self.cov[i] & uncovered).bit_count(), i),
-        )
-
-    def _dfs(self, uncovered: int, count: int, chosen: tuple, best: list, nodes: list):
-        nodes[0] += 1
-        if nodes[0] > self.budget:
-            raise SearchBudgetExceeded(0, best[0], nodes[0])
+    def dfs(uncovered: int, chosen: tuple):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(lower, len(best), nodes)
         if not uncovered:
-            if count < best[0]:
-                best[0] = count
-                best[1] = chosen
+            if len(chosen) < len(best):
+                best = chosen
             return
-        if count + _fooling_bound(self.co_cover, uncovered) >= best[0]:
+        if len(chosen) + _fooling_bound(co_cover, uncovered) >= len(best):
             return
-        e = min(
-            _bits(uncovered),
-            key=lambda x: (
-                sum((self.cov[i] & uncovered).bit_count() > 0 for i in self.covers_of[x]),
-                x,
-            ),
-        )
-        for i in self._ordered_candidates(e, uncovered):
-            self._dfs(uncovered & ~self.cov[i], count + 1, chosen + (i,), best, nodes)
+        # every set covering an uncovered element is still useful, so this
+        # picks the uncovered element with the fewest useful sets
+        e = min(_bits(uncovered), key=lambda x: len(covers_of[x]))
+        for i in sorted(
+            covers_of[e], key=lambda i: (-(cov[i] & uncovered).bit_count(), i)
+        ):
+            dfs(uncovered & ~cov[i], chosen + (i,))
 
-
-def _coverage_masks(bicliques, positions_index, adj) -> list[int]:
-    masks = []
-    for left, right in bicliques:
-        mask = 0
-        for u in _bits(left):
-            for v in _bits(adj[u] & right):
-                mask |= 1 << positions_index[(u, v)]
-        masks.append(mask)
-    return masks
+    try:
+        dfs(universe, ())
+    except SearchBudgetExceeded:
+        if len(best) > lower:
+            raise
+    return best, nodes
 
 
 def minimum_biclique_cover(
     m: SupportPattern, budget: int = DEFAULT_BUDGET
 ) -> CoverSearchResult:
     """Exact minimum cover of the 1-entries by all-ones submatrices."""
-    ones = m.ones_positions()
-    if not ones:
-        return CoverSearchResult(0, BicliqueCover(()), 0)
-    index = {pos: i for i, pos in enumerate(ones)}
-    rects = sorted(_maximal_bicliques(list(m.row_bits), m.rows, m.cols))
-    cov = _coverage_masks(rects, index, list(m.row_bits))
-    search = _CoverSearch(cov, len(ones), budget)
-    chosen, nodes = search.solve()
-    cover = BicliqueCover(tuple(Biclique(*rects[i]) for i in chosen))
-    return CoverSearchResult(len(chosen), cover, nodes)
+    g = BipartiteGraph(m.rows, m.cols, m.row_bits)
+    return minimum_feasible_cover(g, g.complement(), budget=budget)
 
 
 def boolean_rank(m: SupportPattern, budget: int = DEFAULT_BUDGET) -> int:
@@ -534,15 +491,18 @@ def minimum_feasible_cover(
         return CoverSearchResult(0, BicliqueCover(()), 0)
     index = {pos: i for i, pos in enumerate(edges)}
     allowed = forbidden.complement()
-    rects = sorted(
+    rects, cov = [], []
+    for left, right in sorted(
         _maximal_bicliques(list(allowed.adj), allowed.left_count, allowed.right_count)
-    )
-    cov = _coverage_masks(rects, index, list(ones.adj))
-    keep = [i for i, c in enumerate(cov) if c]
-    rects = [rects[i] for i in keep]
-    cov = [cov[i] for i in keep]
-    search = _CoverSearch(cov, len(edges), budget)
-    chosen, nodes = search.solve()
+    ):
+        mask = 0
+        for u in _bits(left):
+            for v in _bits(ones.adj[u] & right):
+                mask |= 1 << index[(u, v)]
+        if mask:
+            rects.append((left, right))
+            cov.append(mask)
+    chosen, nodes = _min_set_cover(cov, len(edges), budget)
     cover = BicliqueCover(tuple(Biclique(*rects[i]) for i in chosen))
     return CoverSearchResult(len(chosen), cover, nodes)
 

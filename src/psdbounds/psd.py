@@ -261,25 +261,27 @@ def min_sqrt_rank(
     """
     rows = list(row_set)
     cols = list(col_set)
+    for kind, idx, size in (("row", rows, s.rows), ("column", cols, s.cols)):
+        bad = [k for k in idx if not 0 <= k < size]
+        if bad:
+            raise ValueError(
+                f"{kind} index {bad[0]} outside the {s.rows}x{s.cols} matrix "
+                "(indices are 0-based)"
+            )
     sub = s.submatrix(rows, cols)
     if not sub.is_rational or not sub.is_nonnegative():
         raise ValueError("selected submatrix must be rational and nonnegative")
-    positions = [
-        (rows[i], cols[j])
-        for i in range(sub.rows)
-        for j in range(sub.cols)
-        if sub[i, j]
+    local = [
+        (i, j) for i in range(sub.rows) for j in range(sub.cols) if sub[i, j]
     ]
+    positions = [(rows[i], cols[j]) for i, j in local]
     z = len(positions)
     if z > cap:
         raise ValueError(f"{z} nonzero entries exceed the enumeration cap {cap}")
     if z == 0:
         return SqrtRankResult(0, SignAssignment((), ()), 1)
 
-    roots = [sqrt_embed(s[p]) for p in positions]
-    local = [
-        (rows.index(p[0]), cols.index(p[1])) for p in positions
-    ]
+    roots = [sqrt_embed(sub[p]) for p in local]
     zero = MultiQuadScalar.zero()
     n_free = z - 1 if fix_global_sign else z
     total = 1 << n_free

@@ -41,11 +41,24 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return f, s
 
 
-def _mul_radicands(s: int, t: int) -> tuple[int, int]:
-    # sqrt(s)*sqrt(t) = g*sqrt(s*t/g^2) with g = gcd(s, t); the new radicand
-    # is square-free because s/g and t/g are coprime and square-free.
-    g = gcd(s, t)
-    return g, (s // g) * (t // g)
+def _mul_terms(x: dict, y: dict) -> dict:
+    """Product of two radicand->coefficient maps (int or Fraction values).
+
+    sqrt(s)*sqrt(t) = g*sqrt(s*t/g^2) with g = gcd(s, t); the new radicand
+    is square-free because s/g and t/g are coprime and square-free.  Zero
+    coefficients are dropped.
+    """
+    acc = {}
+    for s, a in x.items():
+        for t, b in y.items():
+            g = gcd(s, t)
+            r = (s // g) * (t // g)
+            v = acc.get(r, 0) + a * b * g
+            if v:
+                acc[r] = v
+            else:
+                acc.pop(r, None)
+    return acc
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -161,17 +174,8 @@ class MultiQuadScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[int, Fraction] = {}
-        for s, a in self._terms.items():
-            for t, b in other._terms.items():
-                g, r = _mul_radicands(s, t)
-                v = acc.get(r, Fraction(0)) + a * b * g
-                if v:
-                    acc[r] = v
-                else:
-                    acc.pop(r, None)
         out = MultiQuadScalar()
-        out._terms = acc
+        out._terms = _mul_terms(self._terms, other._terms)
         return out
 
     __rmul__ = __mul__

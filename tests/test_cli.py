@@ -1,15 +1,19 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from psdbounds import cli, embed, formats, generate_sn
 from psdbounds.cli import run
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def invoke(capsys, argv, stdin: str = ""):
-    import sys
-
     old = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
@@ -173,6 +177,27 @@ def test_sqrt_bound_cli(capsys):
         stdin=s6_text(),
     )
     assert code == 0 and "minimum rank 4" in out and "512" in out
+
+
+def test_sqrt_bound_cli_rejects_out_of_range_index(tmp_path):
+    # a fresh interpreter, so an uncaught exception would show as a traceback
+    path = tmp_path / "s6.txt"
+    path.write_text(s6_text())
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdbounds.cli", "sqrt-bound",
+         "--rows", "1,2,3,99", "--cols", "1,2,3,4", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "index 98" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_gen_cutpoly_and_disjointness(capsys):

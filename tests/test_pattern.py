@@ -18,6 +18,7 @@ from psdbounds import (
     boolean_rank,
     feasible_biclique_cover,
     generate_sn,
+    graph_H,
     minimum_biclique_cover,
     minimum_feasible_cover,
     poset_of,
@@ -143,6 +144,19 @@ def test_budget_exhaustion():
     with pytest.raises(SearchBudgetExceeded) as info:
         boolean_rank(p, budget=2)
     assert 1 <= info.value.lower <= info.value.upper
+
+
+def test_budget_caps_the_whole_boolean_rank_search():
+    with pytest.raises(SearchBudgetExceeded) as info:
+        minimum_biclique_cover(support(generate_sn(10)), budget=20000)
+    assert info.value.nodes <= 20001
+    assert info.value.lower <= info.value.upper
+
+
+def test_budget_caps_the_whole_feasible_cover_search():
+    with pytest.raises(SearchBudgetExceeded) as info:
+        minimum_feasible_cover(*graph_H(5, 2), budget=5)
+    assert info.value.nodes <= 6
 
 
 def test_feasible_cover_examples():

@@ -217,6 +217,32 @@ def test_min_sqrt_rank_validation():
         min_sqrt_rank(allones, range(6), range(6), cap=10)
 
 
+def test_min_sqrt_rank_rejects_out_of_range_indices():
+    s = generate_sn(6)
+    with pytest.raises(ValueError, match="row index 98"):
+        min_sqrt_rank(s, [0, 1, 2, 98], [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="column index -1"):
+        min_sqrt_rank(s, [0, 1], [-1, 0])
+
+
+def test_min_sqrt_rank_witness_with_repeated_row():
+    # the block repeats row 0; the witness must realize the minimum rank
+    # with each copy of the row placed and signed on its own
+    from psdbounds import rank as exact_rank
+    from psdbounds.scalars import sqrt_embed as root
+
+    s = ExactMatrix.from_rows([[9, 1, 1], [1, 0, 1], [1, 1, 9]])
+    rows, cols = [0, 0, 1, 2], [0, 1, 2]
+    res = min_sqrt_rank(s, rows, cols)
+    assert res.min_rank == 2
+    signs = iter(res.witness.signs)
+    entries = [
+        [root(s[k, l]) * next(signs) if s[k, l] else root(0) for l in cols]
+        for k in rows
+    ]
+    assert exact_rank(ExactMatrix.from_rows(entries)) == res.min_rank
+
+
 def test_order3_exclusion_s6():
     cert = order3_exclusion(generate_sn(6), fix_global_sign=False)
     assert cert.conclusive and cert.bound == 4
