@@ -7,12 +7,13 @@ The package computes and certifies, in exact arithmetic:
   (`scalars`);
 * support patterns, triangular rank and exact biclique covers
   (`pattern`);
-* subspace-lattice embeddings of a support and conversions between rank
-  factorizations, embeddings and psd factorizations (`embed`);
+* subspace-lattice embeddings of a support, conversions between rank
+  factorizations, embeddings and psd factorizations, and the bound
+  report `analyze` (`embed`);
 * psd factorization certificates, randomized support realization and the
   order-3 sign-enumeration exclusion (`psd`);
 * floating-point psd rank reduction along constraint-preserving
-  directions (`reduction`);
+  directions (`reduction`, loaded with numpy on first use);
 * cut/clique slack matrices and disjointness graphs (`cutpoly`).
 """
 
@@ -31,7 +32,9 @@ from .cutpoly import (
     slack_matrix_cut_clique,
 )
 from .embed import (
+    BoundReport,
     SubspaceEmbedding,
+    analyze,
     embedding_from_psd,
     embedding_from_rank_factorization,
     embrkl_bounds,
@@ -81,14 +84,20 @@ from .psd import (
     realize_support,
     verify_psd_factorization,
 )
-from .reduction import (
-    FactorReductionReport,
-    FloatPsdMatrix,
-    ReductionError,
-    barvinok_reduce,
-    factorization_to_float,
-    reduce_factor_ranks,
-)
 from .scalars import MultiQuadScalar, sqrt_embed, squarefree_decompose
 
 __version__ = "0.1.0"
+
+# the float reduction needs numpy: load it on first use of one of its names
+_REDUCTION_NAMES = (
+    "FactorReductionReport", "FloatPsdMatrix", "ReductionError",
+    "barvinok_reduce", "factorization_to_float", "reduce_factor_ranks",
+)
+
+
+def __getattr__(name: str):
+    if name in _REDUCTION_NAMES:
+        from . import reduction
+
+        return getattr(reduction, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,13 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import formats
-from .cutpoly import appendix_reduction_check, graph_H, iter_slack_rows
+from .cutpoly import appendix_reduction_check, graph_H, slack_matrix_cut_clique
 from .embed import (
+    analyze,
     embedding_from_psd,
     embedding_from_rank_factorization,
     psd_from_embedding,
@@ -40,7 +38,6 @@ from .psd import (
     realize_support,
     verify_psd_factorization,
 )
-from .reduction import ReductionError, reduce_factor_ranks
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -71,63 +68,6 @@ def _index_list(text: str) -> list[int]:
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("indices are 1-based")
     return values
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Everything the support and the exact entries certify about a matrix."""
-
-    identity: str
-    rank: int
-    triangular_rank: int
-    boolean_rank: int | None
-    boolean_rank_bounds: tuple[int, int] | None
-    embedding_dim_bounds: tuple[int, int]
-    psd_lower_bound: int
-    psd_lower_bound_source: str
-
-    def to_doc(self) -> dict:
-        return {
-            "kind": "bound_report",
-            "matrix": self.identity,
-            "rank": {"value": self.rank, "via": "fraction-free elimination"},
-            "triangular_rank": {
-                "value": self.triangular_rank,
-                "via": "triangular_rank branch and bound",
-            },
-            "boolean_rank": {
-                "value": self.boolean_rank,
-                "bounds": list(self.boolean_rank_bounds)
-                if self.boolean_rank_bounds
-                else None,
-                "via": "minimum_biclique_cover branch and bound",
-            },
-            "embedding_dim_bounds": {
-                "value": list(self.embedding_dim_bounds),
-                "via": "embrkl_bounds (triangular rank / rank)",
-            },
-            "psd_rank_lower_bound": {
-                "value": self.psd_lower_bound,
-                "via": self.psd_lower_bound_source,
-            },
-        }
-
-    def to_text(self) -> str:
-        lines = [f"matrix:               {self.identity}"]
-        lines.append(f"rank:                 {self.rank}")
-        lines.append(f"triangular rank:      {self.triangular_rank}")
-        if self.boolean_rank is not None:
-            lines.append(f"boolean rank:         {self.boolean_rank}")
-        else:
-            lo, hi = self.boolean_rank_bounds
-            lines.append(f"boolean rank:         unknown, bounds [{lo},{hi}]")
-        lo, hi = self.embedding_dim_bounds
-        lines.append(f"embedding dimension:  between {lo} and {hi}")
-        lines.append(
-            f"psd rank lower bound: {self.psd_lower_bound}"
-            f" (via {self.psd_lower_bound_source})"
-        )
-        return "\n".join(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -234,9 +174,6 @@ def run(argv) -> int:
     except RealizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
-    except ReductionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:
         # precondition violations and unreadable inputs are usage errors
         print(f"error: {exc}", file=sys.stderr)
@@ -274,7 +211,10 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "bounds":
-        return _cmd_bounds(args)
+        report = analyze(formats.parse_matrix(_read(args.file)), budget=args.budget)
+        identity = args.file if args.file != "-" else "stdin"
+        _emit(report.to_doc(identity), report.to_text(identity), args.json)
+        return EXIT_OK
 
     if cmd == "embed" and args.mode == "from-rank":
         emb = embedding_from_rank_factorization(formats.parse_matrix(_read(args.file)))
@@ -318,10 +258,7 @@ def _dispatch(args) -> int:
     if cmd == "realize-support":
         fact = formats.factorization_from_json(_read(args.file))
         t = realize_support(fact, seed=args.seed, max_tries=args.tries)
-        if args.json:
-            _emit(_matrix_doc(t), "", True)
-        else:
-            print(formats.format_matrix(t), end="")
+        _print_matrix(t, args.json)
         return EXIT_OK
 
     if cmd == "sqrt-bound":
@@ -360,10 +297,19 @@ def _dispatch(args) -> int:
         return EXIT_OK if cert.conclusive else EXIT_VERIFICATION
 
     if cmd == "reduce-rank":
+        # the only numpy command: exact commands start without loading it
+        import numpy as np
+
+        from .reduction import ReductionError, reduce_factor_ranks
+
         a_rows, b_rows, order = formats.float_factors_from_json(_read(args.file))
         a = [np.array(e).reshape(order, order) for e in a_rows]
         b = [np.array(e).reshape(order, order) for e in b_rows]
-        report = reduce_factor_ranks(a, b, tol=args.tol)
+        try:
+            report = reduce_factor_ranks(a, b, tol=args.tol)
+        except ReductionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFICATION
         doc = {
             "kind": "rank_reduction",
             "a_ranks": list(report.a_ranks),
@@ -401,67 +347,21 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover
 
 
-def _matrix_doc(m) -> dict:
-    return {
-        "kind": "matrix",
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[str(v) for v in m.row(i)] for i in range(m.rows)],
-    }
-
-
-def _cmd_bounds(args) -> int:
-    matrix = formats.parse_matrix(_read(args.file))
-    pat = support(matrix)
-    rk = rank(matrix)
-    tri = triangular_rank(pat)
-    try:
-        brank, bbounds = boolean_rank(pat, budget=args.budget), None
-    except SearchBudgetExceeded as exc:
-        brank, bbounds = None, (exc.lower, exc.upper)
-    psd_lb, source = tri, "triangular rank"
-    if matrix.is_nonnegative():
-        # keep the report snappy: small enumeration cap and few blocks here,
-        # the dedicated order3-exclude command has the full defaults
-        cert = order3_exclusion(matrix, cap=12, max_attempts=8)
-        if cert.conclusive and cert.bound > psd_lb:
-            psd_lb, source = cert.bound, "order-3 exclusion certificate"
-    report = BoundReport(
-        identity=args.file if args.file != "-" else "stdin",
-        rank=rk,
-        triangular_rank=tri,
-        boolean_rank=brank,
-        boolean_rank_bounds=bbounds,
-        # embrkl_bounds(matrix) is (triangular rank, rank): reuse both
-        embedding_dim_bounds=(tri, rk),
-        psd_lower_bound=psd_lb,
-        psd_lower_bound_source=source,
-    )
-    _emit(report.to_doc(), report.to_text(), args.json)
-    return EXIT_OK
+def _print_matrix(m, as_json: bool) -> None:
+    if as_json:
+        entries = [[str(v) for v in m.row(i)] for i in range(m.rows)]
+        doc = {"kind": "matrix", "rows": m.rows, "cols": m.cols, "entries": entries}
+        _emit(doc, "", True)
+    else:
+        print(formats.format_matrix(m), end="")
 
 
 def _cmd_gen(args) -> int:
     if args.mode == "sn":
-        m = generate_sn(args.n)
-        if args.json:
-            _emit(_matrix_doc(m), "", True)
-        else:
-            print(formats.format_matrix(m), end="")
+        _print_matrix(generate_sn(args.n), args.json)
         return EXIT_OK
     if args.mode == "cutpoly":
-        if args.json:
-            from .cutpoly import slack_matrix_cut_clique
-
-            _emit(_matrix_doc(slack_matrix_cut_clique(args.n)), "", True)
-            return EXIT_OK
-        first = True
-        for row in iter_slack_rows(args.n):
-            if first:
-                n_cliques = (1 << args.n) - 1 - args.n
-                print(f"{n_cliques} {1 << (args.n - 1)}")
-                first = False
-            print(" ".join(str(v) for v in row))
+        _print_matrix(slack_matrix_cut_clique(args.n), args.json)
         return EXIT_OK
     if args.mode == "disjointness":
         h, hbar = graph_H(args.n, args.l)

@@ -104,7 +104,7 @@ def cut_clique_slack(u: Clique, w: Cut) -> Fraction:
     return Fraction(u.size * u.size, 4) - a * b
 
 
-def graph_G(n: int, cap: int = MAX_CUT_N) -> BipartiteGraph:
+def graph_G(n: int) -> BipartiteGraph:
     """Bipartite graph: cliques x cuts, edge iff the slack is positive.
 
     Equivalently there is no edge exactly when the cut splits the clique
@@ -112,8 +112,8 @@ def graph_G(n: int, cap: int = MAX_CUT_N) -> BipartiteGraph:
     """
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the cap {cap}")
+    if n > MAX_CUT_N:
+        raise ValueError(f"n = {n} exceeds the cap {MAX_CUT_N}")
     cliques = all_cliques(n)
     cuts = all_cuts(n)
     adj = []
@@ -132,7 +132,7 @@ def graph_G(n: int, cap: int = MAX_CUT_N) -> BipartiteGraph:
     return BipartiteGraph(len(cliques), len(cuts), adj)
 
 
-def slack_matrix_cut_clique(n: int, cap: int = MAX_CUT_N) -> ExactMatrix:
+def slack_matrix_cut_clique(n: int) -> ExactMatrix:
     """Integer clique-inequality slack matrix: floor(|U|^2/4) - |crossing|.
 
     Rows are cliques (|U| >= 2), columns cuts.  Entries are nonnegative;
@@ -140,16 +140,15 @@ def slack_matrix_cut_clique(n: int, cap: int = MAX_CUT_N) -> ExactMatrix:
     odd cliques can reach slack zero here although their strict-inequality
     slack never vanishes.
     """
-    rows = [list(r) for r in iter_slack_rows(n, cap=cap)]
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix.from_rows(iter_slack_rows(n))
 
 
-def iter_slack_rows(n: int, cap: int = MAX_CUT_N):
+def iter_slack_rows(n: int):
     """Row-wise generator behind :func:`slack_matrix_cut_clique`."""
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the cap {cap}")
+    if n > MAX_CUT_N:
+        raise ValueError(f"n = {n} exceeds the cap {MAX_CUT_N}")
     cuts = all_cuts(n)
     for u in all_cliques(n):
         row = []
@@ -160,9 +159,7 @@ def iter_slack_rows(n: int, cap: int = MAX_CUT_N):
         yield row
 
 
-def graph_H(
-    n_ground: int, l: int, cap: int = MAX_SUBSET_COUNT
-) -> tuple[BipartiteGraph, BipartiteGraph]:
+def graph_H(n_ground: int, l: int) -> tuple[BipartiteGraph, BipartiteGraph]:
     """Disjointness graphs on l-subsets of {1..N}.
 
     Both graphs share the vertex sets (the l-subsets on each side, sorted
@@ -172,8 +169,10 @@ def graph_H(
     if not 1 <= l <= n_ground:
         raise ValueError("need 1 <= l <= N")
     count = comb(n_ground, l)
-    if count > cap:
-        raise ValueError(f"binomial({n_ground},{l}) = {count} exceeds the cap {cap}")
+    if count > MAX_SUBSET_COUNT:
+        raise ValueError(
+            f"binomial({n_ground},{l}) = {count} exceeds the cap {MAX_SUBSET_COUNT}"
+        )
     subsets = sorted(
         sum(1 << (i - 1) for i in combo)
         for combo in combinations(range(1, n_ground + 1), l)

@@ -22,8 +22,15 @@ from .linalg import (
     row_space,
     trace_product,
 )
-from .pattern import SupportPattern, support, triangular_rank
-from .psd import PsdFactorization, verify_psd_factorization
+from .pattern import (
+    DEFAULT_BUDGET,
+    SearchBudgetExceeded,
+    SupportPattern,
+    boolean_rank,
+    support,
+    triangular_rank,
+)
+from .psd import PsdFactorization, order3_exclusion, verify_psd_factorization
 
 
 @dataclass(frozen=True)
@@ -138,3 +145,87 @@ def embrkl_bounds(s: ExactMatrix) -> tuple[int, int]:
     lower = triangular_rank(support(s))
     upper = rank(s)
     return lower, upper
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """Everything the support and the exact entries certify about a matrix."""
+
+    rank: int
+    triangular_rank: int
+    boolean_rank: int | None
+    boolean_rank_bounds: tuple[int, int] | None
+    embedding_dim_bounds: tuple[int, int]
+    psd_lower_bound: int
+    psd_lower_bound_source: str
+
+    def to_doc(self, identity: str) -> dict:
+        return {
+            "kind": "bound_report",
+            "matrix": identity,
+            "rank": {"value": self.rank, "via": "fraction-free elimination"},
+            "triangular_rank": {
+                "value": self.triangular_rank,
+                "via": "triangular_rank branch and bound",
+            },
+            "boolean_rank": {
+                "value": self.boolean_rank,
+                "bounds": list(self.boolean_rank_bounds)
+                if self.boolean_rank_bounds
+                else None,
+                "via": "minimum_biclique_cover branch and bound",
+            },
+            "embedding_dim_bounds": {
+                "value": list(self.embedding_dim_bounds),
+                "via": "embrkl_bounds (triangular rank / rank)",
+            },
+            "psd_rank_lower_bound": {
+                "value": self.psd_lower_bound,
+                "via": self.psd_lower_bound_source,
+            },
+        }
+
+    def to_text(self, identity: str) -> str:
+        lines = [f"matrix:               {identity}"]
+        lines.append(f"rank:                 {self.rank}")
+        lines.append(f"triangular rank:      {self.triangular_rank}")
+        if self.boolean_rank is not None:
+            lines.append(f"boolean rank:         {self.boolean_rank}")
+        else:
+            lo, hi = self.boolean_rank_bounds
+            lines.append(f"boolean rank:         unknown, bounds [{lo},{hi}]")
+        lo, hi = self.embedding_dim_bounds
+        lines.append(f"embedding dimension:  between {lo} and {hi}")
+        lines.append(
+            f"psd rank lower bound: {self.psd_lower_bound}"
+            f" (via {self.psd_lower_bound_source})"
+        )
+        return "\n".join(lines)
+
+
+def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
+    """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search."""
+    pat = support(s)
+    rk = rank(s)
+    tri = triangular_rank(pat)
+    try:
+        brank, bbounds = boolean_rank(pat, budget=budget), None
+    except SearchBudgetExceeded as exc:
+        brank, bbounds = None, (exc.lower, exc.upper)
+    psd_lb, source = tri, "triangular rank"
+    if s.is_nonnegative():
+        # keep the report snappy: small enumeration cap and few blocks here,
+        # the dedicated order3-exclude command has the full defaults
+        cert = order3_exclusion(s, cap=12, max_attempts=8)
+        if cert.conclusive and cert.bound > psd_lb:
+            psd_lb, source = cert.bound, "order-3 exclusion certificate"
+    return BoundReport(
+        rank=rk,
+        triangular_rank=tri,
+        boolean_rank=brank,
+        boolean_rank_bounds=bbounds,
+        # embrkl_bounds(s) is (triangular rank, rank): reuse both
+        embedding_dim_bounds=(tri, rk),
+        psd_lower_bound=psd_lb,
+        psd_lower_bound_source=source,
+    )

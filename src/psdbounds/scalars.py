@@ -11,7 +11,7 @@ makes equality (and hence matrix rank over these fields) decidable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -284,7 +284,3 @@ def sqrt_embed(value) -> MultiQuadScalar:
     # sqrt(p/q) = sqrt(p*q)/q
     f, s = squarefree_decompose(r.numerator * r.denominator)
     return MultiQuadScalar({s: Fraction(f, r.denominator)})
-
-
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from psdbounds import cli, embed, formats, generate_sn
+from psdbounds import cli, embed, formats, generate_sn, slack_matrix_cut_clique
 from psdbounds.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +26,15 @@ def invoke(capsys, argv, stdin: str = ""):
 
 def s6_text() -> str:
     return formats.format_matrix(generate_sn(6))
+
+
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def test_gen_then_rank(capsys):
@@ -156,6 +165,55 @@ def test_embed_psd_verify_pipeline(tmp_path, capsys):
     assert code == 0 and "A ranks" in out
 
 
+def test_reduce_rank_rejects_non_psd_factor(tmp_path, capsys):
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({
+        "schema": formats.SCHEMA_VERSION,
+        "kind": "psd_factorization",
+        "order": 2,
+        "A": [["1", "0", "0", "-1"]],
+        "B": [["1", "0", "0", "1"]],
+    }))
+    code, out, err = invoke(capsys, ["reduce-rank", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: input is not psd within tolerance (min eig -1.000e+00)\n"
+
+
+NO_NUMPY_PROBE = """
+import sys
+import psdbounds
+import psdbounds.cli
+assert "numpy" not in sys.modules, "import psdbounds.cli loaded numpy"
+assert psdbounds.cli.run(["bounds", sys.argv[1]]) == 0
+assert "numpy" not in sys.modules, "bounds loaded numpy"
+from psdbounds import reduction
+for name in ("FactorReductionReport", "FloatPsdMatrix", "ReductionError",
+             "barvinok_reduce", "factorization_to_float", "reduce_factor_ranks"):
+    assert getattr(psdbounds, name) is getattr(reduction, name), name
+try:
+    psdbounds.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    # a fresh interpreter: this test process has numpy loaded already
+    path = tmp_path / "s6.txt"
+    path.write_text(s6_text())
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, str(path)],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "psd rank lower bound: 4" in proc.stdout
+
+
 def test_order3_exclude_cli(capsys):
     code, out, _ = invoke(
         capsys, ["order3-exclude", "--json", "--no-sign-fix"], stdin=s6_text()
@@ -183,14 +241,10 @@ def test_sqrt_bound_cli_rejects_out_of_range_index(tmp_path):
     # a fresh interpreter, so an uncaught exception would show as a traceback
     path = tmp_path / "s6.txt"
     path.write_text(s6_text())
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "psdbounds.cli", "sqrt-bound",
          "--rows", "1,2,3,99", "--cols", "1,2,3,4", str(path)],
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -205,6 +259,7 @@ def test_gen_cutpoly_and_disjointness(capsys):
     assert code == 0
     m = formats.parse_matrix(out)
     assert (m.rows, m.cols) == (11, 8)
+    assert out == formats.format_matrix(slack_matrix_cut_clique(4))
 
     code, out, _ = invoke(capsys, ["gen", "disjointness", "5", "1"])
     assert code == 0

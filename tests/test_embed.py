@@ -1,10 +1,14 @@
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_rational_matrix
 from psdbounds import (
+    BoundReport,
     ExactMatrix,
     Subspace,
     SubspaceEmbedding,
@@ -18,7 +22,10 @@ from psdbounds import (
     triangular_rank,
     verify_embedding,
     SupportPattern,
+    analyze,
+    formats,
 )
+from psdbounds.cli import run
 
 
 def crossed_lines_embedding() -> SubspaceEmbedding:
@@ -145,3 +152,32 @@ def test_embedding_validation():
     e1 = Subspace.from_vectors(2, [[1, 0]])
     with pytest.raises(ValueError):
         SubspaceEmbedding(3, (e1,), (e1,))
+
+
+def test_analyze_s6():
+    report = analyze(generate_sn(6))
+    assert isinstance(report, BoundReport)
+    assert (report.rank, report.triangular_rank, report.boolean_rank) == (3, 3, 5)
+    assert report.boolean_rank_bounds is None
+    assert report.embedding_dim_bounds == (3, 3)
+    assert report.psd_lower_bound == 4
+    assert report.psd_lower_bound_source == "order-3 exclusion certificate"
+
+
+def test_analyze_exhausted_budget_keeps_bounds():
+    report = analyze(generate_sn(10), budget=20000)
+    assert report.boolean_rank is None
+    assert report.boolean_rank_bounds == (3, 6)
+
+
+def test_analyze_doc_is_the_cli_document(capsys):
+    m = generate_sn(6)
+    old = sys.stdin
+    sys.stdin = io.StringIO(formats.format_matrix(m))
+    try:
+        assert run(["--json", "bounds"]) == 0
+    finally:
+        sys.stdin = old
+    doc = json.loads(capsys.readouterr().out)
+    del doc["schema"]
+    assert analyze(m).to_doc("stdin") == doc
