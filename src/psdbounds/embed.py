@@ -20,7 +20,6 @@ from .linalg import (
     projection_matrix,
     rank,
     row_space,
-    trace_product,
 )
 from .pattern import (
     DEFAULT_BUDGET,
@@ -112,12 +111,8 @@ def psd_from_embedding(e: SubspaceEmbedding) -> tuple[PsdFactorization, ExactMat
     ident = ExactMatrix.identity(q)
     a_mats = tuple(projection_matrix(u) for u in e.U)
     b_mats = tuple(ident - projection_matrix(v) for v in e.V)
-    t = ExactMatrix(
-        e.m,
-        e.n,
-        [trace_product(a, b) for a in a_mats for b in b_mats],
-    )
-    return PsdFactorization(q, a_mats, b_mats), t
+    f = PsdFactorization(q, a_mats, b_mats)
+    return f, f.product_matrix()
 
 
 def embedding_from_psd(f: PsdFactorization) -> SubspaceEmbedding:

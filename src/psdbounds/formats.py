@@ -12,6 +12,7 @@ row/column numbering of matrices (the Python API is 0-based).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .embed import SubspaceEmbedding
@@ -107,6 +108,8 @@ def parse_graph(text: str) -> BipartiteGraph:
     body = lines[1 : 1 + left]
     if len(body) < left:
         raise FormatError(f"expected {left} adjacency lines, found {len(body)}")
+    if any(line.strip() for line in lines[1 + left :]):
+        raise FormatError(f"text after the {left} adjacency lines")
     adj = []
     for line in body:
         mask = 0
@@ -147,17 +150,18 @@ def embedding_to_json(e: SubspaceEmbedding) -> str:
 
 def embedding_from_json(text: str) -> SubspaceEmbedding:
     doc = _load(text, "subspace_embedding")
-    q = int(doc["ambient_dim"])
+    with _fields("subspace_embedding"):
+        q = int(doc["ambient_dim"])
 
-    def space(obj) -> Subspace:
-        rows = [[Fraction(v) for v in row] for row in obj["basis"]]
-        return Subspace.from_vectors(q, rows)
+        def space(obj) -> Subspace:
+            rows = [[Fraction(v) for v in row] for row in obj["basis"]]
+            return Subspace.from_vectors(q, rows)
 
-    return SubspaceEmbedding(
-        q,
-        tuple(space(u) for u in doc["U"]),
-        tuple(space(v) for v in doc["V"]),
-    )
+        return SubspaceEmbedding(
+            q,
+            tuple(space(u) for u in doc["U"]),
+            tuple(space(v) for v in doc["V"]),
+        )
 
 
 def factorization_to_json(f: PsdFactorization) -> str:
@@ -173,27 +177,29 @@ def factorization_to_json(f: PsdFactorization) -> str:
 
 def factorization_from_json(text: str) -> PsdFactorization:
     doc = _load(text, "psd_factorization")
-    q = int(doc["order"])
+    with _fields("psd_factorization"):
+        q = int(doc["order"])
 
-    def mat(entries) -> ExactMatrix:
-        return ExactMatrix(q, q, [Fraction(v) for v in entries])
+        def mat(entries) -> ExactMatrix:
+            return ExactMatrix(q, q, [Fraction(v) for v in entries])
 
-    return PsdFactorization(
-        q,
-        tuple(mat(e) for e in doc["A"]),
-        tuple(mat(e) for e in doc["B"]),
-    )
+        return PsdFactorization(
+            q,
+            tuple(mat(e) for e in doc["A"]),
+            tuple(mat(e) for e in doc["B"]),
+        )
 
 
 def float_factors_from_json(text: str) -> tuple[list[list[float]], list[list[float]], int]:
     """Factor entries as floats (accepts decimal strings), for reduce-rank."""
     doc = _load(text, "psd_factorization")
-    q = int(doc["order"])
+    with _fields("psd_factorization"):
+        q = int(doc["order"])
 
-    def as_floats(entries) -> list[float]:
-        return [float(Fraction(v)) for v in entries]
+        def as_floats(entries) -> list[float]:
+            return [float(Fraction(v)) for v in entries]
 
-    return [as_floats(e) for e in doc["A"]], [as_floats(e) for e in doc["B"]], q
+        return [as_floats(e) for e in doc["A"]], [as_floats(e) for e in doc["B"]], q
 
 
 def certificate_to_json(cert: Order3Certificate) -> str:
@@ -222,6 +228,18 @@ def sign_assignment_doc(w: SignAssignment | None):
         "positions": [[i + 1, j + 1] for i, j in w.positions],
         "signs": list(w.signs),
     }
+
+
+@contextmanager
+def _fields(kind: str):
+    """Turn a missing key, a wrongly typed field or a zero denominator into a
+    FormatError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{kind} document has no key {exc}") from None
+    except (TypeError, ZeroDivisionError) as exc:
+        raise FormatError(f"malformed {kind} document: {exc}") from None
 
 
 def _load(text: str, kind: str) -> dict:

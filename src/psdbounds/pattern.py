@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from .linalg import ExactMatrix
 
 DEFAULT_BUDGET = 2_000_000
-_MAX_ENUM_SIDE = 20  # closure enumeration walks 2^side subsets
+# Covers refuse graphs whose smaller side exceeds this, because the cover
+# search's set-up grows with the candidates' total coverage: supp S_24 has
+# 396,655 maximal bicliques covering 42 million (entry, biclique) pairs,
+# one list entry each.
+_MAX_ENUM_SIDE = 20
 
 
 class SearchBudgetExceeded(Exception):
@@ -329,40 +333,23 @@ def triangular_rank(m: SupportPattern) -> int:
 def _maximal_bicliques(adj: list[int], left_count: int, right_count: int):
     """All inclusion-maximal bicliques (L, R) of the graph, L and R nonempty.
 
-    Closure enumeration over left subsets: R is the intersection of the
-    rows' neighborhoods, L the set of all rows containing that R.
+    The right sides are exactly the nonempty intersections of left
+    neighborhoods (the closed sets of formal concept analysis), built one
+    row at a time; L is the set of all rows whose neighborhood contains R.
     """
     side = min(left_count, right_count)
     if side > _MAX_ENUM_SIDE:
         raise ValueError(
             f"graph too large for exact enumeration (min side {side} > {_MAX_ENUM_SIDE})"
         )
-    if left_count > right_count:
-        # enumerate on the transpose, swap back
-        cols = [0] * right_count
-        for u, a in enumerate(adj):
-            for v in _bits(a):
-                cols[v] |= 1 << u
-        return [
-            (left, right)
-            for right, left in _maximal_bicliques(cols, right_count, left_count)
-        ]
-    found = {}
-    common = [0] * (1 << left_count)
-    full_right = (1 << right_count) - 1
-    common[0] = full_right
-    for mask in range(1, 1 << left_count):
-        low = mask & -mask
-        r = common[mask ^ low] & adj[low.bit_length() - 1]
-        common[mask] = r
-        if not r:
-            continue
-        closure = 0
-        for u in range(left_count):
-            if adj[u] & r == r:
-                closure |= 1 << u
-        found[(closure, r)] = None
-    return list(found.keys())
+    rights: set[int] = set()
+    for a in adj:
+        rights |= {a & r for r in rights}
+        rights.add(a)
+    rights.discard(0)
+    return [
+        (sum(1 << u for u, a in enumerate(adj) if a & r == r), r) for r in rights
+    ]
 
 
 # -- exact minimum cover search ----------------------------------------------

@@ -9,17 +9,18 @@ reduction lives in :mod:`psdbounds.reduction` instead.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb
 
 from .linalg import ExactMatrix, rank, trace_product
 from .pattern import SupportPattern, _bits, support
 from .scalars import MultiQuadScalar, sqrt_embed
 
 DEFAULT_SIGN_CAP = 24
+_SCAN_LIMIT = 200_000  # block pairs the order-3 scan scores
 
 
 class RealizationError(Exception):
@@ -421,32 +422,27 @@ def order3_exclusion(
         )
 
     # 4x4 blocks of pinned rows x pinned cols, cheapest enumerations first;
-    # lexicographic generation order caps huge inputs deterministically
-    scan_limit = 200_000
-    pairs = (
-        (kr, lc)
-        for kr in combinations(pinned_rows, 4)
-        for lc in combinations(pinned_cols, 4)
-    )
-    if comb(len(pinned_rows), 4) * comb(len(pinned_cols), 4) > scan_limit:
-        pairs = islice(pairs, scan_limit)
-    candidates = []
-    for krows, lcols in pairs:
-        mask = 0
-        for l in lcols:
-            mask |= 1 << l
-        z = sum((pat.row_bits[k] & mask).bit_count() for k in krows)
-        if z <= cap:
-            candidates.append((z, krows, lcols))
-    if not candidates:
-        return inconclusive("every candidate block exceeds the enumeration cap")
-    candidates.sort()
+    # only the lexicographically first _SCAN_LIMIT pairs are scored, which
+    # caps huge inputs deterministically
+    def scored():
+        pairs = (
+            (kr, lc)
+            for kr in combinations(pinned_rows, 4)
+            for lc in combinations(pinned_cols, 4)
+        )
+        for krows, lcols in islice(pairs, _SCAN_LIMIT):
+            mask = sum(1 << l for l in lcols)
+            z = sum((pat.row_bits[k] & mask).bit_count() for k in krows)
+            if z <= cap:
+                yield z, krows, lcols
 
-    attempts = 0
-    for z, krows, lcols in candidates:
-        if attempts >= max_attempts:
-            break
-        attempts += 1
+    # one block is kept even when none will be tried, to tell an empty scan
+    # from a zero attempt count
+    blocks = heapq.nsmallest(max(max_attempts, 1), scored())
+    if not blocks:
+        return inconclusive("every candidate block exceeds the enumeration cap")
+    blocks = blocks[: max(max_attempts, 0)]
+    for z, krows, lcols in blocks:
         result = min_sqrt_rank(
             s, krows, lcols, fix_global_sign=fix_global_sign, cap=cap
         )
@@ -457,7 +453,7 @@ def order3_exclusion(
                 tuple(pinned_rows), tuple(pinned_cols),
             )
     return inconclusive(
-        f"all {attempts} candidate blocks admit a square root of rank <= 3"
+        f"all {len(blocks)} candidate blocks admit a square root of rank <= 3"
     )
 
 

@@ -254,6 +254,27 @@ def test_sqrt_bound_cli_rejects_out_of_range_index(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_malformed_documents_are_usage_errors(tmp_path):
+    # a fresh interpreter, so an uncaught exception would show as a traceback
+    no_dim = tmp_path / "emb.json"
+    no_dim.write_text(json.dumps({"schema": 1, "kind": "subspace_embedding"}))
+    bad_a = tmp_path / "fact.json"
+    bad_a.write_text(json.dumps(
+        {"schema": 1, "kind": "psd_factorization", "order": 1, "A": 5, "B": [["1"]]}
+    ))
+    for argv in (["psd", "from-embedding", str(no_dim)], ["embed", "from-psd", str(bad_a)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "psdbounds.cli", *argv],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+
 def test_gen_cutpoly_and_disjointness(capsys):
     code, out, _ = invoke(capsys, ["gen", "cutpoly", "4"])
     assert code == 0

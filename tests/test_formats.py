@@ -65,6 +65,12 @@ def test_graph_roundtrip_with_isolated_vertex():
         formats.parse_graph("1 2\n3\n")  # neighbor out of range
     with pytest.raises(formats.FormatError):
         formats.parse_graph("")
+    with pytest.raises(formats.FormatError):
+        formats.parse_graph("2 3\n1\n2 3\n1 2 3\n")  # a line too many
+    # trailing blank and comment-only lines are fine
+    assert formats.parse_graph("2 3\n1\n2 3\n\n# end\n") == (
+        BipartiteGraph.from_edges(2, 3, [(0, 0), (1, 1), (1, 2)])
+    )
 
 
 def test_embedding_json_roundtrip():
@@ -119,3 +125,17 @@ def test_schema_and_kind_guards():
         )
     with pytest.raises(formats.FormatError):
         formats.embedding_from_json("not json")
+    with pytest.raises(formats.FormatError, match="ambient_dim"):
+        formats.embedding_from_json("{\"schema\": 1, \"kind\": \"subspace_embedding\"}")
+    bad_a = json.dumps(
+        {"schema": 1, "kind": "psd_factorization", "order": 1, "A": 5, "B": [["1"]]}
+    )
+    with pytest.raises(formats.FormatError):
+        formats.factorization_from_json(bad_a)
+    with pytest.raises(formats.FormatError):
+        formats.float_factors_from_json(bad_a)
+    zero_den = json.dumps(
+        {"schema": 1, "kind": "psd_factorization", "order": 1, "A": [["1/0"]], "B": [["1"]]}
+    )
+    with pytest.raises(formats.FormatError):
+        formats.factorization_from_json(zero_den)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_rational_matrix
 from oracles import (
+    _all_maximal_rectangles,
     minimum_cover_bruteforce,
     minimum_feasible_cover_bruteforce,
     triangular_rank_bruteforce,
@@ -26,6 +27,7 @@ from psdbounds import (
     support,
     triangular_rank,
 )
+from psdbounds.pattern import _maximal_bicliques
 
 # the nine zero entries of the 6x6 band matrix, 0-based
 S6_ZEROS = {(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4)}
@@ -157,6 +159,27 @@ def test_budget_caps_the_whole_feasible_cover_search():
     with pytest.raises(SearchBudgetExceeded) as info:
         minimum_feasible_cover(*graph_H(5, 2), budget=5)
     assert info.value.nodes <= 6
+
+
+def test_maximal_bicliques_match_oracle():
+    rng = random.Random(31)
+    # wide, tall and square shapes; some rows and columns left empty
+    for rows, cols in ((9, 4), (7, 2), (5, 1), (4, 9), (1, 6), (6, 6), (8, 8)):
+        for _ in range(30):
+            masks = [rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(rows)]
+            masks[rng.randrange(rows)] = 0
+            if rng.random() < 0.5:
+                blank = ~(1 << rng.randrange(cols))
+                masks = [m & blank for m in masks]
+            p = SupportPattern(rows, cols, masks)
+            found = _maximal_bicliques(list(p.row_bits), p.rows, p.cols)
+            assert len(found) == len(set(found))
+            assert sorted(found) == _all_maximal_rectangles(p)
+
+
+def test_covers_refuse_graphs_past_the_enumeration_side():
+    with pytest.raises(ValueError, match=r"min side 21 > 20"):
+        minimum_feasible_cover(*graph_H(7, 2))
 
 
 def test_feasible_cover_examples():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import random_rational_matrix
 from oracles import is_psd_by_principal_minors
+from psdbounds import psd
 from psdbounds import (
     ExactMatrix,
     MultiQuadScalar,
@@ -18,6 +20,7 @@ from psdbounds import (
     psd_from_embedding,
     rank,
     realize_support,
+    slack_matrix_cut_clique,
     support,
     verify_psd_factorization,
 )
@@ -279,3 +282,30 @@ def test_order3_exclusion_cap():
     cert = order3_exclusion(generate_sn(6), cap=3)
     assert not cert.conclusive
     assert "cap" in cert.reason
+
+
+def test_order3_exclusion_zero_attempts_still_scans():
+    cert = order3_exclusion(generate_sn(6), max_attempts=0)
+    assert not cert.conclusive
+    assert cert.reason == "all 0 candidate blocks admit a square root of rank <= 3"
+    cert = order3_exclusion(generate_sn(6), cap=3, max_attempts=0)
+    assert cert.reason == "every candidate block exceeds the enumeration cap"
+
+
+def test_order3_exclusion_tries_the_cheapest_blocks(monkeypatch):
+    s = slack_matrix_cut_clique(4)
+    tried = []
+
+    def spy(s, rows, cols, **kw):
+        tried.append((rows, cols))
+        return min_sqrt_rank(s, rows, cols, **kw)
+
+    monkeypatch.setattr(psd, "min_sqrt_rank", spy)
+    cert = order3_exclusion(s, cap=12, max_attempts=8)
+    blocks = sorted(
+        (sum(1 for k in kr for l in lc if s[k, l]), kr, lc)
+        for kr in combinations(cert.pinned_rows, 4)
+        for lc in combinations(cert.pinned_cols, 4)
+    )
+    assert tried == [(kr, lc) for z, kr, lc in blocks if z <= 12][:8]
+    assert cert.reason == "all 8 candidate blocks admit a square root of rank <= 3"
