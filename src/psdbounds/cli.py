@@ -188,7 +188,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "trirank":
-        value = triangular_rank(support(formats.parse_matrix(_read(args.file))))
+        matrix = formats.parse_matrix(_read(args.file))
+        value = triangular_rank(support(matrix), upper=rank(matrix))
         _emit({"kind": "triangular_rank", "value": value}, str(value), args.json)
         return EXIT_OK
 
@@ -298,7 +299,12 @@ def _dispatch(args) -> int:
 
     if cmd == "reduce-rank":
         # the only numpy command: exact commands start without loading it
-        import numpy as np
+        try:
+            import numpy as np
+        except ImportError:
+            raise ValueError(
+                "reduce-rank needs numpy (pip install psdbounds[float])"
+            ) from None
 
         from .reduction import ReductionError, reduce_factor_ranks
 

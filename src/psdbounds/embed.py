@@ -137,9 +137,8 @@ def embrkl_bounds(s: ExactMatrix) -> tuple[int, int]:
     with this support has at least that rank, the minimum such rank equals
     the embedding rank); the upper bound is rank(s).
     """
-    lower = triangular_rank(support(s))
     upper = rank(s)
-    return lower, upper
+    return triangular_rank(support(s), upper=upper), upper
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search."""
     pat = support(s)
     rk = rank(s)
-    tri = triangular_rank(pat)
+    tri = triangular_rank(pat, upper=rk)
     try:
         brank, bbounds = boolean_rank(pat, budget=budget), None
     except SearchBudgetExceeded as exc:

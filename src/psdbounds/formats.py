@@ -151,7 +151,7 @@ def embedding_to_json(e: SubspaceEmbedding) -> str:
 def embedding_from_json(text: str) -> SubspaceEmbedding:
     doc = _load(text, "subspace_embedding")
     with _fields("subspace_embedding"):
-        q = int(doc["ambient_dim"])
+        q = _size(doc, "ambient_dim")
 
         def space(obj) -> Subspace:
             rows = [[Fraction(v) for v in row] for row in obj["basis"]]
@@ -178,7 +178,7 @@ def factorization_to_json(f: PsdFactorization) -> str:
 def factorization_from_json(text: str) -> PsdFactorization:
     doc = _load(text, "psd_factorization")
     with _fields("psd_factorization"):
-        q = int(doc["order"])
+        q = _size(doc, "order")
 
         def mat(entries) -> ExactMatrix:
             return ExactMatrix(q, q, [Fraction(v) for v in entries])
@@ -194,7 +194,7 @@ def float_factors_from_json(text: str) -> tuple[list[list[float]], list[list[flo
     """Factor entries as floats (accepts decimal strings), for reduce-rank."""
     doc = _load(text, "psd_factorization")
     with _fields("psd_factorization"):
-        q = int(doc["order"])
+        q = _size(doc, "order")
 
         def as_floats(entries) -> list[float]:
             return [float(Fraction(v)) for v in entries]
@@ -240,6 +240,14 @@ def _fields(kind: str):
         raise FormatError(f"{kind} document has no key {exc}") from None
     except (TypeError, ZeroDivisionError) as exc:
         raise FormatError(f"malformed {kind} document: {exc}") from None
+
+
+def _size(doc: dict, key: str) -> int:
+    value = doc[key]
+    # bool is an int subclass, and int() would truncate 1.9 to 1
+    if type(value) is not int or value < 0:
+        raise FormatError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _load(text: str, kind: str) -> dict:

@@ -283,47 +283,37 @@ def _max_matching(row_masks: list[int], n_cols: int) -> int:
     return size
 
 
-def triangular_rank(m: SupportPattern) -> int:
+def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
     """Largest t admitting rows k_1..k_t, cols l_1..l_t with entry (k_i, l_i)
     nonzero and (k_i, l_j) zero for all j < i.
 
     Permuting such a submatrix gives a triangular block with nonzero
     diagonal, so this bounds the rank of every matrix with this support.
-    Exact branch and bound; the prune is a bipartite matching upper bound
-    on how many pairs can still be appended.
+    Exact branch and bound over sets of chosen columns: the next row must
+    be zero on every chosen column, so it is never a used row, and which
+    row brought a column in does not change what can follow.  The prune
+    is a bipartite matching upper bound on how many pairs can still be
+    appended.  Pass ``upper=rank(S)`` to stop once the search reaches it.
     """
-    row_bits = m.row_bits
-    n_rows, n_cols = m.rows, m.cols
     best = 0
-    seen_states: set[tuple[int, int]] = set()
+    seen: set[int] = set()
 
-    def extension_bound(used_rows: int, used_cols: int) -> int:
-        # Any future pair uses a row that is zero on every already-chosen
-        # column, and the diagonal cells form a matching among 1-entries.
-        avail = [
-            row_bits[k] & ~used_cols
-            for k in range(n_rows)
-            if not (used_rows >> k) & 1 and not (row_bits[k] & used_cols)
-        ]
-        return _max_matching([a for a in avail if a], n_cols)
-
-    def dfs(used_rows: int, used_cols: int, depth: int):
+    def dfs(used: int, depth: int):
         nonlocal best
-        if depth > best:
-            best = depth
-        key = (used_rows, used_cols)
-        if key in seen_states:
+        best = max(best, depth)
+        if best == upper or used in seen:
             return
-        seen_states.add(key)
-        if depth + extension_bound(used_rows, used_cols) <= best:
+        seen.add(used)
+        rows = [r for r in m.row_bits if r and not r & used]
+        if depth + _max_matching(rows, m.cols) <= best:
             return
-        for k in range(n_rows):
-            if (used_rows >> k) & 1 or (row_bits[k] & used_cols):
-                continue
-            for l in _bits(row_bits[k] & ~used_cols):
-                dfs(used_rows | (1 << k), used_cols | (1 << l), depth + 1)
+        free = 0
+        for r in rows:
+            free |= r
+        for l in _bits(free):
+            dfs(used | 1 << l, depth + 1)
 
-    dfs(0, 0, 0)
+    dfs(0, 0)
     return best
 
 

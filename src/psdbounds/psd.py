@@ -182,6 +182,8 @@ def realize_support(
     automatically (there A_k B_l = 0); nonzero entries survive outside a
     measure-zero set, so a few retries suffice.  Deterministic per seed.
     """
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     report = verify_psd_factorization(f)
     if not report.psd_ok:
         raise ValueError(f"factors are not positive semidefinite: {report.summary()}")

@@ -275,6 +275,57 @@ def test_malformed_documents_are_usage_errors(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_bounds_on_cutpoly_5_finishes():
+    # a fresh interpreter under a time limit, so a runaway search fails the test
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdbounds.cli", "bounds", "--json"],
+        input=formats.format_matrix(slack_matrix_cut_clique(5)),
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["rank"]["value"] == 11
+    assert doc["triangular_rank"]["value"] == 11
+    assert doc["boolean_rank"]["value"] == 15
+    assert doc["psd_rank_lower_bound"]["value"] == 11
+
+
+def test_realize_support_rejects_fewer_than_one_try(tmp_path, capsys):
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps(
+        {"schema": 1, "kind": "psd_factorization", "order": 1, "A": [["1"]], "B": [["1"]]}
+    ))
+    for tries in ("0", "-3"):
+        code, out, err = invoke(capsys, ["realize-support", "--tries", tries, str(fact)])
+        assert code == 2 and out == ""
+        assert err == f"error: max_tries must be at least 1, got {tries}\n"
+
+
+def test_reduce_rank_without_numpy(tmp_path):
+    # a fresh interpreter whose numpy is a shadow package that fails to import
+    shadow = tmp_path / "shadow" / "numpy"
+    shadow.mkdir(parents=True)
+    (shadow / "__init__.py").write_text("raise ImportError('no numpy here')\n")
+    fact = tmp_path / "fact.json"
+    fact.write_text(json.dumps(
+        {"schema": 1, "kind": "psd_factorization", "order": 1, "A": [["1"]], "B": [["1"]]}
+    ))
+    env = src_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(shadow.parent), env["PYTHONPATH"]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdbounds.cli", "reduce-rank", str(fact)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: reduce-rank needs numpy (pip install psdbounds[float])\n"
+
+
 def test_gen_cutpoly_and_disjointness(capsys):
     code, out, _ = invoke(capsys, ["gen", "cutpoly", "4"])
     assert code == 0
@@ -328,9 +379,9 @@ def test_bounds_computes_triangular_rank_once(capsys, monkeypatch):
     calls = []
     original = cli.triangular_rank
 
-    def counted(pattern):
+    def counted(pattern, upper=None):
         calls.append(pattern)
-        return original(pattern)
+        return original(pattern, upper=upper)
 
     monkeypatch.setattr(cli, "triangular_rank", counted)
     monkeypatch.setattr(embed, "triangular_rank", counted)

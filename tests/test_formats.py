@@ -139,3 +139,17 @@ def test_schema_and_kind_guards():
     )
     with pytest.raises(formats.FormatError):
         formats.factorization_from_json(zero_den)
+    # sizes must be non-negative ints: no negative, fractional or boolean size
+    for size in (-1, 1.9, True, "2"):
+        fact = json.dumps(
+            {"schema": 1, "kind": "psd_factorization", "order": size, "A": [], "B": []}
+        )
+        with pytest.raises(formats.FormatError, match="order must be"):
+            formats.factorization_from_json(fact)
+        with pytest.raises(formats.FormatError, match="order must be"):
+            formats.float_factors_from_json(fact)
+        emb = json.dumps(
+            {"schema": 1, "kind": "subspace_embedding", "ambient_dim": size, "U": [], "V": []}
+        )
+        with pytest.raises(formats.FormatError, match="ambient_dim must be"):
+            formats.embedding_from_json(emb)

@@ -24,6 +24,7 @@ from psdbounds import (
     minimum_feasible_cover,
     poset_of,
     rank,
+    slack_matrix_cut_clique,
     support,
     triangular_rank,
 )
@@ -77,6 +78,13 @@ def test_triangular_rank_matches_bruteforce():
     for _ in range(40):
         p = random_pattern(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert triangular_rank(p) == triangular_rank_bruteforce(p)
+    # wide and tall shapes, and the transpose: the value is symmetric
+    for rows, cols in [(2, 7), (3, 6), (4, 7), (6, 7), (7, 2), (6, 3), (7, 4), (7, 6)]:
+        for _ in range(4):
+            p = random_pattern(rng, rows, cols)
+            value = triangular_rank_bruteforce(p)
+            assert triangular_rank(p) == value
+            assert triangular_rank(p.transpose()) == value
 
 
 def test_triangular_rank_bounds_rank_of_any_realization():
@@ -92,6 +100,12 @@ def test_triangular_rank_bounds_rank_of_any_realization():
         ]
         t = ExactMatrix(p.rows, p.cols, entries)
         assert triangular_rank(p) <= rank(t)
+        assert triangular_rank(p, upper=rank(t)) == triangular_rank(p)
+
+
+def test_triangular_rank_stops_at_the_rank():
+    # without the stop, the search on this pattern visits 1.7 million states
+    assert triangular_rank(support(slack_matrix_cut_clique(6)), upper=16) == 16
 
 
 def test_boolean_rank_examples():

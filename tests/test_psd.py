@@ -149,8 +149,10 @@ def test_realize_support_try_cap():
 
     one = ExactMatrix.from_rows([[1]])
     f = PsdFactorization(1, (one,), (one,))
-    with pytest.raises(RealizationError):
-        realize_support(f, seed=0, max_tries=0)
+    # seed 12 samples xi * eta = 0 on its first try and a nonzero on its second
+    with pytest.raises(RealizationError, match="in 1 tries"):
+        realize_support(f, seed=12, max_tries=1)
+    assert realize_support(f, seed=12, max_tries=2) != ExactMatrix.zeros(1, 1)
 
 
 def test_min_sqrt_rank_trivial():
