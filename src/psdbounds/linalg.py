@@ -306,6 +306,29 @@ def rank(m: ExactMatrix) -> int:
     return _rank_division_free_quad(m)
 
 
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p (``p`` prime) of the integer matrix with these rows."""
+    a = [[v % p for v in row] for row in rows]
+    n_rows = len(a)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        for piv in range(r, n_rows):
+            if a[piv][c]:
+                break
+        else:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top, x = a[r], a[r][c]
+        for i in range(r + 1, n_rows):
+            y = a[i][c]
+            if y:
+                a[i] = [(x * u - y * w) % p for u, w in zip(a[i], top)]
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
 def det(m: ExactMatrix):
     """Exact determinant (Bareiss elimination; works in both scalar kinds)."""
     if not m.is_square:

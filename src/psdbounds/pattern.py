@@ -455,7 +455,10 @@ def minimum_feasible_cover(
     A feasible biclique may contain vertex pairs that are edges of neither
     graph; only the forbidden edges are excluded.  Candidates are the
     maximal bicliques of the bipartite complement of ``forbidden``.
+    ``budget`` must be nonnegative.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if (
         ones.left_count != forbidden.left_count
         or ones.right_count != forbidden.right_count

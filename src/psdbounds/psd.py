@@ -14,13 +14,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
+from math import comb
 
-from .linalg import ExactMatrix, rank, trace_product
+from .linalg import ExactMatrix, rank, rank_mod_p, trace_product
 from .pattern import SupportPattern, _bits, support
-from .scalars import MultiQuadScalar, sqrt_embed
+from .scalars import MultiQuadScalar, modular_images, sqrt_embed
 
 DEFAULT_SIGN_CAP = 24
 _SCAN_LIMIT = 200_000  # block pairs the order-3 scan scores
+_SCAN_CHUNK = 1024  # column sets the order-3 scan tables at a time
 
 
 class RealizationError(Exception):
@@ -288,10 +290,20 @@ def min_sqrt_rank(
     zero = MultiQuadScalar.zero()
     n_free = z - 1 if fix_global_sign else z
     total = 1 << n_free
+    # the rank mod p never exceeds the exact rank, so a code whose modular
+    # rank already reaches the best exact rank cannot lower the minimum
+    modular = modular_images(roots)
 
     best_rank, best_code = sub.rows + sub.cols + 1, -1
     for code in range(total):
         signs = _signs_from_code(code, z, fix_global_sign)
+        if modular is not None:
+            p, images = modular
+            grid = [[0] * sub.cols for _ in range(sub.rows)]
+            for t, (i, j) in enumerate(local):
+                grid[i][j] = images[t] if signs[t] > 0 else p - images[t]
+            if rank_mod_p(grid, p) >= best_rank:
+                continue
         entries = [[zero] * sub.cols for _ in range(sub.rows)]
         for t, (i, j) in enumerate(local):
             entries[i][j] = roots[t] if signs[t] > 0 else -roots[t]
@@ -392,6 +404,56 @@ def _pinned_sets(pat: SupportPattern) -> tuple[list[int], list[int]]:
     return pinned_rows, pinned_cols
 
 
+def _cheapest_blocks(
+    row_bits, pinned_rows: list[int], pinned_cols: list[int], cap: int, keep: int
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The ``keep`` smallest ``(z, rows, cols)`` with ``z <= cap``, sorted.
+
+    The candidates are the 4x4 blocks of pinned rows x pinned columns, z
+    counts a block's nonzero entries, and only the lexicographically first
+    ``_SCAN_LIMIT`` (row set, column set) pairs are scored, which caps huge
+    inputs deterministically.  The column sets are taken ``_SCAN_CHUNK`` at
+    a time: per chunk, each row's nonzero count on every column set is
+    tabled once, and a block's z is the sum of four table entries.
+    """
+    n_col_sets = comb(len(pinned_cols), 4)
+    n_pairs = min(_SCAN_LIMIT, comb(len(pinned_rows), 4) * n_col_sets)
+    n_row_sets = -(-n_pairs // n_col_sets)
+    # a pair's key orders like (z, rows, cols), since combinations() yields
+    # the sets of a sorted list in lexicographic order
+    stride = n_row_sets * n_col_sets
+    kept: list[tuple[int, tuple, tuple]] = []  # max-heap on -key
+    worst = cap  # the largest z that can still be kept
+    col_sets = combinations(pinned_cols, 4)
+    for start in range(0, min(n_col_sets, n_pairs), _SCAN_CHUNK):
+        chunk = list(islice(col_sets, _SCAN_CHUNK))
+        masks = [(1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in chunk]
+        table: dict[int, list[int]] = {}
+        for r, krows in enumerate(combinations(pinned_rows, 4)):
+            width = min(len(chunk), n_pairs - r * n_col_sets - start)
+            if width <= 0:
+                break
+            counts = []
+            for k in krows:
+                if k not in table:
+                    table[k] = [(row_bits[k] & m).bit_count() for m in masks]
+                counts.append(table[k])
+            zs = [a + b + c + d for a, b, c, d in zip(*counts)][:width]
+            if min(zs) > worst:
+                continue
+            base = r * n_col_sets + start
+            for j, z in enumerate(zs):
+                if z <= worst:
+                    item = (-(z * stride + base + j), krows, chunk[j])
+                    if len(kept) < keep:
+                        heapq.heappush(kept, item)
+                    else:
+                        heapq.heappushpop(kept, item)
+                    if len(kept) == keep:
+                        worst = -kept[0][0] // stride
+    return [(-neg // stride, kr, lc) for neg, kr, lc in sorted(kept, reverse=True)]
+
+
 def order3_exclusion(
     s: ExactMatrix,
     fix_global_sign: bool = True,
@@ -423,24 +485,11 @@ def order3_exclusion(
             "fewer than four rows or columns have forced subspace dimensions"
         )
 
-    # 4x4 blocks of pinned rows x pinned cols, cheapest enumerations first;
-    # only the lexicographically first _SCAN_LIMIT pairs are scored, which
-    # caps huge inputs deterministically
-    def scored():
-        pairs = (
-            (kr, lc)
-            for kr in combinations(pinned_rows, 4)
-            for lc in combinations(pinned_cols, 4)
-        )
-        for krows, lcols in islice(pairs, _SCAN_LIMIT):
-            mask = sum(1 << l for l in lcols)
-            z = sum((pat.row_bits[k] & mask).bit_count() for k in krows)
-            if z <= cap:
-                yield z, krows, lcols
-
     # one block is kept even when none will be tried, to tell an empty scan
     # from a zero attempt count
-    blocks = heapq.nsmallest(max(max_attempts, 1), scored())
+    blocks = _cheapest_blocks(
+        pat.row_bits, pinned_rows, pinned_cols, cap, max(max_attempts, 1)
+    )
     if not blocks:
         return inconclusive("every candidate block exceeds the enumeration cap")
     blocks = blocks[: max(max_attempts, 0)]

@@ -11,7 +11,10 @@ makes equality (and hence matrix rank over these fields) decidable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+# primes p = 3 (mod 4) that modular_images tries, downward from 2^31 - 1
+_PRIME_CANDIDATES = 4096
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -70,6 +73,40 @@ def _smallest_prime_factor(n: int) -> int:
             return d
         d += 2
     return n
+
+
+def _prime_factors(n: int) -> set[int]:
+    primes = set()
+    while n > 1:
+        q = _smallest_prime_factor(n)
+        primes.add(q)
+        while n % q == 0:
+            n //= q
+    return primes
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with bases 2, 7, 61 is exact below 4,759,123,141
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 61):
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class MultiQuadScalar:
@@ -208,14 +245,7 @@ class MultiQuadScalar:
         """
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
-        primes = set()
-        for r in self._terms:
-            n = r
-            while n > 1:
-                q = _smallest_prime_factor(n)
-                primes.add(q)
-                while n % q == 0:
-                    n //= q
+        primes = set().union(*map(_prime_factors, self._terms))
         if not primes:
             return MultiQuadScalar({1: 1 / self._terms[1]})
         p = min(primes)
@@ -284,3 +314,46 @@ def sqrt_embed(value) -> MultiQuadScalar:
     # sqrt(p/q) = sqrt(p*q)/q
     f, s = squarefree_decompose(r.numerator * r.denominator)
     return MultiQuadScalar({s: Fraction(f, r.denominator)})
+
+
+def modular_images(values) -> tuple[int, list[int]] | None:
+    """Images of multi-quadratic scalars under one ring map into F_p.
+
+    p is the first prime p = 3 (mod 4) below 2^31 that divides no
+    coefficient denominator and modulo which every prime factor q of every
+    radicand is a nonzero square.  The map sends sqrt(q) to q^((p+1)/4),
+    a square root of q mod p, and ``c*sqrt(s)`` to ``c`` times the product
+    of the roots of the primes dividing ``s``.  It is a ring homomorphism
+    on the subring the values generate, so a matrix of images has rank
+    mod p at most its exact rank.  Returns ``(p, images)``, or ``None``
+    when none of the first ``_PRIME_CANDIDATES`` such primes qualifies.
+    """
+    values = list(values)
+    radicand_primes: set[int] = set()
+    den = 1
+    for v in values:
+        for r, c in v._terms.items():
+            radicand_primes |= _prime_factors(r)
+            den = lcm(den, c.denominator)
+    p, tried = (1 << 31) - 1, 0
+    while True:
+        if _is_prime(p):
+            if den % p and all(
+                pow(q, (p - 1) // 2, p) == 1 for q in radicand_primes
+            ):
+                break
+            tried += 1
+            if tried == _PRIME_CANDIDATES:
+                return None
+        p -= 4
+    roots = {q: pow(q, (p + 1) // 4, p) for q in radicand_primes}
+    images = []
+    for v in values:
+        acc = 0
+        for r, c in v._terms.items():
+            term = c.numerator * pow(c.denominator, -1, p)
+            for q in _prime_factors(r):
+                term = term * roots[q] % p
+            acc += term
+        images.append(acc % p)
+    return p, images

@@ -73,6 +73,15 @@ def test_boolrank_budget_exhaustion(capsys):
     assert 1 <= lo <= hi
 
 
+def test_negative_budget_is_a_usage_error(capsys):
+    for argv in (["boolrank", "--budget", "-5"], ["bounds", "--budget", "-1"]):
+        code, out, err = invoke(capsys, argv, stdin=s6_text())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: budget must be nonnegative")
+    code, out, _ = invoke(capsys, ["boolrank", "--budget", "0"], stdin=s6_text())
+    assert code == 3 and out.startswith("unknown, bounds")
+
+
 def test_bounds_report(capsys):
     code, out, _ = invoke(capsys, ["--json", "bounds"], stdin=s6_text())
     assert code == 0

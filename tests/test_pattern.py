@@ -173,6 +173,11 @@ def test_budget_caps_the_whole_feasible_cover_search():
     with pytest.raises(SearchBudgetExceeded) as info:
         minimum_feasible_cover(*graph_H(5, 2), budget=5)
     assert info.value.nodes <= 6
+    no_edges = BipartiteGraph(2, 2, [0, 0])
+    assert minimum_feasible_cover(no_edges, no_edges, budget=0).size == 0
+    for ones, forbidden in (graph_H(5, 2), (no_edges, no_edges)):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            minimum_feasible_cover(ones, forbidden, budget=-1)
 
 
 def test_maximal_bicliques_match_oracle():

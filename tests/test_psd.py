@@ -1,6 +1,8 @@
+import heapq
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, islice
 
 import pytest
 
@@ -11,6 +13,8 @@ from psdbounds import (
     ExactMatrix,
     MultiQuadScalar,
     PsdFactorization,
+    SignAssignment,
+    SqrtRankResult,
     check_sign_square,
     embedding_from_rank_factorization,
     generate_sn,
@@ -24,6 +28,7 @@ from psdbounds import (
     support,
     verify_psd_factorization,
 )
+from psdbounds.scalars import modular_images, sqrt_embed
 
 S6_DISPLAY = [
     [1, 3, 6, 10, 15, 21],
@@ -248,6 +253,129 @@ def test_min_sqrt_rank_witness_with_repeated_row():
     assert exact_rank(ExactMatrix.from_rows(entries)) == res.min_rank
 
 
+def brute_min_sqrt_rank(s, rows, cols, fix_global_sign=True):
+    """min_sqrt_rank without the modular filter: exact rank of every code."""
+    cells = [(i, j) for i, k in enumerate(rows) for j, l in enumerate(cols) if s[k, l]]
+    positions = tuple((rows[i], cols[j]) for i, j in cells)
+    if not cells:
+        return SqrtRankResult(0, SignAssignment((), ()), 1)
+    z = len(cells)
+    total = 1 << (z - 1 if fix_global_sign else z)
+    best = None
+    for code in range(total):
+        word = code << 1 if fix_global_sign else code
+        signs = tuple(-1 if (word >> t) & 1 else 1 for t in range(z))
+        entries = [[sqrt_embed(0)] * len(cols) for _ in rows]
+        for (i, j), (k, l), sign in zip(cells, positions, signs):
+            entries[i][j] = sqrt_embed(s[k, l]) * sign
+        r = rank(ExactMatrix.from_rows(entries))
+        if best is None or r < best[0]:
+            best = (r, signs)
+    return SqrtRankResult(best[0], SignAssignment(positions, best[1]), total)
+
+
+def count_exact_ranks(monkeypatch) -> list[int]:
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return rank(m)
+
+    monkeypatch.setattr(psd, "rank", counted)
+    return calls
+
+
+def square_of_rank_two(rng, n_rows, n_cols) -> list[list]:
+    # the entrywise square of Y = D_r (U V^T) D_c, of rank <= 2, where U, V
+    # have entries in -2..2, D_r = diag(a_i sqrt(p_i)), D_c = diag(sqrt(q_j));
+    # the minimum can then lie at the sign pattern of Y, past the all-plus code
+    u = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n_rows)]
+    v = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n_cols)]
+    d_r = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) ** 2 * rng.choice((1, 2, 3, 5))
+           for _ in range(n_rows)]
+    d_c = [rng.choice((1, 2, 7)) for _ in range(n_cols)]
+    return [
+        [(x1 * y1 + x2 * y2) ** 2 * a * b for (y1, y2), b in zip(v, d_c)]
+        for (x1, x2), a in zip(u, d_r)
+    ]
+
+
+def test_min_sqrt_rank_matches_the_unfiltered_enumeration():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 40:
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.6:
+            rows = square_of_rank_two(rng, rng.randint(3, 4), rng.randint(3, 4))
+        else:  # sparse, with fractional entries
+            rows = [
+                [
+                    0 if rng.random() < 0.4
+                    else Fraction(rng.randint(1, 12), rng.randint(1, 3))
+                    for _ in range(n_cols)
+                ]
+                for _ in range(n_rows)
+            ]
+        s = ExactMatrix.from_rows(rows)
+        row_idx, col_idx = list(range(s.rows)), list(range(s.cols))
+        if s.rows > 1 and rng.random() < 0.3:  # repeat a row
+            row_idx[rng.randrange(1, s.rows)] = 0
+        if support(s.submatrix(row_idx, col_idx)).ones_count() > 8:
+            continue
+        for fix in (True, False):
+            assert min_sqrt_rank(
+                s, row_idx, col_idx, fix_global_sign=fix
+            ) == brute_min_sqrt_rank(s, row_idx, col_idx, fix)
+        checked += 1
+
+
+def test_min_sqrt_rank_falls_back_when_the_modular_rank_drops(monkeypatch):
+    # with only rational roots the filter works modulo its first prime p;
+    # the determinant of the all-plus root block is then (p+1) - 1 = p
+    p, _ = modular_images([MultiQuadScalar.from_rational(1)])
+    s = ExactMatrix.from_rows([[1, 1], [1, (p + 1) ** 2]])
+    assert modular_images([sqrt_embed(v) for v in s.entries])[0] == p
+    calls = count_exact_ranks(monkeypatch)
+    res = min_sqrt_rank(s, [0, 1], [0, 1], fix_global_sign=False)
+    assert res.min_rank == 2
+    assert len(calls) == 8  # the codes whose determinant vanishes mod p
+    assert res == brute_min_sqrt_rank(s, [0, 1], [0, 1], False)
+
+
+def test_min_sqrt_rank_without_a_usable_prime():
+    # 20 radicand primes: no prime in the capped search has all 20 as squares
+    radicands = [2 * 3 * 5 * 7 * 11, 13 * 17 * 19 * 23 * 29,
+                 31 * 37 * 41 * 43 * 47, 53 * 59 * 61 * 67 * 71]
+    s = ExactMatrix.from_rows([radicands[:2], radicands[2:]])
+    assert modular_images([sqrt_embed(v) for v in radicands]) is None
+    assert min_sqrt_rank(s, [0, 1], [0, 1]) == brute_min_sqrt_rank(s, [0, 1], [0, 1])
+
+
+def test_modular_images_is_a_ring_map():
+    values = [sqrt_embed(v) for v in (2, Fraction(3, 4), 6, 45, Fraction(1, 7))]
+    pairs = list(combinations_with_replacement(values, 2))
+    p, images = modular_images(
+        values + [x + y for x, y in pairs] + [x * y for x, y in pairs]
+    )
+    assert p % 4 == 3 and p < 2**31
+    # a denominator divisible by the first candidate rules that prime out
+    first, _ = modular_images([MultiQuadScalar.from_rational(1)])
+    assert modular_images([MultiQuadScalar.from_rational(Fraction(1, first))])[0] < first
+    sums, products = images[5 : 5 + len(pairs)], images[5 + len(pairs) :]
+    for (a, b), sum_image, product_image in zip(
+        combinations_with_replacement(images[:5], 2), sums, products
+    ):
+        assert sum_image == (a + b) % p
+        assert product_image == a * b % p
+
+
+def test_min_sqrt_rank_s12_block_needs_one_exact_rank(monkeypatch):
+    calls = count_exact_ranks(monkeypatch)
+    res = min_sqrt_rank(generate_sn(12), [0, 1, 2, 3], [0, 3, 4, 5], fix_global_sign=False)
+    assert (res.min_rank, res.assignments_checked) == (4, 16384)
+    assert len(calls) == 1  # the unfiltered enumeration makes 16,384
+
+
 def test_order3_exclusion_s6():
     cert = order3_exclusion(generate_sn(6), fix_global_sign=False)
     assert cert.conclusive and cert.bound == 4
@@ -311,3 +439,35 @@ def test_order3_exclusion_tries_the_cheapest_blocks(monkeypatch):
     )
     assert tried == [(kr, lc) for z, kr, lc in blocks if z <= 12][:8]
     assert cert.reason == "all 8 candidate blocks admit a square root of rank <= 3"
+
+    # S_12 has C(10, 4) = 210 pinned column sets, so a limit of 1000 pairs
+    # stops partway through the fifth row set
+    s = generate_sn(12)
+    monkeypatch.setattr(psd, "_SCAN_LIMIT", 1000)
+    monkeypatch.setattr(
+        psd, "min_sqrt_rank",
+        lambda s, rows, cols, **kw: tried.append((rows, cols)) or SqrtRankResult(3, None, 0),
+    )
+    pinned_rows, pinned_cols = psd._pinned_sets(support(s))
+    pairs = islice(
+        ((kr, lc) for kr in combinations(pinned_rows, 4) for lc in combinations(pinned_cols, 4)),
+        1000,
+    )
+    scored = [(sum(1 for k in kr for l in lc if s[k, l]), kr, lc) for kr, lc in pairs]
+    for cap, attempts in ((12, 8), (24, 64)):
+        tried.clear()
+        cert = order3_exclusion(s, cap=cap, max_attempts=attempts)
+        expected = heapq.nsmallest(attempts, (b for b in scored if b[0] <= cap))
+        assert tried == [(kr, lc) for z, kr, lc in expected]
+        assert len(tried) == attempts and not cert.conclusive
+
+
+def test_order3_scan_memory_stays_bounded():
+    s = slack_matrix_cut_clique(7)
+    tracemalloc.start()
+    try:
+        order3_exclusion(s, cap=12, max_attempts=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
