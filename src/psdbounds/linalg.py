@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import MultiQuadScalar, _mul_terms
+from .scalars import _MODULAR_PRIME, MultiQuadScalar, _mul_terms
 
 
 def _normalize_entries(entries):
@@ -22,7 +22,7 @@ def _normalize_entries(entries):
             v if isinstance(v, MultiQuadScalar) else MultiQuadScalar.from_rational(v)
             for v in vals
         )
-    return tuple(Fraction(v) for v in vals)
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
 
 
 class ExactMatrix:
@@ -201,18 +201,24 @@ def trace_product(a: ExactMatrix, b: ExactMatrix):
     return acc
 
 
+def scaled_entries(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def scaled_dot(x: tuple[list[int], int], y: tuple[list[int], int]) -> Fraction:
+    """Dot product of two :func:`scaled_entries` vectors: one Fraction in all."""
+    return Fraction(sum(map(int.__mul__, x[0], y[0])), x[1] * y[1])
+
+
 # -- rank and determinant ----------------------------------------------------
 
 
 def _integer_rows(m: ExactMatrix) -> list[list[int]]:
     # Row scaling preserves rank; clearing denominators lets Bareiss run on
     # plain integers.
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * den) for v in row])
-    return out
+    return [scaled_entries(m.row(i))[0] for i in range(m.rows)]
 
 
 def _rank_bareiss_int(a: list[list[int]], rows: int, cols: int) -> int:
@@ -296,13 +302,22 @@ def _rank_division_free_quad(m: ExactMatrix) -> int:
 def rank(m: ExactMatrix) -> int:
     """Exact rank, by fraction-free (Bareiss) elimination.
 
-    Rational matrices are row-scaled to integers first; multi-quadratic
-    matrices use a division-free variant of the same elimination.
+    Rational matrices are row-scaled to integers first, and their rank
+    modulo the prime ``_MODULAR_PRIME`` = 2^31 - 1 is computed before Bareiss.
+    It never exceeds the rank over Q (a minor nonzero mod p is a nonzero
+    integer minor), so when it is already ``min(rows, cols)`` that is the
+    rank and Bareiss is skipped.
+    Multi-quadratic matrices use a division-free variant of the same
+    elimination.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
     if m.is_rational:
-        return _rank_bareiss_int(_integer_rows(m), m.rows, m.cols)
+        rows = _integer_rows(m)
+        full = min(m.rows, m.cols)
+        if rank_mod_p(rows, _MODULAR_PRIME) == full:
+            return full
+        return _rank_bareiss_int(rows, m.rows, m.cols)
     return _rank_division_free_quad(m)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 
-from .linalg import ExactMatrix, rank, rank_mod_p, trace_product
+from .linalg import ExactMatrix, rank, rank_mod_p, scaled_dot, scaled_entries
 from .pattern import SupportPattern, _bits, support
 from .scalars import MultiQuadScalar, modular_images, sqrt_embed
 
@@ -59,10 +59,14 @@ class PsdFactorization:
         return len(self.B)
 
     def product_matrix(self) -> ExactMatrix:
-        """The matrix tr(A_k B_l) this factorization factors."""
-        return ExactMatrix(
-            self.m, self.n, [trace_product(a, b) for a in self.A for b in self.B]
-        )
+        """The matrix tr(A_k B_l) this factorization factors.
+
+        The factors are symmetric, so tr(A B) = sum_ij A_ij B_ij: each entry
+        is one integer dot product over the factors' common denominators.
+        """
+        a = [scaled_entries(m.entries) for m in self.A]
+        b = [scaled_entries(m.entries) for m in self.B]
+        return ExactMatrix(self.m, self.n, [scaled_dot(x, y) for x in a for y in b])
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,8 @@ def verify_psd_factorization(
             raise ValueError(
                 f"factorization is {f.m}x{f.n} but the matrix is {s.rows}x{s.cols}"
             )
-        for k in range(f.m):
-            for l in range(f.n):
-                if trace_product(f.A[k], f.B[l]) != s[k, l]:
-                    mismatches.append((k, l))
+        pairs = zip(f.product_matrix().entries, s.entries)
+        mismatches = [divmod(i, f.n) for i, (x, y) in enumerate(pairs) if x != y]
     return FactorizationReport(
         psd_ok, a_certs, b_certs, not mismatches, tuple(mismatches)
     )

@@ -13,7 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-# primes p = 3 (mod 4) that modular_images tries, downward from 2^31 - 1
+# 2^31 - 1, a prime: the modulus of linalg.rank's full-rank filter and the
+# first prime modular_images tries
+_MODULAR_PRIME = (1 << 31) - 1
+# primes p = 3 (mod 4) that modular_images tries, downward from _MODULAR_PRIME
 _PRIME_CANDIDATES = 4096
 
 
@@ -335,7 +338,7 @@ def modular_images(values) -> tuple[int, list[int]] | None:
         for r, c in v._terms.items():
             radicand_primes |= _prime_factors(r)
             den = lcm(den, c.denominator)
-    p, tried = (1 << 31) - 1, 0
+    p, tried = _MODULAR_PRIME, 0
     while True:
         if _is_prime(p):
             if den % p and all(

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_rational_matrix
 from oracles import naive_det, naive_rank
+from psdbounds import linalg
 from psdbounds import (
     ExactMatrix,
     Subspace,
@@ -32,6 +33,63 @@ def test_rank_matches_naive_oracle():
     for _ in range(200):
         m = random_rational_matrix(rng, max_rows=5, max_cols=5, zero_density=0.4)
         assert rank(m) == naive_rank(m)
+
+
+def count_bareiss_calls(monkeypatch) -> list[int]:
+    calls = []
+    bareiss = linalg._rank_bareiss_int
+
+    def counted(a, rows, cols):
+        calls.append(1)
+        return bareiss(a, rows, cols)
+
+    monkeypatch.setattr(linalg, "_rank_bareiss_int", counted)
+    return calls
+
+
+def random_rank_r(rng, rows, cols, r) -> ExactMatrix:
+    # a product of rows x r and r x cols rational factors with mixed
+    # denominators, negative entries and large numerators: rank <= r
+    def factor(m, n):
+        return ExactMatrix(m, n, [
+            Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+            for _ in range(m * n)
+        ])
+
+    return factor(rows, r) @ factor(r, cols) if r else ExactMatrix.zeros(rows, cols)
+
+
+def test_rank_modular_shortcut_matches_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    calls = count_bareiss_calls(monkeypatch)
+    rng = random.Random(2024)
+    shapes = [(n, n) for n in (1, 2, 5, 9)] + [(3, 8), (2, 11), (8, 3), (11, 2)]
+    full_seen = deficient_seen = 0
+    for rows, cols in shapes:
+        for r in range(min(rows, cols) + 1):
+            m = random_rank_r(rng, rows, cols, r)
+            expected = sympy.Matrix(rows, cols, [sympy.Rational(v.numerator, v.denominator)
+                                                 for v in m.entries]).rank()
+            del calls[:]
+            assert rank(m) == expected
+            if expected == min(rows, cols):
+                assert not calls  # full rank mod p: Bareiss skipped
+                full_seen += 1
+            else:
+                assert len(calls) == 1
+                deficient_seen += 1
+    assert full_seen >= len(shapes) and deficient_seen > full_seen
+    for cols in (0, 4):
+        assert rank(ExactMatrix.zeros(0, cols)) == sympy.zeros(0, cols).rank() == 0
+    assert rank(ExactMatrix.zeros(4, 0)) == 0
+
+    # full rank over Q but singular mod the filter's prime: Bareiss decides
+    p = linalg._MODULAR_PRIME
+    m = ExactMatrix.from_rows([[1, 1], [1, 1 + p]])
+    assert linalg.rank_mod_p(linalg._integer_rows(m), p) == 1
+    del calls[:]
+    assert rank(m) == 2 == sympy.Matrix([[1, 1], [1, 1 + p]]).rank()
+    assert len(calls) == 1
 
 
 def test_rank_multiquad():

@@ -1,4 +1,5 @@
 import heapq
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import random_rational_matrix
 from oracles import is_psd_by_principal_minors
-from psdbounds import psd
+from psdbounds import formats, psd
 from psdbounds import (
     ExactMatrix,
     MultiQuadScalar,
@@ -28,6 +29,7 @@ from psdbounds import (
     support,
     verify_psd_factorization,
 )
+from psdbounds.cli import run
 from psdbounds.scalars import modular_images, sqrt_embed
 
 S6_DISPLAY = [
@@ -95,6 +97,61 @@ def test_verify_psd_factorization():
 
     with pytest.raises(ValueError):
         verify_psd_factorization(f, ExactMatrix.zeros(2, 2))
+
+
+def random_symmetric(rng, order) -> ExactMatrix:
+    # mixed denominators and signs; about a third of the factors are zero
+    if rng.random() < 1 / 3:
+        return ExactMatrix.zeros(order, order)
+    upper = {
+        (i, j): Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7, 12, 1009)))
+        for i in range(order) for j in range(i, order)
+    }
+    return ExactMatrix(order, order, [
+        upper[min(i, j), max(i, j)] for i in range(order) for j in range(order)
+    ])
+
+
+def fraction_sum_product(f: PsdFactorization) -> list[list[Fraction]]:
+    """tr(A_k B_l) as a plain Fraction sum of a_ij b_ji."""
+    return [
+        [
+            sum((a[i, j] * b[j, i] for i in range(f.order) for j in range(f.order)),
+                Fraction(0))
+            for b in f.B
+        ]
+        for a in f.A
+    ]
+
+
+def test_product_matrix_matches_fraction_sum(tmp_path, capsys):
+    rng = random.Random(77)
+    shapes = [(0, 2, 3), (3, 0, 2), (3, 2, 0), (1, 3, 2), (2, 4, 4), (4, 3, 5), (5, 2, 2)]
+    for order, m, n in shapes * 4:
+        f = PsdFactorization(
+            order,
+            tuple(random_symmetric(rng, order) for _ in range(m)),
+            tuple(random_symmetric(rng, order) for _ in range(n)),
+        )
+        t = f.product_matrix()
+        assert (t.rows, t.cols) == (m, n)
+        assert t.row_lists() == fraction_sum_product(f)
+        assert not verify_psd_factorization(f, t).mismatches
+
+    # one corrupted entry of a 4x6 T is the only mismatch, in the library and the CLI
+    s = generate_sn(6).submatrix(range(4), range(6))
+    f, t = psd_from_embedding(embedding_from_rank_factorization(s))
+    k, l = 2, 4
+    bad = ExactMatrix(4, 6, [v + Fraction(1, 3) if divmod(i, 6) == (k, l) else v
+                             for i, v in enumerate(t.entries)])
+    assert verify_psd_factorization(f, bad).mismatches == ((k, l),)
+    fact_file, bad_file = tmp_path / "fact.json", tmp_path / "bad.txt"
+    fact_file.write_text(formats.factorization_to_json(f))
+    bad_file.write_text(formats.format_matrix(bad))
+    code = run(["verify", "psd", "--json", str(fact_file), str(bad_file)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and not doc["passed"] and doc["psd_ok"]
+    assert doc["trace_mismatches"] == [[k + 1, l + 1]]
 
 
 def test_order_one_column_factorization():
