@@ -231,7 +231,7 @@ def _dispatch(args) -> int:
     if cmd == "psd" and args.mode == "from-embedding":
         emb = formats.embedding_from_json(_read(args.file))
         fact, t = psd_from_embedding(emb)
-        doc = json.loads(formats.factorization_to_json(fact))
+        doc = formats.factorization_doc(fact)
         doc["T"] = [[str(v) for v in t.row(i)] for i in range(t.rows)]
         print(json.dumps(doc, indent=2))
         return EXIT_OK

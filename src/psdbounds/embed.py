@@ -23,6 +23,7 @@ from .linalg import (
 )
 from .pattern import (
     DEFAULT_BUDGET,
+    EnumerationTooLarge,
     SearchBudgetExceeded,
     SupportPattern,
     boolean_rank,
@@ -198,7 +199,11 @@ class BoundReport:
 
 
 def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
-    """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search."""
+    """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search.
+
+    When the cover search runs out of budget, or refuses a graph too large
+    to list its candidates, the boolean rank is reported as proven bounds.
+    """
     pat = support(s)
     rk = rank(s)
     tri = triangular_rank(pat, upper=rk)
@@ -206,6 +211,13 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
         brank, bbounds = boolean_rank(pat, budget=budget), None
     except SearchBudgetExceeded as exc:
         brank, bbounds = None, (exc.lower, exc.upper)
+    except EnumerationTooLarge:
+        # the diagonal of a triangular submatrix is a fooling set, and each
+        # nonzero row (or column) is one all-ones rectangle
+        lines = min(
+            sum(1 for r in pat.row_bits if r), sum(1 for c in pat.col_bits() if c)
+        )
+        brank, bbounds = None, (tri, lines)
     psd_lb, source = tri, "triangular rank"
     if s.is_nonnegative():
         # keep the report snappy: small enumeration cap and few blocks here,

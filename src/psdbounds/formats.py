@@ -164,15 +164,19 @@ def embedding_from_json(text: str) -> SubspaceEmbedding:
         )
 
 
-def factorization_to_json(f: PsdFactorization) -> str:
-    doc = {
+def factorization_doc(f: PsdFactorization) -> dict:
+    """The JSON document of a factorization, before serialisation."""
+    return {
         "schema": SCHEMA_VERSION,
         "kind": "psd_factorization",
         "order": f.order,
         "A": [[str(v) for v in mat.entries] for mat in f.A],
         "B": [[str(v) for v in mat.entries] for mat in f.B],
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def factorization_to_json(f: PsdFactorization) -> str:
+    return json.dumps(factorization_doc(f), indent=2) + "\n"
 
 
 def factorization_from_json(text: str) -> PsdFactorization:

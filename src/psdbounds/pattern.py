@@ -30,6 +30,10 @@ class SearchBudgetExceeded(Exception):
         self.nodes = nodes
 
 
+class EnumerationTooLarge(ValueError):
+    """Raised when a cover search refuses to list its candidate bicliques."""
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -329,7 +333,7 @@ def _maximal_bicliques(adj: list[int], left_count: int, right_count: int):
     """
     side = min(left_count, right_count)
     if side > _MAX_ENUM_SIDE:
-        raise ValueError(
+        raise EnumerationTooLarge(
             f"graph too large for exact enumeration (min side {side} > {_MAX_ENUM_SIDE})"
         )
     rights: set[int] = set()

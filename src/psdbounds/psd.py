@@ -382,28 +382,19 @@ def _pinned_sets(pat: SupportPattern) -> tuple[list[int], list[int]]:
       dim V_l <= 1, hence dim V_l = 2.
     """
     col_bits = pat.col_bits()
-    full_rows = (1 << pat.rows) - 1
-    full_cols = (1 << pat.cols) - 1
-    nonzero_rows = [k for k in range(pat.rows) if pat.row_bits[k]]
-    nonzero_cols = [l for l in range(pat.cols) if col_bits[l]]
+    return _pinned(pat.row_bits, col_bits), _pinned(col_bits, pat.row_bits)
 
-    pinned_rows = []
-    for k in nonzero_rows:
-        zero_cols = [
-            l for l in _bits(full_cols ^ pat.row_bits[k]) if col_bits[l]
-        ]
-        patterns = {col_bits[l] for l in zero_cols}
-        if len(patterns) >= 2:
-            pinned_rows.append(k)
-    pinned_cols = []
-    for l in nonzero_cols:
-        zero_rows = [
-            k for k in _bits(full_rows ^ col_bits[l]) if pat.row_bits[k]
-        ]
-        patterns = {pat.row_bits[k] for k in zero_rows}
-        if len(patterns) >= 2:
-            pinned_cols.append(l)
-    return pinned_rows, pinned_cols
+
+def _pinned(lines: list[int], cross: list[int]) -> list[int]:
+    """Nonzero lines whose zeros meet nonzero cross lines of two distinct
+    zero patterns; ``lines`` are the rows (or columns) as bitmasks over the
+    ``cross`` lines."""
+    full = (1 << len(cross)) - 1
+    return [
+        k
+        for k, bits in enumerate(lines)
+        if bits and len({cross[l] for l in _bits(full ^ bits) if cross[l]}) >= 2
+    ]
 
 
 def _cheapest_blocks(

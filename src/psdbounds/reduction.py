@@ -50,24 +50,6 @@ class FloatPsdMatrix:
         return int(np.sum(self.eigenvalues() > self.tolerance))
 
 
-def _svec_rows(mats: list[np.ndarray], r: int) -> np.ndarray:
-    """Rows <M_j, .> over the r(r+1)/2 coordinates of symmetric matrices."""
-    iu = np.triu_indices(r)
-    rows = []
-    for m in mats:
-        row = np.where(iu[0] == iu[1], m[iu], 2.0 * m[iu])
-        rows.append(row)
-    return np.array(rows)
-
-
-def _sym_from_vec(vec: np.ndarray, r: int) -> np.ndarray:
-    out = np.zeros((r, r))
-    iu = np.triu_indices(r)
-    out[iu] = vec
-    out = out + out.T - np.diag(np.diag(out))
-    return out
-
-
 def barvinok_reduce(
     x: FloatPsdMatrix,
     constraints: list[tuple[np.ndarray, float]],
@@ -81,25 +63,25 @@ def barvinok_reduce(
     t chosen so the smallest eigenvalue of I + tD is exactly zero: the
     constraints are untouched and the rank drops by at least one.
     """
-    mats = [np.asarray(a, dtype=float) for a, _ in constraints]
-    targets = np.array([float(alpha) for _, alpha in constraints])
     m = len(constraints)
     x = FloatPsdMatrix(x.entries, tol)
+    mats = np.array([a for a, _ in constraints], dtype=float).reshape(m, x.order, x.order)
+    targets = np.array([float(alpha) for _, alpha in constraints])
     if not x.is_certified_psd():
         raise ReductionError(
             f"input is not psd within tolerance (min eig {x.min_eigenvalue():.3e})"
         )
     _check_residuals(x.entries, mats, targets, tol, "input")
 
-    while True:
-        vals, vecs = np.linalg.eigh(x.entries)
+    # one eigendecomposition per step: it gives the next G and the new rank
+    vals, vecs = np.linalg.eigh(x.entries)
+    r = int(np.sum(vals > tol))
+    while r and m < r * (r + 1) // 2:
         big = vals > tol
-        r = int(np.sum(big))
-        if m >= r * (r + 1) // 2 or r == 0:
-            return x
         g = vecs[:, big] * np.sqrt(vals[big])
-        reduced = [g.T @ a @ g for a in mats]
-        system = _svec_rows(reduced, r)
+        # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D
+        iu = np.triu_indices(r)
+        system = (g.T @ mats @ g)[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
         _, _, vt = np.linalg.svd(system, full_matrices=True)
         # more unknowns than equations here, so a null vector exists
         null = vt[-1]
@@ -109,7 +91,9 @@ def barvinok_reduce(
                 f"no constraint-preserving direction at rank {r} "
                 f"(null-vector residual {drift:.3e})"
             )
-        delta = _sym_from_vec(null, r)
+        delta = np.zeros((r, r))
+        delta[iu] = null
+        delta = delta + delta.T - np.diag(np.diag(delta))
         delta /= np.linalg.norm(delta)
         dvals = np.linalg.eigvalsh(delta)
         if dvals[0] < -1e-9:
@@ -119,20 +103,19 @@ def barvinok_reduce(
             t = 1.0 / dvals[-1]
         step = np.eye(r) + t * delta
         new = FloatPsdMatrix(g @ step @ g.T, tol)
-        if new.numerical_rank() >= r:
-            raise ReductionError(
-                f"step failed to reduce the rank below {r}"
-            )
+        vals, vecs = np.linalg.eigh(new.entries)
+        new_r = int(np.sum(vals > tol))
+        if new_r >= r:
+            raise ReductionError(f"step failed to reduce the rank below {r}")
         _check_residuals(new.entries, mats, targets, tol, "step")
-        x = new
+        x, r = new, new_r
+    return x
 
 
 def _check_residuals(entries, mats, targets, tol, stage: str):
-    if not mats:
+    if not len(mats):
         return
-    residuals = np.array(
-        [abs(float(np.tensordot(a, entries)) - t) for a, t in zip(mats, targets)]
-    )
+    residuals = np.abs(np.tensordot(mats, entries) - targets)
     scale = max(1.0, float(np.abs(targets).max()))
     if residuals.max() > max(tol, 1e-7 * scale):
         raise ReductionError(
@@ -164,6 +147,8 @@ def reduce_factor_ranks(
     """
     a_mats = [np.asarray(a, dtype=float) for a in a_factors]
     b_mats = [np.asarray(b, dtype=float) for b in b_factors]
+    if not a_mats or not b_mats:
+        raise ValueError("rank reduction needs at least one A and one B factor")
     if targets is None:
         targets = np.array(
             [[float(np.tensordot(a, b)) for b in b_mats] for a in a_mats]
@@ -186,28 +171,23 @@ def reduce_factor_ranks(
             residual = max(
                 residual, abs(float(np.tensordot(a.entries, b.entries)) - targets[k, l])
             )
-    min_eig = min(
-        min(f.min_eigenvalue() for f in new_a),
-        min(f.min_eigenvalue() for f in new_b),
-    )
+    # one spectrum per factor gives both its rank and its smallest eigenvalue
+    spectra = [(f.eigenvalues(), f.tolerance) for f in new_a + new_b]
+    ranks = tuple(int(np.sum(v > t)) for v, t in spectra)
     return FactorReductionReport(
         tuple(new_a),
         tuple(new_b),
-        tuple(f.numerical_rank() for f in new_a),
-        tuple(f.numerical_rank() for f in new_b),
+        ranks[: len(new_a)],
+        ranks[len(new_a) :],
         residual,
-        min_eig,
+        min(float(v[0]) for v, _ in spectra),
     )
 
 
 def factorization_to_float(f) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Cast an exact psd factorization to float factor lists."""
-    a = [
-        np.array([[float(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)])
-        for mat in f.A
-    ]
-    b = [
-        np.array([[float(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)])
-        for mat in f.B
-    ]
-    return a, b
+
+    def floats(mat) -> np.ndarray:
+        return np.array([float(v) for v in mat.entries]).reshape(mat.rows, mat.cols)
+
+    return [floats(mat) for mat in f.A], [floats(mat) for mat in f.B]

@@ -302,6 +302,26 @@ def test_bounds_on_cutpoly_5_finishes():
     assert doc["psd_rank_lower_bound"]["value"] == 11
 
 
+def test_bounds_on_cutpoly_6_answers_while_boolrank_refuses(capsys):
+    text = formats.format_matrix(slack_matrix_cut_clique(6))
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdbounds.cli", "bounds", "--json"],
+        input=text,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["boolean_rank"]["value"] is None
+    assert doc["boolean_rank"]["bounds"] == [16, 32]
+    assert doc["psd_rank_lower_bound"]["value"] == 16
+    code, out, err = invoke(capsys, ["boolrank"], stdin=text)
+    assert (code, out) == (2, "")
+    assert err == "error: graph too large for exact enumeration (min side 32 > 20)\n"
+
+
 def test_realize_support_rejects_fewer_than_one_try(tmp_path, capsys):
     fact = tmp_path / "fact.json"
     fact.write_text(json.dumps(

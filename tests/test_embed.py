@@ -24,6 +24,7 @@ from psdbounds import (
     SupportPattern,
     analyze,
     formats,
+    slack_matrix_cut_clique,
 )
 from psdbounds.cli import run
 
@@ -168,6 +169,16 @@ def test_analyze_exhausted_budget_keeps_bounds():
     report = analyze(generate_sn(10), budget=20000)
     assert report.boolean_rank is None
     assert report.boolean_rank_bounds == (3, 6)
+
+
+def test_analyze_refused_cover_reports_proven_bounds():
+    # min side 32 is past the candidate enumeration limit: the boolean rank
+    # is bracketed by the triangular rank and the count of nonzero columns
+    report = analyze(slack_matrix_cut_clique(6))
+    assert (report.rank, report.triangular_rank) == (16, 16)
+    assert report.boolean_rank is None
+    assert report.boolean_rank_bounds == (16, 32)
+    assert report.psd_lower_bound == 16
 
 
 def test_analyze_doc_is_the_cli_document(capsys):

@@ -1,7 +1,12 @@
+import json
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from psdbounds import (
+    ExactMatrix,
     FloatPsdMatrix,
     ReductionError,
     barvinok_reduce,
@@ -11,6 +16,7 @@ from psdbounds import (
     psd_from_embedding,
     reduce_factor_ranks,
 )
+from psdbounds.cli import run
 
 
 def random_psd(rng, n):
@@ -95,3 +101,83 @@ def test_s6_factorization_ranks_bounded():
     assert all(r <= 3 for r in report.a_ranks + report.b_ranks)
     assert report.max_residual <= 1e-8
     assert report.min_eigenvalue >= -1e-8
+
+
+def reference_reduce(x, mats, targets, tol=1e-9):
+    """The reduction loop written one constraint matrix at a time."""
+    while True:
+        vals, vecs = np.linalg.eigh(x)
+        big = vals > tol
+        r = int(np.sum(big))
+        if len(mats) >= r * (r + 1) // 2 or r == 0:
+            return x
+        g = vecs[:, big] * np.sqrt(vals[big])
+        iu = list(zip(*np.triu_indices(r)))
+        system = []
+        for a in mats:
+            reduced = g.T @ a @ g
+            system.append([reduced[i, j] * (1.0 if i == j else 2.0) for i, j in iu])
+        null = np.linalg.svd(np.array(system))[2][-1]
+        delta = np.zeros((r, r))
+        for (i, j), v in zip(iu, null):
+            delta[i, j] = delta[j, i] = v
+        delta /= np.linalg.norm(delta)
+        dvals = np.linalg.eigvalsh(delta)
+        if dvals[0] < -1e-9:
+            t = -1.0 / dvals[0]
+        else:
+            delta, t = -delta, 1.0 / dvals[-1]
+        new = g @ (np.eye(r) + t * delta) @ g.T
+        x = (new + new.T) / 2.0
+        assert np.sum(np.linalg.eigvalsh(x) > tol) < r
+        for a, alpha in zip(mats, targets):
+            assert abs(float(np.sum(a * x)) - alpha) <= 1e-7 * max(1.0, abs(alpha))
+
+
+def chain_factors(seed, m, n, r):
+    """Float factors of the projection factorization of a seeded W @ H."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.randint(1, 9), rng.randint(1, 3))
+
+    w = [[entry() for _ in range(r)] for _ in range(m)]
+    h = [[entry() for _ in range(n)] for _ in range(r)]
+    s = ExactMatrix(m, n, [
+        sum(w[i][t] * h[t][j] for t in range(r)) for i in range(m) for j in range(n)
+    ])
+    f, _ = psd_from_embedding(embedding_from_rank_factorization(s))
+    return factorization_to_float(f)
+
+
+@pytest.mark.parametrize("seed,m,n,r", [(304, 8, 8, 4), (3101, 10, 12, 5)])
+def test_chain_reduction_matches_per_constraint_reference(seed, m, n, r):
+    a, b = chain_factors(seed, m, n, r)
+    report = reduce_factor_ranks(a, b)
+    targets = np.array([[float(np.sum(x * y)) for y in b] for x in a])
+    ref_a = [reference_reduce((x + x.T) / 2.0, b, targets[k]) for k, x in enumerate(a)]
+    ref_b = [
+        reference_reduce((y + y.T) / 2.0, ref_a, targets[:, l]) for l, y in enumerate(b)
+    ]
+
+    def ranks(mats):
+        return tuple(int(np.sum(np.linalg.eigvalsh(x) > 1e-9)) for x in mats)
+
+    assert report.a_ranks == ranks(ref_a) and report.b_ranks == ranks(ref_b)
+    assert max(report.b_ranks) < r  # the B side really was reduced
+    for got, want in zip(report.a_factors + report.b_factors, ref_a + ref_b):
+        assert np.max(np.abs(got.entries - want)) <= 1e-12
+
+
+def test_reduce_rank_without_b_factors_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "psd_factorization", "order": 2,
+        "A": [["1", "0", "0", "1"]], "B": [],
+    }))
+    assert run(["reduce-rank", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
