@@ -150,6 +150,7 @@ class BoundReport:
     triangular_rank: int
     boolean_rank: int | None
     boolean_rank_bounds: tuple[int, int] | None
+    boolean_rank_source: str
     embedding_dim_bounds: tuple[int, int]
     psd_lower_bound: int
     psd_lower_bound_source: str
@@ -168,7 +169,7 @@ class BoundReport:
                 "bounds": list(self.boolean_rank_bounds)
                 if self.boolean_rank_bounds
                 else None,
-                "via": "minimum_biclique_cover branch and bound",
+                "via": self.boolean_rank_source,
             },
             "embedding_dim_bounds": {
                 "value": list(self.embedding_dim_bounds),
@@ -207,6 +208,7 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     pat = support(s)
     rk = rank(s)
     tri = triangular_rank(pat, upper=rk)
+    bsource = "minimum_biclique_cover branch and bound"
     try:
         brank, bbounds = boolean_rank(pat, budget=budget), None
     except SearchBudgetExceeded as exc:
@@ -218,6 +220,7 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
             sum(1 for r in pat.row_bits if r), sum(1 for c in pat.col_bits() if c)
         )
         brank, bbounds = None, (tri, lines)
+        bsource = "triangular rank / nonzero lines (cover search refused the graph)"
     psd_lb, source = tri, "triangular rank"
     if s.is_nonnegative():
         # keep the report snappy: small enumeration cap and few blocks here,
@@ -230,6 +233,7 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
         triangular_rank=tri,
         boolean_rank=brank,
         boolean_rank_bounds=bbounds,
+        boolean_rank_source=bsource,
         # embrkl_bounds(s) is (triangular rank, rank): reuse both
         embedding_dim_bounds=(tri, rk),
         psd_lower_bound=psd_lb,

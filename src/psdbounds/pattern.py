@@ -384,9 +384,12 @@ def _min_set_cover(
 
     One depth-first branch and bound from the root with one node counter
     and one incumbent, the greedy cover first.  Each node branches on the
-    uncovered element with the fewest covering sets and tries those sets
-    by gain; the fooling bound prunes.  Returns (chosen set indices, nodes
-    explored).  Past ``budget`` nodes it raises
+    uncovered element with the fewest covering sets (lowest index on
+    ties) and tries those sets by gain, ties in index order.  Every child
+    is one node, counted and bounded in its parent's loop: a child with
+    nothing uncovered may become the incumbent, and only a child that the
+    fooling bound cannot prune is expanded.  Returns (chosen set indices,
+    nodes explored).  Past ``budget`` nodes it raises
     :class:`SearchBudgetExceeded` with the root fooling bound and the best
     size found, unless the incumbent already meets that bound.
     """
@@ -400,31 +403,43 @@ def _min_set_cover(
     for e in range(n_elems):
         for i in covers_of[e]:
             co_cover[e] |= cov[i]
+    # elements grouped by how many sets cover them, fewest first: the
+    # branch element is the lowest bit of the first group still uncovered
+    groups: dict[int, int] = {}
+    for e, sets in enumerate(covers_of):
+        groups[len(sets)] = groups.get(len(sets), 0) | 1 << e
+    by_count = [groups[k] for k in sorted(groups)]
     lower = _fooling_bound(co_cover, universe)
     best = _greedy_cover(cov, universe)
-    nodes = 0
 
-    def dfs(uncovered: int, chosen: tuple):
+    def expand(uncovered: int, chosen: tuple):
         nonlocal best, nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(lower, len(best), nodes)
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = chosen
-            return
-        if len(chosen) + _fooling_bound(co_cover, uncovered) >= len(best):
-            return
         # every set covering an uncovered element is still useful, so this
         # picks the uncovered element with the fewest useful sets
-        e = min(_bits(uncovered), key=lambda x: len(covers_of[x]))
-        for i in sorted(
-            covers_of[e], key=lambda i: (-(cov[i] & uncovered).bit_count(), i)
-        ):
-            dfs(uncovered & ~cov[i], chosen + (i,))
+        for group in by_count:
+            group &= uncovered
+            if group:
+                break
+        e = (group & -group).bit_length() - 1
+        depth = len(chosen) + 1
+        # sorted() is stable and covers_of[e] ascends, so ties keep index order
+        for i in sorted(covers_of[e], key=lambda i: -(cov[i] & uncovered).bit_count()):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(lower, len(best), nodes)
+            child = uncovered & ~cov[i]
+            if not child:
+                if depth < len(best):
+                    best = chosen + (i,)
+            elif depth + _fooling_bound(co_cover, child) < len(best):
+                expand(child, chosen + (i,))
 
+    nodes = 1  # the root
     try:
-        dfs(universe, ())
+        if nodes > budget:
+            raise SearchBudgetExceeded(lower, len(best), nodes)
+        if lower < len(best):
+            expand(universe, ())
     except SearchBudgetExceeded:
         if len(best) > lower:
             raise

@@ -3,13 +3,15 @@
 These deliberately avoid the library's algorithms: rank by plain Gaussian
 elimination instead of Bareiss, triangular rank by exhaustive sequence
 enumeration instead of branch and bound, covers by combinations over an
-independently enumerated candidate pool.
+independently enumerated candidate pool.  ``min_set_cover_reference`` is
+the exception: a frozen copy of the cover search's earlier traversal, kept
+so that a faster search can be held to the same covers and node counts.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from psdbounds import BipartiteGraph, ExactMatrix, SupportPattern
+from psdbounds import BipartiteGraph, ExactMatrix, SearchBudgetExceeded, SupportPattern
 
 
 def naive_rank(m: ExactMatrix) -> int:
@@ -174,3 +176,97 @@ def is_psd_by_principal_minors(m: ExactMatrix) -> bool:
             if det(m.submatrix(combo, combo)) < 0:
                 return False
     return True
+
+
+# -- frozen cover-search traversal --------------------------------------------
+# Verbatim copy of ``pattern._min_set_cover`` and its helpers as they were
+# before children were counted in their parent's loop; only the names differ.
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _greedy_cover(cov_masks: list[int], universe: int) -> tuple[int, ...]:
+    chosen = []
+    uncovered = universe
+    while uncovered:
+        best_i, best_gain = -1, 0
+        for i, cov in enumerate(cov_masks):
+            gain = (cov & uncovered).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        if best_i < 0:  # pragma: no cover - guarded by construction
+            raise ValueError("an element is covered by no candidate set")
+        chosen.append(best_i)
+        uncovered &= ~cov_masks[best_i]
+    return tuple(chosen)
+
+
+def _fooling_bound(co_cover: list[int], uncovered: int) -> int:
+    # Greedy set of elements pairwise not coverable by one candidate set;
+    # each forces its own set, so the count is a valid lower bound.
+    count = 0
+    rest = uncovered
+    while rest:
+        e = (rest & -rest).bit_length() - 1
+        count += 1
+        rest &= ~co_cover[e]
+    return count
+
+
+def min_set_cover_reference(
+    cov: list[int], n_elems: int, budget: int
+) -> tuple[tuple[int, ...], int]:
+    """Exact minimum cover of elements 0..n_elems-1 by the bitsets ``cov``.
+
+    One depth-first branch and bound from the root with one node counter
+    and one incumbent, the greedy cover first.  Each node branches on the
+    uncovered element with the fewest covering sets and tries those sets
+    by gain; the fooling bound prunes.  Returns (chosen set indices, nodes
+    explored).  Past ``budget`` nodes it raises
+    :class:`SearchBudgetExceeded` with the root fooling bound and the best
+    size found, unless the incumbent already meets that bound.
+    """
+    universe = (1 << n_elems) - 1
+    covers_of = [
+        [i for i, c in enumerate(cov) if (c >> e) & 1] for e in range(n_elems)
+    ]
+    if any(not c for c in covers_of):
+        raise ValueError("an element is covered by no candidate set")
+    co_cover = [0] * n_elems
+    for e in range(n_elems):
+        for i in covers_of[e]:
+            co_cover[e] |= cov[i]
+    lower = _fooling_bound(co_cover, universe)
+    best = _greedy_cover(cov, universe)
+    nodes = 0
+
+    def dfs(uncovered: int, chosen: tuple):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(lower, len(best), nodes)
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = chosen
+            return
+        if len(chosen) + _fooling_bound(co_cover, uncovered) >= len(best):
+            return
+        # every set covering an uncovered element is still useful, so this
+        # picks the uncovered element with the fewest useful sets
+        e = min(_bits(uncovered), key=lambda x: len(covers_of[x]))
+        for i in sorted(
+            covers_of[e], key=lambda i: (-(cov[i] & uncovered).bit_count(), i)
+        ):
+            dfs(uncovered & ~cov[i], chosen + (i,))
+
+    try:
+        dfs(universe, ())
+    except SearchBudgetExceeded:
+        if len(best) > lower:
+            raise
+    return best, nodes

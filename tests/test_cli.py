@@ -316,6 +316,9 @@ def test_bounds_on_cutpoly_6_answers_while_boolrank_refuses(capsys):
     doc = json.loads(proc.stdout)
     assert doc["boolean_rank"]["value"] is None
     assert doc["boolean_rank"]["bounds"] == [16, 32]
+    assert doc["boolean_rank"]["via"] == (
+        "triangular rank / nonzero lines (cover search refused the graph)"
+    )
     assert doc["psd_rank_lower_bound"]["value"] == 16
     code, out, err = invoke(capsys, ["boolrank"], stdin=text)
     assert (code, out) == (2, "")

@@ -181,6 +181,20 @@ def test_analyze_refused_cover_reports_proven_bounds():
     assert report.psd_lower_bound == 16
 
 
+def test_analyze_labels_which_search_gave_the_boolean_rank():
+    searched = "minimum_biclique_cover branch and bound"
+    refused = "triangular rank / nonzero lines (cover search refused the graph)"
+    # exact, out of budget, refused
+    for m, via in (
+        (generate_sn(6), searched),
+        (generate_sn(10), searched),
+        (slack_matrix_cut_clique(6), refused),
+    ):
+        report = analyze(m, budget=20000)
+        assert report.boolean_rank_source == via
+        assert report.to_doc("m")["boolean_rank"]["via"] == via
+
+
 def test_analyze_doc_is_the_cli_document(capsys):
     m = generate_sn(6)
     old = sys.stdin

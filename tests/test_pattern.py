@@ -6,6 +6,7 @@ import pytest
 from conftest import random_rational_matrix
 from oracles import (
     _all_maximal_rectangles,
+    min_set_cover_reference,
     minimum_cover_bruteforce,
     minimum_feasible_cover_bruteforce,
     triangular_rank_bruteforce,
@@ -28,7 +29,7 @@ from psdbounds import (
     support,
     triangular_rank,
 )
-from psdbounds.pattern import _maximal_bicliques
+from psdbounds.pattern import _maximal_bicliques, _min_set_cover
 
 # the nine zero entries of the 6x6 band matrix, 0-based
 S6_ZEROS = {(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4)}
@@ -165,8 +166,43 @@ def test_budget_exhaustion():
 def test_budget_caps_the_whole_boolean_rank_search():
     with pytest.raises(SearchBudgetExceeded) as info:
         minimum_biclique_cover(support(generate_sn(10)), budget=20000)
-    assert info.value.nodes <= 20001
+    assert info.value.nodes == 20001
     assert info.value.lower <= info.value.upper
+
+
+def test_h62_feasible_cover_budget_bounds_are_pinned():
+    with pytest.raises(SearchBudgetExceeded) as info:
+        minimum_feasible_cover(*graph_H(6, 2), budget=400_000)
+    assert (info.value.lower, info.value.upper, info.value.nodes) == (8, 14, 400_001)
+
+
+def _cover_outcome(search, cov, n_elems, budget):
+    try:
+        return search(cov, n_elems, budget)
+    except SearchBudgetExceeded as exc:
+        return ("budget", exc.lower, exc.upper, exc.nodes)
+
+
+def test_min_set_cover_keeps_the_reference_traversal():
+    # same cover, same node count, or the same (lower, upper, nodes) raised
+    rng = random.Random(1009)
+    raised = 0
+    for _ in range(2000):
+        n_elems = rng.randint(1, 24)
+        n_sets = rng.randint(1, 30)
+        density = rng.choice((0.08, 0.15, 0.25, 0.4))
+        cov = [
+            sum(1 << e for e in range(n_elems) if rng.random() < density)
+            for _ in range(n_sets)
+        ]
+        for e in range(n_elems):
+            if not any(c >> e & 1 for c in cov):
+                cov[rng.randrange(n_sets)] |= 1 << e
+        for budget in (0, 1, 2, 5, 20, 100, 1000, 10**6):
+            want = _cover_outcome(min_set_cover_reference, cov, n_elems, budget)
+            assert _cover_outcome(_min_set_cover, cov, n_elems, budget) == want
+            raised += want[0] == "budget"
+    assert 0 < raised < 2000 * 8
 
 
 def test_budget_caps_the_whole_feasible_cover_search():
