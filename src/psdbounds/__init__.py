@@ -13,91 +13,76 @@ The package computes and certifies, in exact arithmetic:
 * psd factorization certificates, randomized support realization and the
   order-3 sign-enumeration exclusion (`psd`);
 * floating-point psd rank reduction along constraint-preserving
-  directions (`reduction`, loaded with numpy on first use);
+  directions (`reduction`, which needs numpy);
 * cut/clique slack matrices and disjointness graphs (`cutpoly`).
+
+The namespace is lazy (PEP 562): ``import psdbounds`` loads no submodule,
+and each name below loads its defining module on first use.  So a command
+that needs only `linalg` never compiles the searches, and numpy is
+imported only when a `reduction` name is used.
 """
 
-from .cutpoly import (
-    AppendixCheckResult,
-    Clique,
-    Cut,
-    SubsetVertex,
-    all_cliques,
-    all_cuts,
-    appendix_reduction_check,
-    cut_clique_slack,
-    graph_G,
-    graph_H,
-    iter_slack_rows,
-    slack_matrix_cut_clique,
-)
-from .embed import (
-    BoundReport,
-    SubspaceEmbedding,
-    analyze,
-    embedding_from_psd,
-    embedding_from_rank_factorization,
-    embrkl_bounds,
-    psd_from_embedding,
-    verify_embedding,
-)
-from .linalg import (
-    ExactMatrix,
-    Subspace,
-    det,
-    image,
-    inverse,
-    kernel,
-    projection_matrix,
-    rank,
-    row_space,
-    trace_product,
-)
-from .pattern import (
-    Biclique,
-    BicliqueCover,
-    BipartiteGraph,
-    CoverSearchResult,
-    SearchBudgetExceeded,
-    SupportPattern,
-    boolean_rank,
-    feasible_biclique_cover,
-    minimum_biclique_cover,
-    minimum_feasible_cover,
-    poset_of,
-    support,
-    triangular_rank,
-)
-from .psd import (
-    FactorizationReport,
-    Order3Certificate,
-    PsdCertificate,
-    PsdFactorization,
-    RealizationError,
-    SignAssignment,
-    SqrtRankResult,
-    check_sign_square,
-    generate_sn,
-    min_sqrt_rank,
-    order3_exclusion,
-    psd_certificate,
-    realize_support,
-    verify_psd_factorization,
-)
-from .scalars import MultiQuadScalar, sqrt_embed, squarefree_decompose
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the float reduction needs numpy: load it on first use of one of its names
-_REDUCTION_NAMES = (
-    "FactorReductionReport", "FloatPsdMatrix", "ReductionError",
-    "barvinok_reduce", "factorization_to_float", "reduce_factor_ranks",
-)
+# node budget of every exact search unless a caller gives one; it lives here
+# so that the CLI's parser reads it without loading `pattern`
+DEFAULT_BUDGET = 2_000_000
+
+# defining module -> the public names it exports through the package
+_EXPORTS = {
+    "cutpoly": (
+        "AppendixCheckResult", "Clique", "Cut", "SubsetVertex", "all_cliques",
+        "all_cuts", "appendix_reduction_check", "cut_clique_slack", "graph_G",
+        "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
+    ),
+    "embed": (
+        "BoundReport", "SubspaceEmbedding", "analyze", "embedding_from_psd",
+        "embedding_from_rank_factorization", "embrkl_bounds", "psd_from_embedding",
+        "verify_embedding",
+    ),
+    "linalg": (
+        "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
+        "projection_matrix", "rank", "row_space", "trace_product",
+    ),
+    "pattern": (
+        "Biclique", "BicliqueCover", "BipartiteGraph", "CoverSearchResult",
+        "SearchBudgetExceeded", "SupportPattern", "boolean_rank",
+        "feasible_biclique_cover", "minimum_biclique_cover", "minimum_feasible_cover",
+        "poset_of", "support", "triangular_rank",
+    ),
+    "psd": (
+        "FactorizationReport", "Order3Certificate", "PsdCertificate", "PsdFactorization",
+        "RealizationError", "SignAssignment", "SqrtRankResult", "check_sign_square",
+        "generate_sn", "min_sqrt_rank", "order3_exclusion", "psd_certificate",
+        "realize_support", "verify_psd_factorization",
+    ),
+    "reduction": (
+        "FactorReductionReport", "FloatPsdMatrix", "ReductionError",
+        "barvinok_reduce", "factorization_to_float", "reduce_factor_ranks",
+    ),
+    "scalars": ("MultiQuadScalar", "sqrt_embed", "squarefree_decompose"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# A star import binds what it bound when the package loaded every layer:
+# the exact layers and their names.  `reduction` stays out, so that a star
+# import needs no numpy.
+_EXACT = [module for module in _EXPORTS if module != "reduction"]
+__all__ = sorted([*_EXACT, *(name for module in _EXACT for name in _EXPORTS[module])])
 
 
 def __getattr__(name: str):
-    if name in _REDUCTION_NAMES:
-        from . import reduction
+    if name in _EXPORTS:  # a submodule, as in ``psdbounds.embed.analyze``
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
 
-        return getattr(reduction, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF) | set(_EXPORTS))

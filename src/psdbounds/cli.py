@@ -13,31 +13,10 @@ import argparse
 import json
 import sys
 
-from . import formats
-from .cutpoly import appendix_reduction_check, graph_H, slack_matrix_cut_clique
-from .embed import (
-    analyze,
-    embedding_from_psd,
-    embedding_from_rank_factorization,
-    psd_from_embedding,
-    verify_embedding,
-)
-from .linalg import rank
-from .pattern import (
-    DEFAULT_BUDGET,
-    SearchBudgetExceeded,
-    boolean_rank,
-    support,
-    triangular_rank,
-)
-from .psd import (
-    RealizationError,
-    generate_sn,
-    min_sqrt_rank,
-    order3_exclusion,
-    realize_support,
-    verify_psd_factorization,
-)
+from . import DEFAULT_BUDGET, formats
+
+# Each command imports the layers it runs, inside its branch of _dispatch:
+# a launch then compiles only those modules, and `rank` loads no search.
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -168,10 +147,7 @@ def run(argv) -> int:
     except formats.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except RealizationError as exc:
+    except _exhausted() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
     except (ValueError, OSError) as exc:
@@ -180,20 +156,36 @@ def run(argv) -> int:
         return EXIT_USAGE
 
 
+def _exhausted() -> tuple[type, ...]:
+    """The exit-3 errors: a search budget or a retry cap ran out.  An except
+    clause evaluates this only when an error reaches it."""
+    from .pattern import SearchBudgetExceeded
+    from .psd import RealizationError
+
+    return SearchBudgetExceeded, RealizationError
+
+
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "rank":
+        from .linalg import rank
+
         value = rank(formats.parse_matrix(_read(args.file)))
         _emit({"kind": "rank", "value": value}, str(value), args.json)
         return EXIT_OK
 
     if cmd == "trirank":
+        from .linalg import rank
+        from .pattern import support, triangular_rank
+
         matrix = formats.parse_matrix(_read(args.file))
         value = triangular_rank(support(matrix), upper=rank(matrix))
         _emit({"kind": "triangular_rank", "value": value}, str(value), args.json)
         return EXIT_OK
 
     if cmd == "boolrank":
+        from .pattern import SearchBudgetExceeded, boolean_rank, support
+
         pat = support(formats.parse_matrix(_read(args.file)))
         try:
             value = boolean_rank(pat, budget=args.budget)
@@ -212,23 +204,31 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "bounds":
+        from .embed import analyze
+
         report = analyze(formats.parse_matrix(_read(args.file)), budget=args.budget)
         identity = args.file if args.file != "-" else "stdin"
         _emit(report.to_doc(identity), report.to_text(identity), args.json)
         return EXIT_OK
 
     if cmd == "embed" and args.mode == "from-rank":
+        from .embed import embedding_from_rank_factorization
+
         emb = embedding_from_rank_factorization(formats.parse_matrix(_read(args.file)))
         print(formats.embedding_to_json(emb), end="")
         return EXIT_OK
 
     if cmd == "embed" and args.mode == "from-psd":
+        from .embed import embedding_from_psd
+
         fact = formats.factorization_from_json(_read(args.file))
         emb = embedding_from_psd(fact)
         print(formats.embedding_to_json(emb), end="")
         return EXIT_OK
 
     if cmd == "psd" and args.mode == "from-embedding":
+        from .embed import psd_from_embedding
+
         emb = formats.embedding_from_json(_read(args.file))
         fact, t = psd_from_embedding(emb)
         doc = formats.factorization_doc(fact)
@@ -237,6 +237,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "verify" and args.mode == "psd":
+        from .psd import verify_psd_factorization
+
         fact = formats.factorization_from_json(_read(args.factorization))
         matrix = formats.parse_matrix(_read(args.matrix))
         report = verify_psd_factorization(fact, matrix)
@@ -250,6 +252,8 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.passed else EXIT_VERIFICATION
 
     if cmd == "verify" and args.mode == "embedding":
+        from .embed import verify_embedding
+
         emb = formats.embedding_from_json(_read(args.embedding))
         pat = formats.parse_pattern(_read(args.pattern))
         ok = verify_embedding(emb, pat)
@@ -257,12 +261,16 @@ def _dispatch(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFICATION
 
     if cmd == "realize-support":
+        from .psd import realize_support
+
         fact = formats.factorization_from_json(_read(args.file))
         t = realize_support(fact, seed=args.seed, max_tries=args.tries)
         _print_matrix(t, args.json)
         return EXIT_OK
 
     if cmd == "sqrt-bound":
+        from .psd import min_sqrt_rank
+
         matrix = formats.parse_matrix(_read(args.file))
         rows = [k - 1 for k in args.rows]
         cols = [l - 1 for l in args.cols]
@@ -283,6 +291,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "order3-exclude":
+        from .psd import order3_exclusion
+
         matrix = formats.parse_matrix(_read(args.file))
         cert = order3_exclusion(matrix, fix_global_sign=not args.no_sign_fix)
         if args.json:
@@ -335,6 +345,8 @@ def _dispatch(args) -> int:
         return _cmd_gen(args)
 
     if cmd == "appendix-check":
+        from .cutpoly import appendix_reduction_check
+
         result = appendix_reduction_check(args.n)
         doc = {
             "kind": "appendix_check",
@@ -364,12 +376,18 @@ def _print_matrix(m, as_json: bool) -> None:
 
 def _cmd_gen(args) -> int:
     if args.mode == "sn":
+        from .psd import generate_sn
+
         _print_matrix(generate_sn(args.n), args.json)
         return EXIT_OK
     if args.mode == "cutpoly":
+        from .cutpoly import slack_matrix_cut_clique
+
         _print_matrix(slack_matrix_cut_clique(args.n), args.json)
         return EXIT_OK
     if args.mode == "disjointness":
+        from .cutpoly import graph_H
+
         h, hbar = graph_H(args.n, args.l)
         g = h if args.which == "h" else hbar
         if args.json:

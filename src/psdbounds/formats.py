@@ -14,11 +14,16 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .embed import SubspaceEmbedding
 from .linalg import ExactMatrix, Subspace
-from .pattern import BipartiteGraph, SupportPattern
-from .psd import Order3Certificate, PsdFactorization, SignAssignment
+
+# The other layers' types are imported where a parser builds them, so that
+# reading a matrix loads `linalg` and nothing of the searches.
+if TYPE_CHECKING:
+    from .embed import SubspaceEmbedding
+    from .pattern import BipartiteGraph, SupportPattern
+    from .psd import Order3Certificate, PsdFactorization, SignAssignment
 
 SCHEMA_VERSION = 1
 
@@ -36,7 +41,57 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
+def _ratio(token) -> tuple[int, int] | None:
+    """(p, q) for a token spelled ``-?[0-9]+(/[0-9]*[1-9][0-9]*)?`` in ASCII,
+    else None.  It reads the common exact entries with two ``int`` calls;
+    every other token is left to ``Fraction``, so errors keep their text."""
+    if type(token) is not str or not token.isascii():
+        return None
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if not digits.isdigit() or (slash and not den.isdigit()):
+        return None
+    try:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError:  # past int's digit limit
+        return None
+    return (p, q) if q else None
+
+
+def _exact(token) -> Fraction:
+    """``Fraction(token)``, without its string parser where ``_ratio`` reads it."""
+    pq = _ratio(token)
+    return Fraction(token) if pq is None else Fraction(*pq)
+
+
+def _float(token) -> float:
+    """``float(Fraction(token))``; int / int rounds correctly, as it does."""
+    pq = _ratio(token)
+    return float(Fraction(token)) if pq is None else pq[0] / pq[1]
+
+
+def _memo(convert):
+    """``convert`` computed once per distinct string token of a document.
+    Inputs repeat tokens (zeros, the mirrored half of a symmetric factor,
+    small entry ranges), and an exact value read once is one shared object,
+    so ``is_symmetric`` compares a factor's two halves by identity."""
+    memo: dict = {}
+
+    def read(token):
+        if type(token) is not str:
+            return convert(token)
+        value = memo.get(token)
+        if value is None:
+            value = memo[token] = convert(token)
+        return value
+
+    return read
+
+
 def _parse_entry(token: str) -> Fraction:
+    pq = _ratio(token)
+    if pq is not None:
+        return Fraction(*pq)
     if "." in token:
         raise FormatError(f"bad entry {token!r}: decimals are not exact, use p/q")
     try:
@@ -59,11 +114,12 @@ def parse_matrix(text: str) -> ExactMatrix:
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} matrix rows, found {len(lines) - 1}")
     entries = []
+    read = _memo(_parse_entry)
     for line in lines[1:]:
         toks = line.split()
         if len(toks) != n:
             raise FormatError(f"expected {n} entries per row, got {len(toks)}")
-        entries.extend(_parse_entry(t) for t in toks)
+        entries.extend(map(read, toks))
     return ExactMatrix(m, n, entries)
 
 
@@ -75,6 +131,8 @@ def format_matrix(m: ExactMatrix) -> str:
 
 
 def parse_pattern(text: str) -> SupportPattern:
+    from .pattern import SupportPattern
+
     mat = parse_matrix(text)
     rows = []
     for i in range(mat.rows):
@@ -95,6 +153,8 @@ def format_pattern(p: SupportPattern) -> str:
 
 
 def parse_graph(text: str) -> BipartiteGraph:
+    from .pattern import BipartiteGraph
+
     # keep blank lines: a vertex with no neighbors is an empty line
     lines = [line.split("#", 1)[0] for line in text.splitlines()]
     while lines and not lines[0].strip():
@@ -149,12 +209,16 @@ def embedding_to_json(e: SubspaceEmbedding) -> str:
 
 
 def embedding_from_json(text: str) -> SubspaceEmbedding:
+    from .embed import SubspaceEmbedding
+
     doc = _load(text, "subspace_embedding")
     with _fields("subspace_embedding"):
         q = _size(doc, "ambient_dim")
 
+        read = _memo(_exact)
+
         def space(obj) -> Subspace:
-            rows = [[Fraction(v) for v in row] for row in obj["basis"]]
+            rows = [[read(v) for v in row] for row in obj["basis"]]
             return Subspace.from_vectors(q, rows)
 
         return SubspaceEmbedding(
@@ -180,12 +244,16 @@ def factorization_to_json(f: PsdFactorization) -> str:
 
 
 def factorization_from_json(text: str) -> PsdFactorization:
+    from .psd import PsdFactorization
+
     doc = _load(text, "psd_factorization")
     with _fields("psd_factorization"):
         q = _size(doc, "order")
 
+        read = _memo(_exact)
+
         def mat(entries) -> ExactMatrix:
-            return ExactMatrix(q, q, [Fraction(v) for v in entries])
+            return ExactMatrix(q, q, [read(v) for v in entries])
 
         return PsdFactorization(
             q,
@@ -200,8 +268,10 @@ def float_factors_from_json(text: str) -> tuple[list[list[float]], list[list[flo
     with _fields("psd_factorization"):
         q = _size(doc, "order")
 
+        read = _memo(_float)
+
         def as_floats(entries) -> list[float]:
-            return [float(Fraction(v)) for v in entries]
+            return [read(v) for v in entries]
 
         return [as_floats(e) for e in doc["A"]], [as_floats(e) for e in doc["B"]], q
 
@@ -236,13 +306,13 @@ def sign_assignment_doc(w: SignAssignment | None):
 
 @contextmanager
 def _fields(kind: str):
-    """Turn a missing key, a wrongly typed field or a zero denominator into a
-    FormatError."""
+    """Turn a missing key, a wrongly typed field, a zero denominator or a
+    value past the float range into a FormatError."""
     try:
         yield
     except KeyError as exc:
         raise FormatError(f"{kind} document has no key {exc}") from None
-    except (TypeError, ZeroDivisionError) as exc:
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"malformed {kind} document: {exc}") from None
 
 

@@ -104,8 +104,10 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
+        # row i left of the diagonal against column i above it
+        n, e = self.cols, self._e
         return self.is_square and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
+            e[i * n : i * n + i] == e[i : i * n : n] for i in range(n)
         )
 
     def is_nonnegative(self) -> bool:

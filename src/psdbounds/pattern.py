@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import DEFAULT_BUDGET
 from .linalg import ExactMatrix
 
-DEFAULT_BUDGET = 2_000_000
 # Covers refuse graphs whose smaller side exceeds this, because the cover
 # search's set-up grows with the candidates' total coverage: supp S_24 has
 # 396,655 maximal bicliques covering 42 million (entry, biclique) pairs,

@@ -84,13 +84,24 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     A symmetric rational matrix is psd iff the elimination only ever meets
     nonnegative diagonal pivots, and whenever the remaining diagonal is all
     zero the remaining block is entirely zero.
+
+    The elimination is fraction-free (symmetric Bareiss) on the integer
+    matrix A = D m, D the entries' least common denominator.  After pivots
+    p_1..p_k an entry (i, j) is the minor det A[{p_1..p_k, i}, {p_1..p_k, j}],
+    which is the rational Schur complement's entry times the positive
+    d_k = det A[p_1..p_k].  So signs and zeros are those of the rational
+    elimination, and the k-th pivot is d_k / (d_{k-1} D).
     """
     if not m.is_symmetric():
         return PsdCertificate(False, (), "matrix is not symmetric")
+    if not m.is_rational:
+        raise TypeError("the psd certificate needs rational entries")
     n = m.rows
-    work = [[Fraction(v) for v in m.row(i)] for i in range(n)]
+    flat, den = scaled_entries(m.entries)
+    work = [flat[i * n : (i + 1) * n] for i in range(n)]
     active = list(range(n))
     pivots: list[Fraction] = []
+    prev = 1  # d_{k-1}; every update divides by it exactly
     while active:
         diag = [(work[i][i], i) for i in active]
         if any(d < 0 for d, _ in diag):
@@ -112,16 +123,14 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
             break
         p = pos[0]
         piv = work[p][p]
-        pivots.append(piv)
+        pivots.append(Fraction(piv, prev * den))
         active.remove(p)
-        pivot_row = {j: work[p][j] for j in active}
-        for i in active:
-            f = work[i][p] / piv
-            if f:
-                for j in active:
-                    work[i][j] -= f * pivot_row[j]
-            work[i][p] = Fraction(0)
-            work[p][i] = Fraction(0)
+        pivot_row = work[p]
+        for a, i in enumerate(active):
+            row, f = work[i], work[i][p]
+            for j in active[a:]:
+                row[j] = work[j][i] = (piv * row[j] - f * pivot_row[j]) // prev
+        prev = piv
     return PsdCertificate(True, tuple(pivots))
 
 

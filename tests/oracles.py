@@ -6,12 +6,20 @@ enumeration instead of branch and bound, covers by combinations over an
 independently enumerated candidate pool.  ``min_set_cover_reference`` is
 the exception: a frozen copy of the cover search's earlier traversal, kept
 so that a faster search can be held to the same covers and node counts.
+``psd_certificate_reference`` is likewise the earlier LDL^T on Fractions,
+which the fraction-free elimination must match pivot for pivot.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from psdbounds import BipartiteGraph, ExactMatrix, SearchBudgetExceeded, SupportPattern
+from psdbounds import (
+    BipartiteGraph,
+    ExactMatrix,
+    PsdCertificate,
+    SearchBudgetExceeded,
+    SupportPattern,
+)
 
 
 def naive_rank(m: ExactMatrix) -> int:
@@ -270,3 +278,50 @@ def min_set_cover_reference(
         if len(best) > lower:
             raise
     return best, nodes
+
+
+def psd_certificate_reference(m: ExactMatrix) -> PsdCertificate:
+    """Exact psd test by symmetric elimination with diagonal pivoting.
+
+    A symmetric rational matrix is psd iff the elimination only ever meets
+    nonnegative diagonal pivots, and whenever the remaining diagonal is all
+    zero the remaining block is entirely zero.
+    """
+    if not m.is_symmetric():
+        return PsdCertificate(False, (), "matrix is not symmetric")
+    n = m.rows
+    work = [[Fraction(v) for v in m.row(i)] for i in range(n)]
+    active = list(range(n))
+    pivots: list[Fraction] = []
+    while active:
+        diag = [(work[i][i], i) for i in active]
+        if any(d < 0 for d, _ in diag):
+            bad = next(i for d, i in diag if d < 0)
+            return PsdCertificate(
+                False, tuple(pivots), f"negative diagonal entry at index {bad}"
+            )
+        pos = [i for d, i in diag if d > 0]
+        if not pos:
+            # all remaining diagonal entries are zero: psd iff block is zero
+            for i in active:
+                for j in active:
+                    if work[i][j]:
+                        return PsdCertificate(
+                            False,
+                            tuple(pivots),
+                            f"zero diagonal with nonzero entry at ({i}, {j})",
+                        )
+            break
+        p = pos[0]
+        piv = work[p][p]
+        pivots.append(piv)
+        active.remove(p)
+        pivot_row = {j: work[p][j] for j in active}
+        for i in active:
+            f = work[i][p] / piv
+            if f:
+                for j in active:
+                    work[i][j] -= f * pivot_row[j]
+            work[i][p] = Fraction(0)
+            work[p][i] = Fraction(0)
+    return PsdCertificate(True, tuple(pivots))

@@ -223,6 +223,64 @@ def test_exact_commands_start_without_numpy(tmp_path):
     assert "psd rank lower bound: 4" in proc.stdout
 
 
+MODULES_PROBE = """
+import json, sys
+from psdbounds import cli
+code = cli.run(sys.argv[2:])
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("psdbounds."))
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "loaded": loaded}, fh)
+"""
+
+EXPENSIVE = {"cutpoly", "embed", "pattern", "psd", "reduction"}
+
+
+def command_modules(tmp_path, *argv) -> set[str]:
+    """The package modules a fresh interpreter holds after running argv."""
+    out = tmp_path / "modules.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_PROBE, str(out), *argv],
+        env=src_env(), capture_output=True, text=True, timeout=60, cwd=tmp_path,
+    )
+    result = json.loads(out.read_text())
+    assert result["code"] == 0, proc.stderr
+    return set(result["loaded"])
+
+
+@pytest.fixture
+def chain_files(tmp_path):
+    s6 = tmp_path / "s6.txt"
+    s6.write_text(s6_text())
+    emb = embed.embedding_from_rank_factorization(generate_sn(6))
+    fact, t = embed.psd_from_embedding(emb)
+    (tmp_path / "emb.json").write_text(formats.embedding_to_json(emb))
+    (tmp_path / "fact.json").write_text(formats.factorization_to_json(fact))
+    (tmp_path / "t.txt").write_text(formats.format_matrix(t))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["rank", "s6.txt"], EXPENSIVE),
+        (["verify", "psd", "fact.json", "t.txt"], {"embed", "cutpoly", "reduction"}),
+        (["reduce-rank", "fact.json"], {"pattern", "psd", "embed", "cutpoly"}),
+        (["order3-exclude", "s6.txt"], {"embed", "cutpoly"}),
+        (["sqrt-bound", "--rows", "3,4,5,6", "--cols", "1,2,3,4", "s6.txt"],
+         {"embed", "cutpoly"}),
+        (["gen", "sn", "6"], {"embed", "cutpoly"}),
+        (["embed", "from-rank", "s6.txt"], {"cutpoly", "reduction"}),
+        (["psd", "from-embedding", "emb.json"], {"cutpoly", "reduction"}),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_command_loads_only_its_modules(chain_files, argv, unloaded):
+    loaded = command_modules(chain_files, *argv)
+    assert not loaded & unloaded, sorted(loaded & unloaded)
+    if argv[0] == "rank":
+        assert loaded == {"cli", "formats", "linalg", "scalars"}
+
+
 def test_order3_exclude_cli(capsys):
     code, out, _ = invoke(
         capsys, ["order3-exclude", "--json", "--no-sign-fix"], stdin=s6_text()
@@ -408,14 +466,14 @@ def test_no_threads_option(capsys, monkeypatch):
 
 
 def test_bounds_computes_triangular_rank_once(capsys, monkeypatch):
+    # `analyze` is where `bounds` reads the triangular rank
     calls = []
-    original = cli.triangular_rank
+    original = embed.triangular_rank
 
     def counted(pattern, upper=None):
         calls.append(pattern)
         return original(pattern, upper=upper)
 
-    monkeypatch.setattr(cli, "triangular_rank", counted)
     monkeypatch.setattr(embed, "triangular_rank", counted)
     code, out, _ = invoke(capsys, ["bounds"], stdin=s6_text())
     assert code == 0 and "embedding dimension:  between 3 and 3" in out

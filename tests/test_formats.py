@@ -16,6 +16,7 @@ from psdbounds import (
     verify_psd_factorization,
 )
 from psdbounds import formats
+from psdbounds.cli import run
 
 
 def test_matrix_roundtrip():
@@ -153,3 +154,93 @@ def test_schema_and_kind_guards():
         )
         with pytest.raises(formats.FormatError, match="ambient_dim must be"):
             formats.embedding_from_json(emb)
+
+
+# the fast token reader against Fraction's own parser: plain and signed
+# integers and ratios, a 400-digit numerator, then tokens that only Fraction
+# reads (decimals, exponents, spaces, "+", underscores, a non-ASCII digit)
+# and tokens it refuses (zero or signed denominators, words, a superscript)
+TOKENS = [
+    "0", "-0", "7", "-3/4", "6/4", "1/3", "007/010", "9" * 400 + "/7",
+    "1" + "0" * 400 + "/3" + "0" * 399, "0.125", "1e-3", " 2", "+2", "1_000",
+    "1/0", "1/-2", "abc", "\u0663", "\u00b2", "", "-", "1/", "/2", "--1",
+]
+
+
+def _reference(convert, token):
+    """(value, None) or (None, exception) of the parent's conversion."""
+    try:
+        return convert(token), None
+    except Exception as exc:  # noqa: BLE001 - every error is compared
+        return None, exc
+
+
+def _expected_error(exc):
+    # _fields wraps these as a malformed document; a ValueError passes through
+    if isinstance(exc, (TypeError, ZeroDivisionError, OverflowError)):
+        return formats.FormatError, f"malformed psd_factorization document: {exc}"
+    return type(exc), str(exc)
+
+
+def _factorization_text(token) -> str:
+    # the token twice: the second read comes from the document's memo
+    return json.dumps({"schema": 1, "kind": "psd_factorization", "order": 1,
+                       "A": [[token], [token]], "B": [["1"]]})
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_exact_tokens_read_as_fraction_does(token, tmp_path, capsys):
+    text = _factorization_text(token)
+    value, error = _reference(Fraction, token)
+    if error is None:
+        fact = formats.factorization_from_json(text)
+        got = [a.entries[0] for a in fact.A]
+        assert got == [value, value] and all(type(v) is Fraction for v in got)
+        return
+    kind, message = _expected_error(error)
+    with pytest.raises(kind) as raised:
+        formats.factorization_from_json(text)
+    assert type(raised.value) is kind and str(raised.value) == message
+    path = tmp_path / "fact.json"
+    path.write_text(text)
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 1\n1\n")
+    capsys.readouterr()
+    assert run(["verify", "psd", str(path), str(matrix)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("token", TOKENS)
+def test_float_tokens_are_bit_identical_to_fraction(token, tmp_path, capsys):
+    text = _factorization_text(token)
+    value, error = _reference(lambda t: float(Fraction(t)), token)
+    if error is None:
+        a, b, order = formats.float_factors_from_json(text)
+        assert [v.hex() for row in a for v in row] == [value.hex()] * 2
+        assert order == 1 and b == [[1.0]]
+        return
+    kind, message = _expected_error(error)
+    with pytest.raises(kind) as raised:
+        formats.float_factors_from_json(text)
+    assert type(raised.value) is kind and str(raised.value) == message
+    path = tmp_path / "fact.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run(["reduce-rank", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_matrix_entries_read_as_before():
+    # the fast reader takes only what the checked path accepted unchanged
+    for token in ("0", "-0", "7", "-3/4", "6/4", "007/010", "9" * 400 + "/7"):
+        assert formats.parse_matrix(f"1 1\n{token}\n")[0, 0] == Fraction(token)
+    for token, reason in (
+        ("1/0", "Fraction(1, 0)"),
+        ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+        ("0.125", "decimals are not exact, use p/q"),
+        ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),
+    ):
+        with pytest.raises(formats.FormatError) as raised:
+            formats.parse_matrix(f"1 1\n{token}\n")
+        assert str(raised.value) == f"bad entry {token!r}: {reason}"
+    assert formats.parse_matrix("1 1\n\u0663/4\n")[0, 0] == Fraction(3, 4)

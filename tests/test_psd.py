@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement, islice
 import pytest
 
 from conftest import random_rational_matrix
-from oracles import is_psd_by_principal_minors
+from oracles import is_psd_by_principal_minors, psd_certificate_reference
 from psdbounds import formats, psd
 from psdbounds import (
     ExactMatrix,
@@ -66,6 +66,8 @@ def test_psd_certificate_basics():
     assert not psd_certificate(ExactMatrix.from_rows([[1, 2], [3, 1]])).is_psd
     cert = psd_certificate(ExactMatrix.from_rows([[2, 1], [1, 2]]))
     assert cert.is_psd and cert.pivots == (Fraction(2), Fraction(3, 2))
+    with pytest.raises(TypeError):
+        psd_certificate(ExactMatrix(1, 1, [MultiQuadScalar.from_rational(2)]))
 
 
 def test_psd_certificate_matches_principal_minors():
@@ -79,6 +81,74 @@ def test_psd_certificate_matches_principal_minors():
         assert psd_certificate(m).is_psd == is_psd_by_principal_minors(m)
         gram = g @ g.transpose()  # always psd
         assert psd_certificate(gram).is_psd
+
+
+def ldl_corpus(rng) -> list[tuple[str, ExactMatrix]]:
+    """Seeded symmetric rational matrices up to 8x8 that reach every exit of
+    the LDL^T test, plus non-symmetric inputs and the 0x0 matrix."""
+
+    def value(lo=-9, hi=9):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 5, 7, 12, 1009)))
+
+    def gram(n, r):
+        v = ExactMatrix(n, r, [value() for _ in range(n * r)])
+        return v @ v.transpose()
+
+    def symmetric(n, diag=None):
+        e = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                e[i][j] = e[j][i] = value() if i != j or diag is None else diag()
+        return ExactMatrix.from_rows(e)
+
+    corpus = [("empty", ExactMatrix(0, 0, []))]
+    for n in range(1, 9):
+        for r in range(n + 1):  # Gram matrices of every rank, psd
+            corpus += [("gram", gram(n, r)) for _ in range(6)]
+        for _ in range(10):
+            corpus.append(("indefinite", symmetric(n)))
+            corpus.append(("negative diagonal", symmetric(n, lambda: value(-9, -1))))
+        if n >= 2:
+            for _ in range(10):
+                # a psd block, then two zeroed lines joined by one nonzero
+                # entry: a zero diagonal over a nonzero block, or (with a
+                # link to the block) a negative diagonal after elimination
+                e = [list(gram(n, rng.randint(0, n)).row(i)) for i in range(n)]
+                z1, z2 = rng.sample(range(n), 2)
+                for z in (z1, z2):
+                    for k in range(n):
+                        e[z][k] = e[k][z] = Fraction(0)
+                e[z1][z2] = e[z2][z1] = value(1, 9)
+                if rng.random() < 0.5:
+                    k = rng.randrange(n)
+                    if k not in (z1, z2):
+                        e[z1][k] = e[k][z1] = value(1, 9)
+                corpus.append(("zero diagonal", ExactMatrix.from_rows(e)))
+            for _ in range(4):
+                a = symmetric(n)
+                i, j = rng.sample(range(n), 2)
+                e = list(a.entries)
+                e[i * n + j] += 1
+                corpus.append(("non-symmetric", ExactMatrix(n, n, e)))
+        corpus.append(("non-square", ExactMatrix(n, n + 1, [value() for _ in range(n * n + n)])))
+    return corpus
+
+
+def test_psd_certificate_matches_the_fraction_ldl_reference():
+    corpus = ldl_corpus(random.Random(2024))
+    assert len(corpus) >= 500
+    reasons = set()
+    for kind, m in corpus:
+        cert = psd_certificate(m)
+        assert cert == psd_certificate_reference(m), (kind, m)
+        assert all(type(p) is Fraction for p in cert.pivots)
+        reasons.add(cert.reason.split(" at ")[0])
+        if kind == "gram":
+            assert cert.is_psd and len(cert.pivots) == rank(m)
+    assert reasons == {
+        "", "matrix is not symmetric", "negative diagonal entry",
+        "zero diagonal with nonzero entry",
+    }
 
 
 def test_verify_psd_factorization():
