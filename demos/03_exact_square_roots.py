@@ -4,11 +4,20 @@ Sign enumeration needs the rank of matrices with entries like sqrt(6) to
 be decided exactly, so scalars live in Q(sqrt(d_1), ..., sqrt(d_k)): sums
 of rational multiples of square roots of square-free integers.  Equality
 is coefficient-wise; inverses come from rationalizing one prime at a time.
+A matrix over such a field is a list of rows: `multiquad_rank` decides its
+rank by division-free elimination, and a 2x2 determinant is a*d - b*c.
+(`ExactMatrix` and the rest of `linalg` hold rationals only.)
 """
 
 from fractions import Fraction
 
-from psdbounds import ExactMatrix, MultiQuadScalar, det, rank, sqrt_embed
+from psdbounds import MultiQuadScalar, multiquad_rank, sqrt_embed
+
+
+def det2(m):
+    (a, b), (c, d) = m
+    return a * d - b * c
+
 
 r2, r3 = sqrt_embed(2), sqrt_embed(3)
 print("sqrt(12) =", sqrt_embed(12))
@@ -22,12 +31,12 @@ print("x^2 =", x * x)
 print("1/x =", x.inverse())
 print("x * 1/x =", x * x.inverse())
 
-m = ExactMatrix.from_rows([[r2, r3], [r3, r2]])
+m = [[r2, r3], [r3, r2]]
 print("\nM = [[sqrt2, sqrt3], [sqrt3, sqrt2]]")
-print("det(M) =", det(m), " rank(M) =", rank(m))
+print("det(M) =", det2(m), " rank(M) =", multiquad_rank(m))
 
 # a rank drop that floating point would have to guess at:
-n = ExactMatrix.from_rows([[r2, r3], [sqrt_embed(6), 3]])
+n = [[r2, r3], [sqrt_embed(6), sqrt_embed(9)]]
 print("\nN = [[sqrt2, sqrt3], [sqrt6, 3]]  (second row = sqrt3 * first)")
-print("rank(N) =", rank(n))
-print("det(N) =", det(n), "== 0:", det(n) == MultiQuadScalar.zero())
+print("rank(N) =", multiquad_rank(n))
+print("det(N) =", det2(n), "== 0:", det2(n) == MultiQuadScalar.zero())

@@ -2,9 +2,10 @@
 
 The package computes and certifies, in exact arithmetic:
 
-* ranks, kernels, images and canonical subspaces over Q (`linalg`),
-  plus multi-quadratic extension scalars for entrywise square roots
-  (`scalars`);
+* ranks, determinants, kernels, images and canonical subspaces over Q
+  (`linalg`);
+* multi-quadratic extension scalars for entrywise square roots, and
+  matrix rank over those fields (`scalars`);
 * support patterns, triangular rank and exact biclique covers
   (`pattern`);
 * subspace-lattice embeddings of a support, conversions between rank
@@ -44,7 +45,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
-        "projection_matrix", "rank", "row_space", "trace_product",
+        "projection_matrix", "rank", "row_space",
     ),
     "pattern": (
         "Biclique", "BicliqueCover", "BipartiteGraph", "CoverSearchResult",
@@ -62,7 +63,7 @@ _EXPORTS = {
         "FactorReductionReport", "FloatPsdMatrix", "ReductionError",
         "barvinok_reduce", "factorization_to_float", "reduce_factor_ranks",
     ),
-    "scalars": ("MultiQuadScalar", "sqrt_embed", "squarefree_decompose"),
+    "scalars": ("MultiQuadScalar", "multiquad_rank", "sqrt_embed", "squarefree_decompose"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

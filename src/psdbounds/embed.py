@@ -78,8 +78,6 @@ def embedding_from_rank_factorization(s: ExactMatrix) -> SubspaceEmbedding:
     exactly at the zeros.  Coordinates are re-expressed in a row-space
     basis, shrinking the ambient space from n to rank(s).
     """
-    if not s.is_rational:
-        raise ValueError("rank factorization embedding requires rational entries")
     basis = row_space(s)  # RREF basis of the row space, dimension = rank
     q = basis.dim
     pivots = []

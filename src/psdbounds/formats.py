@@ -103,14 +103,25 @@ def _parse_entry(token: str) -> Fraction:
     return value
 
 
+def _header(line: str, kind: str, form: str) -> tuple[int, int]:
+    """The two counts of a ``form`` header line, such as ``'m n'``."""
+    try:
+        counts = [int(tok) for tok in line.split()]
+    except ValueError:
+        counts = []
+    if len(counts) != 2 or min(counts) < 0:
+        raise FormatError(
+            f"{kind} header must be '{form}' with two non-negative integers, "
+            f"got {line!r}"
+        )
+    return counts[0], counts[1]
+
+
 def parse_matrix(text: str) -> ExactMatrix:
     lines = _content_lines(text)
     if not lines:
         raise FormatError("empty matrix input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"matrix header must be 'm n', got {lines[0]!r}")
-    m, n = (int(tok) for tok in header)
+    m, n = _header(lines[0], "matrix", "m n")
     if len(lines) - 1 != m:
         raise FormatError(f"expected {m} matrix rows, found {len(lines) - 1}")
     entries = []
@@ -161,10 +172,7 @@ def parse_graph(text: str) -> BipartiteGraph:
         lines.pop(0)
     if not lines:
         raise FormatError("empty graph input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise FormatError(f"graph header must be 'L R', got {lines[0]!r}")
-    left, right = (int(tok) for tok in header)
+    left, right = _header(lines[0], "graph", "L R")
     body = lines[1 : 1 + left]
     if len(body) < left:
         raise FormatError(f"expected {left} adjacency lines, found {len(body)}")

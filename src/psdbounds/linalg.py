@@ -1,39 +1,32 @@
-"""Dense exact linear algebra over Q and its multi-quadratic extensions.
+"""Dense exact linear algebra over the rationals.
 
-:class:`ExactMatrix` keeps every entry either as a :class:`~fractions.Fraction`
-or as a :class:`~psdbounds.scalars.MultiQuadScalar` (a matrix never mixes the
-two kinds).  Rank, determinant, kernel, image and subspace operations are all
-exact; there is no floating point anywhere in this module.
+:class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`.
+Rank, determinant, kernel, image and subspace operations are all exact;
+there is no floating point anywhere in this module.  Ranks over the
+multi-quadratic fields of entrywise square roots are
+:func:`psdbounds.scalars.multiquad_rank`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm, prod
 
-from .scalars import _MODULAR_PRIME, MultiQuadScalar, _mul_terms
-
-
-def _normalize_entries(entries):
-    """Coerce to all-Fraction or, if any multi-quad value occurs, all-MultiQuad."""
-    vals = list(entries)
-    if any(isinstance(v, MultiQuadScalar) for v in vals):
-        return tuple(
-            v if isinstance(v, MultiQuadScalar) else MultiQuadScalar.from_rational(v)
-            for v in vals
-        )
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals)
+# 2^31 - 1, a prime: the modulus of rank's full-rank filter and the first
+# prime scalars.modular_images tries
+_MODULAR_PRIME = (1 << 31) - 1
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact scalar entries."""
+    """Immutable dense matrix with exact rational entries."""
 
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        e = _normalize_entries(entries)
+        # a MultiQuadScalar entry fails here with the TypeError of Fraction()
+        e = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in entries)
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
         self.rows = rows
@@ -96,10 +89,6 @@ class ExactMatrix:
         return self._e
 
     @property
-    def is_rational(self) -> bool:
-        return not self._e or isinstance(self._e[0], Fraction)
-
-    @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -111,8 +100,6 @@ class ExactMatrix:
         )
 
     def is_nonnegative(self) -> bool:
-        if not self.is_rational:
-            raise ValueError("sign test requires rational entries")
         return all(v >= 0 for v in self._e)
 
     # -- arithmetic ---------------------------------------------------------
@@ -192,17 +179,6 @@ class ExactMatrix:
             )
 
 
-def trace_product(a: ExactMatrix, b: ExactMatrix):
-    """tr(a @ b) without forming the product."""
-    if a.cols != b.rows or a.rows != b.cols:
-        raise ValueError("trace product needs compatible shapes")
-    acc = Fraction(0)
-    for i in range(a.rows):
-        for k in range(a.cols):
-            acc = acc + a[i, k] * b[k, i]
-    return acc
-
-
 def scaled_entries(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = lcm(*(v.denominator for v in values))
@@ -223,8 +199,15 @@ def _integer_rows(m: ExactMatrix) -> list[list[int]]:
     return [scaled_entries(m.row(i))[0] for i in range(m.rows)]
 
 
-def _rank_bareiss_int(a: list[list[int]], rows: int, cols: int) -> int:
+def _bareiss(a: list[list[int]], rows: int, cols: int) -> tuple[int, int, int]:
+    """Fraction-free elimination of the integer rows ``a``, in place.
+
+    Returns (rank, the sign of the row permutation, the last pivot).  For a
+    nonsingular square matrix the last pivot times that sign is its
+    determinant.
+    """
     prev = 1
+    sign = 1
     r = 0
     for c in range(cols):
         if r == rows:
@@ -234,6 +217,7 @@ def _rank_bareiss_int(a: list[list[int]], rows: int, cols: int) -> int:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
@@ -244,83 +228,25 @@ def _rank_bareiss_int(a: list[list[int]], rows: int, cols: int) -> int:
             a[i][c] = 0
         prev = a[r][c]
         r += 1
-    return r
-
-
-def _quad_rows_as_int_dicts(m: ExactMatrix) -> list[list[dict[int, int]]]:
-    out = []
-    for i in range(m.rows):
-        row = [v.terms for v in m.row(i)]
-        dens = [c.denominator for t in row for c in t.values()]
-        den = lcm(*dens) if dens else 1
-        out.append(
-            [{r: int(c * den) for r, c in t.items()} for t in row]
-        )
-    return out
-
-
-def _dict_combine(p, xi, q, yi):
-    # p*xi - q*yi over radicand->int dicts
-    acc = _mul_terms(p, xi)
-    for r, v in _mul_terms(q, yi).items():
-        w = acc.get(r, 0) - v
-        if w:
-            acc[r] = w
-        else:
-            acc.pop(r, None)
-    return acc
-
-
-def _rank_division_free_quad(m: ExactMatrix) -> int:
-    # Two-row cross-multiplication elimination: needs only ring operations,
-    # so it is exact over the multi-quadratic extension.
-    a = _quad_rows_as_int_dicts(m)
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, rows):
-            if not a[i][c]:
-                continue
-            q = a[i][c]
-            new = [_dict_combine(p, a[i][j], q, a[r][j]) for j in range(cols)]
-            coeffs = [v for d in new for v in d.values()]
-            if coeffs:
-                g = gcd(*coeffs)
-                if g > 1:
-                    new = [{rad: v // g for rad, v in d.items()} for d in new]
-            a[i] = new
-        r += 1
-    return r
+    return r, sign, prev
 
 
 def rank(m: ExactMatrix) -> int:
     """Exact rank, by fraction-free (Bareiss) elimination.
 
-    Rational matrices are row-scaled to integers first, and their rank
-    modulo the prime ``_MODULAR_PRIME`` = 2^31 - 1 is computed before Bareiss.
-    It never exceeds the rank over Q (a minor nonzero mod p is a nonzero
-    integer minor), so when it is already ``min(rows, cols)`` that is the
-    rank and Bareiss is skipped.
-    Multi-quadratic matrices use a division-free variant of the same
-    elimination.
+    The rows are scaled to integers first, and their rank modulo the prime
+    ``_MODULAR_PRIME`` = 2^31 - 1 is computed before Bareiss.  It never
+    exceeds the rank over Q (a minor nonzero mod p is a nonzero integer
+    minor), so when it is already ``min(rows, cols)`` that is the rank and
+    Bareiss is skipped.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.is_rational:
-        rows = _integer_rows(m)
-        full = min(m.rows, m.cols)
-        if rank_mod_p(rows, _MODULAR_PRIME) == full:
-            return full
-        return _rank_bareiss_int(rows, m.rows, m.cols)
-    return _rank_division_free_quad(m)
+    rows = _integer_rows(m)
+    full = min(m.rows, m.cols)
+    if rank_mod_p(rows, _MODULAR_PRIME) == full:
+        return full
+    return _bareiss(rows, m.rows, m.cols)[0]
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -346,31 +272,16 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
     return r
 
 
-def det(m: ExactMatrix):
-    """Exact determinant (Bareiss elimination; works in both scalar kinds)."""
+def det(m: ExactMatrix) -> Fraction:
+    """Exact determinant: Bareiss on the rows scaled to integers, divided
+    by the product of the row scales."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = m.row_lists()
-    one = Fraction(1)
-    prev = one
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return Fraction(0) * a[0][0]  # zero in the matrix's scalar kind
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[c][c] - a[i][c] * a[c][j]) / prev
-            a[i][c] = a[i][c] * 0
-        prev = a[c][c]
-    value = a[n - 1][n - 1]
-    return -value if sign < 0 else value
+    scaled = [scaled_entries(m.row(i)) for i in range(m.rows)]
+    r, sign, pivot = _bareiss([row for row, _ in scaled], m.rows, m.cols)
+    if r < m.rows:
+        return Fraction(0)
+    return Fraction(sign * pivot, prod(den for _, den in scaled))
 
 
 # -- reduced row echelon form and subspaces ---------------------------------
@@ -390,7 +301,7 @@ def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c] if isinstance(rows[r][c], Fraction) else rows[r][c].inverse()
+        inv = 1 / rows[r][c]
         rows[r] = [v * inv for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
@@ -488,8 +399,6 @@ class Subspace:
 
 def kernel(m: ExactMatrix) -> Subspace:
     """Null space {x : m @ x = 0} as a canonical subspace of Q^cols."""
-    if not m.is_rational:
-        raise ValueError("kernel requires rational entries")
     reduced, pivots = _rref(m.row_lists())
     free = [c for c in range(m.cols) if c not in pivots]
     vectors = []
@@ -504,14 +413,10 @@ def kernel(m: ExactMatrix) -> Subspace:
 
 def image(m: ExactMatrix) -> Subspace:
     """Column space of ``m`` as a canonical subspace of Q^rows."""
-    if not m.is_rational:
-        raise ValueError("image requires rational entries")
     return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
 
 
 def row_space(m: ExactMatrix) -> Subspace:
-    if not m.is_rational:
-        raise ValueError("row space requires rational entries")
     return Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
 
 
@@ -533,8 +438,6 @@ def projection_matrix(u: Subspace) -> ExactMatrix:
     For a basis-row matrix B this is B^T (B B^T)^{-1} B: symmetric,
     idempotent, rational, with image exactly ``u``.
     """
-    if not u.basis.is_rational:
-        raise ValueError("projection requires a rational basis")
     q = u.ambient_dim
     if u.dim == 0:
         return ExactMatrix.zeros(q, q)

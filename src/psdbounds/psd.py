@@ -16,9 +16,8 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import comb
 
-from .linalg import ExactMatrix, rank, rank_mod_p, scaled_dot, scaled_entries
+from .linalg import ExactMatrix, rank_mod_p, scaled_dot, scaled_entries
 from .pattern import SupportPattern, _bits, support
-from .scalars import MultiQuadScalar, modular_images, sqrt_embed
 
 DEFAULT_SIGN_CAP = 24
 _SCAN_LIMIT = 200_000  # block pairs the order-3 scan scores
@@ -45,8 +44,6 @@ class PsdFactorization:
         for mat in self.A + self.B:
             if mat.rows != self.order or mat.cols != self.order:
                 raise ValueError("factor order mismatch")
-            if not mat.is_rational:
-                raise ValueError("factors must have rational entries")
             if not mat.is_symmetric():
                 raise ValueError("factors must be symmetric")
 
@@ -94,8 +91,6 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """
     if not m.is_symmetric():
         return PsdCertificate(False, (), "matrix is not symmetric")
-    if not m.is_rational:
-        raise TypeError("the psd certificate needs rational entries")
     n = m.rows
     flat, den = scaled_entries(m.entries)
     work = [flat[i * n : (i + 1) * n] for i in range(n)]
@@ -285,8 +280,8 @@ def min_sqrt_rank(
                 "(indices are 0-based)"
             )
     sub = s.submatrix(rows, cols)
-    if not sub.is_rational or not sub.is_nonnegative():
-        raise ValueError("selected submatrix must be rational and nonnegative")
+    if not sub.is_nonnegative():
+        raise ValueError("selected submatrix must be nonnegative")
     local = [
         (i, j) for i in range(sub.rows) for j in range(sub.cols) if sub[i, j]
     ]
@@ -296,6 +291,8 @@ def min_sqrt_rank(
         raise ValueError(f"{z} nonzero entries exceed the enumeration cap {cap}")
     if z == 0:
         return SqrtRankResult(0, SignAssignment((), ()), 1)
+
+    from .scalars import MultiQuadScalar, modular_images, multiquad_rank, sqrt_embed
 
     roots = [sqrt_embed(sub[p]) for p in local]
     zero = MultiQuadScalar.zero()
@@ -318,7 +315,7 @@ def min_sqrt_rank(
         entries = [[zero] * sub.cols for _ in range(sub.rows)]
         for t, (i, j) in enumerate(local):
             entries[i][j] = roots[t] if signs[t] > 0 else -roots[t]
-        r = rank(ExactMatrix.from_rows(entries))
+        r = multiquad_rank(entries)
         if r < best_rank:
             best_rank, best_code = r, code
 
@@ -338,6 +335,8 @@ def _signs_from_code(code: int, z: int, fixed_first: bool) -> tuple[int, ...]:
 
 def check_sign_square(s: ExactMatrix, assignment: SignAssignment) -> bool:
     """Entrywise: (sign * sqrt(S(k,l)))^2 equals S(k,l) exactly."""
+    from .scalars import MultiQuadScalar, sqrt_embed
+
     for (i, j), sign in zip(assignment.positions, assignment.signs):
         y = sqrt_embed(s[i, j]) * sign
         if (y * y) != MultiQuadScalar.from_rational(s[i, j]):
@@ -471,8 +470,10 @@ def order3_exclusion(
     Returns an inconclusive certificate (not an error) when the hypothesis
     fails or every tried block admits a low-rank square root.
     """
-    if not s.is_rational or not s.is_nonnegative():
-        raise ValueError("order-3 exclusion needs a nonnegative rational matrix")
+    if not s.is_nonnegative():
+        raise ValueError("order-3 exclusion needs a nonnegative matrix")
+    if max_attempts < 0:
+        raise ValueError(f"max_attempts must be nonnegative, got {max_attempts}")
     pat = support(s)
     pinned_rows, pinned_cols = _pinned_sets(pat)
 
@@ -494,7 +495,7 @@ def order3_exclusion(
     )
     if not blocks:
         return inconclusive("every candidate block exceeds the enumeration cap")
-    blocks = blocks[: max(max_attempts, 0)]
+    blocks = blocks[:max_attempts]
     for z, krows, lcols in blocks:
         result = min_sqrt_rank(
             s, krows, lcols, fix_global_sign=fix_global_sign, cap=cap

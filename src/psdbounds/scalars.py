@@ -5,19 +5,33 @@ radicands ``s`` are distinct square-free positive integers and the
 coefficients ``c_s`` are rationals.  Square roots of distinct square-free
 integers are linearly independent over Q, so this representation is
 canonical: a scalar is zero exactly when every coefficient is zero, which
-makes equality (and hence matrix rank over these fields) decidable.
+makes equality (and hence matrix rank over these fields, see
+:func:`multiquad_rank`) decidable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-# 2^31 - 1, a prime: the modulus of linalg.rank's full-rank filter and the
-# first prime modular_images tries
-_MODULAR_PRIME = (1 << 31) - 1
+from .linalg import _MODULAR_PRIME
+
 # primes p = 3 (mod 4) that modular_images tries, downward from _MODULAR_PRIME
 _PRIME_CANDIDATES = 4096
+
+
+def _prime_factors(n: int) -> dict[int, int]:
+    """Prime -> exponent for a positive integer, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:  # the rest is a prime
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
@@ -30,21 +44,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         raise ValueError("square-free decomposition needs a nonnegative integer")
     if n == 0:
         return 0, 1
-    f, s = 1, 1
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            e = 0
-            while rest % d == 0:
-                rest //= d
-                e += 1
-            f *= d ** (e // 2)
-            if e % 2:
-                s *= d
-        d += 1 if d == 2 else 2
-    s *= rest  # rest is 1 or a prime
-    return f, s
+    factors = _prime_factors(n).items()
+    return prod(q ** (e // 2) for q, e in factors), prod(q for q, e in factors if e % 2)
 
 
 def _mul_terms(x: dict, y: dict) -> dict:
@@ -65,27 +66,6 @@ def _mul_terms(x: dict, y: dict) -> dict:
             else:
                 acc.pop(r, None)
     return acc
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
-
-
-def _prime_factors(n: int) -> set[int]:
-    primes = set()
-    while n > 1:
-        q = _smallest_prime_factor(n)
-        primes.add(q)
-        while n % q == 0:
-            n //= q
-    return primes
 
 
 def _is_prime(n: int) -> bool:
@@ -336,7 +316,7 @@ def modular_images(values) -> tuple[int, list[int]] | None:
     den = 1
     for v in values:
         for r, c in v._terms.items():
-            radicand_primes |= _prime_factors(r)
+            radicand_primes.update(_prime_factors(r))
             den = lcm(den, c.denominator)
     p, tried = _MODULAR_PRIME, 0
     while True:
@@ -360,3 +340,51 @@ def modular_images(values) -> tuple[int, list[int]] | None:
             acc += term
         images.append(acc % p)
     return p, images
+
+
+def _cross(p: dict, x: dict, q: dict, y: dict) -> dict:
+    """p*x - q*y over radicand -> integer coefficient maps."""
+    acc = _mul_terms(p, x)
+    for r, v in _mul_terms(q, y).items():
+        w = acc.get(r, 0) - v
+        if w:
+            acc[r] = w
+        else:
+            acc.pop(r, None)
+    return acc
+
+
+def multiquad_rank(rows) -> int:
+    """Exact rank of the matrix with these rows of :class:`MultiQuadScalar`.
+
+    Each row is scaled to integer coefficients, then eliminated by two-row
+    cross-multiplication.  That needs only ring operations, so it is exact
+    over the multi-quadratic field; every new row is divided by the gcd of
+    its coefficients to keep them small.
+    """
+    a = []
+    for row in rows:
+        terms = [v._terms for v in row]
+        den = lcm(*(c.denominator for t in terms for c in t.values()))
+        a.append([{r: int(c * den) for r, c in t.items()} for t in terms])
+    n_rows = len(a)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][c]
+        for i in range(r + 1, n_rows):
+            q = a[i][c]
+            if not q:
+                continue
+            new = [_cross(p, x, q, y) for x, y in zip(a[i], a[r])]
+            g = gcd(*(v for d in new for v in d.values()))
+            if g > 1:
+                new = [{rad: v // g for rad, v in d.items()} for d in new]
+            a[i] = new
+        r += 1
+    return r

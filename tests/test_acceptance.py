@@ -126,7 +126,7 @@ def test_criterion_01_rank():
 
 @criterion(2, "order-3 exclusion certifies psd rank >= 4 via 512 sign assignments")
 def test_criterion_02_certificate():
-    from psdbounds import ExactMatrix, sqrt_embed
+    from psdbounds import multiquad_rank, sqrt_embed
 
     start = time.perf_counter()
     cert = order3_exclusion(generate_sn(6), fix_global_sign=False)
@@ -140,7 +140,7 @@ def test_criterion_02_certificate():
         for t, (i, j) in enumerate(positions):
             sign = -1 if (code >> t) & 1 else 1
             entries[rows.index(i)][cols.index(j)] = roots[t] * sign
-        if rank(ExactMatrix.from_rows(entries)) != 4:
+        if multiquad_rank(entries) != 4:
             all_rank_four = False
             break
     elapsed = time.perf_counter() - start

@@ -263,14 +263,15 @@ def chain_files(tmp_path):
     "argv, unloaded",
     [
         (["rank", "s6.txt"], EXPENSIVE),
-        (["verify", "psd", "fact.json", "t.txt"], {"embed", "cutpoly", "reduction"}),
+        (["verify", "psd", "fact.json", "t.txt"],
+         {"embed", "cutpoly", "reduction", "scalars"}),
         (["reduce-rank", "fact.json"], {"pattern", "psd", "embed", "cutpoly"}),
         (["order3-exclude", "s6.txt"], {"embed", "cutpoly"}),
         (["sqrt-bound", "--rows", "3,4,5,6", "--cols", "1,2,3,4", "s6.txt"],
          {"embed", "cutpoly"}),
-        (["gen", "sn", "6"], {"embed", "cutpoly"}),
-        (["embed", "from-rank", "s6.txt"], {"cutpoly", "reduction"}),
-        (["psd", "from-embedding", "emb.json"], {"cutpoly", "reduction"}),
+        (["gen", "sn", "6"], {"embed", "cutpoly", "scalars"}),
+        (["embed", "from-rank", "s6.txt"], {"cutpoly", "reduction", "scalars"}),
+        (["psd", "from-embedding", "emb.json"], {"cutpoly", "reduction", "scalars"}),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -278,7 +279,7 @@ def test_each_command_loads_only_its_modules(chain_files, argv, unloaded):
     loaded = command_modules(chain_files, *argv)
     assert not loaded & unloaded, sorted(loaded & unloaded)
     if argv[0] == "rank":
-        assert loaded == {"cli", "formats", "linalg", "scalars"}
+        assert loaded == {"cli", "formats", "linalg"}
 
 
 def test_order3_exclude_cli(capsys):

@@ -47,6 +47,18 @@ def test_matrix_parsing_details():
         formats.parse_matrix("2 2\n1 2\n")
 
 
+@pytest.mark.parametrize("text", ["a 2\n1 2\n", "1 -2\n\n", "2 2.0\n1 2\n3 4\n"])
+def test_matrix_header_needs_two_counts(text):
+    with pytest.raises(formats.FormatError, match="matrix header must be 'm n'"):
+        formats.parse_matrix(text)
+
+
+@pytest.mark.parametrize("text", ["2 -1\n\n\n", "x 1\n1\n", "1\n1\n"])
+def test_graph_header_needs_two_counts(text):
+    with pytest.raises(formats.FormatError, match="graph header must be 'L R'"):
+        formats.parse_graph(text)
+
+
 def test_pattern_roundtrip():
     p = SupportPattern.from_rows([[1, 0, 1], [0, 0, 1]])
     assert formats.parse_pattern(formats.format_pattern(p)) == p

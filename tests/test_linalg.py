@@ -14,11 +14,11 @@ from psdbounds import (
     image,
     inverse,
     kernel,
+    multiquad_rank,
     projection_matrix,
     rank,
     row_space,
     sqrt_embed,
-    trace_product,
 )
 
 
@@ -37,13 +37,13 @@ def test_rank_matches_naive_oracle():
 
 def count_bareiss_calls(monkeypatch) -> list[int]:
     calls = []
-    bareiss = linalg._rank_bareiss_int
+    bareiss = linalg._bareiss
 
     def counted(a, rows, cols):
         calls.append(1)
         return bareiss(a, rows, cols)
 
-    monkeypatch.setattr(linalg, "_rank_bareiss_int", counted)
+    monkeypatch.setattr(linalg, "_bareiss", counted)
     return calls
 
 
@@ -93,20 +93,26 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
 
 
 def test_rank_multiquad():
-    r2, r3, r6 = sqrt_embed(2), sqrt_embed(3), sqrt_embed(6)
+    one, r2, r3, r6 = sqrt_embed(1), sqrt_embed(2), sqrt_embed(3), sqrt_embed(6)
     zero = r2 - r2
     # second row is sqrt(2) times the first: rank 1
-    m = ExactMatrix.from_rows([[1, r2], [r2, 2]])
-    assert rank(m) == 1
-    assert rank(ExactMatrix.from_rows([[r2, r3], [r3, r2]])) == 2
-    assert rank(ExactMatrix.from_rows([[zero, zero]])) == 0
-    assert rank(ExactMatrix.from_rows([[r2, r3], [r6, 3]])) == 1  # row2 = sqrt(3)*row1
+    assert multiquad_rank([[one, r2], [r2, r2 * r2]]) == 1
+    assert multiquad_rank([[r2, r3], [r3, r2]]) == 2
+    assert multiquad_rank([[zero, zero]]) == 0
+    assert multiquad_rank([[r2, r3], [r6, r3 * r3]]) == 1  # row2 = sqrt(3)*row1
+    assert multiquad_rank([]) == 0
+    # rational scalars: the rank over Q
+    rng = random.Random(5)
+    for _ in range(40):
+        m = random_rational_matrix(rng, max_rows=4, max_cols=4, zero_density=0.4)
+        rows = [[one * v for v in m.row(i)] for i in range(m.rows)]
+        assert multiquad_rank(rows) == rank(m)
 
 
 def test_det_examples():
     assert det(ExactMatrix.identity(4)) == 1
     assert det(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det(ExactMatrix.diagonal([sqrt_embed(2), sqrt_embed(3)])) == sqrt_embed(6)
+    assert det(ExactMatrix.zeros(0, 0)) == 1
     with pytest.raises(ValueError):
         det(ExactMatrix.zeros(2, 3))
 
@@ -119,6 +125,31 @@ def test_det_matches_permutation_expansion():
             n, n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n * n)]
         )
         assert det(m) == naive_det(m)
+
+
+def test_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(77)
+    singular = swapped = 0
+    for trial in range(320):
+        n = trial % 8  # sizes 0x0 to 7x7
+        entries = [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+            for _ in range(n * n)
+        ]
+        if n > 1 and trial % 5 == 0:  # a repeated row
+            entries[n : 2 * n] = entries[:n]
+        m = ExactMatrix(n, n, entries)
+        expected = sympy.Matrix(
+            n, n, [sympy.Rational(v.numerator, v.denominator) for v in m.entries]
+        ).det()
+        value = det(m)
+        assert isinstance(value, Fraction)
+        assert value == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+        singular += value == 0
+        scaled = linalg._integer_rows(m)
+        swapped += linalg._bareiss(scaled, n, n)[1] < 0
+    assert singular >= 40 and swapped >= 40
 
 
 def test_kernel_image_examples():
@@ -202,7 +233,6 @@ def test_matrix_basics():
     assert m.transpose() == ExactMatrix.from_rows([[1, 3], [2, 4]])
     assert m.trace() == 5
     assert (m @ inverse(m)) == ExactMatrix.identity(2)
-    assert trace_product(m, m) == (m @ m).trace()
     assert m.submatrix([1], [0, 1]) == ExactMatrix.from_rows([[3, 4]])
     assert (m * 2)[1, 1] == 8
     assert (m - m) == ExactMatrix.zeros(2, 2)
@@ -216,7 +246,9 @@ def test_matrix_basics():
         m[2, 0]
 
 
-def test_mixed_entries_promote():
-    m = ExactMatrix.from_rows([[1, sqrt_embed(2)]])
-    assert not m.is_rational
-    assert m[0, 0] * m[0, 1] == sqrt_embed(2)
+def test_multiquad_entries_are_rejected():
+    with pytest.raises(TypeError):
+        ExactMatrix.from_rows([[1, sqrt_embed(2)]])
+    with pytest.raises(TypeError):
+        ExactMatrix(1, 1, [sqrt_embed(4)])  # a rational value, as a MultiQuadScalar
+    assert ExactMatrix.from_rows([[1, Fraction(1, 2)]]).entries == (1, Fraction(1, 2))

@@ -23,7 +23,7 @@ EAGER = {
     ],
     "linalg": [
         "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
-        "projection_matrix", "rank", "row_space", "trace_product",
+        "projection_matrix", "rank", "row_space",
     ],
     "pattern": [
         "Biclique", "BicliqueCover", "BipartiteGraph", "CoverSearchResult",
@@ -89,5 +89,5 @@ def test_import_loads_no_layer():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "[]", "['psdbounds.linalg', 'psdbounds.scalars']",
+        "[]", "['psdbounds.linalg']",
     ]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import random_rational_matrix
 from oracles import is_psd_by_principal_minors, psd_certificate_reference
-from psdbounds import formats, psd
+from psdbounds import formats, psd, scalars
 from psdbounds import (
     ExactMatrix,
     MultiQuadScalar,
@@ -30,7 +30,7 @@ from psdbounds import (
     verify_psd_factorization,
 )
 from psdbounds.cli import run
-from psdbounds.scalars import modular_images, sqrt_embed
+from psdbounds.scalars import modular_images, multiquad_rank, sqrt_embed
 
 S6_DISPLAY = [
     [1, 3, 6, 10, 15, 21],
@@ -66,8 +66,8 @@ def test_psd_certificate_basics():
     assert not psd_certificate(ExactMatrix.from_rows([[1, 2], [3, 1]])).is_psd
     cert = psd_certificate(ExactMatrix.from_rows([[2, 1], [1, 2]]))
     assert cert.is_psd and cert.pivots == (Fraction(2), Fraction(3, 2))
-    with pytest.raises(TypeError):
-        psd_certificate(ExactMatrix(1, 1, [MultiQuadScalar.from_rational(2)]))
+    with pytest.raises(TypeError):  # an ExactMatrix holds rationals only
+        ExactMatrix(1, 1, [MultiQuadScalar.from_rational(2)])
 
 
 def test_psd_certificate_matches_principal_minors():
@@ -329,7 +329,6 @@ def test_min_sqrt_rank_bounded_by_shape():
 
 
 def test_min_sqrt_rank_invariant_under_global_flip():
-    from psdbounds import SignAssignment, rank as exact_rank
     from psdbounds.scalars import sqrt_embed as root
 
     s = generate_sn(6)
@@ -340,10 +339,10 @@ def test_min_sqrt_rank_invariant_under_global_flip():
         entries = [[root(0)] * 4 for _ in range(4)]
         for (i, j), sign in zip(res.witness.positions, signs):
             entries[rows.index(i)][cols.index(j)] = root(s[i, j]) * sign
-        return ExactMatrix.from_rows(entries)
+        return entries
 
     flipped = tuple(-x for x in res.witness.signs)
-    assert exact_rank(build(res.witness.signs)) == exact_rank(build(flipped))
+    assert multiquad_rank(build(res.witness.signs)) == multiquad_rank(build(flipped))
 
 
 def test_min_sqrt_rank_validation():
@@ -365,7 +364,6 @@ def test_min_sqrt_rank_rejects_out_of_range_indices():
 def test_min_sqrt_rank_witness_with_repeated_row():
     # the block repeats row 0; the witness must realize the minimum rank
     # with each copy of the row placed and signed on its own
-    from psdbounds import rank as exact_rank
     from psdbounds.scalars import sqrt_embed as root
 
     s = ExactMatrix.from_rows([[9, 1, 1], [1, 0, 1], [1, 1, 9]])
@@ -377,7 +375,7 @@ def test_min_sqrt_rank_witness_with_repeated_row():
         [root(s[k, l]) * next(signs) if s[k, l] else root(0) for l in cols]
         for k in rows
     ]
-    assert exact_rank(ExactMatrix.from_rows(entries)) == res.min_rank
+    assert multiquad_rank(entries) == res.min_rank
 
 
 def brute_min_sqrt_rank(s, rows, cols, fix_global_sign=True):
@@ -395,7 +393,7 @@ def brute_min_sqrt_rank(s, rows, cols, fix_global_sign=True):
         entries = [[sqrt_embed(0)] * len(cols) for _ in rows]
         for (i, j), (k, l), sign in zip(cells, positions, signs):
             entries[i][j] = sqrt_embed(s[k, l]) * sign
-        r = rank(ExactMatrix.from_rows(entries))
+        r = multiquad_rank(entries)
         if best is None or r < best[0]:
             best = (r, signs)
     return SqrtRankResult(best[0], SignAssignment(positions, best[1]), total)
@@ -404,11 +402,11 @@ def brute_min_sqrt_rank(s, rows, cols, fix_global_sign=True):
 def count_exact_ranks(monkeypatch) -> list[int]:
     calls = []
 
-    def counted(m):
+    def counted(rows):
         calls.append(1)
-        return rank(m)
+        return multiquad_rank(rows)
 
-    monkeypatch.setattr(psd, "rank", counted)
+    monkeypatch.setattr(scalars, "multiquad_rank", counted)
     return calls
 
 
@@ -547,6 +545,11 @@ def test_order3_exclusion_zero_attempts_still_scans():
     assert cert.reason == "all 0 candidate blocks admit a square root of rank <= 3"
     cert = order3_exclusion(generate_sn(6), cap=3, max_attempts=0)
     assert cert.reason == "every candidate block exceeds the enumeration cap"
+
+
+def test_order3_exclusion_rejects_negative_attempts():
+    with pytest.raises(ValueError, match="max_attempts must be nonnegative, got -3"):
+        order3_exclusion(generate_sn(6), max_attempts=-3)
 
 
 def test_order3_exclusion_tries_the_cheapest_blocks(monkeypatch):
