@@ -1,10 +1,12 @@
 """Dense exact linear algebra over the rationals.
 
-:class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`.
-Rank, determinant, kernel, image and subspace operations are all exact;
-there is no floating point anywhere in this module.  Ranks over the
-multi-quadratic fields of entrywise square roots are
-:func:`psdbounds.scalars.multiquad_rank`.
+:class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`,
+and there is no floating point anywhere in this module.  The exact
+kernels run on integers: products are :func:`scaled_dot` dot products of
+rows scaled to a common denominator, and rank, determinant, RREF, kernel,
+image, subspaces and inverse all come from one fraction-free Gauss-Jordan
+elimination (:func:`_eliminate`).  Ranks over the multi-quadratic fields
+of entrywise square roots are :func:`psdbounds.scalars.multiquad_rank`.
 """
 
 from __future__ import annotations
@@ -141,15 +143,9 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = Fraction(0)
-                for k in range(self.cols):
-                    acc = acc + ri[k] * other[k, j]
-                out.append(acc)
-        return ExactMatrix(self.rows, other.cols, out)
+        a = [scaled_entries(self.row(i)) for i in range(self.rows)]
+        b = [scaled_entries(other.column(j)) for j in range(other.cols)]
+        return ExactMatrix(self.rows, other.cols, [scaled_dot(x, y) for x in a for y in b])
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -194,51 +190,63 @@ def scaled_dot(x: tuple[list[int], int], y: tuple[list[int], int]) -> Fraction:
 
 
 def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    # Row scaling preserves rank; clearing denominators lets Bareiss run on
-    # plain integers.
+    # Row scaling preserves rank; clearing denominators lets the elimination
+    # run on plain integers.
     return [scaled_entries(m.row(i))[0] for i in range(m.rows)]
 
 
-def _bareiss(a: list[list[int]], rows: int, cols: int) -> tuple[int, int, int]:
-    """Fraction-free elimination of the integer rows ``a``, in place.
+def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``a``, in place.
 
-    Returns (rank, the sign of the row permutation, the last pivot).  For a
-    nonsingular square matrix the last pivot times that sign is its
-    determinant.
+    Each pivot clears its column in every other row, above and below, and
+    each update divides by the previous pivot; by Sylvester's identity
+    every entry stays a minor of the input, so the division is exact.
+    Afterwards the first ``len(pivots)`` rows are d times the reduced row
+    echelon form, where d is the last pivot, and every other row is zero.
+
+    Returns (the pivot columns, the sign of the row swaps, d).  For a
+    nonsingular square matrix sign times d is its determinant.
     """
     prev = 1
     sign = 1
-    r = 0
+    pivots: list[int] = []
+    n_rows = len(a)
     for c in range(cols):
-        if r == rows:
+        r = len(pivots)
+        if r == n_rows:
             break
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        piv = next((i for i in range(r, n_rows) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                quot, rem = divmod(num, prev)
-                if rem:  # Bareiss division is exact; anything else is a bug
-                    raise AssertionError("inexact division in Bareiss elimination")
-                a[i][j] = quot
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r, sign, prev
+        top = a[r]
+        x = top[c]
+        for i in range(n_rows):
+            if i == r:
+                continue
+            y = a[i][c]
+            row = []
+            for u, w in zip(a[i], top):
+                quot, rem = divmod(x * u - y * w, prev)
+                if rem:  # Sylvester's identity makes it exact; anything else is a bug
+                    raise AssertionError("inexact division in fraction-free elimination")
+                row.append(quot)
+            a[i] = row
+        pivots.append(c)
+        prev = x
+    return pivots, sign, prev
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank, by fraction-free (Bareiss) elimination.
+    """Exact rank, by fraction-free elimination.
 
     The rows are scaled to integers first, and their rank modulo the prime
-    ``_MODULAR_PRIME`` = 2^31 - 1 is computed before Bareiss.  It never
-    exceeds the rank over Q (a minor nonzero mod p is a nonzero integer
-    minor), so when it is already ``min(rows, cols)`` that is the rank and
-    Bareiss is skipped.
+    ``_MODULAR_PRIME`` = 2^31 - 1 is computed before the elimination.  It
+    never exceeds the rank over Q (a minor nonzero mod p is a nonzero
+    integer minor), so when it is already ``min(rows, cols)`` that is the
+    rank and the elimination is skipped.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -246,7 +254,7 @@ def rank(m: ExactMatrix) -> int:
     full = min(m.rows, m.cols)
     if rank_mod_p(rows, _MODULAR_PRIME) == full:
         return full
-    return _bareiss(rows, m.rows, m.cols)[0]
+    return len(_eliminate(rows, m.cols)[0])
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -273,43 +281,27 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
 
 
 def det(m: ExactMatrix) -> Fraction:
-    """Exact determinant: Bareiss on the rows scaled to integers, divided
-    by the product of the row scales."""
+    """Exact determinant: the elimination on the rows scaled to integers,
+    divided by the product of the row scales."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
     scaled = [scaled_entries(m.row(i)) for i in range(m.rows)]
-    r, sign, pivot = _bareiss([row for row, _ in scaled], m.rows, m.cols)
-    if r < m.rows:
+    pivots, sign, d = _eliminate([row for row, _ in scaled], m.cols)
+    if len(pivots) < m.rows:
         return Fraction(0)
-    return Fraction(sign * pivot, prod(den for _, den in scaled))
+    return Fraction(sign * d, prod(den for _, den in scaled))
 
 
 # -- reduced row echelon form and subspaces ---------------------------------
 
 
-def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place RREF; returns (nonzero rows, pivot column indices)."""
+def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """RREF of rational rows: (its nonzero rows, their pivot columns)."""
     if not rows:
         return [], []
-    n = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    a = [scaled_entries(row)[0] for row in rows]
+    pivots, _, d = _eliminate(a, len(a[0]))
+    return [[Fraction(v, d) for v in a[i]] for i in range(len(pivots))], pivots
 
 
 class Subspace:
@@ -425,7 +417,7 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    a = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
     reduced, pivots = _rref(a)
     if len(pivots) < n or pivots != list(range(n)):
         raise ValueError("matrix is singular")

@@ -268,22 +268,29 @@ class CoverSearchResult:
 
 
 def _max_matching(row_masks: list[int], n_cols: int) -> int:
+    # Kuhn's augmenting paths, depth first on an explicit stack, so a path
+    # may be longer than the recursion limit
     match_of_col = [-1] * n_cols
     size = 0
     for r, mask in enumerate(row_masks):
         seen = 0
-
-        def augment(u: int) -> bool:
-            nonlocal seen
-            for c in _bits(row_masks[u] & ~seen):
-                seen |= 1 << c
-                if match_of_col[c] < 0 or augment(match_of_col[c]):
-                    match_of_col[c] = u
-                    return True
-            return False
-
-        if augment(r):
-            size += 1
+        stack = [(r, _bits(mask))]  # the path's rows, with their untried columns
+        path: list[int] = []  # the columns between them
+        while stack:
+            c = next(stack[-1][1], -1)
+            if c < 0:
+                stack.pop()
+                del path[-1:]
+                continue
+            seen |= 1 << c
+            path.append(c)
+            v = match_of_col[c]
+            if v < 0:
+                for (u, _), col in zip(stack, path):
+                    match_of_col[col] = u
+                size += 1
+                break
+            stack.append((v, _bits(row_masks[v] & ~seen)))
     return size
 
 
@@ -302,22 +309,31 @@ def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
     best = 0
     seen: set[int] = set()
 
-    def dfs(used: int, depth: int):
+    def visit(used: int, depth: int):
+        # the columns to branch on below ``used``; none once it is pruned
         nonlocal best
         best = max(best, depth)
         if best == upper or used in seen:
-            return
+            return iter(())
         seen.add(used)
         rows = [r for r in m.row_bits if r and not r & used]
         if depth + _max_matching(rows, m.cols) <= best:
-            return
+            return iter(())
         free = 0
         for r in rows:
             free |= r
-        for l in _bits(free):
-            dfs(used | 1 << l, depth + 1)
+        return _bits(free)
 
-    dfs(0, 0)
+    # depth first, one stack entry per chosen column instead of recursion
+    stack = [(0, visit(0, 0))]
+    while stack and best != upper:
+        used, cols = stack[-1]
+        l = next(cols, -1)
+        if l < 0:
+            stack.pop()
+        else:
+            child = used | 1 << l
+            stack.append((child, visit(child, len(stack))))
     return best
 
 

@@ -13,7 +13,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import comb
 
 from .linalg import ExactMatrix, rank_mod_p, scaled_dot, scaled_entries
@@ -199,20 +199,12 @@ def realize_support(
     pattern = support(s)
     rng = random.Random(seed)
     amplitude = max(17, f.m * f.n)
-    q = f.order
+    a = [scaled_entries(x.entries) for x in f.A]
+    b = [scaled_entries(x.entries) for x in f.B]
     for _ in range(max_tries):
-        xs = [
-            _mat_vec(f.A[k], _random_vector(rng, q, amplitude)) for k in range(f.m)
-        ]
-        ys = [
-            _mat_vec(f.B[l], _random_vector(rng, q, amplitude)) for l in range(f.n)
-        ]
-        entries = [
-            sum((xk[i] * yl[i] for i in range(q)), Fraction(0))
-            for xk in xs
-            for yl in ys
-        ]
-        t = ExactMatrix(f.m, f.n, entries)
+        xs = [_times_random_vector(x, f.order, rng, amplitude) for x in a]
+        ys = [_times_random_vector(y, f.order, rng, amplitude) for y in b]
+        t = ExactMatrix(f.m, f.n, [scaled_dot(x, y) for x in xs for y in ys])
         if support(t) == pattern:
             return t
     raise RealizationError(
@@ -220,15 +212,14 @@ def realize_support(
     )
 
 
-def _random_vector(rng: random.Random, q: int, amplitude: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-amplitude, amplitude)) for _ in range(q)]
-
-
-def _mat_vec(m: ExactMatrix, v: list[Fraction]) -> list[Fraction]:
-    return [
-        sum((m[i, j] * v[j] for j in range(m.cols)), Fraction(0))
-        for i in range(m.rows)
-    ]
+def _times_random_vector(
+    factor: tuple[list[int], int], q: int, rng: random.Random, amplitude: int
+) -> tuple[list[int], int]:
+    """A scaled q x q factor times a vector uniform over {-amplitude..amplitude}^q,
+    as integers over the factor's denominator."""
+    nums, den = factor
+    v = [rng.randint(-amplitude, amplitude) for _ in range(q)]
+    return [sum(map(int.__mul__, nums[i * q : (i + 1) * q], v)) for i in range(q)], den
 
 
 # -- square-root sign enumeration ---------------------------------------------
@@ -297,14 +288,16 @@ def min_sqrt_rank(
     roots = [sqrt_embed(sub[p]) for p in local]
     zero = MultiQuadScalar.zero()
     n_free = z - 1 if fix_global_sign else z
-    total = 1 << n_free
-    # the rank mod p never exceeds the exact rank, so a code whose modular
-    # rank already reaches the best exact rank cannot lower the minimum
+    # the rank mod p never exceeds the exact rank, so a sign choice whose
+    # modular rank already reaches the best exact rank cannot lower the minimum
     modular = modular_images(roots)
 
-    best_rank, best_code = sub.rows + sub.cols + 1, -1
-    for code in range(total):
-        signs = _signs_from_code(code, z, fix_global_sign)
+    # a binary counter over the free signs, the first free sign in its lowest
+    # bit; the witness is the first minimizing choice in this order
+    head = (1,) if fix_global_sign else ()
+    best_rank, best_signs = sub.rows + sub.cols + 1, ()
+    for tail in product((1, -1), repeat=n_free):
+        signs = head + tail[::-1]
         if modular is not None:
             p, images = modular
             grid = [[0] * sub.cols for _ in range(sub.rows)]
@@ -317,20 +310,10 @@ def min_sqrt_rank(
             entries[i][j] = roots[t] if signs[t] > 0 else -roots[t]
         r = multiquad_rank(entries)
         if r < best_rank:
-            best_rank, best_code = r, code
+            best_rank, best_signs = r, signs
 
-    witness = SignAssignment(
-        tuple(positions), _signs_from_code(best_code, z, fix_global_sign)
-    )
-    return SqrtRankResult(best_rank, witness, total)
-
-
-def _signs_from_code(code: int, z: int, fixed_first: bool) -> tuple[int, ...]:
-    if fixed_first:
-        bits = [0] + [(code >> t) & 1 for t in range(z - 1)]
-    else:
-        bits = [(code >> t) & 1 for t in range(z)]
-    return tuple(1 if b == 0 else -1 for b in bits)
+    witness = SignAssignment(tuple(positions), best_signs)
+    return SqrtRankResult(best_rank, witness, 1 << n_free)
 
 
 def check_sign_square(s: ExactMatrix, assignment: SignAssignment) -> bool:

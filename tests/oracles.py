@@ -1,13 +1,16 @@
 """Independent reference implementations used to freeze expected values.
 
 These deliberately avoid the library's algorithms: rank by plain Gaussian
-elimination instead of Bareiss, triangular rank by exhaustive sequence
-enumeration instead of branch and bound, covers by combinations over an
-independently enumerated candidate pool.  ``min_set_cover_reference`` is
-the exception: a frozen copy of the cover search's earlier traversal, kept
-so that a faster search can be held to the same covers and node counts.
+elimination on Fractions instead of the fraction-free one, triangular rank
+by exhaustive sequence enumeration instead of branch and bound, covers by
+combinations over an independently enumerated candidate pool.
+``min_set_cover_reference`` is the exception: a frozen copy of the cover
+search's earlier traversal, kept so that a faster search can be held to
+the same covers and node counts.
 ``psd_certificate_reference`` is likewise the earlier LDL^T on Fractions,
-which the fraction-free elimination must match pivot for pivot.
+which the fraction-free elimination must match pivot for pivot, and
+``rref_reference`` the earlier Gauss-Jordan on Fractions, which the
+integer elimination must match row for row.
 """
 
 from fractions import Fraction
@@ -325,3 +328,28 @@ def psd_certificate_reference(m: ExactMatrix) -> PsdCertificate:
             work[i][p] = Fraction(0)
             work[p][i] = Fraction(0)
     return PsdCertificate(True, tuple(pivots))
+
+
+def rref_reference(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place RREF; returns (nonzero rows, pivot column indices)."""
+    if not rows:
+        return [], []
+    n = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots

@@ -1,9 +1,10 @@
 """CLI documents and demo 03's output stay byte-for-byte the same.
 
 Each file under ``tests/golden`` is the exact stdout of one command below,
-run from that directory; the inputs (``matrix.txt``, ``product.txt``) and
-the generated matrices are there too.  A failure here means an output
-format or a certified value changed.
+run from that directory; the inputs (``matrix.txt``, ``product.txt`` and
+``pattern.txt``, the support of ``matrix.txt``) and the generated matrices
+are there too.  A failure here means an output format or a certified value
+changed.
 """
 
 import os
@@ -33,6 +34,11 @@ CASES = [
     (["bounds", "--json", "cutpoly4.txt"], "bounds_cutpoly4.json"),
     (["order3-exclude", "--json", "s6.txt"], "order3_s6.json"),
     (["sqrt-bound", "--json", "--no-sign-fix", *S6_BLOCK, "s6.txt"], "sqrt_s6.json"),
+    (["embed", "from-psd", "factorization.json"], "embedding_from_psd.json"),
+    (["realize-support", "--json", "--seed", "3", "factorization.json"],
+     "realize_support.json"),
+    (["verify", "embedding", "--json", "embedding.json", "pattern.txt"],
+     "verify_embedding.json"),
 ]
 
 
@@ -54,5 +60,7 @@ def test_demo_03_output_is_byte_identical():
 
 
 def test_every_golden_file_is_checked():
-    checked = {e for _, e in CASES} | {"demo03.txt", "matrix.txt", "product.txt"}
+    checked = {e for _, e in CASES} | {
+        "demo03.txt", "matrix.txt", "product.txt", "pattern.txt"
+    }
     assert set(os.listdir(GOLDEN)) == checked

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational_matrix
-from oracles import naive_det, naive_rank
+from oracles import naive_det, naive_rank, rref_reference
 from psdbounds import linalg
 from psdbounds import (
     ExactMatrix,
@@ -35,15 +35,15 @@ def test_rank_matches_naive_oracle():
         assert rank(m) == naive_rank(m)
 
 
-def count_bareiss_calls(monkeypatch) -> list[int]:
+def count_elimination_calls(monkeypatch) -> list[int]:
     calls = []
-    bareiss = linalg._bareiss
+    eliminate = linalg._eliminate
 
-    def counted(a, rows, cols):
+    def counted(a, cols):
         calls.append(1)
-        return bareiss(a, rows, cols)
+        return eliminate(a, cols)
 
-    monkeypatch.setattr(linalg, "_bareiss", counted)
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     return calls
 
 
@@ -61,7 +61,7 @@ def random_rank_r(rng, rows, cols, r) -> ExactMatrix:
 
 def test_rank_modular_shortcut_matches_sympy(monkeypatch):
     sympy = pytest.importorskip("sympy")
-    calls = count_bareiss_calls(monkeypatch)
+    calls = count_elimination_calls(monkeypatch)
     rng = random.Random(2024)
     shapes = [(n, n) for n in (1, 2, 5, 9)] + [(3, 8), (2, 11), (8, 3), (11, 2)]
     full_seen = deficient_seen = 0
@@ -73,7 +73,7 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
             del calls[:]
             assert rank(m) == expected
             if expected == min(rows, cols):
-                assert not calls  # full rank mod p: Bareiss skipped
+                assert not calls  # full rank mod p: elimination skipped
                 full_seen += 1
             else:
                 assert len(calls) == 1
@@ -83,7 +83,7 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
         assert rank(ExactMatrix.zeros(0, cols)) == sympy.zeros(0, cols).rank() == 0
     assert rank(ExactMatrix.zeros(4, 0)) == 0
 
-    # full rank over Q but singular mod the filter's prime: Bareiss decides
+    # full rank over Q but singular mod the filter's prime: the elimination decides
     p = linalg._MODULAR_PRIME
     m = ExactMatrix.from_rows([[1, 1], [1, 1 + p]])
     assert linalg.rank_mod_p(linalg._integer_rows(m), p) == 1
@@ -148,8 +148,56 @@ def test_det_matches_sympy():
         assert value == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
         singular += value == 0
         scaled = linalg._integer_rows(m)
-        swapped += linalg._bareiss(scaled, n, n)[1] < 0
+        swapped += linalg._eliminate(scaled, n)[1] < 0
     assert singular >= 40 and swapped >= 40
+
+
+def test_rref_matches_reference_and_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def exact(v):
+        return Fraction(int(sympy.numer(v)), int(sympy.denom(v)))
+
+    rng = random.Random(4242)
+    kinds = dict.fromkeys(["zero", "repeated", "dependent", "negative pivot",
+                           "inverse"], 0)
+    for trial in range(400):
+        m, n = trial % 8, trial // 8 % 8  # every shape from 0x0 to 7x7
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6
+             else 0 for _ in range(n)]
+            for _ in range(m)
+        ]
+        if m > 1 and n:
+            kind = trial % 5  # 3 and 4: rows as drawn
+            i, j = rng.sample(range(m), 2)
+            if kind == 0:
+                rows[i] = [0] * n
+                kinds["zero"] += 1
+            elif kind == 1:
+                rows[i] = list(rows[j])
+                kinds["repeated"] += 1
+            elif kind == 2:
+                a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(-3, 7)
+                k = next(k for k in range(m) if k not in (i, j)) if m > 2 else j
+                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+                kinds["dependent"] += 1
+        reduced, pivots = linalg._rref([list(r) for r in rows])
+        assert (reduced, pivots) == rref_reference([[Fraction(v) for v in r] for r in rows])
+        expected = sympy.Matrix(m, n, [sympy.Rational(str(v)) for r in rows for v in r])
+        sym_rows, sym_pivots = expected.rref()
+        assert pivots == list(sym_pivots)
+        assert reduced == [
+            [exact(v) for v in sym_rows.row(i)] for i in range(len(sym_pivots))
+        ]
+        assert all(isinstance(v, Fraction) for r in reduced for v in r)
+        if pivots and next(r[pivots[0]] for r in rows if r[pivots[0]]) < 0:
+            kinds["negative pivot"] += 1
+        if m == n and len(pivots) == n:
+            inv = inverse(ExactMatrix.from_rows(rows))
+            assert list(inv.entries) == [exact(v) for v in expected.inv()]
+            kinds["inverse"] += 1
+    assert kinds.pop("inverse") >= 20 and min(kinds.values()) >= 40, kinds
 
 
 def test_kernel_image_examples():

@@ -29,7 +29,7 @@ from psdbounds import (
     support,
     triangular_rank,
 )
-from psdbounds.pattern import _maximal_bicliques, _min_set_cover
+from psdbounds.pattern import _max_matching, _maximal_bicliques, _min_set_cover
 
 # the nine zero entries of the 6x6 band matrix, 0-based
 S6_ZEROS = {(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4)}
@@ -107,6 +107,12 @@ def test_triangular_rank_bounds_rank_of_any_realization():
 def test_triangular_rank_stops_at_the_rank():
     # without the stop, the search on this pattern visits 1.7 million states
     assert triangular_rank(support(slack_matrix_cut_clique(6)), upper=16) == 16
+
+
+def test_triangular_rank_searches_deeper_than_the_recursion_limit():
+    assert triangular_rank(SupportPattern.identity(1100), upper=1100) == 1100
+    # rows {k, k+1}, then {0}: the last row's augmenting path passes every row
+    assert _max_matching([3 << k for k in range(1500)] + [1], 1501) == 1501
 
 
 def test_boolean_rank_examples():

@@ -311,6 +311,21 @@ def test_min_sqrt_rank_s6_block():
     assert full.assignments_checked == 512
 
 
+def test_min_sqrt_rank_keeps_the_first_minimizing_signs():
+    # 16 of the 128 sign choices reach rank 2; the witness is the first of
+    # them in the order of a binary counter over the free signs
+    s = ExactMatrix.from_rows([[1, 9, 4], [1, 1, 1], [1, 1, 0]])
+    res = min_sqrt_rank(s, range(3), range(3))
+    assert (res.min_rank, res.assignments_checked) == (2, 128)
+    assert res.witness.positions == (
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)
+    )
+    assert res.witness.signs == (1, -1, -1, -1, 1, 1, 1, 1)
+    full = min_sqrt_rank(s, range(3), range(3), fix_global_sign=False)
+    assert (full.min_rank, full.assignments_checked) == (2, 256)
+    assert full.witness.signs == (-1, 1, 1, -1, 1, 1, 1, 1)
+
+
 def test_min_sqrt_rank_bounded_by_shape():
     rng = random.Random(21)
     for _ in range(15):
