@@ -107,9 +107,8 @@ def psd_from_embedding(e: SubspaceEmbedding) -> tuple[PsdFactorization, ExactMat
     factors of order ambient_dim.
     """
     q = e.ambient_dim
-    ident = ExactMatrix.identity(q)
     a_mats = tuple(projection_matrix(u) for u in e.U)
-    b_mats = tuple(ident - projection_matrix(v) for v in e.V)
+    b_mats = tuple(projection_matrix(v, complement=True) for v in e.V)
     f = PsdFactorization(q, a_mats, b_mats)
     return f, f.product_matrix()
 

@@ -48,7 +48,8 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        one, zero = Fraction(1), Fraction(0)
+        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
@@ -424,15 +425,37 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_rows([row[n:] for row in reduced])
 
 
-def projection_matrix(u: Subspace) -> ExactMatrix:
-    """Orthogonal projection onto ``u`` (standard inner product).
+def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
+    """Orthogonal projection onto ``u`` (standard inner product), or with
+    ``complement`` onto its orthogonal complement.
 
-    For a basis-row matrix B this is B^T (B B^T)^{-1} B: symmetric,
-    idempotent, rational, with image exactly ``u``.
+    For a basis-row matrix B this is P = B^T (B B^T)^{-1} B: symmetric,
+    idempotent, rational, with image exactly ``u``; the complement's is
+    I - P.  Both come from integers: with N the basis rows scaled to
+    integers, the elimination of [N N^T | I] leaves M = d (N N^T)^{-1}
+    beside d I, d its last pivot, and d P = N^T M N.  Each entry of P or
+    of I - P is then one Fraction over d.
     """
     q = u.ambient_dim
     if u.dim == 0:
-        return ExactMatrix.zeros(q, q)
-    b = u.basis
-    gram_inv = inverse(b @ b.transpose())
-    return b.transpose() @ gram_inv @ b
+        return ExactMatrix.identity(q) if complement else ExactMatrix.zeros(q, q)
+    n = _integer_rows(u.basis)
+    k = len(n)
+    a = [
+        [sum(map(int.__mul__, x, y)) for y in n] + [int(i == j) for j in range(k)]
+        for i, x in enumerate(n)
+    ]
+    _, _, d = _eliminate(a, k)
+    n_cols = list(zip(*n))
+    mn_cols = list(zip(*([sum(map(int.__mul__, row[k:], c)) for c in n_cols] for row in a)))
+    # d P is symmetric: each entry above the diagonal is formed once; P's
+    # entries are dp / d and I - P's are -dp / d, or (d - dp) / d on the diagonal
+    sign, diag = (-1, d) if complement else (1, 0)
+    entries: list = [None] * (q * q)
+    for i, x in enumerate(n_cols):
+        for j in range(i, q):
+            dp = sum(map(int.__mul__, x, mn_cols[j]))
+            entries[i * q + j] = entries[j * q + i] = Fraction(
+                (diag if i == j else 0) + sign * dp, d
+            )
+    return ExactMatrix(q, q, entries)

@@ -260,6 +260,15 @@ def min_sqrt_rank(
     rank is computed exactly over the multi-quadratic field generated by
     the square-free parts.  Since Y and -Y have equal rank, the first sign
     is fixed unless ``fix_global_sign`` is false.
+
+    Flipping the signs of one row or one column multiplies Y by a diagonal
+    +-1 matrix D on that side, and rank(D_r Y D_c) = rank(Y) over every
+    field, so the choices fall into orbits of 2^(r+c-k) choices of equal
+    rank (r, c the block's nonzero rows and columns, k the connected
+    components of its nonzero entries).  Only the smallest code of each
+    orbit is ranked, in increasing code order, so the first minimizer is
+    the first one of the full enumeration.  ``assignments_checked`` still
+    counts every choice the orbits cover, 2^z or 2^(z-1).
     """
     rows = list(row_set)
     cols = list(col_set)
@@ -292,12 +301,35 @@ def min_sqrt_rank(
     # modular rank already reaches the best exact rank cannot lower the minimum
     modular = modular_images(roots)
 
-    # a binary counter over the free signs, the first free sign in its lowest
-    # bit; the witness is the first minimizing choice in this order
-    head = (1,) if fix_global_sign else ()
+    # a sign choice's code has bit t set where sign t is negative; flipping a
+    # row or a column xors the code with that line's mask.  With the first
+    # sign fixed, a flip that changes it is followed by the global flip, so
+    # a mask with bit 0 set acts as its complement
+    lines = [0] * (sub.rows + sub.cols)
+    for t, (i, j) in enumerate(local):
+        lines[i] |= 1 << t
+        lines[sub.rows + j] |= 1 << t
+    full = (1 << z) - 1
+    basis: dict[int, int] = {}  # highest set bit -> vector of the span
+    for mask in lines:
+        if fix_global_sign and mask & 1:
+            mask ^= full
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in basis:
+                basis[top] = mask
+                break
+            mask ^= basis[top]
+    # the codes zero at every pivot are the smallest code of each orbit; a
+    # binary counter over the other free positions, the lowest in its lowest
+    # bit, visits them in increasing code order, so the witness is the first
+    # minimizing choice of the counter over all 2^n_free codes
+    free = [t for t in range(z - n_free, z) if t not in basis][::-1]
     best_rank, best_signs = sub.rows + sub.cols + 1, ()
-    for tail in product((1, -1), repeat=n_free):
-        signs = head + tail[::-1]
+    signs = [1] * z
+    for choice in product((1, -1), repeat=len(free)):
+        for t, sign in zip(free, choice):
+            signs[t] = sign
         if modular is not None:
             p, images = modular
             grid = [[0] * sub.cols for _ in range(sub.rows)]
@@ -310,7 +342,7 @@ def min_sqrt_rank(
             entries[i][j] = roots[t] if signs[t] > 0 else -roots[t]
         r = multiquad_rank(entries)
         if r < best_rank:
-            best_rank, best_signs = r, signs
+            best_rank, best_signs = r, tuple(signs)
 
     witness = SignAssignment(tuple(positions), best_signs)
     return SqrtRankResult(best_rank, witness, 1 << n_free)

@@ -10,19 +10,25 @@ the same covers and node counts.
 ``psd_certificate_reference`` is likewise the earlier LDL^T on Fractions,
 which the fraction-free elimination must match pivot for pivot, and
 ``rref_reference`` the earlier Gauss-Jordan on Fractions, which the
-integer elimination must match row for row.
+integer elimination must match row for row, and ``min_sqrt_rank_reference``
+the earlier sign enumeration over every code, which the one over row and
+column flip orbits must match in minimum, witness and count.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from psdbounds import (
     BipartiteGraph,
     ExactMatrix,
     PsdCertificate,
     SearchBudgetExceeded,
+    SignAssignment,
+    SqrtRankResult,
     SupportPattern,
 )
+from psdbounds.linalg import rank_mod_p
+from psdbounds.psd import DEFAULT_SIGN_CAP
 
 
 def naive_rank(m: ExactMatrix) -> int:
@@ -353,3 +359,73 @@ def rref_reference(rows: list[list]) -> tuple[list[list], list[int]]:
         pivots.append(c)
         r += 1
     return rows[:r], pivots
+
+
+def min_sqrt_rank_reference(
+    s: ExactMatrix,
+    row_set,
+    col_set,
+    fix_global_sign: bool = True,
+    cap: int = DEFAULT_SIGN_CAP,
+) -> SqrtRankResult:
+    """Minimum exact rank over all entrywise square roots of a submatrix.
+
+    Every matrix Y with Y(k,l)^2 = S(k,l) on the selected block arises from
+    one of 2^z sign choices on the z nonzero entries (zeros stay zero); the
+    rank is computed exactly over the multi-quadratic field generated by
+    the square-free parts.  Since Y and -Y have equal rank, the first sign
+    is fixed unless ``fix_global_sign`` is false.
+    """
+    rows = list(row_set)
+    cols = list(col_set)
+    for kind, idx, size in (("row", rows, s.rows), ("column", cols, s.cols)):
+        bad = [k for k in idx if not 0 <= k < size]
+        if bad:
+            raise ValueError(
+                f"{kind} index {bad[0]} outside the {s.rows}x{s.cols} matrix "
+                "(indices are 0-based)"
+            )
+    sub = s.submatrix(rows, cols)
+    if not sub.is_nonnegative():
+        raise ValueError("selected submatrix must be nonnegative")
+    local = [
+        (i, j) for i in range(sub.rows) for j in range(sub.cols) if sub[i, j]
+    ]
+    positions = [(rows[i], cols[j]) for i, j in local]
+    z = len(positions)
+    if z > cap:
+        raise ValueError(f"{z} nonzero entries exceed the enumeration cap {cap}")
+    if z == 0:
+        return SqrtRankResult(0, SignAssignment((), ()), 1)
+
+    from psdbounds.scalars import MultiQuadScalar, modular_images, multiquad_rank, sqrt_embed
+
+    roots = [sqrt_embed(sub[p]) for p in local]
+    zero = MultiQuadScalar.zero()
+    n_free = z - 1 if fix_global_sign else z
+    # the rank mod p never exceeds the exact rank, so a sign choice whose
+    # modular rank already reaches the best exact rank cannot lower the minimum
+    modular = modular_images(roots)
+
+    # a binary counter over the free signs, the first free sign in its lowest
+    # bit; the witness is the first minimizing choice in this order
+    head = (1,) if fix_global_sign else ()
+    best_rank, best_signs = sub.rows + sub.cols + 1, ()
+    for tail in product((1, -1), repeat=n_free):
+        signs = head + tail[::-1]
+        if modular is not None:
+            p, images = modular
+            grid = [[0] * sub.cols for _ in range(sub.rows)]
+            for t, (i, j) in enumerate(local):
+                grid[i][j] = images[t] if signs[t] > 0 else p - images[t]
+            if rank_mod_p(grid, p) >= best_rank:
+                continue
+        entries = [[zero] * sub.cols for _ in range(sub.rows)]
+        for t, (i, j) in enumerate(local):
+            entries[i][j] = roots[t] if signs[t] > 0 else -roots[t]
+        r = multiquad_rank(entries)
+        if r < best_rank:
+            best_rank, best_signs = r, signs
+
+    witness = SignAssignment(tuple(positions), best_signs)
+    return SqrtRankResult(best_rank, witness, 1 << n_free)

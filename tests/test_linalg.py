@@ -276,6 +276,28 @@ def test_projection_properties():
         assert row_space(p) == u  # symmetric, so row space equals image
 
 
+def test_projection_matches_the_gram_formula():
+    # B^T (B B^T)^{-1} B with Fraction products and inverse, and I minus it
+    # for the orthogonal complement
+    rng = random.Random(44)
+    for _ in range(120):
+        q = rng.randint(1, 6)
+        u = Subspace.from_vectors(
+            q,
+            [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(q)]
+                for _ in range(rng.randint(0, q + 1))
+            ],
+        )
+        b = u.basis
+        if u.dim:
+            want = b.transpose() @ inverse(b @ b.transpose()) @ b
+        else:
+            want = ExactMatrix.zeros(q, q)
+        assert projection_matrix(u) == want
+        assert projection_matrix(u, complement=True) == ExactMatrix.identity(q) - want
+
+
 def test_matrix_basics():
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
     assert m.transpose() == ExactMatrix.from_rows([[1, 3], [2, 4]])

@@ -1,5 +1,6 @@
 import heapq
 import json
+from collections import Counter
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,11 @@ from itertools import combinations, combinations_with_replacement, islice
 import pytest
 
 from conftest import random_rational_matrix
-from oracles import is_psd_by_principal_minors, psd_certificate_reference
+from oracles import (
+    is_psd_by_principal_minors,
+    min_sqrt_rank_reference,
+    psd_certificate_reference,
+)
 from psdbounds import formats, psd, scalars
 from psdbounds import (
     ExactMatrix,
@@ -470,16 +475,20 @@ def test_min_sqrt_rank_matches_the_unfiltered_enumeration():
 
 
 def test_min_sqrt_rank_falls_back_when_the_modular_rank_drops(monkeypatch):
-    # with only rational roots the filter works modulo its first prime p;
-    # the determinant of the all-plus root block is then (p+1) - 1 = p
+    # with only rational roots the filter works modulo its first prime p; the
+    # 2x2 block has two flip orbits: all-plus, of determinant (p-1) - 1, full
+    # rank mod p, and one flipped sign, of determinant -(p-1) - 1 = -p, which
+    # vanishes mod p but not over Q, so it too needs the exact rank
     p, _ = modular_images([MultiQuadScalar.from_rational(1)])
-    s = ExactMatrix.from_rows([[1, 1], [1, (p + 1) ** 2]])
+    s = ExactMatrix.from_rows([[1, 1], [1, (p - 1) ** 2]])
     assert modular_images([sqrt_embed(v) for v in s.entries])[0] == p
     calls = count_exact_ranks(monkeypatch)
-    res = min_sqrt_rank(s, [0, 1], [0, 1], fix_global_sign=False)
-    assert res.min_rank == 2
-    assert len(calls) == 8  # the codes whose determinant vanishes mod p
-    assert res == brute_min_sqrt_rank(s, [0, 1], [0, 1], False)
+    for fix in (True, False):
+        calls.clear()
+        res = min_sqrt_rank(s, [0, 1], [0, 1], fix_global_sign=fix)
+        assert res.min_rank == 2
+        assert len(calls) == 2  # the first orbit, then the fallback
+        assert res == brute_min_sqrt_rank(s, [0, 1], [0, 1], fix)
 
 
 def test_min_sqrt_rank_without_a_usable_prime():
@@ -489,6 +498,168 @@ def test_min_sqrt_rank_without_a_usable_prime():
     s = ExactMatrix.from_rows([radicands[:2], radicands[2:]])
     assert modular_images([sqrt_embed(v) for v in radicands]) is None
     assert min_sqrt_rank(s, [0, 1], [0, 1]) == brute_min_sqrt_rank(s, [0, 1], [0, 1])
+
+
+def flip_span_dim(sub: ExactMatrix) -> int:
+    """r + c - k: the block's nonzero rows r and columns c, less the k
+    connected components of its nonzero entries.  Each component's row
+    flips and column flips together flip it twice, the one relation."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for i in range(sub.rows):
+        for j in range(sub.cols):
+            if sub[i, j]:
+                parent[find(("row", i))] = find(("col", j))
+    return len(parent) - len({find(x) for x in parent})
+
+
+def random_sqrt_block(rng) -> tuple[ExactMatrix, list[int], list[int]]:
+    """A nonnegative matrix and the row and column indices of a block with
+    at most 12 nonzero entries.  A block with z > 8 is kept with
+    probability 2^(8 - z), since the reference ranks all 2^z codes."""
+    def entry():
+        # perfect squares, fractions and square-free radicands
+        return Fraction(rng.randint(1, 6), rng.randint(1, 3)) ** rng.choice((1, 2))
+
+    while True:
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        density = min(1.0, 7 / (n_rows * n_cols))
+        kind = rng.random()
+        if kind < 0.6:
+            n_rows, n_cols = rng.randint(3, 4), rng.randint(3, 4)
+            rows = square_of_rank_two(rng, n_rows, n_cols)
+        elif kind < 0.8:
+            rows = [
+                [entry() if rng.random() < density else 0 for _ in range(n_cols)]
+                for _ in range(n_rows)
+            ]
+        else:  # two diagonal blocks, so the support is disconnected
+            a, b = rng.randint(0, n_rows), rng.randint(0, n_cols)
+            rows = [
+                [
+                    entry() if (i < a) == (j < b) and rng.random() < 2 * density else 0
+                    for j in range(n_cols)
+                ]
+                for i in range(n_rows)
+            ]
+        s = ExactMatrix.from_rows(rows)
+        row_idx, col_idx = list(range(n_rows)), list(range(n_cols))
+        if n_rows > 1 and rng.random() < 0.2:
+            row_idx[rng.randrange(n_rows)] = rng.randrange(n_rows)
+        if n_cols > 1 and rng.random() < 0.2:
+            col_idx[rng.randrange(n_cols)] = rng.randrange(n_cols)
+        z = support(s.submatrix(row_idx, col_idx)).ones_count()
+        if z <= 12 and rng.random() < 2.0 ** (8 - z):
+            return s, row_idx, col_idx
+
+
+def test_min_sqrt_rank_matches_the_reference_enumeration():
+    rng = random.Random(1203)
+    seen = Counter()
+    shapes = set()
+    for _ in range(1000):
+        s, rows, cols = random_sqrt_block(rng)
+        sub = s.submatrix(rows, cols)
+        shapes.add((sub.rows, sub.cols))
+        nonzero = [v for v in sub.entries if v]
+        lines = sum(map(any, (sub.row(i) for i in range(sub.rows)))) + sum(
+            map(any, (sub.column(j) for j in range(sub.cols)))
+        )
+        seen["zero line"] += lines < sub.rows + sub.cols
+        seen["disconnected"] += flip_span_dim(sub) < lines - 1
+        seen["repeated index"] += len(set(rows)) < len(rows) or len(set(cols)) < len(cols)
+        seen["square"] += any(sqrt_embed(v).is_rational for v in nonzero)
+        seen["fraction"] += any(v.denominator > 1 for v in nonzero)
+        for fix in (True, False):
+            got = min_sqrt_rank(s, rows, cols, fix_global_sign=fix)
+            want = min_sqrt_rank_reference(s, rows, cols, fix_global_sign=fix)
+            assert (
+                got.min_rank, got.witness.positions, got.witness.signs,
+                got.assignments_checked,
+            ) == (
+                want.min_rank, want.witness.positions, want.witness.signs,
+                want.assignments_checked,
+            ), (s, rows, cols, fix)
+            seen["not all-plus"] += -1 in got.witness.signs
+    assert shapes == {(r, c) for r in range(1, 6) for c in range(1, 6)}
+    assert min(seen.values()) >= 50 and seen["not all-plus"] >= 100, seen
+
+
+def test_min_sqrt_rank_ranks_one_choice_per_flip_orbit(monkeypatch):
+    # each representative is ranked once mod p, or exactly when no prime is
+    # usable; there are 2^(z - (r + c - k)) of them with either fixed sign
+    modular_calls = []
+    rank_mod_p = psd.rank_mod_p
+
+    def counted(grid, p):
+        modular_calls.append(1)
+        return rank_mod_p(grid, p)
+
+    monkeypatch.setattr(psd, "rank_mod_p", counted)
+    exact_calls = count_exact_ranks(monkeypatch)
+    rng = random.Random(3961)
+    radicands = [2 * 3 * 5 * 7 * 11, 13 * 17 * 19 * 23 * 29,
+                 31 * 37 * 41 * 43 * 47, 53 * 59 * 61 * 67 * 71]
+    cases = [random_sqrt_block(rng) for _ in range(200)] + [
+        (ExactMatrix.from_rows([radicands[:2], radicands[2:]]), [0, 1], [0, 1])
+    ]
+    for s, rows, cols in cases:
+        sub = s.submatrix(rows, cols)
+        z = support(sub).ones_count()
+        for fix in (True, False):
+            modular_calls.clear()
+            exact_calls.clear()
+            min_sqrt_rank(s, rows, cols, fix_global_sign=fix)
+            ranked = len(modular_calls) or len(exact_calls)
+            assert ranked <= 2 ** (z - flip_span_dim(sub)), (s, rows, cols, fix)
+    assert len(exact_calls) == 2  # the block without a usable prime
+
+
+def test_min_sqrt_rank_at_the_sign_cap(monkeypatch):
+    # a 5x5 block with one zero has z = 24 = DEFAULT_SIGN_CAP; its 2^23
+    # codes fall into 2^15 orbits of 2^9 (5 + 5 - 1 flips, less the global
+    # one).  Y = U V^T has rank 2 and one zero, so the minimum is 2.
+    u = [(1, 0), (0, 1), (1, 1), (1, 2), (2, -1)]
+    v = [(0, 1), (1, 1), (1, -2), (2, 1), (3, 1)]
+    y = [[a * c + b * d for c, d in v] for a, b in u]
+    s = ExactMatrix.from_rows([[x * x for x in row] for row in y])
+    assert support(s).ones_count() == psd.DEFAULT_SIGN_CAP == 24
+    modular_calls = []
+    rank_mod_p = psd.rank_mod_p
+    monkeypatch.setattr(
+        psd, "rank_mod_p", lambda grid, p: modular_calls.append(1) or rank_mod_p(grid, p)
+    )
+    res = min_sqrt_rank(s, range(5), range(5))
+    assert (res.min_rank, res.assignments_checked) == (2, 2**23)
+    assert len(modular_calls) <= 2**15
+    cells = [(i, j) for i in range(5) for j in range(5) if y[i][j]]
+    assert res.witness.positions == tuple(cells)
+    sign = dict(zip(cells, res.witness.signs))
+    root = [
+        [sqrt_embed(x * x) * sign[i, j] if x else sqrt_embed(0) for j, x in enumerate(row)]
+        for i, row in enumerate(y)
+    ]
+    assert multiquad_rank(root) == 2
+
+    # the witness is the smallest code of its orbit: no row and column
+    # flips, followed by the global flip when they change the first sign,
+    # give a smaller code
+    def code(signs):
+        return sum(1 << t for t, x in enumerate(signs) if x < 0)
+
+    for flips in range(1 << 10):
+        flipped = [
+            sign[i, j] * (-1) ** (((flips >> i) ^ (flips >> (5 + j))) & 1)
+            for i, j in cells
+        ]
+        if flipped[0] < 0:
+            flipped = [-x for x in flipped]
+        assert code(flipped) >= code(res.witness.signs)
 
 
 def test_modular_images_is_a_ring_map():
