@@ -200,7 +200,8 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search.
 
     When the cover search runs out of budget, or refuses a graph too large
-    to list its candidates, the boolean rank is reported as proven bounds.
+    to list its candidates, the boolean rank is reported as proven bounds,
+    the lower one at least the triangular rank; a value when they meet.
     """
     pat = support(s)
     rk = rank(s)
@@ -209,10 +210,15 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     try:
         brank, bbounds = boolean_rank(pat, budget=budget), None
     except SearchBudgetExceeded as exc:
-        brank, bbounds = None, (exc.lower, exc.upper)
+        # the diagonal of a triangular submatrix is a fooling set, so the
+        # triangular rank is a lower bound too; it may close the interval
+        lo, hi = max(exc.lower, tri), exc.upper
+        brank, bbounds = (lo, None) if lo == hi else (None, (lo, hi))
+        if tri > exc.lower:
+            bsource = "triangular rank / cover search incumbent (budget reached)"
     except EnumerationTooLarge:
-        # the diagonal of a triangular submatrix is a fooling set, and each
-        # nonzero row (or column) is one all-ones rectangle
+        # the triangular rank bounds it below as above, and each nonzero
+        # row (or column) is one all-ones rectangle
         lines = min(
             sum(1 for r in pat.row_bits if r), sum(1 for c in pat.col_bits() if c)
         )

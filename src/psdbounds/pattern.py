@@ -404,10 +404,18 @@ def _min_set_cover(
     ties) and tries those sets by gain, ties in index order.  Every child
     is one node, counted and bounded in its parent's loop: a child with
     nothing uncovered may become the incumbent, and only a child that the
-    fooling bound cannot prune is expanded.  Returns (chosen set indices,
-    nodes explored).  Past ``budget`` nodes it raises
-    :class:`SearchBudgetExceeded` with the root fooling bound and the best
-    size found, unless the incumbent already meets that bound.
+    fooling bound cannot prune is expanded.
+
+    Below a node's child, the sets of its earlier siblings are excluded:
+    the earlier sibling's subtree already searched every cover below the
+    node that uses its set, so such a cover can be no smaller than the
+    incumbent it left.  An excluded set is neither counted nor expanded
+    as a child.  This only removes subtrees that could not have improved
+    the incumbent, so the incumbents are found in the same order, each in
+    at most as many nodes.  Returns (chosen set indices, nodes explored).
+    Past ``budget`` nodes it raises :class:`SearchBudgetExceeded` with the
+    root fooling bound and the best size found, unless the incumbent
+    already meets that bound.
     """
     universe = (1 << n_elems) - 1
     covers_of = [
@@ -419,6 +427,9 @@ def _min_set_cover(
     for e in range(n_elems):
         for i in covers_of[e]:
             co_cover[e] |= cov[i]
+    # the elements no set covering e covers: where a fooling chain through
+    # e may go on
+    not_co = [~c for c in co_cover]
     # elements grouped by how many sets cover them, fewest first: the
     # branch element is the lowest bit of the first group still uncovered
     groups: dict[int, int] = {}
@@ -427,6 +438,7 @@ def _min_set_cover(
     by_count = [groups[k] for k in sorted(groups)]
     lower = _fooling_bound(co_cover, universe)
     best = _greedy_cover(cov, universe)
+    excluded: set[int] = set()  # earlier siblings of the current path
 
     def expand(uncovered: int, chosen: tuple):
         nonlocal best, nodes
@@ -439,7 +451,11 @@ def _min_set_cover(
         e = (group & -group).bit_length() - 1
         depth = len(chosen) + 1
         # sorted() is stable and covers_of[e] ascends, so ties keep index order
-        for i in sorted(covers_of[e], key=lambda i: -(cov[i] & uncovered).bit_count()):
+        children = sorted(
+            (i for i in covers_of[e] if i not in excluded),
+            key=lambda i: -(cov[i] & uncovered).bit_count(),
+        )
+        for i in children:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(lower, len(best), nodes)
@@ -447,8 +463,18 @@ def _min_set_cover(
             if not child:
                 if depth < len(best):
                     best = chosen + (i,)
-            elif depth + _fooling_bound(co_cover, child) < len(best):
-                expand(child, chosen + (i,))
+            else:
+                # the child's greedy fooling chain, followed only as far as
+                # it could still let the child beat the incumbent: slack is
+                # left only when the chain ended short of the incumbent
+                rest, slack = child, len(best) - depth
+                while rest and slack:
+                    rest &= not_co[(rest & -rest).bit_length() - 1]
+                    slack -= 1
+                if slack:
+                    expand(child, chosen + (i,))
+            excluded.add(i)
+        excluded.difference_update(children)
 
     nodes = 1  # the root
     try:

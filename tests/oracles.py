@@ -5,8 +5,8 @@ elimination on Fractions instead of the fraction-free one, triangular rank
 by exhaustive sequence enumeration instead of branch and bound, covers by
 combinations over an independently enumerated candidate pool.
 ``min_set_cover_reference`` is the exception: a frozen copy of the cover
-search's earlier traversal, kept so that a faster search can be held to
-the same covers and node counts.
+search's earlier traversal, without sibling exclusion, kept so that the
+search can be held to the same covers in at most as many nodes.
 ``psd_certificate_reference`` is likewise the earlier LDL^T on Fractions,
 which the fraction-free elimination must match pivot for pivot, and
 ``rref_reference`` the earlier Gauss-Jordan on Fractions, which the

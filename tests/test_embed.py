@@ -21,8 +21,10 @@ from psdbounds import (
     support,
     triangular_rank,
     verify_embedding,
+    SearchBudgetExceeded,
     SupportPattern,
     analyze,
+    boolean_rank,
     formats,
     slack_matrix_cut_clique,
 )
@@ -179,6 +181,34 @@ def test_analyze_refused_cover_reports_proven_bounds():
     assert report.boolean_rank is None
     assert report.boolean_rank_bounds == (16, 32)
     assert report.psd_lower_bound == 16
+
+
+def test_analyze_raises_a_cut_cover_search_to_the_triangular_rank():
+    # the triangular rank is above the greedy fooling bound of the root on
+    # both; at budget 0 the search is cut with the greedy cover as upper
+    via = "triangular rank / cover search incumbent (budget reached)"
+    bracketed = ExactMatrix.from_rows([
+        [0, 0, 0, 1, 0, 1], [1, 1, 0, 1, 0, 0], [1, 1, 1, 1, 0, 1],
+        [0, 0, 1, 1, 0, 1], [1, 1, 0, 1, 1, 1], [1, 0, 1, 1, 0, 0],
+        [1, 1, 1, 0, 0, 1],
+    ])
+    met = ExactMatrix.from_rows([
+        [1, 1, 1, 1, 0], [1, 0, 1, 0, 0], [0, 1, 1, 0, 1], [0, 0, 1, 0, 1],
+    ])
+    for m, tri, lower, upper, exact in ((bracketed, 5, 4, 6, 6), (met, 4, 3, 4, 4)):
+        pat = support(m)
+        assert triangular_rank(pat) == tri
+        with pytest.raises(SearchBudgetExceeded) as info:
+            boolean_rank(pat, budget=0)
+        assert (info.value.lower, info.value.upper) == (lower, upper)
+        assert boolean_rank(pat) == exact
+    report = analyze(bracketed, budget=0)
+    assert (report.boolean_rank, report.boolean_rank_bounds) == (None, (5, 6))
+    assert report.boolean_rank_source == via
+    report = analyze(met, budget=0)
+    assert (report.boolean_rank, report.boolean_rank_bounds) == (4, None)
+    doc = report.to_doc("m")["boolean_rank"]
+    assert doc == {"value": 4, "bounds": None, "via": via}
 
 
 def test_analyze_labels_which_search_gave_the_boolean_rank():

@@ -176,10 +176,38 @@ def test_budget_caps_the_whole_boolean_rank_search():
     assert info.value.lower <= info.value.upper
 
 
+# the cover the search without sibling exclusion finds for H(6,2) with no
+# budget, after 2,028,131 nodes, as (left_set, right_set) bitsets
+H62_COVER = (
+    (193, 12320), (25, 20736), (7, 25088), (5122, 656), (2922, 2048),
+    (388, 9224), (52, 17472), (9224, 388), (27282, 2), (12320, 193),
+    (17472, 52), (20736, 25), (512, 7687), (2048, 2922),
+)
+
+
 def test_h62_feasible_cover_budget_bounds_are_pinned():
+    h, hbar = graph_H(6, 2)
+    result = minimum_feasible_cover(h, hbar, budget=400_000)
+    assert (result.size, result.nodes) == (14, 235_249)
+    assert result.cover.covers(h) and result.cover.avoids(hbar)
+    assert result.cover.bicliques == tuple(Biclique(*b) for b in H62_COVER)
     with pytest.raises(SearchBudgetExceeded) as info:
-        minimum_feasible_cover(*graph_H(6, 2), budget=400_000)
-    assert (info.value.lower, info.value.upper, info.value.nodes) == (8, 14, 400_001)
+        minimum_feasible_cover(h, hbar, budget=235_248)
+    assert (info.value.lower, info.value.upper, info.value.nodes) == (8, 14, 235_249)
+
+
+@pytest.mark.parametrize(
+    "matrix, size, nodes",
+    [
+        (generate_sn(8), 6, 3_862),
+        (generate_sn(9), 6, 32_533),
+        (slack_matrix_cut_clique(5), 15, 4_630),
+    ],
+    ids=["S_8", "S_9", "cutpoly 5"],
+)
+def test_cover_node_counts_are_pinned(matrix, size, nodes):
+    result = minimum_biclique_cover(support(matrix))
+    assert (result.size, result.nodes) == (size, nodes)
 
 
 def _cover_outcome(search, cov, n_elems, budget):
@@ -190,9 +218,11 @@ def _cover_outcome(search, cov, n_elems, budget):
 
 
 def test_min_set_cover_keeps_the_reference_traversal():
-    # same cover, same node count, or the same (lower, upper, nodes) raised
+    # The reference is the search without sibling exclusion.  This one
+    # visits a subset of its nodes and finds the same incumbents in the
+    # same order, so it never needs more nodes for the same cover.
     rng = random.Random(1009)
-    raised = 0
+    raised = finished_sooner = fewer_nodes = 0
     for _ in range(2000):
         n_elems = rng.randint(1, 24)
         n_sets = rng.randint(1, 30)
@@ -206,9 +236,20 @@ def test_min_set_cover_keeps_the_reference_traversal():
                 cov[rng.randrange(n_sets)] |= 1 << e
         for budget in (0, 1, 2, 5, 20, 100, 1000, 10**6):
             want = _cover_outcome(min_set_cover_reference, cov, n_elems, budget)
-            assert _cover_outcome(_min_set_cover, cov, n_elems, budget) == want
+            got = _cover_outcome(_min_set_cover, cov, n_elems, budget)
             raised += want[0] == "budget"
+            if want[0] != "budget":
+                assert got[0] == want[0] and got[1] <= want[1]
+                fewer_nodes += got[1] < want[1]
+            elif got[0] != "budget":
+                unbudgeted = min_set_cover_reference(cov, n_elems, 10**9)
+                assert got[0] == unbudgeted[0]
+                finished_sooner += 1
+            else:
+                assert got[1] == want[1] and got[2] <= want[2]
+                assert got[3] == want[3] == budget + 1
     assert 0 < raised < 2000 * 8
+    assert finished_sooner > 0 and fewer_nodes > 0
 
 
 def test_budget_caps_the_whole_feasible_cover_search():
