@@ -4,7 +4,8 @@ Matrices and patterns travel in the shared text format (stdin by default),
 embeddings/factorizations/certificates as JSON documents; ``--json``
 switches every command to machine-readable output.  Exit status: 0 ok,
 1 verification failure or inconclusive certificate, 2 usage error,
-3 search budget or retry cap exhausted.
+3 retry cap exhausted, or a cover search cut or refused with the boolean
+rank still undecided (``boolrank`` prints its proven interval).
 """
 
 from __future__ import annotations
@@ -144,25 +145,10 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _dispatch(args)
-    except formats.FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _exhausted() as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
     except (ValueError, OSError) as exc:
         # precondition violations and unreadable inputs are usage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _exhausted() -> tuple[type, ...]:
-    """The exit-3 errors: a search budget or a retry cap ran out.  An except
-    clause evaluates this only when an error reaches it."""
-    from .pattern import SearchBudgetExceeded
-    from .psd import RealizationError
-
-    return SearchBudgetExceeded, RealizationError
 
 
 def _dispatch(args) -> int:
@@ -184,22 +170,26 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "boolrank":
-        from .pattern import SearchBudgetExceeded, boolean_rank, support
+        from .linalg import rank
+        from .pattern import EnumerationTooLarge, SearchBudgetExceeded, boolean_rank
+        from .pattern import boolean_rank_interval, support, triangular_rank
 
-        pat = support(formats.parse_matrix(_read(args.file)))
+        matrix = formats.parse_matrix(_read(args.file))
+        pat = support(matrix)
         try:
             value = boolean_rank(pat, budget=args.budget)
-        except SearchBudgetExceeded as exc:
-            _emit(
-                {
-                    "kind": "boolean_rank",
-                    "value": None,
-                    "bounds": [exc.lower, exc.upper],
-                },
-                f"unknown, bounds [{exc.lower},{exc.upper}]",
-                args.json,
-            )
-            return EXIT_EXHAUSTED
+        except (SearchBudgetExceeded, EnumerationTooLarge) as exc:
+            # the interval `bounds` reports; only it needs the triangular rank
+            tri = triangular_rank(pat, upper=rank(matrix))
+            lower, upper, _ = boolean_rank_interval(pat, exc, tri)
+            if lower < upper:
+                _emit(
+                    {"kind": "boolean_rank", "value": None, "bounds": [lower, upper]},
+                    f"unknown, bounds [{lower},{upper}]",
+                    args.json,
+                )
+                return EXIT_EXHAUSTED
+            value = lower
         _emit({"kind": "boolean_rank", "value": value}, str(value), args.json)
         return EXIT_OK
 
@@ -261,10 +251,14 @@ def _dispatch(args) -> int:
         return EXIT_OK if ok else EXIT_VERIFICATION
 
     if cmd == "realize-support":
-        from .psd import realize_support
+        from .psd import RealizationError, realize_support
 
         fact = formats.factorization_from_json(_read(args.file))
-        t = realize_support(fact, seed=args.seed, max_tries=args.tries)
+        try:
+            t = realize_support(fact, seed=args.seed, max_tries=args.tries)
+        except RealizationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_EXHAUSTED
         _print_matrix(t, args.json)
         return EXIT_OK
 

@@ -27,6 +27,7 @@ from .pattern import (
     SearchBudgetExceeded,
     SupportPattern,
     boolean_rank,
+    boolean_rank_interval,
     support,
     triangular_rank,
 )
@@ -200,36 +201,26 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search.
 
     When the cover search runs out of budget, or refuses a graph too large
-    to list its candidates, the boolean rank is reported as proven bounds,
-    the lower one at least the triangular rank; a value when they meet.
+    to list its candidates, the boolean rank is reported as the proven
+    interval of :func:`~psdbounds.pattern.boolean_rank_interval`; a value
+    when its ends meet.  The order-3 certificate runs only when the
+    triangular rank is below 4, the most it can prove.
     """
     pat = support(s)
     rk = rank(s)
     tri = triangular_rank(pat, upper=rk)
-    bsource = "minimum_biclique_cover branch and bound"
+    bbounds, bsource = None, "minimum_biclique_cover branch and bound"
     try:
-        brank, bbounds = boolean_rank(pat, budget=budget), None
-    except SearchBudgetExceeded as exc:
-        # the diagonal of a triangular submatrix is a fooling set, so the
-        # triangular rank is a lower bound too; it may close the interval
-        lo, hi = max(exc.lower, tri), exc.upper
+        brank = boolean_rank(pat, budget=budget)
+    except (SearchBudgetExceeded, EnumerationTooLarge) as exc:
+        lo, hi, bsource = boolean_rank_interval(pat, exc, tri)
         brank, bbounds = (lo, None) if lo == hi else (None, (lo, hi))
-        if tri > exc.lower:
-            bsource = "triangular rank / cover search incumbent (budget reached)"
-    except EnumerationTooLarge:
-        # the triangular rank bounds it below as above, and each nonzero
-        # row (or column) is one all-ones rectangle
-        lines = min(
-            sum(1 for r in pat.row_bits if r), sum(1 for c in pat.col_bits() if c)
-        )
-        brank, bbounds = None, (tri, lines)
-        bsource = "triangular rank / nonzero lines (cover search refused the graph)"
     psd_lb, source = tri, "triangular rank"
-    if s.is_nonnegative():
+    if tri < 4 and s.is_nonnegative():
         # keep the report snappy: small enumeration cap and few blocks here,
         # the dedicated order3-exclude command has the full defaults
         cert = order3_exclusion(s, cap=12, max_attempts=8)
-        if cert.conclusive and cert.bound > psd_lb:
+        if cert.conclusive:
             psd_lb, source = cert.bound, "order-3 exclusion certificate"
     return BoundReport(
         rank=rk,

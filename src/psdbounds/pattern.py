@@ -505,6 +505,28 @@ def boolean_rank(m: SupportPattern, budget: int = DEFAULT_BUDGET) -> int:
     return minimum_biclique_cover(m, budget=budget).size
 
 
+def boolean_rank_interval(
+    m: SupportPattern, exc: Exception, tri: int
+) -> tuple[int, int, str]:
+    """Proven (lower, upper, via) for the boolean rank of ``m`` when its cover
+    search raised ``exc``; ``via`` names where the two ends came from.
+
+    The triangular rank ``tri`` bounds it below (a triangular diagonal is a
+    fooling set), the count of nonzero rows or columns above.  A cut search
+    adds its fooling bound and best cover; a refused one adds neither.
+    """
+    lines = min(sum(1 for r in m.row_bits if r), sum(1 for c in m.col_bits() if c))
+    if not isinstance(exc, SearchBudgetExceeded):
+        refused = "triangular rank / nonzero lines (cover search refused the graph)"
+        return tri, lines, refused
+    lower, upper = max(exc.lower, tri), min(exc.upper, lines)
+    if (lower, upper) == (exc.lower, exc.upper):
+        return lower, upper, "minimum_biclique_cover branch and bound"
+    low = "triangular rank" if lower > exc.lower else "cover search fooling bound"
+    high = "nonzero lines" if upper < exc.upper else "cover search incumbent"
+    return lower, upper, f"{low} / {high} (budget reached)"
+
+
 def minimum_feasible_cover(
     ones: BipartiteGraph,
     forbidden: BipartiteGraph,

@@ -134,10 +134,7 @@ class FactorReductionReport:
 
 
 def reduce_factor_ranks(
-    a_factors,
-    b_factors,
-    targets: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
+    a_factors, b_factors, tol: float = DEFAULT_TOL
 ) -> FactorReductionReport:
     """Reduce each factor of a float psd factorization in turn.
 
@@ -149,12 +146,7 @@ def reduce_factor_ranks(
     b_mats = [np.asarray(b, dtype=float) for b in b_factors]
     if not a_mats or not b_mats:
         raise ValueError("rank reduction needs at least one A and one B factor")
-    if targets is None:
-        targets = np.array(
-            [[float(np.tensordot(a, b)) for b in b_mats] for a in a_mats]
-        )
-    else:
-        targets = np.asarray(targets, dtype=float)
+    targets = np.array([[float(np.tensordot(a, b)) for b in b_mats] for a in a_mats])
 
     new_a = []
     for k, a in enumerate(a_mats):

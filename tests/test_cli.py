@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from psdbounds import cli, embed, formats, generate_sn, slack_matrix_cut_clique
+from psdbounds import (
+    ExactMatrix, cli, embed, formats, generate_sn, slack_matrix_cut_clique
+)
 from psdbounds.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -256,6 +258,9 @@ def chain_files(tmp_path):
     (tmp_path / "emb.json").write_text(formats.embedding_to_json(emb))
     (tmp_path / "fact.json").write_text(formats.factorization_to_json(fact))
     (tmp_path / "t.txt").write_text(formats.format_matrix(t))
+    (tmp_path / "cutpoly4.txt").write_text(formats.format_matrix(slack_matrix_cut_clique(4)))
+    # the cover search refuses it, and the triangular rank closes the interval
+    (tmp_path / "id21.txt").write_text(formats.format_matrix(ExactMatrix.identity(21)))
     return tmp_path
 
 
@@ -272,6 +277,9 @@ def chain_files(tmp_path):
         (["gen", "sn", "6"], {"embed", "cutpoly", "scalars"}),
         (["embed", "from-rank", "s6.txt"], {"cutpoly", "reduction", "scalars"}),
         (["psd", "from-embedding", "emb.json"], {"cutpoly", "reduction", "scalars"}),
+        # triangular rank 7: no order-3 certificate, so no sign enumeration
+        (["bounds", "cutpoly4.txt"], {"cutpoly", "reduction", "scalars"}),
+        (["boolrank", "id21.txt"], {"embed", "psd", "scalars", "cutpoly", "reduction"}),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -379,9 +387,9 @@ def test_bounds_on_cutpoly_6_answers_while_boolrank_refuses(capsys):
         "triangular rank / nonzero lines (cover search refused the graph)"
     )
     assert doc["psd_rank_lower_bound"]["value"] == 16
+    # the cover search refuses the graph; boolrank prints the same interval
     code, out, err = invoke(capsys, ["boolrank"], stdin=text)
-    assert (code, out) == (2, "")
-    assert err == "error: graph too large for exact enumeration (min side 32 > 20)\n"
+    assert (code, out, err) == (3, "unknown, bounds [16,32]\n", "")
 
 
 def test_realize_support_rejects_fewer_than_one_try(tmp_path, capsys):
@@ -393,6 +401,11 @@ def test_realize_support_rejects_fewer_than_one_try(tmp_path, capsys):
         code, out, err = invoke(capsys, ["realize-support", "--tries", tries, str(fact)])
         assert code == 2 and out == ""
         assert err == f"error: max_tries must be at least 1, got {tries}\n"
+    # seed 12 samples a zero product on its first try: the retry cap runs out
+    code, out, err = invoke(
+        capsys, ["realize-support", "--seed", "12", "--tries", "1", str(fact)]
+    )
+    assert (code, out) == (3, "") and err.startswith("error: ") and "in 1 tries" in err
 
 
 def test_reduce_rank_without_numpy(tmp_path):
@@ -479,3 +492,17 @@ def test_bounds_computes_triangular_rank_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, ["bounds"], stdin=s6_text())
     assert code == 0 and "embedding dimension:  between 3 and 3" in out
     assert len(calls) == 1
+
+
+def test_boolrank_computes_triangular_rank_only_when_undecided(capsys, monkeypatch):
+    from psdbounds import pattern
+
+    calls = []
+    original = pattern.triangular_rank
+    monkeypatch.setattr(
+        pattern, "triangular_rank", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    code, out, _ = invoke(capsys, ["boolrank"], stdin=s6_text())
+    assert (code, out, calls) == (0, "5\n", [])
+    code, out, _ = invoke(capsys, ["boolrank", "--budget", "0"], stdin=s6_text())
+    assert code == 3 and out.startswith("unknown, bounds") and calls == [1]

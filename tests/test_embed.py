@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational_matrix
+from oracles import minimum_cover_bruteforce, triangular_rank_bruteforce
+from test_cli import invoke
 from psdbounds import (
     BoundReport,
     ExactMatrix,
@@ -25,10 +27,13 @@ from psdbounds import (
     SupportPattern,
     analyze,
     boolean_rank,
+    embed,
     formats,
+    minimum_biclique_cover,
     slack_matrix_cut_clique,
 )
 from psdbounds.cli import run
+from psdbounds.pattern import EnumerationTooLarge, boolean_rank_interval
 
 
 def crossed_lines_embedding() -> SubspaceEmbedding:
@@ -236,3 +241,80 @@ def test_analyze_doc_is_the_cli_document(capsys):
     doc = json.loads(capsys.readouterr().out)
     del doc["schema"]
     assert analyze(m).to_doc("stdin") == doc
+
+
+def boolrank_answer(capsys, m: ExactMatrix, budget: int):
+    """(value, bounds) as ``boolrank --json`` prints them, and its exit code."""
+    argv = ["boolrank", "--json", "--budget", str(budget)]
+    code, out, _ = invoke(capsys, argv, stdin=formats.format_matrix(m))
+    doc = json.loads(out)
+    bounds = tuple(doc["bounds"]) if "bounds" in doc else None
+    return (doc["value"], bounds), code
+
+
+def test_undecided_boolean_rank_interval_is_sound_and_shared(capsys):
+    # every budget short of a finished search: the interval holds the
+    # brute-force boolean rank, and analyze and boolrank print the same
+    rng = random.Random(16)
+    cut = raised = lowered = 0
+    for _ in range(150):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 7)
+        pat = SupportPattern(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+        m = ExactMatrix.from_rows(
+            [[pat[i, j] for j in range(cols)] for i in range(rows)]
+        )
+        truth, tri = minimum_cover_bruteforce(pat), triangular_rank_bruteforce(pat)
+        lines = min(sum(1 for r in pat.row_bits if r), sum(1 for c in pat.col_bits() if c))
+        for budget in range(minimum_biclique_cover(pat).nodes + 1):
+            try:
+                lo = hi = boolean_rank(pat, budget=budget)
+            except SearchBudgetExceeded as exc:
+                lo, hi, via = boolean_rank_interval(pat, exc, triangular_rank(pat))
+                cut += 1
+                raised += lo > exc.lower
+                lowered += hi < exc.upper
+                assert tri <= lo <= truth <= hi <= lines, (pat, budget, via)
+            else:
+                assert lo == truth
+            report = analyze(m, budget=budget)
+            answer = (report.boolean_rank, report.boolean_rank_bounds)
+            assert answer == ((lo, None) if lo == hi else (None, (lo, hi)))
+            assert boolrank_answer(capsys, m, budget) == (answer, 0 if lo == hi else 3)
+    # both ends of the shared rule are exercised
+    assert cut and raised and lowered
+
+
+@pytest.mark.parametrize(
+    "m, interval",
+    [
+        (ExactMatrix.identity(21), (21, 21)),
+        (ExactMatrix.from_rows([[1] * 21] * 21), (1, 21)),
+        (slack_matrix_cut_clique(6), (16, 32)),
+    ],
+    ids=["identity 21", "ones 21x21", "cutpoly 6"],
+)
+def test_refused_cover_search_interval_is_shared(capsys, m, interval):
+    pat = support(m)
+    with pytest.raises(EnumerationTooLarge) as info:
+        boolean_rank(pat)
+    tri = triangular_rank(pat, upper=rank(m))
+    lo, hi, via = boolean_rank_interval(pat, info.value, tri)
+    assert (lo, hi) == interval
+    assert via == "triangular rank / nonzero lines (cover search refused the graph)"
+    answer = (lo, None) if lo == hi else (None, (lo, hi))
+    report = analyze(m)
+    assert (report.boolean_rank, report.boolean_rank_bounds) == answer
+    assert boolrank_answer(capsys, m, 0) == (answer, 0 if lo == hi else 3)
+
+
+def test_analyze_runs_order3_only_when_it_can_raise_the_bound(monkeypatch):
+    calls = []
+    order3 = embed.order3_exclusion
+    monkeypatch.setattr(
+        embed, "order3_exclusion", lambda *a, **kw: calls.append(1) or order3(*a, **kw)
+    )
+    # triangular rank 7 already beats the certificate's 4; S_6's is 3
+    assert analyze(slack_matrix_cut_clique(4)).psd_lower_bound == 7
+    assert not calls
+    assert analyze(generate_sn(6)).psd_lower_bound == 4
+    assert len(calls) == 1

@@ -25,6 +25,8 @@ S6_BLOCK = ["--rows", "3,4,5,6", "--cols", "1,2,3,4"]
 CASES = [
     (["gen", "sn", "6"], "s6.txt"),
     (["gen", "cutpoly", "4"], "cutpoly4.txt"),
+    (["gen", "sn", "10"], "s10.txt"),
+    (["gen", "cutpoly", "6"], "cutpoly6.txt"),
     (["--json", "rank", "matrix.txt"], "rank_matrix.json"),
     (["embed", "from-rank", "matrix.txt"], "embedding.json"),
     (["psd", "from-embedding", "embedding.json"], "factorization.json"),
@@ -32,6 +34,9 @@ CASES = [
      "verify_product.json"),
     (["bounds", "--json", "s6.txt"], "bounds_s6.json"),
     (["bounds", "--json", "cutpoly4.txt"], "bounds_cutpoly4.json"),
+    # the boolean rank undecided: a cut cover search, then a refused one
+    (["bounds", "--json", "--budget", "20000", "s10.txt"], "bounds_s10.json"),
+    (["bounds", "--json", "cutpoly6.txt"], "bounds_cutpoly6.json"),
     (["order3-exclude", "--json", "s6.txt"], "order3_s6.json"),
     (["sqrt-bound", "--json", "--no-sign-fix", *S6_BLOCK, "s6.txt"], "sqrt_s6.json"),
     (["embed", "from-psd", "factorization.json"], "embedding_from_psd.json"),
