@@ -6,8 +6,8 @@ The package computes and certifies, in exact arithmetic:
   (`linalg`);
 * multi-quadratic extension scalars for entrywise square roots, and
   matrix rank over those fields (`scalars`);
-* support patterns, triangular rank and exact biclique covers
-  (`pattern`);
+* support patterns, triangular rank, the embedding-dimension interval
+  `embrkl_bounds` and exact biclique covers (`pattern`);
 * subspace-lattice embeddings of a support, conversions between rank
   factorizations, embeddings and psd factorizations, and the bound
   report `analyze` (`embed`);
@@ -40,8 +40,7 @@ _EXPORTS = {
     ),
     "embed": (
         "BoundReport", "SubspaceEmbedding", "analyze", "embedding_from_psd",
-        "embedding_from_rank_factorization", "embrkl_bounds", "psd_from_embedding",
-        "verify_embedding",
+        "embedding_from_rank_factorization", "psd_from_embedding", "verify_embedding",
     ),
     "linalg": (
         "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
@@ -49,7 +48,7 @@ _EXPORTS = {
     ),
     "pattern": (
         "Biclique", "BicliqueCover", "BipartiteGraph", "CoverSearchResult",
-        "SearchBudgetExceeded", "SupportPattern", "boolean_rank",
+        "SearchBudgetExceeded", "SupportPattern", "boolean_rank", "embrkl_bounds",
         "feasible_biclique_cover", "minimum_biclique_cover", "minimum_feasible_cover",
         "poset_of", "support", "triangular_rank",
     ),

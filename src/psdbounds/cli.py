@@ -11,7 +11,6 @@ rank still undecided (``boolrank`` prints its proven interval).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import DEFAULT_BUDGET, formats
@@ -34,8 +33,7 @@ def _read(path: str) -> str:
 
 def _emit(doc: dict, human: str, as_json: bool):
     if as_json:
-        doc = {"schema": formats.SCHEMA_VERSION, **doc}
-        print(json.dumps(doc, indent=2))
+        print(formats.dump(doc), end="")
     else:
         print(human)
 
@@ -161,18 +159,15 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if cmd == "trirank":
-        from .linalg import rank
-        from .pattern import support, triangular_rank
+        from .pattern import embrkl_bounds
 
-        matrix = formats.parse_matrix(_read(args.file))
-        value = triangular_rank(support(matrix), upper=rank(matrix))
+        value, _ = embrkl_bounds(formats.parse_matrix(_read(args.file)))
         _emit({"kind": "triangular_rank", "value": value}, str(value), args.json)
         return EXIT_OK
 
     if cmd == "boolrank":
-        from .linalg import rank
         from .pattern import EnumerationTooLarge, SearchBudgetExceeded, boolean_rank
-        from .pattern import boolean_rank_interval, support, triangular_rank
+        from .pattern import boolean_rank_interval, embrkl_bounds, support
 
         matrix = formats.parse_matrix(_read(args.file))
         pat = support(matrix)
@@ -180,7 +175,7 @@ def _dispatch(args) -> int:
             value = boolean_rank(pat, budget=args.budget)
         except (SearchBudgetExceeded, EnumerationTooLarge) as exc:
             # the interval `bounds` reports; only it needs the triangular rank
-            tri = triangular_rank(pat, upper=rank(matrix))
+            tri, _ = embrkl_bounds(matrix)
             lower, upper, _ = boolean_rank_interval(pat, exc, tri)
             if lower < upper:
                 _emit(
@@ -223,7 +218,7 @@ def _dispatch(args) -> int:
         fact, t = psd_from_embedding(emb)
         doc = formats.factorization_doc(fact)
         doc["T"] = [[str(v) for v in t.row(i)] for i in range(t.rows)]
-        print(json.dumps(doc, indent=2))
+        print(formats.dump(doc), end="")
         return EXIT_OK
 
     if cmd == "verify" and args.mode == "psd":

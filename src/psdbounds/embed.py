@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (
-    ExactMatrix,
-    Subspace,
-    image,
-    kernel,
-    projection_matrix,
-    rank,
-    row_space,
-)
+from .linalg import ExactMatrix, Subspace, image, kernel, projection_matrix, row_space
 from .pattern import (
     DEFAULT_BUDGET,
     EnumerationTooLarge,
@@ -28,8 +20,8 @@ from .pattern import (
     SupportPattern,
     boolean_rank,
     boolean_rank_interval,
+    embrkl_bounds,
     support,
-    triangular_rank,
 )
 from .psd import PsdFactorization, order3_exclusion, verify_psd_factorization
 
@@ -129,17 +121,6 @@ def embedding_from_psd(f: PsdFactorization) -> SubspaceEmbedding:
     return SubspaceEmbedding(f.order, u_spaces, v_spaces)
 
 
-def embrkl_bounds(s: ExactMatrix) -> tuple[int, int]:
-    """(lower, upper) bounds for the minimum embedding dimension of supp(s).
-
-    The lower bound is the triangular rank of the support (every matrix
-    with this support has at least that rank, the minimum such rank equals
-    the embedding rank); the upper bound is rank(s).
-    """
-    upper = rank(s)
-    return triangular_rank(support(s), upper=upper), upper
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Everything the support and the exact entries certify about a matrix."""
@@ -206,9 +187,8 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     when its ends meet.  The order-3 certificate runs only when the
     triangular rank is below 4, the most it can prove.
     """
+    tri, rk = embrkl_bounds(s)
     pat = support(s)
-    rk = rank(s)
-    tri = triangular_rank(pat, upper=rk)
     bbounds, bsource = None, "minimum_biclique_cover branch and bound"
     try:
         brank = boolean_rank(pat, budget=budget)
@@ -228,7 +208,6 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
         boolean_rank=brank,
         boolean_rank_bounds=bbounds,
         boolean_rank_source=bsource,
-        # embrkl_bounds(s) is (triangular rank, rank): reuse both
         embedding_dim_bounds=(tri, rk),
         psd_lower_bound=psd_lb,
         psd_lower_bound_source=source,

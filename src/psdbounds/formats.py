@@ -6,7 +6,8 @@ Patterns use the same layout restricted to 0/1 entries.  Graph text: a
 header ``L R`` followed by one line of 1-based right-neighbor indices per
 left vertex.  JSON documents carry ``"schema": 1`` and keep exact values
 as rational strings; indices in JSON are 1-based, matching the usual
-row/column numbering of matrices (the Python API is 0-based).
+row/column numbering of matrices (the Python API is 0-based).  ``dump``
+writes every JSON document the package prints.
 """
 
 from __future__ import annotations
@@ -142,18 +143,13 @@ def format_matrix(m: ExactMatrix) -> str:
 
 
 def parse_pattern(text: str) -> SupportPattern:
-    from .pattern import SupportPattern
+    from .pattern import support
 
     mat = parse_matrix(text)
-    rows = []
-    for i in range(mat.rows):
-        row = []
-        for v in mat.row(i):
-            if v not in (0, 1):
-                raise FormatError(f"pattern entries must be 0/1, got {v}")
-            row.append(int(v))
-        rows.append(row)
-    return SupportPattern.from_rows(rows)
+    bad = next((v for v in mat.entries if v not in (0, 1)), None)
+    if bad is not None:
+        raise FormatError(f"pattern entries must be 0/1, got {bad}")
+    return support(mat)
 
 
 def format_pattern(p: SupportPattern) -> str:
@@ -201,19 +197,22 @@ def format_graph(g: BipartiteGraph) -> str:
 # -- JSON ---------------------------------------------------------------------
 
 
+def dump(doc: dict) -> str:
+    """The text of a JSON document: ``schema`` first, indent 2, one newline."""
+    return json.dumps({"schema": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+
+
 def _basis_rows(s: Subspace) -> list[list[str]]:
     return [[str(v) for v in s.basis.row(i)] for i in range(s.dim)]
 
 
 def embedding_to_json(e: SubspaceEmbedding) -> str:
-    doc = {
-        "schema": SCHEMA_VERSION,
+    return dump({
         "kind": "subspace_embedding",
         "ambient_dim": e.ambient_dim,
         "U": [{"basis": _basis_rows(u)} for u in e.U],
         "V": [{"basis": _basis_rows(v)} for v in e.V],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 def embedding_from_json(text: str) -> SubspaceEmbedding:
@@ -237,9 +236,8 @@ def embedding_from_json(text: str) -> SubspaceEmbedding:
 
 
 def factorization_doc(f: PsdFactorization) -> dict:
-    """The JSON document of a factorization, before serialisation."""
+    """The JSON document of a factorization, before ``dump`` adds its schema."""
     return {
-        "schema": SCHEMA_VERSION,
         "kind": "psd_factorization",
         "order": f.order,
         "A": [[str(v) for v in mat.entries] for mat in f.A],
@@ -248,45 +246,38 @@ def factorization_doc(f: PsdFactorization) -> dict:
 
 
 def factorization_to_json(f: PsdFactorization) -> str:
-    return json.dumps(factorization_doc(f), indent=2) + "\n"
+    return dump(factorization_doc(f))
+
+
+def _factors(text: str, convert, build) -> tuple[int, list, list]:
+    """The order and the A and B lists of a factorization document: each
+    factor's entries read by ``convert``, then ``build(order, entries)``."""
+    doc = _load(text, "psd_factorization")
+    with _fields("psd_factorization"):
+        q = _size(doc, "order")
+        read = _memo(convert)
+
+        def factors(entry_lists) -> list:
+            return [build(q, [read(v) for v in e]) for e in entry_lists]
+
+        return q, factors(doc["A"]), factors(doc["B"])
 
 
 def factorization_from_json(text: str) -> PsdFactorization:
     from .psd import PsdFactorization
 
-    doc = _load(text, "psd_factorization")
-    with _fields("psd_factorization"):
-        q = _size(doc, "order")
-
-        read = _memo(_exact)
-
-        def mat(entries) -> ExactMatrix:
-            return ExactMatrix(q, q, [read(v) for v in entries])
-
-        return PsdFactorization(
-            q,
-            tuple(mat(e) for e in doc["A"]),
-            tuple(mat(e) for e in doc["B"]),
-        )
+    q, a, b = _factors(text, _exact, lambda q, entries: ExactMatrix(q, q, entries))
+    return PsdFactorization(q, tuple(a), tuple(b))
 
 
 def float_factors_from_json(text: str) -> tuple[list[list[float]], list[list[float]], int]:
     """Factor entries as floats (accepts decimal strings), for reduce-rank."""
-    doc = _load(text, "psd_factorization")
-    with _fields("psd_factorization"):
-        q = _size(doc, "order")
-
-        read = _memo(_float)
-
-        def as_floats(entries) -> list[float]:
-            return [read(v) for v in entries]
-
-        return [as_floats(e) for e in doc["A"]], [as_floats(e) for e in doc["B"]], q
+    q, a, b = _factors(text, _float, lambda q, entries: entries)
+    return a, b, q
 
 
 def certificate_to_json(cert: Order3Certificate) -> str:
-    doc = {
-        "schema": SCHEMA_VERSION,
+    return dump({
         "kind": "order3_certificate",
         "claim": cert.claim,
         "bound": cert.bound,
@@ -299,8 +290,7 @@ def certificate_to_json(cert: Order3Certificate) -> str:
         "pinned_cols": [l + 1 for l in cert.pinned_cols],
         "column_distinctness": cert.column_distinctness,
         "reason": cert.reason,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    })
 
 
 def sign_assignment_doc(w: SignAssignment | None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import DEFAULT_BUDGET
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, rank
 
 # Covers refuse graphs whose smaller side exceeds this, because the cover
 # search's set-up grows with the candidates' total coverage: supp S_24 has
@@ -304,7 +304,8 @@ def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
     be zero on every chosen column, so it is never a used row, and which
     row brought a column in does not change what can follow.  The prune
     is a bipartite matching upper bound on how many pairs can still be
-    appended.  Pass ``upper=rank(S)`` to stop once the search reaches it.
+    appended.  ``embrkl_bounds`` passes ``upper=rank(S)`` to stop once the
+    search reaches it.
     """
     best = 0
     seen: set[int] = set()
@@ -335,6 +336,19 @@ def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
             child = used | 1 << l
             stack.append((child, visit(child, len(stack))))
     return best
+
+
+def embrkl_bounds(s: ExactMatrix) -> tuple[int, int]:
+    """(lower, upper) bounds for the minimum embedding dimension of supp(s).
+
+    The lower bound is the triangular rank of the support (every matrix
+    with this support has at least that rank, the minimum such rank equals
+    the embedding rank); the upper bound is rank(s), which also ends the
+    triangular-rank search once reached.  Every rank-capped triangular rank
+    of the package is this one call.
+    """
+    upper = rank(s)
+    return triangular_rank(support(s), upper=upper), upper
 
 
 # -- maximal biclique enumeration -------------------------------------------

@@ -279,6 +279,11 @@ def min_sqrt_rank(
                 f"{kind} index {bad[0]} outside the {s.rows}x{s.cols} matrix "
                 "(indices are 0-based)"
             )
+        repeated = [k for i, k in enumerate(idx) if k in idx[:i]]
+        if repeated:
+            raise ValueError(
+                f"{kind} index {repeated[0]} is repeated (indices are 0-based)"
+            )
     sub = s.submatrix(rows, cols)
     if not sub.is_nonnegative():
         raise ValueError("selected submatrix must be nonnegative")

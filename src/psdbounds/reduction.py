@@ -31,6 +31,8 @@ class FloatPsdMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
+        if not arr.shape[0]:
+            raise ValueError("matrix must have order at least 1, got order 0")
         object.__setattr__(self, "entries", (arr + arr.T) / 2.0)
 
     @property

@@ -330,6 +330,24 @@ def test_sqrt_bound_cli_rejects_out_of_range_index(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_sqrt_bound_cli_rejects_repeated_index(capsys):
+    argv = ["sqrt-bound", "--rows", "3,3,4,5", "--cols", "1,1,2,3"]
+    code, out, err = invoke(capsys, argv, stdin=s6_text())
+    assert (code, out) == (2, "")
+    assert err == "error: row index 2 is repeated (indices are 0-based)\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("1,x,3,4", "bad index list '1,x,3,4'"),
+    ("0,1,2,3", "indices are 1-based"),
+])
+def test_sqrt_bound_cli_rejects_bad_index_lists(capsys, rows, message):
+    argv = ["sqrt-bound", "--rows", rows, "--cols", "1,2,3,4"]
+    code, out, err = invoke(capsys, argv, stdin=s6_text())
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --rows: {message}\n")
+
+
 def test_malformed_documents_are_usage_errors(tmp_path):
     # a fresh interpreter, so an uncaught exception would show as a traceback
     no_dim = tmp_path / "emb.json"
@@ -480,15 +498,17 @@ def test_no_threads_option(capsys, monkeypatch):
 
 
 def test_bounds_computes_triangular_rank_once(capsys, monkeypatch):
-    # `analyze` is where `bounds` reads the triangular rank
+    # `analyze` reads the triangular rank through `pattern.embrkl_bounds`
+    from psdbounds import pattern
+
     calls = []
-    original = embed.triangular_rank
+    original = pattern.triangular_rank
 
-    def counted(pattern, upper=None):
-        calls.append(pattern)
-        return original(pattern, upper=upper)
+    def counted(pat, upper=None):
+        calls.append(pat)
+        return original(pat, upper=upper)
 
-    monkeypatch.setattr(embed, "triangular_rank", counted)
+    monkeypatch.setattr(pattern, "triangular_rank", counted)
     code, out, _ = invoke(capsys, ["bounds"], stdin=s6_text())
     assert code == 0 and "embedding dimension:  between 3 and 3" in out
     assert len(calls) == 1

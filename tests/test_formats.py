@@ -62,8 +62,12 @@ def test_graph_header_needs_two_counts(text):
 def test_pattern_roundtrip():
     p = SupportPattern.from_rows([[1, 0, 1], [0, 0, 1]])
     assert formats.parse_pattern(formats.format_pattern(p)) == p
-    with pytest.raises(formats.FormatError):
-        formats.parse_pattern("1 1\n2\n")
+    with pytest.raises(formats.FormatError, match="got 2$"):
+        formats.parse_pattern("2 2\n1 0\n2 -1\n")
+    with pytest.raises(formats.FormatError, match="got 1/2$"):
+        formats.parse_pattern("2 2\n1 1/2\n2 -1\n")
+    # a pattern without rows keeps its column count
+    assert formats.parse_pattern("0 3\n") == SupportPattern.zeros(0, 3)
 
 
 def test_graph_roundtrip_with_isolated_vertex():

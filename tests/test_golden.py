@@ -27,6 +27,7 @@ CASES = [
     (["gen", "cutpoly", "4"], "cutpoly4.txt"),
     (["gen", "sn", "10"], "s10.txt"),
     (["gen", "cutpoly", "6"], "cutpoly6.txt"),
+    (["gen", "disjointness", "5", "2", "--json"], "disjointness_5_2.json"),
     (["--json", "rank", "matrix.txt"], "rank_matrix.json"),
     (["embed", "from-rank", "matrix.txt"], "embedding.json"),
     (["psd", "from-embedding", "embedding.json"], "factorization.json"),
@@ -37,7 +38,9 @@ CASES = [
     # the boolean rank undecided: a cut cover search, then a refused one
     (["bounds", "--json", "--budget", "20000", "s10.txt"], "bounds_s10.json"),
     (["bounds", "--json", "cutpoly6.txt"], "bounds_cutpoly6.json"),
+    (["trirank", "--json", "cutpoly6.txt"], "trirank_cutpoly6.json"),
     (["order3-exclude", "--json", "s6.txt"], "order3_s6.json"),
+    (["order3-exclude", "s6.txt"], "order3_s6.txt"),
     (["sqrt-bound", "--json", "--no-sign-fix", *S6_BLOCK, "s6.txt"], "sqrt_s6.json"),
     (["embed", "from-psd", "factorization.json"], "embedding_from_psd.json"),
     (["realize-support", "--json", "--seed", "3", "factorization.json"],

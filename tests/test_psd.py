@@ -381,21 +381,14 @@ def test_min_sqrt_rank_rejects_out_of_range_indices():
         min_sqrt_rank(s, [0, 1], [-1, 0])
 
 
-def test_min_sqrt_rank_witness_with_repeated_row():
-    # the block repeats row 0; the witness must realize the minimum rank
-    # with each copy of the row placed and signed on its own
-    from psdbounds.scalars import sqrt_embed as root
-
+def test_min_sqrt_rank_rejects_repeated_indices():
+    # a repeated index would count one entry's sign twice, and list the
+    # entry twice in the witness
     s = ExactMatrix.from_rows([[9, 1, 1], [1, 0, 1], [1, 1, 9]])
-    rows, cols = [0, 0, 1, 2], [0, 1, 2]
-    res = min_sqrt_rank(s, rows, cols)
-    assert res.min_rank == 2
-    signs = iter(res.witness.signs)
-    entries = [
-        [root(s[k, l]) * next(signs) if s[k, l] else root(0) for l in cols]
-        for k in rows
-    ]
-    assert multiquad_rank(entries) == res.min_rank
+    with pytest.raises(ValueError, match="row index 0 is repeated"):
+        min_sqrt_rank(s, [0, 0, 1, 2], [0, 1, 2])
+    with pytest.raises(ValueError, match="column index 2 is repeated"):
+        min_sqrt_rank(s, [0, 1, 2], [2, 1, 2], fix_global_sign=False)
 
 
 def brute_min_sqrt_rank(s, rows, cols, fix_global_sign=True):
@@ -463,8 +456,9 @@ def test_min_sqrt_rank_matches_the_unfiltered_enumeration():
             ]
         s = ExactMatrix.from_rows(rows)
         row_idx, col_idx = list(range(s.rows)), list(range(s.cols))
-        if s.rows > 1 and rng.random() < 0.3:  # repeat a row
-            row_idx[rng.randrange(1, s.rows)] = 0
+        if s.rows > 1 and rng.random() < 0.3:  # swap row 0 with another
+            k = rng.randrange(1, s.rows)
+            row_idx[0], row_idx[k] = k, 0
         if support(s.submatrix(row_idx, col_idx)).ones_count() > 8:
             continue
         for fix in (True, False):
@@ -549,10 +543,10 @@ def random_sqrt_block(rng) -> tuple[ExactMatrix, list[int], list[int]]:
             ]
         s = ExactMatrix.from_rows(rows)
         row_idx, col_idx = list(range(n_rows)), list(range(n_cols))
-        if n_rows > 1 and rng.random() < 0.2:
-            row_idx[rng.randrange(n_rows)] = rng.randrange(n_rows)
-        if n_cols > 1 and rng.random() < 0.2:
-            col_idx[rng.randrange(n_cols)] = rng.randrange(n_cols)
+        for idx in (row_idx, col_idx):  # sometimes swap two indices
+            if len(idx) > 1 and rng.random() < 0.2:
+                i, j = rng.randrange(len(idx)), rng.randrange(len(idx))
+                idx[i], idx[j] = idx[j], idx[i]
         z = support(s.submatrix(row_idx, col_idx)).ones_count()
         if z <= 12 and rng.random() < 2.0 ** (8 - z):
             return s, row_idx, col_idx
@@ -572,7 +566,7 @@ def test_min_sqrt_rank_matches_the_reference_enumeration():
         )
         seen["zero line"] += lines < sub.rows + sub.cols
         seen["disconnected"] += flip_span_dim(sub) < lines - 1
-        seen["repeated index"] += len(set(rows)) < len(rows) or len(set(cols)) < len(cols)
+        seen["permuted index"] += rows != sorted(rows) or cols != sorted(cols)
         seen["square"] += any(sqrt_embed(v).is_rational for v in nonzero)
         seen["fraction"] += any(v.denominator > 1 for v in nonzero)
         for fix in (True, False):

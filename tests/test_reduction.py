@@ -181,3 +181,23 @@ def test_reduce_rank_without_b_factors_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_order_zero_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(ValueError, match="got order 0"):
+        FloatPsdMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="got order 0"):
+        reduce_factor_ranks([np.zeros((0, 0))], [np.zeros((0, 0))])
+    # a zero matrix has rank 0, so its projection factorization has order 0
+    (tmp_path / "zero.txt").write_text("2 2\n0 0\n0 0\n")
+    for argv, out in (
+        (["embed", "from-rank", "zero.txt"], "emb.json"),
+        (["psd", "from-embedding", "emb.json"], "fact.json"),
+    ):
+        assert run([*argv[:-1], str(tmp_path / argv[-1])]) == 0
+        (tmp_path / out).write_text(capsys.readouterr().out)
+    assert json.loads((tmp_path / "fact.json").read_text())["order"] == 0
+    assert run(["reduce-rank", str(tmp_path / "fact.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix must have order at least 1, got order 0\n"
