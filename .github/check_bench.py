@@ -2,10 +2,12 @@
 
 usage: python3 .github/check_bench.py RESULT [CONDITION ...]
 
-RESULT holds the output of perfbench/run.py, whose last line is the
+RESULT holds the output of perfbench/run.py: a report line, then the
 result document.  A CONDITION is KEY>=VALUE or KEY==VALUE, where KEY is a
 top-level field of that document (such as ``failed``) or one of its
-metrics (such as ``answered_frac``).  Quote each condition in a shell.
+metrics (such as ``answered_frac``).  A traced run's result has no
+``decided_frac``; there it is the share of the report's ops whose status
+is ``decided``.  Quote each condition in a shell.
 """
 
 import json
@@ -18,7 +20,10 @@ OPS = {">=": operator.ge, "==": operator.eq}
 
 def main(path: str, *conditions: str) -> int:
     with open(path, encoding="utf-8") as fh:
-        result = json.loads(fh.read().splitlines()[-1])
+        report, result = map(json.loads, fh.read().splitlines()[-2:])
+    if "decided_frac" not in result["metrics"]:
+        ops = report["report"]["ops"]
+        result["decided_frac"] = sum(op["status"] == "decided" for op in ops) / len(ops)
     ok = result["correct"]
     if not ok:
         print("result is not correct", file=sys.stderr)

@@ -21,11 +21,63 @@ The namespace is lazy (PEP 562): ``import psdbounds`` loads no submodule,
 and each name below loads its defining module on first use.  So a command
 that needs only `linalg` never compiles the searches, and numpy is
 imported only when a `reduction` name is used.
+
+The result types are frozen value records made by the private decorator
+`_frozen`, not by `dataclasses`, which would load `inspect` and `ast` at
+every launch and ``exec`` generated methods for each class.
 """
 
 from importlib import import_module
+from operator import attrgetter
 
 __version__ = "0.1.0"
+
+
+def _frozen(cls):
+    """Make ``cls`` an immutable value record, as ``dataclass(frozen=True)`` does.
+
+    The fields are the class annotations in order, and a class-level value is
+    that field's default.  ``__init__`` takes the fields by position or
+    keyword, then runs ``__post_init__`` if the class has one (which may
+    rewrite a field with ``object.__setattr__``).  Instances refuse
+    assignment and deletion, equal and hash as the tuple of their fields
+    within one class, print as ``Name(field=value, ...)``, and copy and
+    pickle through their ``__dict__``.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            values = {**defaults, **kwargs, **dict(zip(names, args))}
+            twice = kwargs.keys() & names[: len(args)]
+            if len(args) > len(names) or twice or values.keys() != set(names):
+                raise TypeError(f"{cls.__qualname__}() takes the fields {names}")
+            args = [values[name] for name in names]
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def refuse(self, name, *value):
+        raise AttributeError(f"{cls.__qualname__} is frozen: cannot set or delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{cls.__qualname__}({fields})"
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
 
 # node budget of every exact search unless a caller gives one; it lives here
 # so that the CLI's parser reads it without loading `pattern`

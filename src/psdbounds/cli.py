@@ -45,6 +45,9 @@ def _index_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad index list {text!r}")
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("indices are 1-based")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"index {repeated[0]} is repeated")
     return values
 
 
@@ -261,6 +264,14 @@ def _dispatch(args) -> int:
         from .psd import min_sqrt_rank
 
         matrix = formats.parse_matrix(_read(args.file))
+        # checked here, so that the message quotes the 1-based index as typed
+        for kind, idx, size in (("row", args.rows, matrix.rows),
+                                ("column", args.cols, matrix.cols)):
+            bad = [k for k in idx if k > size]
+            if bad:
+                raise ValueError(
+                    f"{kind} index {bad[0]} outside the {matrix.rows}x{matrix.cols} matrix"
+                )
         rows = [k - 1 for k in args.rows]
         cols = [l - 1 for l in args.cols]
         result = min_sqrt_rank(

@@ -9,11 +9,11 @@ Vertex sets are bitsets over {0..n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from . import _frozen
 from .linalg import ExactMatrix
 from .pattern import BipartiteGraph
 
@@ -22,7 +22,7 @@ MAX_SUBSET_COUNT = 1000
 MAX_REDUCTION_N = 18
 
 
-@dataclass(frozen=True)
+@_frozen
 class Cut:
     """Cut of K_n given by a vertex class; stored canonically.
 
@@ -41,7 +41,7 @@ class Cut:
         object.__setattr__(self, "members", canon)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Clique:
     """Clique of K_n: any vertex set of size at least 2 spans one."""
 
@@ -60,7 +60,7 @@ class Clique:
         return self.members.bit_count()
 
 
-@dataclass(frozen=True)
+@_frozen
 class SubsetVertex:
     """An l-element subset of {1..N} as a bitset; vertex of H_N."""
 
@@ -196,7 +196,7 @@ def graph_H(n_ground: int, l: int) -> tuple[BipartiteGraph, BipartiteGraph]:
     )
 
 
-@dataclass(frozen=True)
+@_frozen
 class AppendixCheckResult:
     ok: bool
     pairs_checked: int

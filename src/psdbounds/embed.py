@@ -9,9 +9,9 @@ recovers embeddings from factorizations again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _frozen
 from .linalg import ExactMatrix, Subspace, image, kernel, projection_matrix, row_space
 from .pattern import (
     DEFAULT_BUDGET,
@@ -26,7 +26,7 @@ from .pattern import (
 from .psd import PsdFactorization, order3_exclusion, verify_psd_factorization
 
 
-@dataclass(frozen=True)
+@_frozen
 class SubspaceEmbedding:
     """Subspaces U (rows) and V (columns) of a shared ambient space."""
 
@@ -121,7 +121,7 @@ def embedding_from_psd(f: PsdFactorization) -> SubspaceEmbedding:
     return SubspaceEmbedding(f.order, u_spaces, v_spaces)
 
 
-@dataclass(frozen=True)
+@_frozen
 class BoundReport:
     """Everything the support and the exact entries certify about a matrix."""
 

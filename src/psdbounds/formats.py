@@ -123,11 +123,14 @@ def parse_matrix(text: str) -> ExactMatrix:
     if not lines:
         raise FormatError("empty matrix input")
     m, n = _header(lines[0], "matrix", "m n")
-    if len(lines) - 1 != m:
-        raise FormatError(f"expected {m} matrix rows, found {len(lines) - 1}")
+    rows = lines[1:]
+    if not rows and n == 0:  # the m rows of an m x 0 matrix are empty lines
+        rows = [""] * m
+    if len(rows) != m:
+        raise FormatError(f"expected {m} matrix rows, found {len(rows)}")
     entries = []
     read = _memo(_parse_entry)
-    for line in lines[1:]:
+    for line in rows:
         toks = line.split()
         if len(toks) != n:
             raise FormatError(f"expected {n} entries per row, got {len(toks)}")

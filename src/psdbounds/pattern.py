@@ -8,9 +8,7 @@ budget; traversal order is deterministic, so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import DEFAULT_BUDGET
+from . import DEFAULT_BUDGET, _frozen
 from .linalg import ExactMatrix, rank
 
 # Covers refuse graphs whose smaller side exceeds this, because the cover
@@ -219,7 +217,7 @@ def poset_of(m: SupportPattern) -> BipartiteGraph:
     return BipartiteGraph(m.rows, m.cols, [full ^ b for b in m.row_bits])
 
 
-@dataclass(frozen=True)
+@_frozen
 class Biclique:
     """Complete bipartite block: ``left_set`` x ``right_set`` as bitsets."""
 
@@ -237,7 +235,7 @@ class Biclique:
         return any(g.adj[u] & self.right_set for u in _bits(self.left_set))
 
 
-@dataclass(frozen=True)
+@_frozen
 class BicliqueCover:
     bicliques: tuple[Biclique, ...]
 
@@ -257,7 +255,7 @@ class BicliqueCover:
         return not any(b.contains_edge_of(g) for b in self.bicliques)
 
 
-@dataclass(frozen=True)
+@_frozen
 class CoverSearchResult:
     size: int
     cover: BicliqueCover

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb
+from typing import TYPE_CHECKING
 
+from . import _frozen
 from .linalg import ExactMatrix, rank_mod_p, scaled_dot, scaled_entries
-from .pattern import SupportPattern, _bits, support
+
+# `pattern` is imported where the support is needed, so that `sqrt-bound`,
+# `verify psd` and `gen sn` do not load it
+if TYPE_CHECKING:
+    from .pattern import SupportPattern
 
 DEFAULT_SIGN_CAP = 24
 _SCAN_LIMIT = 200_000  # block pairs the order-3 scan scores
@@ -28,7 +33,7 @@ class RealizationError(Exception):
     """Sampling failed to hit a support-realizing point within the retry cap."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class PsdFactorization:
     """Symmetric factor lists A_1..A_m, B_1..B_n of a common order.
 
@@ -66,7 +71,7 @@ class PsdFactorization:
         return ExactMatrix(self.m, self.n, [scaled_dot(x, y) for x in a for y in b])
 
 
-@dataclass(frozen=True)
+@_frozen
 class PsdCertificate:
     """Outcome of the exact LDL^T test on one symmetric rational matrix."""
 
@@ -129,7 +134,7 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     return PsdCertificate(True, tuple(pivots))
 
 
-@dataclass(frozen=True)
+@_frozen
 class FactorizationReport:
     """Per-factor psd certificates plus exact trace-equality results."""
 
@@ -190,6 +195,8 @@ def realize_support(
     automatically (there A_k B_l = 0); nonzero entries survive outside a
     measure-zero set, so a few retries suffice.  Deterministic per seed.
     """
+    from .pattern import support
+
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     report = verify_psd_factorization(f)
@@ -225,7 +232,7 @@ def _times_random_vector(
 # -- square-root sign enumeration ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class SignAssignment:
     """Signs for the nonzero entries of a submatrix, in row-major order."""
 
@@ -239,7 +246,7 @@ class SignAssignment:
             raise ValueError("signs must be +1 or -1")
 
 
-@dataclass(frozen=True)
+@_frozen
 class SqrtRankResult:
     min_rank: int
     witness: SignAssignment | None
@@ -367,7 +374,7 @@ def check_sign_square(s: ExactMatrix, assignment: SignAssignment) -> bool:
 # -- the order-3 exclusion certificate ----------------------------------------
 
 
-@dataclass(frozen=True)
+@_frozen
 class Order3Certificate:
     """Result of the dimension-forcing + sign-enumeration argument.
 
@@ -417,6 +424,8 @@ def _pinned(lines: list[int], cross: list[int]) -> list[int]:
     """Nonzero lines whose zeros meet nonzero cross lines of two distinct
     zero patterns; ``lines`` are the rows (or columns) as bitmasks over the
     ``cross`` lines."""
+    from .pattern import _bits
+
     full = (1 << len(cross)) - 1
     return [
         k
@@ -490,6 +499,8 @@ def order3_exclusion(
     Returns an inconclusive certificate (not an error) when the hypothesis
     fails or every tried block admits a low-rank square root.
     """
+    from .pattern import support
+
     if not s.is_nonnegative():
         raise ValueError("order-3 exclusion needs a nonnegative matrix")
     if max_attempts < 0:

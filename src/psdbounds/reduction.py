@@ -9,9 +9,9 @@ floating-point corner of the package; everything exact stays elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from . import _frozen
 
 DEFAULT_TOL = 1e-9
 
@@ -20,7 +20,7 @@ class ReductionError(Exception):
     """A reduction step could not make progress; carries diagnostics."""
 
 
-@dataclass(frozen=True)
+@_frozen
 class FloatPsdMatrix:
     """Symmetric float matrix with the tolerance used to certify it psd."""
 
@@ -125,7 +125,7 @@ def _check_residuals(entries, mats, targets, tol, stage: str):
         )
 
 
-@dataclass(frozen=True)
+@_frozen
 class FactorReductionReport:
     a_factors: tuple[FloatPsdMatrix, ...]
     b_factors: tuple[FloatPsdMatrix, ...]

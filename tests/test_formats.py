@@ -22,6 +22,10 @@ from psdbounds.cli import run
 def test_matrix_roundtrip():
     m = ExactMatrix.from_rows([[Fraction(1, 2), -3], [0, Fraction(7, 3)]])
     assert formats.parse_matrix(formats.format_matrix(m)) == m
+    # an m x 0 matrix is its header and m empty lines
+    m = ExactMatrix.zeros(2, 0)
+    assert formats.format_matrix(m) == "2 0\n\n\n"
+    assert formats.parse_matrix(formats.format_matrix(m)) == m
 
 
 def test_matrix_parsing_details():
@@ -66,8 +70,10 @@ def test_pattern_roundtrip():
         formats.parse_pattern("2 2\n1 0\n2 -1\n")
     with pytest.raises(formats.FormatError, match="got 1/2$"):
         formats.parse_pattern("2 2\n1 1/2\n2 -1\n")
-    # a pattern without rows keeps its column count
+    # a pattern without rows keeps its column count, one without columns its rows
     assert formats.parse_pattern("0 3\n") == SupportPattern.zeros(0, 3)
+    p = SupportPattern.zeros(3, 0)
+    assert formats.parse_pattern(formats.format_pattern(p)) == p
 
 
 def test_graph_roundtrip_with_isolated_vertex():
