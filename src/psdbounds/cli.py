@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Matrices and patterns travel in the shared text format (stdin by default),
-embeddings/factorizations/certificates as JSON documents; ``--json``
-switches every command to machine-readable output.  Exit status: 0 ok,
+embeddings/factorizations/certificates as JSON documents.  Each command
+returns one reply ``(doc, text, exit_code)``, and ``run`` writes it: the
+JSON document with ``--json``, else the text.  ``embed`` and ``psd
+from-embedding`` have no text form and write JSON either way.  ``run`` also
+writes every error, as one ``error:`` line on stderr.  Exit status: 0 ok,
 1 verification failure or inconclusive certificate, 2 usage error,
 3 retry cap exhausted, or a cover search cut or refused with the boolean
 rank still undecided (``boolrank`` prints its proven interval).
@@ -15,8 +18,8 @@ import sys
 
 from . import DEFAULT_BUDGET, formats
 
-# Each command imports the layers it runs, inside its branch of _dispatch:
-# a launch then compiles only those modules, and `rank` loads no search.
+# Each branch of _dispatch imports the layers its command runs, so a launch
+# compiles only those modules and `rank` loads no search.
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -29,13 +32,6 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _emit(doc: dict, human: str, as_json: bool):
-    if as_json:
-        print(formats.dump(doc), end="")
-    else:
-        print(human)
 
 
 def _index_list(text: str) -> list[int]:
@@ -145,28 +141,45 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _dispatch(args)
+        doc, text, code = _dispatch(args)
     except (ValueError, OSError) as exc:
         # precondition violations and unreadable inputs are usage errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        doc, text, code = _error(exc, EXIT_USAGE)
+    if doc is None:
+        print(f"error: {text}", file=sys.stderr)
+    else:
+        sys.stdout.write(formats.dump(doc) if args.json or text is None else text)
+    return code
 
 
-def _dispatch(args) -> int:
+def _error(exc: Exception, code: int):
+    """The reply of an error: no document, and its message as the text."""
+    return None, str(exc), code
+
+
+def _matrix(m):
+    doc = {"kind": "matrix", "rows": m.rows, "cols": m.cols,
+           "entries": formats.matrix_rows(m)}
+    return doc, formats.format_matrix(m), EXIT_OK
+
+
+def _dispatch(args):
+    """The reply ``(doc, text, exit_code)`` of one command.  ``doc`` is its
+    JSON document and ``text`` its exact text form, or None where it has
+    none.  A library error that exits with its own status replies with no
+    document and its message as ``text`` (``_error``)."""
     cmd = args.command
     if cmd == "rank":
         from .linalg import rank
 
         value = rank(formats.parse_matrix(_read(args.file)))
-        _emit({"kind": "rank", "value": value}, str(value), args.json)
-        return EXIT_OK
+        return {"kind": "rank", "value": value}, f"{value}\n", EXIT_OK
 
     if cmd == "trirank":
         from .pattern import embrkl_bounds
 
         value, _ = embrkl_bounds(formats.parse_matrix(_read(args.file)))
-        _emit({"kind": "triangular_rank", "value": value}, str(value), args.json)
-        return EXIT_OK
+        return {"kind": "triangular_rank", "value": value}, f"{value}\n", EXIT_OK
 
     if cmd == "boolrank":
         from .pattern import EnumerationTooLarge, SearchBudgetExceeded, boolean_rank
@@ -181,38 +194,30 @@ def _dispatch(args) -> int:
             tri, _ = embrkl_bounds(matrix)
             lower, upper, _ = boolean_rank_interval(pat, exc, tri)
             if lower < upper:
-                _emit(
-                    {"kind": "boolean_rank", "value": None, "bounds": [lower, upper]},
-                    f"unknown, bounds [{lower},{upper}]",
-                    args.json,
-                )
-                return EXIT_EXHAUSTED
+                doc = {"kind": "boolean_rank", "value": None, "bounds": [lower, upper]}
+                return doc, f"unknown, bounds [{lower},{upper}]\n", EXIT_EXHAUSTED
             value = lower
-        _emit({"kind": "boolean_rank", "value": value}, str(value), args.json)
-        return EXIT_OK
+        return {"kind": "boolean_rank", "value": value}, f"{value}\n", EXIT_OK
 
     if cmd == "bounds":
         from .embed import analyze
 
         report = analyze(formats.parse_matrix(_read(args.file)), budget=args.budget)
         identity = args.file if args.file != "-" else "stdin"
-        _emit(report.to_doc(identity), report.to_text(identity), args.json)
-        return EXIT_OK
+        return report.to_doc(identity), report.to_text(identity) + "\n", EXIT_OK
 
     if cmd == "embed" and args.mode == "from-rank":
         from .embed import embedding_from_rank_factorization
 
         emb = embedding_from_rank_factorization(formats.parse_matrix(_read(args.file)))
-        print(formats.embedding_to_json(emb), end="")
-        return EXIT_OK
+        return formats.embedding_doc(emb), None, EXIT_OK
 
     if cmd == "embed" and args.mode == "from-psd":
         from .embed import embedding_from_psd
 
         fact = formats.factorization_from_json(_read(args.file))
         emb = embedding_from_psd(fact)
-        print(formats.embedding_to_json(emb), end="")
-        return EXIT_OK
+        return formats.embedding_doc(emb), None, EXIT_OK
 
     if cmd == "psd" and args.mode == "from-embedding":
         from .embed import psd_from_embedding
@@ -220,9 +225,8 @@ def _dispatch(args) -> int:
         emb = formats.embedding_from_json(_read(args.file))
         fact, t = psd_from_embedding(emb)
         doc = formats.factorization_doc(fact)
-        doc["T"] = [[str(v) for v in t.row(i)] for i in range(t.rows)]
-        print(formats.dump(doc), end="")
-        return EXIT_OK
+        doc["T"] = formats.matrix_rows(t)
+        return doc, None, EXIT_OK
 
     if cmd == "verify" and args.mode == "psd":
         from .psd import verify_psd_factorization
@@ -236,8 +240,9 @@ def _dispatch(args) -> int:
             "psd_ok": report.psd_ok,
             "trace_mismatches": [[k + 1, l + 1] for k, l in report.mismatches],
         }
-        _emit(doc, "pass" if report.passed else f"FAIL: {report.summary()}", args.json)
-        return EXIT_OK if report.passed else EXIT_VERIFICATION
+        if report.passed:
+            return doc, "pass\n", EXIT_OK
+        return doc, f"FAIL: {report.summary()}\n", EXIT_VERIFICATION
 
     if cmd == "verify" and args.mode == "embedding":
         from .embed import verify_embedding
@@ -245,20 +250,19 @@ def _dispatch(args) -> int:
         emb = formats.embedding_from_json(_read(args.embedding))
         pat = formats.parse_pattern(_read(args.pattern))
         ok = verify_embedding(emb, pat)
-        _emit({"kind": "verification", "passed": ok}, "pass" if ok else "FAIL", args.json)
-        return EXIT_OK if ok else EXIT_VERIFICATION
+        doc = {"kind": "verification", "passed": ok}
+        if ok:
+            return doc, "pass\n", EXIT_OK
+        return doc, "FAIL\n", EXIT_VERIFICATION
 
     if cmd == "realize-support":
         from .psd import RealizationError, realize_support
 
         fact = formats.factorization_from_json(_read(args.file))
         try:
-            t = realize_support(fact, seed=args.seed, max_tries=args.tries)
+            return _matrix(realize_support(fact, seed=args.seed, max_tries=args.tries))
         except RealizationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EXHAUSTED
-        _print_matrix(t, args.json)
-        return EXIT_OK
+            return _error(exc, EXIT_EXHAUSTED)
 
     if cmd == "sqrt-bound":
         from .psd import min_sqrt_rank
@@ -283,29 +287,26 @@ def _dispatch(args) -> int:
             "assignments_checked": result.assignments_checked,
             "witness": formats.sign_assignment_doc(result.witness),
         }
-        human = (
+        text = (
             f"minimum rank {result.min_rank} over "
-            f"{result.assignments_checked} sign assignments"
+            f"{result.assignments_checked} sign assignments\n"
         )
-        _emit(doc, human, args.json)
-        return EXIT_OK
+        return doc, text, EXIT_OK
 
     if cmd == "order3-exclude":
         from .psd import order3_exclusion
 
         matrix = formats.parse_matrix(_read(args.file))
         cert = order3_exclusion(matrix, fix_global_sign=not args.no_sign_fix)
-        if args.json:
-            print(formats.certificate_to_json(cert), end="")
-        elif cert.conclusive:
-            print(
-                f"psd rank >= {cert.bound}: rows {[k + 1 for k in cert.rows]} x "
-                f"cols {[l + 1 for l in cert.cols]}, all "
-                f"{cert.assignments_checked} sign assignments have rank >= 4"
-            )
-        else:
-            print(f"inconclusive: {cert.reason}")
-        return EXIT_OK if cert.conclusive else EXIT_VERIFICATION
+        doc = formats.certificate_doc(cert)
+        if not cert.conclusive:
+            return doc, f"inconclusive: {cert.reason}\n", EXIT_VERIFICATION
+        text = (
+            f"psd rank >= {cert.bound}: rows {[k + 1 for k in cert.rows]} x "
+            f"cols {[l + 1 for l in cert.cols]}, all "
+            f"{cert.assignments_checked} sign assignments have rank >= 4\n"
+        )
+        return doc, text, EXIT_OK
 
     if cmd == "reduce-rank":
         # the only numpy command: exact commands start without loading it
@@ -324,8 +325,7 @@ def _dispatch(args) -> int:
         try:
             report = reduce_factor_ranks(a, b, tol=args.tol)
         except ReductionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFICATION
+            return _error(exc, EXIT_VERIFICATION)
         doc = {
             "kind": "rank_reduction",
             "a_ranks": list(report.a_ranks),
@@ -333,16 +333,38 @@ def _dispatch(args) -> int:
             "max_residual": report.max_residual,
             "min_eigenvalue": report.min_eigenvalue,
         }
-        human = (
+        text = (
             f"A ranks {list(report.a_ranks)}, B ranks {list(report.b_ranks)}, "
             f"max residual {report.max_residual:.2e}, "
-            f"min eigenvalue {report.min_eigenvalue:.2e}"
+            f"min eigenvalue {report.min_eigenvalue:.2e}\n"
         )
-        _emit(doc, human, args.json)
-        return EXIT_OK
+        return doc, text, EXIT_OK
 
-    if cmd == "gen":
-        return _cmd_gen(args)
+    if cmd == "gen" and args.mode == "sn":
+        from .psd import generate_sn
+
+        return _matrix(generate_sn(args.n))
+
+    if cmd == "gen" and args.mode == "cutpoly":
+        from .cutpoly import slack_matrix_cut_clique
+
+        return _matrix(slack_matrix_cut_clique(args.n))
+
+    if cmd == "gen" and args.mode == "disjointness":
+        from .cutpoly import graph_H
+
+        h, hbar = graph_H(args.n, args.l)
+        g = h if args.which == "h" else hbar
+        doc = {
+            "kind": "graph",
+            "left": g.left_count,
+            "right": g.right_count,
+            "adj": [
+                [v + 1 for v in range(g.right_count) if g.has_edge(u, v)]
+                for u in range(g.left_count)
+            ],
+        }
+        return doc, formats.format_graph(g), EXIT_OK
 
     if cmd == "appendix-check":
         from .cutpoly import appendix_reduction_check
@@ -355,56 +377,13 @@ def _dispatch(args) -> int:
             "ground_size": result.ground_size,
             "subset_size": result.subset_size,
         }
-        human = (
+        text = (
             f"{'pass' if result.ok else 'FAIL'}: {result.pairs_checked} pairs, "
-            f"N={result.ground_size}, l={result.subset_size}"
+            f"N={result.ground_size}, l={result.subset_size}\n"
         )
-        _emit(doc, human, args.json)
-        return EXIT_OK if result.ok else EXIT_VERIFICATION
+        return doc, text, EXIT_OK if result.ok else EXIT_VERIFICATION
 
     raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover
-
-
-def _print_matrix(m, as_json: bool) -> None:
-    if as_json:
-        entries = [[str(v) for v in m.row(i)] for i in range(m.rows)]
-        doc = {"kind": "matrix", "rows": m.rows, "cols": m.cols, "entries": entries}
-        _emit(doc, "", True)
-    else:
-        print(formats.format_matrix(m), end="")
-
-
-def _cmd_gen(args) -> int:
-    if args.mode == "sn":
-        from .psd import generate_sn
-
-        _print_matrix(generate_sn(args.n), args.json)
-        return EXIT_OK
-    if args.mode == "cutpoly":
-        from .cutpoly import slack_matrix_cut_clique
-
-        _print_matrix(slack_matrix_cut_clique(args.n), args.json)
-        return EXIT_OK
-    if args.mode == "disjointness":
-        from .cutpoly import graph_H
-
-        h, hbar = graph_H(args.n, args.l)
-        g = h if args.which == "h" else hbar
-        if args.json:
-            doc = {
-                "kind": "graph",
-                "left": g.left_count,
-                "right": g.right_count,
-                "adj": [
-                    [v + 1 for v in range(g.right_count) if g.has_edge(u, v)]
-                    for u in range(g.left_count)
-                ],
-            }
-            _emit(doc, "", True)
-        else:
-            print(formats.format_graph(g), end="")
-        return EXIT_OK
-    raise AssertionError(f"unhandled gen mode {args.mode}")  # pragma: no cover
 
 
 def main() -> None:

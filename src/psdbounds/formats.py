@@ -138,10 +138,13 @@ def parse_matrix(text: str) -> ExactMatrix:
     return ExactMatrix(m, n, entries)
 
 
+def matrix_rows(m: ExactMatrix) -> list[list[str]]:
+    """The entries of ``m`` as strings, row by row."""
+    return [[str(v) for v in m.row(i)] for i in range(m.rows)]
+
+
 def format_matrix(m: ExactMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(v) for v in m.row(i)))
+    lines = [f"{m.rows} {m.cols}"] + [" ".join(row) for row in matrix_rows(m)]
     return "\n".join(lines) + "\n"
 
 
@@ -205,17 +208,18 @@ def dump(doc: dict) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, **doc}, indent=2) + "\n"
 
 
-def _basis_rows(s: Subspace) -> list[list[str]]:
-    return [[str(v) for v in s.basis.row(i)] for i in range(s.dim)]
+def embedding_doc(e: SubspaceEmbedding) -> dict:
+    """The JSON document of an embedding, before ``dump`` adds its schema."""
+    return {
+        "kind": "subspace_embedding",
+        "ambient_dim": e.ambient_dim,
+        "U": [{"basis": matrix_rows(u.basis)} for u in e.U],
+        "V": [{"basis": matrix_rows(v.basis)} for v in e.V],
+    }
 
 
 def embedding_to_json(e: SubspaceEmbedding) -> str:
-    return dump({
-        "kind": "subspace_embedding",
-        "ambient_dim": e.ambient_dim,
-        "U": [{"basis": _basis_rows(u)} for u in e.U],
-        "V": [{"basis": _basis_rows(v)} for v in e.V],
-    })
+    return dump(embedding_doc(e))
 
 
 def embedding_from_json(text: str) -> SubspaceEmbedding:
@@ -279,8 +283,9 @@ def float_factors_from_json(text: str) -> tuple[list[list[float]], list[list[flo
     return a, b, q
 
 
-def certificate_to_json(cert: Order3Certificate) -> str:
-    return dump({
+def certificate_doc(cert: Order3Certificate) -> dict:
+    """The JSON document of a certificate, before ``dump`` adds its schema."""
+    return {
         "kind": "order3_certificate",
         "claim": cert.claim,
         "bound": cert.bound,
@@ -293,7 +298,11 @@ def certificate_to_json(cert: Order3Certificate) -> str:
         "pinned_cols": [l + 1 for l in cert.pinned_cols],
         "column_distinctness": cert.column_distinctness,
         "reason": cert.reason,
-    })
+    }
+
+
+def certificate_to_json(cert: Order3Certificate) -> str:
+    return dump(certificate_doc(cert))
 
 
 def sign_assignment_doc(w: SignAssignment | None):

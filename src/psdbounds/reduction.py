@@ -33,6 +33,8 @@ class FloatPsdMatrix:
             raise ValueError("matrix must be square")
         if not arr.shape[0]:
             raise ValueError("matrix must have order at least 1, got order 0")
+        if not 0 <= self.tolerance < np.inf:  # also refuses nan
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
         object.__setattr__(self, "entries", (arr + arr.T) / 2.0)
 
     @property

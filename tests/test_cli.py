@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from psdbounds import (
-    ExactMatrix, cli, embed, formats, generate_sn, slack_matrix_cut_clique
+    ExactMatrix, cli, embed, formats, generate_sn, slack_matrix_cut_clique, support
 )
-from psdbounds.cli import run
+from psdbounds.cli import _build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,8 +157,6 @@ def test_embed_psd_verify_pipeline(tmp_path, capsys):
     assert code == 0
     emb2_file = tmp_path / "emb2.json"
     emb2_file.write_text(emb2)
-    from psdbounds import support
-
     pat_file = tmp_path / "pat.txt"
     pat_file.write_text(formats.format_pattern(support(generate_sn(6))))
     code, out, _ = invoke(
@@ -270,6 +269,8 @@ def chain_files(tmp_path):
     (tmp_path / "emb.json").write_text(formats.embedding_to_json(emb))
     (tmp_path / "fact.json").write_text(formats.factorization_to_json(fact))
     (tmp_path / "t.txt").write_text(formats.format_matrix(t))
+    (tmp_path / "pat.txt").write_text(formats.format_pattern(support(generate_sn(6))))
+    (tmp_path / "ones.txt").write_text("6 6\n" + "1 1 1 1 1 1\n" * 6)
     (tmp_path / "cutpoly4.txt").write_text(formats.format_matrix(slack_matrix_cut_clique(4)))
     # the cover search refuses it, and the triangular rank closes the interval
     (tmp_path / "id21.txt").write_text(formats.format_matrix(ExactMatrix.identity(21)))
@@ -305,6 +306,60 @@ def test_each_command_loads_only_its_modules(chain_files, bare_modules, argv, un
         slow = (modules - bare_modules) & SLOW_STDLIB
         assert not slow, sorted(slow)
 
+
+
+def subcommands(parser, prefix=()):
+    """Every command path of the parser, such as ``'embed from-rank'``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from subcommands(sub, (*prefix, name))
+            return
+    yield " ".join(prefix)
+
+
+BLOCK = ["--rows", "3,4,5,6", "--cols", "1,2,3,4"]
+# command -> (arguments, exit status) run in `chain_files`; failing replies
+# (an undecided boolean rank, an inconclusive certificate, a failed check)
+# print their document too
+REPLY_CASES = {
+    "rank": [(["s6.txt"], 0)],
+    "trirank": [(["s6.txt"], 0)],
+    "boolrank": [(["s6.txt"], 0), (["--budget", "0", "s6.txt"], 3)],
+    "bounds": [(["cutpoly4.txt"], 0)],
+    "embed from-rank": [(["s6.txt"], 0)],
+    "embed from-psd": [(["fact.json"], 0)],
+    "psd from-embedding": [(["emb.json"], 0)],
+    "verify psd": [(["fact.json", "t.txt"], 0), (["fact.json", "s6.txt"], 1)],
+    "verify embedding": [(["emb.json", "pat.txt"], 0), (["emb.json", "ones.txt"], 1)],
+    "realize-support": [(["--seed", "3", "fact.json"], 0)],
+    "sqrt-bound": [([*BLOCK, "s6.txt"], 0)],
+    "order3-exclude": [(["s6.txt"], 0), (["cutpoly4.txt"], 1)],
+    "reduce-rank": [(["fact.json"], 0)],
+    "gen sn": [(["6"], 0)],
+    "gen cutpoly": [(["4"], 0)],
+    "gen disjointness": [(["5", "2"], 0)],
+    "appendix-check": [(["18"], 0)],
+}
+JSON_ONLY = {"embed from-rank", "embed from-psd", "psd from-embedding"}
+
+
+def test_every_reply_case_names_a_subcommand():
+    assert set(REPLY_CASES) <= set(subcommands(_build_parser()))
+
+
+@pytest.mark.parametrize("command", list(subcommands(_build_parser())))
+def test_json_reply_is_one_document(chain_files, capsys, monkeypatch, command):
+    monkeypatch.chdir(chain_files)
+    for args, status in REPLY_CASES[command]:
+        argv = [*command.split(), *args]
+        code, out, err = invoke(capsys, [*argv, "--json"])
+        assert (code, err) == (status, ""), argv
+        doc = json.loads(out)
+        assert list(doc)[0] == "schema" and doc["schema"] == 1, argv
+        assert out == formats.dump(doc), argv
+        if command in JSON_ONLY:
+            assert invoke(capsys, argv) == (code, out, err), argv
 
 def test_order3_exclude_cli(capsys):
     code, out, _ = invoke(

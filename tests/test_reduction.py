@@ -201,3 +201,36 @@ def test_order_zero_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: matrix must have order at least 1, got order 0\n"
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf"), float("-inf")])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    message = f"tolerance must be finite and nonnegative, got {tol}"
+    with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+        FloatPsdMatrix(np.eye(2), tol)
+    # both entry points build their matrices with the caller's tolerance
+    with pytest.raises(ValueError, match="tolerance must be"):
+        barvinok_reduce(FloatPsdMatrix(np.eye(2)), [(np.eye(2), 2.0)], tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be"):
+        reduce_factor_ranks([np.eye(2)], [np.eye(2)], tol=tol)
+
+
+def test_zero_tolerance_is_accepted():
+    assert FloatPsdMatrix(np.eye(2), 0.0).numerical_rank() == 2
+
+
+@pytest.mark.parametrize("tol, shown", [
+    ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+])
+def test_reduce_rank_cli_rejects_bad_tolerance(tmp_path, capsys, tol, shown):
+    # before, `--tol inf` reported every rank as 0 and exited 0
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "psd_factorization", "order": 2,
+        "A": [["1", "0", "0", "1"]], "B": [["1", "0", "0", "1"]],
+    }))
+    # `--tol=-inf`: argparse reads a separate `-inf` as an option name
+    assert run(["reduce-rank", f"--tol={tol}", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tolerance must be finite and nonnegative, got {shown}\n"
