@@ -309,7 +309,13 @@ def _dispatch(args):
         return doc, text, EXIT_OK
 
     if cmd == "reduce-rank":
-        # the only numpy command: exact commands start without loading it
+        # the only numpy command: exact commands start without loading it.
+        # Its factors are small, so a BLAS thread pool costs more to start
+        # than it saves; a value the caller set still wins.
+        import os
+
+        if "numpy" not in sys.modules:
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         try:
             import numpy as np
         except ImportError:

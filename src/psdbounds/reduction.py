@@ -86,9 +86,7 @@ def barvinok_reduce(
         # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D
         iu = np.triu_indices(r)
         system = (g.T @ mats @ g)[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
-        _, _, vt = np.linalg.svd(system, full_matrices=True)
-        # more unknowns than equations here, so a null vector exists
-        null = vt[-1]
+        null = _null_vector(system)
         drift = float(np.linalg.norm(system @ null))
         if drift > 1e-8 * max(1.0, float(np.linalg.norm(system))):
             raise ReductionError(
@@ -100,7 +98,9 @@ def barvinok_reduce(
         delta = delta + delta.T - np.diag(np.diag(delta))
         delta /= np.linalg.norm(delta)
         dvals = np.linalg.eigvalsh(delta)
-        if dvals[0] < -1e-9:
+        # step toward the extreme eigenvalue of larger magnitude: delta has
+        # unit norm, so that eigenvalue is at least 1/sqrt(r) and |t| <= sqrt(r)
+        if -dvals[0] >= dvals[-1]:
             t = -1.0 / dvals[0]
         else:
             delta = -delta
@@ -114,6 +114,20 @@ def barvinok_reduce(
         _check_residuals(new.entries, mats, targets, tol, "step")
         x, r = new, new_r
     return x
+
+
+def _null_vector(system: np.ndarray) -> np.ndarray:
+    """A unit vector v with system @ v = 0, for an m x k system with m < k.
+
+    Q (k x m, orthonormal columns) spans the row space, so e_i - Q Q[i] is
+    orthogonal to it for every i.  The row of Q with the smallest norm has
+    squared norm at most m/k, so that choice has norm at least sqrt(1 - m/k).
+    """
+    q = np.linalg.qr(system.T)[0]
+    i = int(np.argmin(np.einsum("ij,ij->i", q, q)))
+    null = -(q @ q[i])
+    null[i] += 1.0
+    return null / np.linalg.norm(null)
 
 
 def _check_residuals(entries, mats, targets, tol, stage: str):
@@ -150,7 +164,7 @@ def reduce_factor_ranks(
     b_mats = [np.asarray(b, dtype=float) for b in b_factors]
     if not a_mats or not b_mats:
         raise ValueError("rank reduction needs at least one A and one B factor")
-    targets = np.array([[float(np.tensordot(a, b)) for b in b_mats] for a in a_mats])
+    targets = _traces(a_mats, b_mats)
 
     new_a = []
     for k, a in enumerate(a_mats):
@@ -161,12 +175,7 @@ def reduce_factor_ranks(
         cons = [(new_a[k].entries, targets[k, l]) for k in range(len(new_a))]
         new_b.append(barvinok_reduce(FloatPsdMatrix(b, tol), cons, tol))
 
-    residual = 0.0
-    for k, a in enumerate(new_a):
-        for l, b in enumerate(new_b):
-            residual = max(
-                residual, abs(float(np.tensordot(a.entries, b.entries)) - targets[k, l])
-            )
+    residuals = _traces([a.entries for a in new_a], [b.entries for b in new_b]) - targets
     # one spectrum per factor gives both its rank and its smallest eigenvalue
     spectra = [(f.eigenvalues(), f.tolerance) for f in new_a + new_b]
     ranks = tuple(int(np.sum(v > t)) for v, t in spectra)
@@ -175,9 +184,14 @@ def reduce_factor_ranks(
         tuple(new_b),
         ranks[: len(new_a)],
         ranks[len(new_a) :],
-        residual,
+        float(np.abs(residuals).max()),
         min(float(v[0]) for v, _ in spectra),
     )
+
+
+def _traces(a_mats, b_mats) -> np.ndarray:
+    """The matrix of tr(A_k B_l), as one product of the flattened stacks."""
+    return np.tensordot(np.array(a_mats), np.array(b_mats), axes=([1, 2], [1, 2]))
 
 
 def factorization_to_float(f) -> tuple[list[np.ndarray], list[np.ndarray]]:

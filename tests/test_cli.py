@@ -517,6 +517,40 @@ def test_reduce_rank_without_numpy(tmp_path):
     assert proc.stderr == "error: reduce-rank needs numpy (pip install psdbounds[float])\n"
 
 
+BLAS_PROBE = """
+import os, sys
+from psdbounds.cli import run
+code = run(sys.argv[1:])
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(code, threads, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_reduce_rank_runs_on_one_blas_thread(preset):
+    env = src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    fact = ROOT / "tests" / "golden" / "factorization.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, "reduce-rank", "--json", str(fact)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    code, threads, setting = proc.stderr.split()
+    assert code == "0"
+    doc = json.loads(proc.stdout)
+    assert doc["a_ranks"] == [1] * 4 and doc["b_ranks"] == [2] * 4
+    # a value the caller set is left as it is
+    assert setting == (preset or "1")
+    if preset is None and threads != "None":  # /proc/self/task is Linux only
+        assert threads == "1"
+
+
 def test_gen_cutpoly_and_disjointness(capsys):
     code, out, _ = invoke(capsys, ["gen", "cutpoly", "4"])
     assert code == 0

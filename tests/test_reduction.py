@@ -17,6 +17,7 @@ from psdbounds import (
     reduce_factor_ranks,
 )
 from psdbounds.cli import run
+from psdbounds.reduction import _null_vector
 
 
 def random_psd(rng, n):
@@ -103,6 +104,52 @@ def test_s6_factorization_ranks_bounded():
     assert report.min_eigenvalue >= -1e-8
 
 
+def null_vector_systems():
+    """Seeded m x k systems with m < k: generic, repeated rows, a zero row,
+    rank-deficient and empty."""
+    rng = np.random.default_rng(77)
+    for m, k in [(1, 3), (5, 6), (9, 15), (20, 21), (40, 120)]:
+        yield pytest.param(rng.normal(size=(m, k)), id=f"gaussian-{m}x{k}")
+    row = rng.normal(size=(1, 10))
+    repeated = np.vstack([row, row, rng.normal(size=(3, 10))])
+    yield pytest.param(repeated, id="repeated-row")
+    zero_row = np.vstack([rng.normal(size=(4, 10)), np.zeros((1, 10))])
+    yield pytest.param(zero_row, id="zero-row")
+    low_rank = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 28)) * 1e6
+    yield pytest.param(low_rank, id="rank-3-scaled")
+    yield pytest.param(np.zeros((3, 6)), id="all-zero")
+    for k in (1, 6):
+        yield pytest.param(np.zeros((0, k)), id=f"empty-0x{k}")
+
+
+@pytest.mark.parametrize("system", null_vector_systems())
+def test_null_vector_is_a_unit_kernel_vector(system):
+    v = _null_vector(system)
+    assert v.shape == (system.shape[1],)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert np.linalg.norm(system @ v) <= 1e-12 * max(1.0, np.linalg.norm(system))
+
+
+@pytest.mark.parametrize("q, seed", [(30, 2), (40, 0), (40, 1)])
+def test_step_toward_larger_eigenvalue_reduces(q, seed):
+    # stepping toward any eigenvalue below -1e-9, however small, took t up
+    # to 1e9 on these problems and stopped with "step failed to reduce the
+    # rank below" 8, 11 and 17; the extreme eigenvalue of larger magnitude
+    # keeps |t| <= sqrt(r)
+    rng = np.random.default_rng(seed)
+    x = FloatPsdMatrix(random_psd(rng, q))
+    cons = []
+    for _ in range(20):
+        a = rng.normal(size=(q, q))
+        a = (a + a.T) / 2
+        cons.append((a, float(np.tensordot(a, x.entries))))
+    out = barvinok_reduce(x, cons)
+    assert out.numerical_rank() <= 5  # 5 * 6 / 2 <= 20
+    assert out.min_eigenvalue() >= -1e-9
+    for a, alpha in cons:
+        assert abs(float(np.tensordot(a, out.entries)) - alpha) <= 1e-7 * max(1.0, abs(alpha))
+
+
 def reference_reduce(x, mats, targets, tol=1e-9):
     """The reduction loop written one constraint matrix at a time."""
     while True:
@@ -117,13 +164,17 @@ def reference_reduce(x, mats, targets, tol=1e-9):
         for a in mats:
             reduced = g.T @ a @ g
             system.append([reduced[i, j] * (1.0 if i == j else 2.0) for i, j in iu])
-        null = np.linalg.svd(np.array(system))[2][-1]
+        # e_i minus its projection on the row space, for the coordinate i
+        # farthest from it
+        q = np.linalg.qr(np.array(system).reshape(len(mats), len(iu)).T)[0]
+        far = min(range(len(iu)), key=lambda row: float(q[row] @ q[row]))
+        null = np.eye(len(iu))[far] - q @ q[far]
         delta = np.zeros((r, r))
         for (i, j), v in zip(iu, null):
             delta[i, j] = delta[j, i] = v
         delta /= np.linalg.norm(delta)
         dvals = np.linalg.eigvalsh(delta)
-        if dvals[0] < -1e-9:
+        if -dvals[0] >= dvals[-1]:
             t = -1.0 / dvals[0]
         else:
             delta, t = -delta, 1.0 / dvals[-1]
