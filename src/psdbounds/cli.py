@@ -361,16 +361,7 @@ def _dispatch(args):
 
         h, hbar = graph_H(args.n, args.l)
         g = h if args.which == "h" else hbar
-        doc = {
-            "kind": "graph",
-            "left": g.left_count,
-            "right": g.right_count,
-            "adj": [
-                [v + 1 for v in range(g.right_count) if g.has_edge(u, v)]
-                for u in range(g.left_count)
-            ],
-        }
-        return doc, formats.format_graph(g), EXIT_OK
+        return formats.graph_doc(g), formats.format_graph(g), EXIT_OK
 
     if cmd == "appendix-check":
         from .cutpoly import appendix_reduction_check

@@ -23,7 +23,7 @@ from .pattern import (
     embrkl_bounds,
     support,
 )
-from .psd import PsdFactorization, order3_exclusion, verify_psd_factorization
+from .psd import PsdFactorization, _require_psd, order3_exclusion
 
 
 @_frozen
@@ -113,9 +113,7 @@ def embedding_from_psd(f: PsdFactorization) -> SubspaceEmbedding:
     so the result verifies against the support of the factored matrix.
     Rejects input whose factors fail the exact psd certificate.
     """
-    report = verify_psd_factorization(f)
-    if not report.psd_ok:
-        raise ValueError(f"factors are not positive semidefinite: {report.summary()}")
+    _require_psd(f)
     u_spaces = tuple(image(a) for a in f.A)
     v_spaces = tuple(kernel(b) for b in f.B)
     return SubspaceEmbedding(f.order, u_spaces, v_spaces)

@@ -184,7 +184,10 @@ def parse_graph(text: str) -> BipartiteGraph:
     for line in body:
         mask = 0
         for tok in line.split():
-            v = int(tok)
+            try:
+                v = int(tok)
+            except ValueError:
+                raise FormatError(f"bad neighbor index {tok!r}: not an integer") from None
             if not 1 <= v <= right:
                 raise FormatError(f"neighbor index {v} outside 1..{right}")
             mask |= 1 << (v - 1)
@@ -192,12 +195,28 @@ def parse_graph(text: str) -> BipartiteGraph:
     return BipartiteGraph(left, right, adj)
 
 
+def _neighbors(g: BipartiteGraph) -> list[list[int]]:
+    """The 1-based right neighbors of each left vertex."""
+    return [
+        [v + 1 for v in range(g.right_count) if g.has_edge(u, v)]
+        for u in range(g.left_count)
+    ]
+
+
 def format_graph(g: BipartiteGraph) -> str:
     lines = [f"{g.left_count} {g.right_count}"]
-    for u in range(g.left_count):
-        neigh = [str(v + 1) for v in range(g.right_count) if g.has_edge(u, v)]
-        lines.append(" ".join(neigh))
+    lines += [" ".join(map(str, neigh)) for neigh in _neighbors(g)]
     return "\n".join(lines) + "\n"
+
+
+def graph_doc(g: BipartiteGraph) -> dict:
+    """The JSON document of a graph, before ``dump`` adds its schema."""
+    return {
+        "kind": "graph",
+        "left": g.left_count,
+        "right": g.right_count,
+        "adj": _neighbors(g),
+    }
 
 
 # -- JSON ---------------------------------------------------------------------

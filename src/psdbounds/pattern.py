@@ -1,9 +1,13 @@
 """Support patterns, triangular rank, and exact biclique cover search.
 
-Patterns and bipartite graphs are stored as bitsets (one int per left
-vertex), which keeps the branch-and-bound searches allocation-free.  Both
-cover problems run one exact search at desk scale under one total node
-budget; traversal order is deterministic, so results are reproducible.
+A pattern is stored as bitsets, one int per row, which keeps the
+branch-and-bound searches allocation-free.  A bipartite graph is a pattern
+read as a graph: row u is left vertex u, column v is right vertex v, and
+the 1-entries are the edges.  Both cover problems cover cells of that one
+relation, and cell (u, v) of a pattern with n columns is element bit
+u * n + v, so elements are numbered in row-major order.  They run one
+exact search at desk scale under one total node budget; traversal order
+is deterministic, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -91,10 +95,12 @@ class SupportPattern:
         return (self.row_bits[i] >> j) & 1
 
     def __eq__(self, other):
+        # a graph never equals a pattern, even one with the same bits
         if not isinstance(other, SupportPattern):
             return NotImplemented
         return (
-            self.rows == other.rows
+            type(other) is type(self)
+            and self.rows == other.rows
             and self.cols == other.cols
             and self.row_bits == other.row_bits
         )
@@ -128,11 +134,11 @@ class SupportPattern:
         ]
 
     def transpose(self) -> "SupportPattern":
-        return SupportPattern(self.cols, self.rows, self.col_bits())
+        return type(self)(self.cols, self.rows, self.col_bits())
 
     def complement(self) -> "SupportPattern":
         full = (1 << self.cols) - 1
-        return SupportPattern(self.rows, self.cols, [full ^ b for b in self.row_bits])
+        return type(self)(self.rows, self.cols, [full ^ b for b in self.row_bits])
 
 
 def support(m: ExactMatrix) -> SupportPattern:
@@ -147,21 +153,17 @@ def support(m: ExactMatrix) -> SupportPattern:
     return SupportPattern(m.rows, m.cols, masks)
 
 
-class BipartiteGraph:
-    """Bipartite graph, one right-neighbor bitmask per left vertex."""
+class BipartiteGraph(SupportPattern):
+    """A pattern read as a bipartite graph: left vertex u is row u, right
+    vertex v is column v, and (u, v) is an edge where the entry is 1."""
 
-    __slots__ = ("left_count", "right_count", "adj")
+    __slots__ = ()
 
-    def __init__(self, left_count: int, right_count: int, adj):
-        masks = tuple(adj)
-        if len(masks) != left_count:
-            raise ValueError("need one adjacency bitmask per left vertex")
-        full = (1 << right_count) - 1
-        if any(a & ~full for a in masks):
-            raise ValueError("adjacency bitmask wider than the right side")
-        self.left_count = left_count
-        self.right_count = right_count
-        self.adj = masks
+    left_count = property(lambda self: self.rows)
+    right_count = property(lambda self: self.cols)
+    adj = property(lambda self: self.row_bits)
+    edges = SupportPattern.ones_positions
+    edge_count = SupportPattern.ones_count
 
     @classmethod
     def from_edges(cls, left_count: int, right_count: int, edges) -> "BipartiteGraph":
@@ -172,37 +174,16 @@ class BipartiteGraph:
             masks[u] |= 1 << v
         return cls(left_count, right_count, masks)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.left_count) for v in _bits(self.adj[u])]
-
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def complement(self) -> "BipartiteGraph":
-        full = (1 << self.right_count) - 1
-        return BipartiteGraph(
-            self.left_count, self.right_count, [full ^ a for a in self.adj]
-        )
+        return bool((self.row_bits[u] >> v) & 1)
 
     def to_pattern(self) -> SupportPattern:
-        return SupportPattern(self.left_count, self.right_count, self.adj)
-
-    def __eq__(self, other):
-        if not isinstance(other, BipartiteGraph):
-            return NotImplemented
-        return (
-            self.left_count == other.left_count
-            and self.right_count == other.right_count
-            and self.adj == other.adj
-        )
+        return SupportPattern(self.rows, self.cols, self.row_bits)
 
     def __repr__(self):
         return (
-            f"BipartiteGraph({self.left_count}+{self.right_count} vertices, "
-            f"{self.edge_count()} edges)"
+            f"BipartiteGraph({self.rows}+{self.cols} vertices, "
+            f"{self.ones_count()} edges)"
         )
 
 
@@ -213,8 +194,7 @@ def poset_of(m: SupportPattern) -> BipartiteGraph:
     characterize the pattern (row space below column space exactly at the
     zeros); see the package docs for the sign discussion.
     """
-    full = (1 << m.cols) - 1
-    return BipartiteGraph(m.rows, m.cols, [full ^ b for b in m.row_bits])
+    return BipartiteGraph(m.rows, m.cols, m.row_bits).complement()
 
 
 @_frozen
@@ -393,30 +373,22 @@ def _greedy_cover(cov_masks: list[int], universe: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _fooling_bound(co_cover: list[int], uncovered: int) -> int:
-    # Greedy set of elements pairwise not coverable by one candidate set;
-    # each forces its own set, so the count is a valid lower bound.
-    count = 0
-    rest = uncovered
-    while rest:
-        e = (rest & -rest).bit_length() - 1
-        count += 1
-        rest &= ~co_cover[e]
-    return count
-
-
 def _min_set_cover(
-    cov: list[int], n_elems: int, budget: int
+    cov: list[int], universe: int, budget: int
 ) -> tuple[tuple[int, ...], int]:
-    """Exact minimum cover of elements 0..n_elems-1 by the bitsets ``cov``.
+    """Exact minimum cover of the elements of ``universe`` by the bitsets
+    ``cov``; an element is a bit position, so the elements need not be
+    consecutive.
 
     One depth-first branch and bound from the root with one node counter
     and one incumbent, the greedy cover first.  Each node branches on the
-    uncovered element with the fewest covering sets (lowest index on
-    ties) and tries those sets by gain, ties in index order.  Every child
-    is one node, counted and bounded in its parent's loop: a child with
-    nothing uncovered may become the incumbent, and only a child that the
-    fooling bound cannot prune is expanded.
+    uncovered element with the fewest covering sets (lowest bit on ties)
+    and tries those sets by gain, ties in index order.  Every child is one
+    node, counted and bounded in its parent's loop: a child with nothing
+    uncovered may become the incumbent, and only a child that the fooling
+    bound cannot prune is expanded.  The fooling bound is a greedy chain
+    of elements pairwise covered by no one set, lowest bit first; each
+    forces a set of its own.
 
     Below a node's child, the sets of its earlier siblings are excluded:
     the earlier sibling's subtree already searched every cover below the
@@ -424,31 +396,40 @@ def _min_set_cover(
     incumbent it left.  An excluded set is neither counted nor expanded
     as a child.  This only removes subtrees that could not have improved
     the incumbent, so the incumbents are found in the same order, each in
-    at most as many nodes.  Returns (chosen set indices, nodes explored).
-    Past ``budget`` nodes it raises :class:`SearchBudgetExceeded` with the
-    root fooling bound and the best size found, unless the incumbent
-    already meets that bound.
+    at most as many nodes.  Every choice depends only on the order of the
+    element bits, so spreading the elements onto other positions in the
+    same order changes nothing.  Returns (chosen set indices, nodes
+    explored).  Past ``budget`` nodes it raises
+    :class:`SearchBudgetExceeded` with the root fooling bound and the best
+    size found, unless the incumbent already meets that bound.
     """
-    universe = (1 << n_elems) - 1
-    covers_of = [
-        [i for i, c in enumerate(cov) if (c >> e) & 1] for e in range(n_elems)
-    ]
-    if any(not c for c in covers_of):
-        raise ValueError("an element is covered by no candidate set")
-    co_cover = [0] * n_elems
-    for e in range(n_elems):
-        for i in covers_of[e]:
-            co_cover[e] |= cov[i]
+    # the sets covering each element, in index order, in one pass over
+    # each set's bits
+    covers_of: list[list[int]] = [[] for _ in range(universe.bit_length())]
+    for i, c in enumerate(cov):
+        for e in _bits(c & universe):
+            covers_of[e].append(i)
     # the elements no set covering e covers: where a fooling chain through
-    # e may go on
-    not_co = [~c for c in co_cover]
+    # e may go on; masked to the universe, since `&` on a negative int
+    # costs more, and cell-bit elements are several machine words wide
+    not_co = [0] * len(covers_of)
     # elements grouped by how many sets cover them, fewest first: the
     # branch element is the lowest bit of the first group still uncovered
     groups: dict[int, int] = {}
-    for e, sets in enumerate(covers_of):
+    for e in _bits(universe):
+        sets = covers_of[e]
+        if not sets:
+            raise ValueError("an element is covered by no candidate set")
+        co = 0
+        for i in sets:
+            co |= cov[i]
+        not_co[e] = universe & ~co
         groups[len(sets)] = groups.get(len(sets), 0) | 1 << e
     by_count = [groups[k] for k in sorted(groups)]
-    lower = _fooling_bound(co_cover, universe)
+    lower, rest = 0, universe
+    while rest:
+        rest &= not_co[(rest & -rest).bit_length() - 1]
+        lower += 1
     best = _greedy_cover(cov, universe)
     excluded: set[int] = set()  # earlier siblings of the current path
 
@@ -561,10 +542,14 @@ def minimum_feasible_cover(
         raise ValueError("the two graphs must share their vertex sets")
     if any(a & b for a, b in zip(ones.adj, forbidden.adj)):
         raise ValueError("edge sets of ones and forbidden must be disjoint")
-    edges = ones.edges()
-    if not edges:
+    # element (u, v) is bit u * width + v, so a biclique covers one
+    # shifted slice of its right side per row
+    width = ones.right_count
+    universe = 0
+    for u, a in enumerate(ones.adj):
+        universe |= a << u * width
+    if not universe:
         return CoverSearchResult(0, BicliqueCover(()), 0)
-    index = {pos: i for i, pos in enumerate(edges)}
     allowed = forbidden.complement()
     rects, cov = [], []
     for left, right in sorted(
@@ -572,12 +557,11 @@ def minimum_feasible_cover(
     ):
         mask = 0
         for u in _bits(left):
-            for v in _bits(ones.adj[u] & right):
-                mask |= 1 << index[(u, v)]
+            mask |= (ones.adj[u] & right) << u * width
         if mask:
             rects.append((left, right))
             cov.append(mask)
-    chosen, nodes = _min_set_cover(cov, len(edges), budget)
+    chosen, nodes = _min_set_cover(cov, universe, budget)
     cover = BicliqueCover(tuple(Biclique(*rects[i]) for i in chosen))
     return CoverSearchResult(len(chosen), cover, nodes)
 

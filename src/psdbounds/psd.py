@@ -185,6 +185,13 @@ def verify_psd_factorization(
     )
 
 
+def _require_psd(f: PsdFactorization) -> None:
+    """Raise ``ValueError`` unless every factor passes the exact psd certificate."""
+    report = verify_psd_factorization(f)
+    if not report.psd_ok:
+        raise ValueError(f"factors are not positive semidefinite: {report.summary()}")
+
+
 def realize_support(
     f: PsdFactorization, seed: int = 0, max_tries: int = 5
 ) -> ExactMatrix:
@@ -199,9 +206,7 @@ def realize_support(
 
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    report = verify_psd_factorization(f)
-    if not report.psd_ok:
-        raise ValueError(f"factors are not positive semidefinite: {report.summary()}")
+    _require_psd(f)
     s = f.product_matrix()
     pattern = support(s)
     rng = random.Random(seed)

@@ -20,6 +20,7 @@ from psdbounds import (
     generate_sn,
     psd_from_embedding,
     rank,
+    realize_support,
     support,
     triangular_rank,
     verify_embedding,
@@ -132,8 +133,14 @@ def test_embedding_from_psd_rejects_non_psd():
 
     neg = ExactMatrix.from_rows([[-1]])
     f = PsdFactorization(1, (neg,), (neg,))
-    with pytest.raises(ValueError):
-        embedding_from_psd(f)
+    # realize_support runs the same check and raises the same text
+    for reject in (embedding_from_psd, realize_support):
+        with pytest.raises(ValueError) as info:
+            reject(f)
+        assert str(info.value) == (
+            "factors are not positive semidefinite: "
+            "non-psd A factors [0]; non-psd B factors [0]"
+        )
 
 
 def test_embrkl_bounds_examples():

@@ -96,6 +96,12 @@ def test_graph_roundtrip_with_isolated_vertex():
     )
 
 
+@pytest.mark.parametrize("token", ["x", "1.5", "1/2"])
+def test_graph_neighbor_must_be_an_integer(token):
+    with pytest.raises(formats.FormatError, match=rf"bad neighbor index '{token}'"):
+        formats.parse_graph(f"1 2\n1 {token}\n")
+
+
 def test_embedding_json_roundtrip():
     emb = embedding_from_rank_factorization(generate_sn(6))
     text = formats.embedding_to_json(emb)

@@ -59,6 +59,19 @@ def test_poset_of():
     assert poset_of(support(generate_sn(6))).edge_count() == 9
 
 
+def test_graph_is_a_pattern_read_as_a_graph():
+    g = BipartiteGraph.from_edges(2, 3, [(0, 2), (1, 0), (1, 1)])
+    p = SupportPattern(2, 3, g.row_bits)
+    assert (g.left_count, g.right_count, g.adj) == (p.rows, p.cols, p.row_bits)
+    assert g.edges() == p.ones_positions() and g.edge_count() == 3
+    for h, q in ((g.complement(), p.complement()), (g.transpose(), p.transpose())):
+        assert type(h) is BipartiteGraph and type(q) is SupportPattern
+        assert h.to_pattern() == q and h != q and q != h
+    assert g.transpose().edges() == [(0, 1), (1, 1), (2, 0)]
+    assert g != p and p != g and g.to_pattern() == p
+    assert g == BipartiteGraph(2, 3, p.row_bits) and hash(g) == hash(p)
+
+
 def test_poset_edge_count_equals_zero_count():
     rng = random.Random(77)
     for _ in range(50):
@@ -210,9 +223,23 @@ def test_cover_node_counts_are_pinned(matrix, size, nodes):
     assert (result.size, result.nodes) == (size, nodes)
 
 
-def _cover_outcome(search, cov, n_elems, budget):
+@pytest.mark.parametrize(
+    "matrix, budget, cut",
+    [
+        (generate_sn(10), 20_000, (3, 6, 20_001)),
+        (generate_sn(12), 200_000, (3, 7, 200_001)),
+    ],
+    ids=["S_10", "S_12"],
+)
+def test_cover_cut_bounds_are_pinned(matrix, budget, cut):
+    with pytest.raises(SearchBudgetExceeded) as info:
+        minimum_biclique_cover(support(matrix), budget=budget)
+    assert (info.value.lower, info.value.upper, info.value.nodes) == cut
+
+
+def _cover_outcome(search, *args):
     try:
-        return search(cov, n_elems, budget)
+        return search(*args)
     except SearchBudgetExceeded as exc:
         return ("budget", exc.lower, exc.upper, exc.nodes)
 
@@ -220,8 +247,11 @@ def _cover_outcome(search, cov, n_elems, budget):
 def test_min_set_cover_keeps_the_reference_traversal():
     # The reference is the search without sibling exclusion.  This one
     # visits a subset of its nodes and finds the same incumbents in the
-    # same order, so it never needs more nodes for the same cover.
+    # same order, so it never needs more nodes for the same cover.  Every
+    # system is also run with its elements spread onto gapped bit
+    # positions in the same order, which must change nothing.
     rng = random.Random(1009)
+    gaps = random.Random(2017)  # its own stream, so the systems stay the same
     raised = finished_sooner = fewer_nodes = 0
     for _ in range(2000):
         n_elems = rng.randint(1, 24)
@@ -234,9 +264,20 @@ def test_min_set_cover_keeps_the_reference_traversal():
         for e in range(n_elems):
             if not any(c >> e & 1 for c in cov):
                 cov[rng.randrange(n_sets)] |= 1 << e
+        spread, pos = [], -1
+        for _ in range(n_elems):
+            pos += gaps.randint(1, 4)
+            spread.append(pos)
+        spread_cov = [
+            sum(1 << spread[e] for e in range(n_elems) if c >> e & 1) for c in cov
+        ]
+        spread_universe = sum(1 << p for p in spread)
         for budget in (0, 1, 2, 5, 20, 100, 1000, 10**6):
             want = _cover_outcome(min_set_cover_reference, cov, n_elems, budget)
-            got = _cover_outcome(_min_set_cover, cov, n_elems, budget)
+            got = _cover_outcome(_min_set_cover, cov, (1 << n_elems) - 1, budget)
+            assert _cover_outcome(
+                _min_set_cover, spread_cov, spread_universe, budget
+            ) == got
             raised += want[0] == "budget"
             if want[0] != "budget":
                 assert got[0] == want[0] and got[1] <= want[1]
