@@ -96,12 +96,11 @@ def _parse_entry(token: str) -> Fraction:
     if "." in token:
         raise FormatError(f"bad entry {token!r}: decimals are not exact, use p/q")
     try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise FormatError(f"bad entry {token!r}: zero denominator") from None
+    except ValueError as exc:
         raise FormatError(f"bad entry {token!r}: {exc}") from None
-    if "/" in token and int(token.split("/", 1)[1]) <= 0:
-        raise FormatError(f"bad entry {token!r}: denominator must be positive")
-    return value
 
 
 def _header(line: str, kind: str, form: str) -> tuple[int, int]:
@@ -341,7 +340,9 @@ def _fields(kind: str):
         yield
     except KeyError as exc:
         raise FormatError(f"{kind} document has no key {exc}") from None
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+    except ZeroDivisionError:
+        raise FormatError(f"malformed {kind} document: zero denominator") from None
+    except (TypeError, OverflowError) as exc:
         raise FormatError(f"malformed {kind} document: {exc}") from None
 
 

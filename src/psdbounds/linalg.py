@@ -5,8 +5,12 @@ and there is no floating point anywhere in this module.  The exact
 kernels run on integers: products are :func:`scaled_dot` dot products of
 rows scaled to a common denominator, and rank, determinant, RREF, kernel,
 image, subspaces and inverse all come from one fraction-free Gauss-Jordan
-elimination (:func:`_eliminate`).  Ranks over the multi-quadratic fields
-of entrywise square roots are :func:`psdbounds.scalars.multiquad_rank`.
+elimination (:func:`_eliminate`).  The rank mod p of :func:`rank_mod_p`
+runs on packed rows instead: each row is one int with a fixed-width slot
+per column, wide enough that no carry crosses a slot, and clearing a
+column from a row is one big-integer multiply-add.  Ranks over the
+multi-quadratic fields of entrywise square roots are
+:func:`psdbounds.scalars.multiquad_rank`.
 """
 
 from __future__ import annotations
@@ -244,10 +248,11 @@ def rank(m: ExactMatrix) -> int:
     """Exact rank, by fraction-free elimination.
 
     The rows are scaled to integers first, and their rank modulo the prime
-    ``_MODULAR_PRIME`` = 2^31 - 1 is computed before the elimination.  It
-    never exceeds the rank over Q (a minor nonzero mod p is a nonzero
-    integer minor), so when it is already ``min(rows, cols)`` that is the
-    rank and the elimination is skipped.
+    ``_MODULAR_PRIME`` = 2^31 - 1 is computed before the elimination, by
+    :func:`rank_mod_p` on packed rows (a ``2 * 31 + rows.bit_length()``-bit
+    slot per column).  It never exceeds the rank over Q (a minor nonzero
+    mod p is a nonzero integer minor), so when it is already
+    ``min(rows, cols)`` that is the rank and the elimination is skipped.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -259,25 +264,54 @@ def rank(m: ExactMatrix) -> int:
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:
-    """Rank over F_p (``p`` prime) of the integer matrix with these rows."""
-    a = [[v % p for v in row] for row in rows]
-    n_rows = len(a)
+    """Rank over F_p (``p`` prime) of the integer matrix with these rows.
+
+    Each row is packed into one int with one ``width``-bit slot per column,
+    its first remaining column in the lowest slot, so that clearing a column
+    is one big-integer multiply-add per row.  The pivot row is reduced mod
+    p, scaled by the inverse of its pivot and keeps only the columns right
+    of the pivot; every other row, with ``y`` in the pivot column, becomes
+    ``(row >> width) + (p - y) * pivot_row``, which is ``row - y * pivot_row``
+    mod p without the pivot column.  All other entries are reduced only when
+    they are read, as ``(row & mask) % p``.
+    """
+    if not rows:
+        return 0
+    # Every slot stays non-negative, so no carry can cross into the next
+    # slot while each stays below 2^width: a row starts reduced mod p and
+    # receives fewer than len(rows) additions, each (p - y) times a reduced
+    # entry, so below p^2, and len(rows) * p^2 < 2^width
+    width = 2 * p.bit_length() + len(rows).bit_length()
+    mask = (1 << width) - 1
+    rest = []
+    for row in rows:
+        packed = 0
+        for v in reversed(row):
+            packed = packed << width | v % p
+        rest.append(packed)
     r = 0
-    for c in range(len(a[0]) if a else 0):
-        for piv in range(r, n_rows):
-            if a[piv][c]:
+    # right: the number of columns right of the current one
+    for right in range(len(rows[0]) - 1, -1, -1):
+        for k, row in enumerate(rest):
+            x = (row & mask) % p
+            if x:
                 break
         else:
+            rest = [row >> width for row in rest]
             continue
-        a[r], a[piv] = a[piv], a[r]
-        top, x = a[r], a[r][c]
-        for i in range(r + 1, n_rows):
-            y = a[i][c]
-            if y:
-                a[i] = [(x * u - y * w) % p for u, w in zip(a[i], top)]
+        top = rest.pop(k)
         r += 1
-        if r == n_rows:
+        if not (rest and right):
             break
+        inv = pow(x, -1, p)
+        pivot_row = 0
+        for shift in range(right * width, 0, -width):
+            pivot_row = pivot_row << width | (top >> shift & mask) * inv % p
+        rest = [
+            (row >> width) + (p - y) * pivot_row if (y := (row & mask) % p)
+            else row >> width
+            for row in rest
+        ]
     return r
 
 

@@ -13,6 +13,9 @@ which the fraction-free elimination must match pivot for pivot, and
 integer elimination must match row for row, and ``min_sqrt_rank_reference``
 the earlier sign enumeration over every code, which the one over row and
 column flip orbits must match in minimum, witness and count.
+``rank_mod_p_reference`` is the earlier row-list rank mod p, entry by
+entry, which the packed-row kernel must match; the sign-enumeration
+reference uses it, so that it shares no kernel with the library.
 """
 
 from fractions import Fraction
@@ -27,7 +30,6 @@ from psdbounds import (
     SqrtRankResult,
     SupportPattern,
 )
-from psdbounds.linalg import rank_mod_p
 from psdbounds.psd import DEFAULT_SIGN_CAP
 
 
@@ -361,6 +363,29 @@ def rref_reference(rows: list[list]) -> tuple[list[list], list[int]]:
     return rows[:r], pivots
 
 
+def rank_mod_p_reference(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p (``p`` prime) of the integer matrix with these rows."""
+    a = [[v % p for v in row] for row in rows]
+    n_rows = len(a)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        for piv in range(r, n_rows):
+            if a[piv][c]:
+                break
+        else:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top, x = a[r], a[r][c]
+        for i in range(r + 1, n_rows):
+            y = a[i][c]
+            if y:
+                a[i] = [(x * u - y * w) % p for u, w in zip(a[i], top)]
+        r += 1
+        if r == n_rows:
+            break
+    return r
+
+
 def min_sqrt_rank_reference(
     s: ExactMatrix,
     row_set,
@@ -418,7 +443,7 @@ def min_sqrt_rank_reference(
             grid = [[0] * sub.cols for _ in range(sub.rows)]
             for t, (i, j) in enumerate(local):
                 grid[i][j] = images[t] if signs[t] > 0 else p - images[t]
-            if rank_mod_p(grid, p) >= best_rank:
+            if rank_mod_p_reference(grid, p) >= best_rank:
                 continue
         entries = [[zero] * sub.cols for _ in range(sub.rows)]
         for t, (i, j) in enumerate(local):

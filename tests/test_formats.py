@@ -191,7 +191,7 @@ def test_schema_and_kind_guards():
 TOKENS = [
     "0", "-0", "7", "-3/4", "6/4", "1/3", "007/010", "9" * 400 + "/7",
     "1" + "0" * 400 + "/3" + "0" * 399, "0.125", "1e-3", " 2", "+2", "1_000",
-    "1/0", "1/-2", "abc", "\u0663", "\u00b2", "", "-", "1/", "/2", "--1",
+    "1/0", "1/00", "-0/0", "1/-2", "abc", "\u0663", "\u00b2", "", "-", "1/", "/2", "--1",
 ]
 
 
@@ -205,7 +205,9 @@ def _reference(convert, token):
 
 def _expected_error(exc):
     # _fields wraps these as a malformed document; a ValueError passes through
-    if isinstance(exc, (TypeError, ZeroDivisionError, OverflowError)):
+    if isinstance(exc, ZeroDivisionError):
+        return formats.FormatError, "malformed psd_factorization document: zero denominator"
+    if isinstance(exc, (TypeError, OverflowError)):
         return formats.FormatError, f"malformed psd_factorization document: {exc}"
     return type(exc), str(exc)
 
@@ -263,7 +265,9 @@ def test_matrix_entries_read_as_before():
     for token in ("0", "-0", "7", "-3/4", "6/4", "007/010", "9" * 400 + "/7"):
         assert formats.parse_matrix(f"1 1\n{token}\n")[0, 0] == Fraction(token)
     for token, reason in (
-        ("1/0", "Fraction(1, 0)"),
+        ("1/0", "zero denominator"),
+        ("1/00", "zero denominator"),
+        ("-0/0", "zero denominator"),
         ("1/-2", "Invalid literal for Fraction: '1/-2'"),
         ("0.125", "decimals are not exact, use p/q"),
         ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),
@@ -272,3 +276,12 @@ def test_matrix_entries_read_as_before():
             formats.parse_matrix(f"1 1\n{token}\n")
         assert str(raised.value) == f"bad entry {token!r}: {reason}"
     assert formats.parse_matrix("1 1\n\u0663/4\n")[0, 0] == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("token", ["1/0", "1/00", "-0/0"])
+def test_zero_denominator_is_a_usage_error(token, tmp_path, capsys):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(f"1 2\n1 {token}\n")
+    capsys.readouterr()
+    assert run(["rank", str(matrix)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad entry {token!r}: zero denominator\n")

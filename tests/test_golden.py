@@ -1,9 +1,10 @@
 """CLI documents and demo 03's output stay byte-for-byte the same.
 
 Each file under ``tests/golden`` is the exact stdout of one command below,
-run from that directory; the inputs (``matrix.txt``, ``product.txt`` and
-``pattern.txt``, the support of ``matrix.txt``) and the generated matrices
-are there too.  A failure here means an output format or a certified value
+run from that directory; the inputs (``matrix.txt``, ``product.txt``,
+``pattern.txt``, the support of ``matrix.txt``, a seeded dense 60x60 matrix
+``dense60.txt`` and ``singular_mod_p.txt``) and the generated matrices are
+there too.  A failure here means an output format or a certified value
 changed.
 """
 
@@ -29,6 +30,10 @@ CASES = [
     (["gen", "cutpoly", "6"], "cutpoly6.txt", 0),
     (["gen", "disjointness", "5", "2", "--json"], "disjointness_5_2.json", 0),
     (["--json", "rank", "matrix.txt"], "rank_matrix.json", 0),
+    # full rank mod 2^31 - 1, so the elimination is skipped; then full rank
+    # over Q but singular mod 2^31 - 1, so the elimination decides
+    (["rank", "--json", "dense60.txt"], "rank_dense60.json", 0),
+    (["rank", "--json", "singular_mod_p.txt"], "rank_singular_mod_p.json", 0),
     (["embed", "from-rank", "matrix.txt"], "embedding.json", 0),
     (["psd", "from-embedding", "embedding.json"], "factorization.json", 0),
     (["verify", "psd", "--json", "factorization.json", "product.txt"],
@@ -83,6 +88,7 @@ def test_demo_03_output_is_byte_identical():
 
 def test_every_golden_file_is_checked():
     checked = {e for _, e, _ in CASES} | {
-        "demo03.txt", "matrix.txt", "product.txt", "pattern.txt"
+        "demo03.txt", "matrix.txt", "product.txt", "pattern.txt", "dense60.txt",
+        "singular_mod_p.txt",
     }
     assert set(os.listdir(GOLDEN)) == checked

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational_matrix
-from oracles import naive_det, naive_rank, rref_reference
+from oracles import naive_det, naive_rank, rank_mod_p_reference, rref_reference
 from psdbounds import linalg
 from psdbounds import (
     ExactMatrix,
@@ -83,6 +83,14 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
         assert rank(ExactMatrix.zeros(0, cols)) == sympy.zeros(0, cols).rank() == 0
     assert rank(ExactMatrix.zeros(4, 0)) == 0
 
+    # a dense 100x100 of positive p/q, p <= 99, q <= 9, full rank mod p: no elimination
+    dense = ExactMatrix(100, 100, [
+        Fraction(rng.randint(1, 99), rng.randint(1, 9)) for _ in range(100 * 100)
+    ])
+    del calls[:]
+    assert rank(dense) == 100
+    assert not calls
+
     # full rank over Q but singular mod the filter's prime: the elimination decides
     p = linalg._MODULAR_PRIME
     m = ExactMatrix.from_rows([[1, 1], [1, 1 + p]])
@@ -90,6 +98,56 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
     del calls[:]
     assert rank(m) == 2 == sympy.Matrix([[1, 1], [1, 1 + p]]).rank()
     assert len(calls) == 1
+
+
+# the primes of the rank mod p tests: 2, 3, the largest prime below 2^15,
+# 10^6 + 3 and rank's filter prime 2^31 - 1
+PRIMES = [2, 3, 32749, 1000003, (1 << 31) - 1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_mod_p_matches_the_row_list_reference(p):
+    rng = random.Random(p)
+    draws = [  # small; unreduced, either sign; past 2^40, either sign
+        lambda: rng.randint(-3, 3),
+        lambda: rng.randint(-3 * p, 3 * p),
+        lambda: rng.choice((-1, 1)) * rng.randint(1 << 40, 1 << 64),
+    ]
+    kinds = dict.fromkeys(["zero row", "zero column", "deficient", "full"], 0)
+    for trial in range(2 * 13 * 13):
+        m, n = trial % 13, trial // 13 % 13  # every shape from 0x0 to 12x12
+        draw = draws[trial % 3]
+        rows = [[draw() for _ in range(n)] for _ in range(m)]
+        if m and n:
+            kind = trial % 4  # 3: rows as drawn
+            if kind == 0:
+                rows[rng.randrange(m)] = [0] * n
+                kinds["zero row"] += 1
+            elif kind == 1:
+                j = rng.randrange(n)
+                for row in rows:
+                    row[j] = 0
+                kinds["zero column"] += 1
+            elif kind == 2:  # a product of rank at most k < min(m, n)
+                k = rng.randrange(min(m, n))
+                a = [[draw() for _ in range(k)] for _ in range(m)]
+                b = [[draw() for _ in range(n)] for _ in range(k)]
+                rows = [[sum(x * y for x, y in zip(r, c)) for c in zip(*b)] for r in a]
+        expected = rank_mod_p_reference(rows, p)
+        assert linalg.rank_mod_p(rows, p) == expected, (rows, p)
+        kinds["full" if expected == min(m, n) else "deficient"] += 1
+    assert min(kinds.values()) >= 40, kinds
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_mod_p_slots_never_carry(p):
+    # entries -1 and -2 mod p, unreduced: pivot rows reduce to values all
+    # over F_p, and each row takes an addition per pivot above it
+    rng = random.Random(31)
+    for rows_n, cols in ((300, 6), (6, 300), (60, 60)):
+        for _ in range(3):
+            rows = [[p - rng.choice((1, 2)) for _ in range(cols)] for _ in range(rows_n)]
+            assert linalg.rank_mod_p(rows, p) == rank_mod_p_reference(rows, p)
 
 
 def test_rank_multiquad():
