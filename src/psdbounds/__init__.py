@@ -7,10 +7,10 @@ The package computes and certifies, in exact arithmetic:
 * multi-quadratic extension scalars for entrywise square roots, and
   matrix rank over those fields (`scalars`);
 * support patterns, triangular rank, the embedding-dimension interval
-  `embrkl_bounds` and exact biclique covers (`pattern`);
-* subspace-lattice embeddings of a support, conversions between rank
-  factorizations, embeddings and psd factorizations, and the bound
-  report `analyze` (`embed`);
+  `embrkl_bounds`, exact biclique covers, and the bound report `analyze`
+  (`pattern`);
+* subspace-lattice embeddings of a support, and conversions between rank
+  factorizations, embeddings and psd factorizations (`embed`);
 * psd factorization certificates, randomized support realization and the
   order-3 sign-enumeration exclusion (`psd`);
 * floating-point psd rank reduction along constraint-preserving
@@ -91,18 +91,18 @@ _EXPORTS = {
         "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
     ),
     "embed": (
-        "BoundReport", "SubspaceEmbedding", "analyze", "embedding_from_psd",
-        "embedding_from_rank_factorization", "psd_from_embedding", "verify_embedding",
+        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
+        "psd_from_embedding", "verify_embedding",
     ),
     "linalg": (
         "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
         "projection_matrix", "rank", "row_space",
     ),
     "pattern": (
-        "Biclique", "BicliqueCover", "BipartiteGraph", "CoverSearchResult",
-        "SearchBudgetExceeded", "SupportPattern", "boolean_rank", "embrkl_bounds",
-        "feasible_biclique_cover", "minimum_biclique_cover", "minimum_feasible_cover",
-        "poset_of", "support", "triangular_rank",
+        "Biclique", "BicliqueCover", "BipartiteGraph", "BoundReport", "CoverSearchResult",
+        "SearchBudgetExceeded", "SupportPattern", "analyze", "boolean_rank",
+        "embrkl_bounds", "feasible_biclique_cover", "minimum_biclique_cover",
+        "minimum_feasible_cover", "poset_of", "support", "triangular_rank",
     ),
     "psd": (
         "FactorizationReport", "Order3Certificate", "PsdCertificate", "PsdFactorization",
@@ -126,7 +126,7 @@ __all__ = sorted([*_EXACT, *(name for module in _EXACT for name in _EXPORTS[modu
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:  # a submodule, as in ``psdbounds.embed.analyze``
+    if name in _EXPORTS:  # a submodule, as in ``psdbounds.pattern.analyze``
         return import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:

@@ -182,25 +182,17 @@ def _dispatch(args):
         return {"kind": "triangular_rank", "value": value}, f"{value}\n", EXIT_OK
 
     if cmd == "boolrank":
-        from .pattern import EnumerationTooLarge, SearchBudgetExceeded, boolean_rank
-        from .pattern import boolean_rank_interval, embrkl_bounds, support
+        from .pattern import boolean_rank_outcome
 
         matrix = formats.parse_matrix(_read(args.file))
-        pat = support(matrix)
-        try:
-            value = boolean_rank(pat, budget=args.budget)
-        except (SearchBudgetExceeded, EnumerationTooLarge) as exc:
-            # the interval `bounds` reports; only it needs the triangular rank
-            tri, _ = embrkl_bounds(matrix)
-            lower, upper, _ = boolean_rank_interval(pat, exc, tri)
-            if lower < upper:
-                doc = {"kind": "boolean_rank", "value": None, "bounds": [lower, upper]}
-                return doc, f"unknown, bounds [{lower},{upper}]\n", EXIT_EXHAUSTED
-            value = lower
-        return {"kind": "boolean_rank", "value": value}, f"{value}\n", EXIT_OK
+        lower, upper, _ = boolean_rank_outcome(matrix, args.budget)
+        if lower < upper:
+            doc = {"kind": "boolean_rank", "value": None, "bounds": [lower, upper]}
+            return doc, f"unknown, bounds [{lower},{upper}]\n", EXIT_EXHAUSTED
+        return {"kind": "boolean_rank", "value": lower}, f"{lower}\n", EXIT_OK
 
     if cmd == "bounds":
-        from .embed import analyze
+        from .pattern import analyze
 
         report = analyze(formats.parse_matrix(_read(args.file)), budget=args.budget)
         identity = args.file if args.file != "-" else "stdin"

@@ -12,10 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import TYPE_CHECKING
 
 from . import _frozen
 from .linalg import ExactMatrix
-from .pattern import BipartiteGraph
+
+# `pattern` is imported only by the two graph builders, so `gen cutpoly` skips it
+if TYPE_CHECKING:
+    from .pattern import BipartiteGraph
 
 MAX_CUT_N = 8
 MAX_SUBSET_COUNT = 1000
@@ -110,6 +114,8 @@ def graph_G(n: int) -> BipartiteGraph:
     Equivalently there is no edge exactly when the cut splits the clique
     in half; the construction asserts that equivalence on every pair.
     """
+    from .pattern import BipartiteGraph
+
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if n > MAX_CUT_N:
@@ -166,6 +172,8 @@ def graph_H(n_ground: int, l: int) -> tuple[BipartiteGraph, BipartiteGraph]:
     by bitmask): H has an edge exactly on disjoint pairs, Hbar exactly on
     pairs meeting in one element, so their edge sets are disjoint.
     """
+    from .pattern import BipartiteGraph
+
     if not 1 <= l <= n_ground:
         raise ValueError("need 1 <= l <= N")
     count = comb(n_ground, l)

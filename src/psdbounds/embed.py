@@ -4,26 +4,21 @@ An embedding assigns subspaces U_1..U_m (rows) and V_1..V_n (columns) of a
 common Q^q with ``U_k <= V_l`` exactly at the zero entries of the pattern.
 This module builds such embeddings from rank factorizations, turns them
 into positive semidefinite factorizations via orthogonal projections, and
-recovers embeddings from factorizations again.
+recovers embeddings from factorizations again; the bounds are in `pattern`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import _frozen
 from .linalg import ExactMatrix, Subspace, image, kernel, projection_matrix, row_space
-from .pattern import (
-    DEFAULT_BUDGET,
-    EnumerationTooLarge,
-    SearchBudgetExceeded,
-    SupportPattern,
-    boolean_rank,
-    boolean_rank_interval,
-    embrkl_bounds,
-    support,
-)
-from .psd import PsdFactorization, _require_psd, order3_exclusion
+
+# `psd` is imported only where factors are built or checked, so `embed from-rank` skips it
+if TYPE_CHECKING:
+    from .pattern import SupportPattern
+    from .psd import PsdFactorization
 
 
 @_frozen
@@ -99,6 +94,8 @@ def psd_from_embedding(e: SubspaceEmbedding) -> tuple[PsdFactorization, ExactMat
     nonnegative matrix whose support realizes the embedded pattern with
     factors of order ambient_dim.
     """
+    from .psd import PsdFactorization
+
     q = e.ambient_dim
     a_mats = tuple(projection_matrix(u) for u in e.U)
     b_mats = tuple(projection_matrix(v, complement=True) for v in e.V)
@@ -113,100 +110,9 @@ def embedding_from_psd(f: PsdFactorization) -> SubspaceEmbedding:
     so the result verifies against the support of the factored matrix.
     Rejects input whose factors fail the exact psd certificate.
     """
+    from .psd import _require_psd
+
     _require_psd(f)
     u_spaces = tuple(image(a) for a in f.A)
     v_spaces = tuple(kernel(b) for b in f.B)
     return SubspaceEmbedding(f.order, u_spaces, v_spaces)
-
-
-@_frozen
-class BoundReport:
-    """Everything the support and the exact entries certify about a matrix."""
-
-    rank: int
-    triangular_rank: int
-    boolean_rank: int | None
-    boolean_rank_bounds: tuple[int, int] | None
-    boolean_rank_source: str
-    embedding_dim_bounds: tuple[int, int]
-    psd_lower_bound: int
-    psd_lower_bound_source: str
-
-    def to_doc(self, identity: str) -> dict:
-        return {
-            "kind": "bound_report",
-            "matrix": identity,
-            "rank": {"value": self.rank, "via": "fraction-free elimination"},
-            "triangular_rank": {
-                "value": self.triangular_rank,
-                "via": "triangular_rank branch and bound",
-            },
-            "boolean_rank": {
-                "value": self.boolean_rank,
-                "bounds": list(self.boolean_rank_bounds)
-                if self.boolean_rank_bounds
-                else None,
-                "via": self.boolean_rank_source,
-            },
-            "embedding_dim_bounds": {
-                "value": list(self.embedding_dim_bounds),
-                "via": "embrkl_bounds (triangular rank / rank)",
-            },
-            "psd_rank_lower_bound": {
-                "value": self.psd_lower_bound,
-                "via": self.psd_lower_bound_source,
-            },
-        }
-
-    def to_text(self, identity: str) -> str:
-        lines = [f"matrix:               {identity}"]
-        lines.append(f"rank:                 {self.rank}")
-        lines.append(f"triangular rank:      {self.triangular_rank}")
-        if self.boolean_rank is not None:
-            lines.append(f"boolean rank:         {self.boolean_rank}")
-        else:
-            lo, hi = self.boolean_rank_bounds
-            lines.append(f"boolean rank:         unknown, bounds [{lo},{hi}]")
-        lo, hi = self.embedding_dim_bounds
-        lines.append(f"embedding dimension:  between {lo} and {hi}")
-        lines.append(
-            f"psd rank lower bound: {self.psd_lower_bound}"
-            f" (via {self.psd_lower_bound_source})"
-        )
-        return "\n".join(lines)
-
-
-def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
-    """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search.
-
-    When the cover search runs out of budget, or refuses a graph too large
-    to list its candidates, the boolean rank is reported as the proven
-    interval of :func:`~psdbounds.pattern.boolean_rank_interval`; a value
-    when its ends meet.  The order-3 certificate runs only when the
-    triangular rank is below 4, the most it can prove.
-    """
-    tri, rk = embrkl_bounds(s)
-    pat = support(s)
-    bbounds, bsource = None, "minimum_biclique_cover branch and bound"
-    try:
-        brank = boolean_rank(pat, budget=budget)
-    except (SearchBudgetExceeded, EnumerationTooLarge) as exc:
-        lo, hi, bsource = boolean_rank_interval(pat, exc, tri)
-        brank, bbounds = (lo, None) if lo == hi else (None, (lo, hi))
-    psd_lb, source = tri, "triangular rank"
-    if tri < 4 and s.is_nonnegative():
-        # keep the report snappy: small enumeration cap and few blocks here,
-        # the dedicated order3-exclude command has the full defaults
-        cert = order3_exclusion(s, cap=12, max_attempts=8)
-        if cert.conclusive:
-            psd_lb, source = cert.bound, "order-3 exclusion certificate"
-    return BoundReport(
-        rank=rk,
-        triangular_rank=tri,
-        boolean_rank=brank,
-        boolean_rank_bounds=bbounds,
-        boolean_rank_source=bsource,
-        embedding_dim_bounds=(tri, rk),
-        psd_lower_bound=psd_lb,
-        psd_lower_bound_source=source,
-    )

@@ -60,7 +60,10 @@ def _ratio(token) -> tuple[int, int] | None:
 
 
 def _exact(token) -> Fraction:
-    """``Fraction(token)``, without its string parser where ``_ratio`` reads it."""
+    """``Fraction(token)`` of a string or int, without its string parser where
+    ``_ratio`` reads it.  A JSON float (``0.1`` is no decimal) or literal is refused."""
+    if type(token) not in (str, int):
+        raise TypeError(f"exact entries are strings or integers, got {json.dumps(token)}")
     pq = _ratio(token)
     return Fraction(token) if pq is None else Fraction(*pq)
 

@@ -7,7 +7,8 @@ the 1-entries are the edges.  Both cover problems cover cells of that one
 relation, and cell (u, v) of a pattern with n columns is element bit
 u * n + v, so elements are numbered in row-major order.  They run one
 exact search at desk scale under one total node budget; traversal order
-is deterministic, so results are reproducible.
+is deterministic, so results are reproducible.  The bound report
+`analyze`, which ``psdbounds bounds`` prints, is assembled here too.
 """
 
 from __future__ import annotations
@@ -316,19 +317,6 @@ def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
     return best
 
 
-def embrkl_bounds(s: ExactMatrix) -> tuple[int, int]:
-    """(lower, upper) bounds for the minimum embedding dimension of supp(s).
-
-    The lower bound is the triangular rank of the support (every matrix
-    with this support has at least that rank, the minimum such rank equals
-    the embedding rank); the upper bound is rank(s), which also ends the
-    triangular-rank search once reached.  Every rank-capped triangular rank
-    of the package is this one call.
-    """
-    upper = rank(s)
-    return triangular_rank(support(s), upper=upper), upper
-
-
 # -- maximal biclique enumeration -------------------------------------------
 
 
@@ -498,28 +486,6 @@ def boolean_rank(m: SupportPattern, budget: int = DEFAULT_BUDGET) -> int:
     return minimum_biclique_cover(m, budget=budget).size
 
 
-def boolean_rank_interval(
-    m: SupportPattern, exc: Exception, tri: int
-) -> tuple[int, int, str]:
-    """Proven (lower, upper, via) for the boolean rank of ``m`` when its cover
-    search raised ``exc``; ``via`` names where the two ends came from.
-
-    The triangular rank ``tri`` bounds it below (a triangular diagonal is a
-    fooling set), the count of nonzero rows or columns above.  A cut search
-    adds its fooling bound and best cover; a refused one adds neither.
-    """
-    lines = min(sum(1 for r in m.row_bits if r), sum(1 for c in m.col_bits() if c))
-    if not isinstance(exc, SearchBudgetExceeded):
-        refused = "triangular rank / nonzero lines (cover search refused the graph)"
-        return tri, lines, refused
-    lower, upper = max(exc.lower, tri), min(exc.upper, lines)
-    if (lower, upper) == (exc.lower, exc.upper):
-        return lower, upper, "minimum_biclique_cover branch and bound"
-    low = "triangular rank" if lower > exc.lower else "cover search fooling bound"
-    high = "nonzero lines" if upper < exc.upper else "cover search incumbent"
-    return lower, upper, f"{low} / {high} (budget reached)"
-
-
 def minimum_feasible_cover(
     ones: BipartiteGraph,
     forbidden: BipartiteGraph,
@@ -572,3 +538,126 @@ def feasible_biclique_cover(
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     return minimum_feasible_cover(ones, forbidden, budget=budget).size
+
+
+# -- bounds on a matrix: the searches combined ------------------------------
+
+
+def embrkl_bounds(s: ExactMatrix) -> tuple[int, int]:
+    """(lower, upper) bounds for the minimum embedding dimension of supp(s).
+
+    The lower bound is the triangular rank of the support (every matrix
+    with this support has at least that rank, the minimum such rank equals
+    the embedding rank); the upper bound is rank(s), which also ends the
+    triangular-rank search once reached.  Every rank-capped triangular rank
+    of the package is this one call.
+    """
+    upper = rank(s)
+    return triangular_rank(support(s), upper=upper), upper
+
+
+def boolean_rank_outcome(
+    s: ExactMatrix, budget: int = DEFAULT_BUDGET, tri: int | None = None
+) -> tuple[int, int, str]:
+    """Proven (lower, upper, via) for the boolean rank of supp(s), from a
+    cover search under ``budget``; ``via`` names where the two ends came from.
+
+    Only a cut or refused search needs the triangular rank ``tri`` (from
+    :func:`embrkl_bounds` if not given): it bounds the boolean rank below
+    (a triangular diagonal is a fooling set), the count of nonzero rows or
+    columns above.  A cut search adds its fooling bound and best cover.
+    """
+    m = support(s)
+    searched = "minimum_biclique_cover branch and bound"
+    try:
+        value = boolean_rank(m, budget=budget)
+        return value, value, searched
+    except (SearchBudgetExceeded, EnumerationTooLarge) as exc:
+        cut = exc  # the clause unbinds `exc` when it ends
+    if tri is None:
+        tri, _ = embrkl_bounds(s)
+    lines = min(sum(1 for r in m.row_bits if r), sum(1 for c in m.col_bits() if c))
+    if isinstance(cut, EnumerationTooLarge):
+        return tri, lines, "triangular rank / nonzero lines (cover search refused the graph)"
+    lower, upper = max(cut.lower, tri), min(cut.upper, lines)
+    if (lower, upper) == (cut.lower, cut.upper):
+        return lower, upper, searched
+    low = "triangular rank" if lower > cut.lower else "cover search fooling bound"
+    high = "nonzero lines" if upper < cut.upper else "cover search incumbent"
+    return lower, upper, f"{low} / {high} (budget reached)"
+
+
+@_frozen
+class BoundReport:
+    """Everything the support and the exact entries certify about a matrix."""
+
+    rank: int
+    triangular_rank: int
+    boolean_rank: int | None
+    boolean_rank_bounds: tuple[int, int] | None
+    boolean_rank_source: str
+    embedding_dim_bounds: tuple[int, int]
+    psd_lower_bound: int
+    psd_lower_bound_source: str
+
+    def to_doc(self, identity: str) -> dict:
+        return {
+            "kind": "bound_report",
+            "matrix": identity,
+            "rank": {"value": self.rank, "via": "fraction-free elimination"},
+            "triangular_rank": {
+                "value": self.triangular_rank,
+                "via": "triangular_rank branch and bound",
+            },
+            "boolean_rank": {
+                "value": self.boolean_rank,
+                "bounds": self.boolean_rank_bounds and list(self.boolean_rank_bounds),
+                "via": self.boolean_rank_source,
+            },
+            "embedding_dim_bounds": {
+                "value": list(self.embedding_dim_bounds),
+                "via": "embrkl_bounds (triangular rank / rank)",
+            },
+            "psd_rank_lower_bound": {
+                "value": self.psd_lower_bound,
+                "via": self.psd_lower_bound_source,
+            },
+        }
+
+    def to_text(self, identity: str) -> str:
+        brank = self.boolean_rank
+        if brank is None:
+            brank = "unknown, bounds [{},{}]".format(*self.boolean_rank_bounds)
+        return "\n".join([
+            f"matrix:               {identity}",
+            f"rank:                 {self.rank}",
+            f"triangular rank:      {self.triangular_rank}",
+            f"boolean rank:         {brank}",
+            "embedding dimension:  between {} and {}".format(*self.embedding_dim_bounds),
+            f"psd rank lower bound: {self.psd_lower_bound}"
+            f" (via {self.psd_lower_bound_source})",
+        ])
+
+
+def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
+    """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search.
+
+    When the cover search runs out of budget, or refuses a graph too large
+    to list its candidates, the boolean rank is reported as the proven
+    interval of :func:`boolean_rank_outcome`; a value when its ends meet.
+    The order-3 certificate runs only when the triangular rank is below 4,
+    the most it can prove, so only then is `psd` loaded.
+    """
+    tri, rk = embrkl_bounds(s)
+    lo, hi, bsource = boolean_rank_outcome(s, budget, tri)
+    brank, bbounds = (lo, None) if lo == hi else (None, (lo, hi))
+    psd_lb, source = tri, "triangular rank"
+    if tri < 4 and s.is_nonnegative():
+        from .psd import order3_exclusion
+
+        # keep the report snappy: small enumeration cap and few blocks here,
+        # the dedicated order3-exclude command has the full defaults
+        cert = order3_exclusion(s, cap=12, max_attempts=8)
+        if cert.conclusive:
+            psd_lb, source = cert.bound, "order-3 exclusion certificate"
+    return BoundReport(rk, tri, brank, bbounds, bsource, (tri, rk), psd_lb, source)

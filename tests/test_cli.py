@@ -288,11 +288,15 @@ def chain_files(tmp_path):
         (["sqrt-bound", "--rows", "3,4,5,6", "--cols", "1,2,3,4", "s6.txt"],
          {"embed", "cutpoly", "pattern"}),
         (["gen", "sn", "6"], {"embed", "cutpoly", "pattern", "scalars"}),
-        (["embed", "from-rank", "s6.txt"], {"cutpoly", "reduction", "scalars"}),
-        (["psd", "from-embedding", "emb.json"], {"cutpoly", "reduction", "scalars"}),
+        (["embed", "from-rank", "s6.txt"], EXPENSIVE - {"embed"}),
+        (["psd", "from-embedding", "emb.json"],
+         {"cutpoly", "pattern", "reduction", "scalars"}),
         # triangular rank 7: no order-3 certificate, so no sign enumeration
-        (["bounds", "cutpoly4.txt"], {"cutpoly", "reduction", "scalars"}),
+        (["bounds", "cutpoly4.txt"], {"cutpoly", "embed", "psd", "reduction", "scalars"}),
         (["boolrank", "id21.txt"], {"embed", "psd", "scalars", "cutpoly", "reduction"}),
+        (["trirank", "s6.txt"], {"embed", "psd", "scalars", "cutpoly", "reduction"}),
+        (["gen", "cutpoly", "4"], {"embed", "pattern", "psd", "reduction", "scalars"}),
+        (["appendix-check", "18"], {"embed", "pattern", "psd", "reduction", "scalars"}),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -302,6 +306,8 @@ def test_each_command_loads_only_its_modules(chain_files, bare_modules, argv, un
     assert not loaded & unloaded, sorted(loaded & unloaded)
     if argv[0] == "rank":
         assert loaded == {"cli", "formats", "linalg"}
+    if argv[:2] == ["embed", "from-rank"]:
+        assert loaded == {"cli", "formats", "linalg", "embed"}
     if argv[0] != "reduce-rank":  # numpy imports inspect
         slow = (modules - bare_modules) & SLOW_STDLIB
         assert not slow, sorted(slow)

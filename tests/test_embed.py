@@ -28,13 +28,13 @@ from psdbounds import (
     SupportPattern,
     analyze,
     boolean_rank,
-    embed,
     formats,
     minimum_biclique_cover,
+    psd,
     slack_matrix_cut_clique,
 )
 from psdbounds.cli import run
-from psdbounds.pattern import EnumerationTooLarge, boolean_rank_interval
+from psdbounds.pattern import EnumerationTooLarge, boolean_rank_outcome
 
 
 def crossed_lines_embedding() -> SubspaceEmbedding:
@@ -273,10 +273,10 @@ def test_undecided_boolean_rank_interval_is_sound_and_shared(capsys):
         truth, tri = minimum_cover_bruteforce(pat), triangular_rank_bruteforce(pat)
         lines = min(sum(1 for r in pat.row_bits if r), sum(1 for c in pat.col_bits() if c))
         for budget in range(minimum_biclique_cover(pat).nodes + 1):
+            lo, hi, via = boolean_rank_outcome(m, budget)
             try:
-                lo = hi = boolean_rank(pat, budget=budget)
+                assert boolean_rank(pat, budget=budget) == lo == hi
             except SearchBudgetExceeded as exc:
-                lo, hi, via = boolean_rank_interval(pat, exc, triangular_rank(pat))
                 cut += 1
                 raised += lo > exc.lower
                 lowered += hi < exc.upper
@@ -305,7 +305,8 @@ def test_refused_cover_search_interval_is_shared(capsys, m, interval):
     with pytest.raises(EnumerationTooLarge) as info:
         boolean_rank(pat)
     tri = triangular_rank(pat, upper=rank(m))
-    lo, hi, via = boolean_rank_interval(pat, info.value, tri)
+    lo, hi, via = boolean_rank_outcome(m, 0)
+    assert boolean_rank_outcome(m, 0, tri) == (lo, hi, via)
     assert (lo, hi) == interval
     assert via == "triangular rank / nonzero lines (cover search refused the graph)"
     answer = (lo, None) if lo == hi else (None, (lo, hi))
@@ -316,9 +317,9 @@ def test_refused_cover_search_interval_is_shared(capsys, m, interval):
 
 def test_analyze_runs_order3_only_when_it_can_raise_the_bound(monkeypatch):
     calls = []
-    order3 = embed.order3_exclusion
+    order3 = psd.order3_exclusion
     monkeypatch.setattr(
-        embed, "order3_exclusion", lambda *a, **kw: calls.append(1) or order3(*a, **kw)
+        psd, "order3_exclusion", lambda *a, **kw: calls.append(1) or order3(*a, **kw)
     )
     # triangular rank 7 already beats the certificate's 4; S_6's is 3
     assert analyze(slack_matrix_cut_clique(4)).psd_lower_bound == 7

@@ -240,6 +240,34 @@ def test_exact_tokens_read_as_fraction_does(token, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("token, spelled", [(0.1, "0.1"), (1.5, "1.5"), (True, "true"),
+                                            (None, "null")])
+def test_exact_readers_refuse_json_values_that_are_not_exact(token, spelled, tmp_path,
+                                                            capsys):
+    # a JSON integer is exact; a JSON float or literal is not an entry
+    fact = formats.factorization_from_json(_factorization_text(7))
+    assert [a.entries[0] for a in fact.A] == [Fraction(7)] * 2
+    refused = f"exact entries are strings or integers, got {spelled}"
+    emb = json.dumps({"schema": 1, "kind": "subspace_embedding", "ambient_dim": 1,
+                      "U": [{"basis": [[token]]}], "V": [{"basis": []}]})
+    fact_path, emb_path = tmp_path / "fact.json", tmp_path / "emb.json"
+    fact_path.write_text(_factorization_text(token))
+    emb_path.write_text(emb)
+    for read, path, kind, argv in (
+        (formats.factorization_from_json, fact_path, "psd_factorization",
+         ["embed", "from-psd", str(fact_path)]),
+        (formats.embedding_from_json, emb_path, "subspace_embedding",
+         ["psd", "from-embedding", str(emb_path)]),
+    ):
+        message = f"malformed {kind} document: {refused}"
+        with pytest.raises(formats.FormatError) as raised:
+            read(path.read_text())
+        assert str(raised.value) == message
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("token", TOKENS)
 def test_float_tokens_are_bit_identical_to_fraction(token, tmp_path, capsys):
     text = _factorization_text(token)

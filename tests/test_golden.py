@@ -57,6 +57,9 @@ CASES = [
     (["trirank", "s6.txt"], "trirank_s6.txt", 0),
     (["boolrank", "s6.txt"], "boolrank_s6.txt", 0),
     (["boolrank", "--budget", "20000", "s10.txt"], "boolrank_s10.txt", 3),
+    # the boolean rank undecided: a refused cover search, then a cut one as JSON
+    (["boolrank", "cutpoly6.txt"], "boolrank_cutpoly6.txt", 3),
+    (["boolrank", "--json", "--budget", "20000", "s10.txt"], "boolrank_s10.json", 3),
     (["bounds", "s6.txt"], "bounds_s6.txt", 0),
     (["verify", "psd", "factorization.json", "product.txt"], "verify_product.txt", 0),
     (["verify", "embedding", "embedding.json", "pattern.txt"],

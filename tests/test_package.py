@@ -14,7 +14,8 @@ import psdbounds
 from psdbounds import Biclique, BicliqueCover, ExactMatrix, SignAssignment, Subspace
 from test_cli import src_env
 
-# defining module -> the names the package bound when it imported every layer
+# the names the package bound when it imported every layer, each under the
+# module that defines it
 EAGER = {
     "cutpoly": [
         "AppendixCheckResult", "Clique", "Cut", "SubsetVertex", "all_cliques", "all_cuts",
@@ -22,19 +23,18 @@ EAGER = {
         "iter_slack_rows", "slack_matrix_cut_clique",
     ],
     "embed": [
-        "BoundReport", "SubspaceEmbedding", "analyze", "embedding_from_psd",
-        "embedding_from_rank_factorization", "embrkl_bounds", "psd_from_embedding",
-        "verify_embedding",
+        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
+        "psd_from_embedding", "verify_embedding",
     ],
     "linalg": [
         "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
         "projection_matrix", "rank", "row_space",
     ],
     "pattern": [
-        "Biclique", "BicliqueCover", "BipartiteGraph", "CoverSearchResult",
-        "SearchBudgetExceeded", "SupportPattern", "boolean_rank", "feasible_biclique_cover",
-        "minimum_biclique_cover", "minimum_feasible_cover", "poset_of", "support",
-        "triangular_rank",
+        "Biclique", "BicliqueCover", "BipartiteGraph", "BoundReport", "CoverSearchResult",
+        "SearchBudgetExceeded", "SupportPattern", "analyze", "boolean_rank",
+        "embrkl_bounds", "feasible_biclique_cover", "minimum_biclique_cover",
+        "minimum_feasible_cover", "poset_of", "support", "triangular_rank",
     ],
     "psd": [
         "FactorizationReport", "Order3Certificate", "PsdCertificate", "PsdFactorization",
