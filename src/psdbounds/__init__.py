@@ -4,18 +4,20 @@ The package computes and certifies, in exact arithmetic:
 
 * ranks, determinants, kernels, images and canonical subspaces over Q
   (`linalg`);
-* multi-quadratic extension scalars for entrywise square roots, and
-  matrix rank over those fields (`scalars`);
 * support patterns, triangular rank, the embedding-dimension interval
   `embrkl_bounds`, exact biclique covers, and the bound report `analyze`
   (`pattern`);
-* subspace-lattice embeddings of a support, and conversions between rank
-  factorizations, embeddings and psd factorizations (`embed`);
-* psd factorization certificates, randomized support realization and the
-  order-3 sign-enumeration exclusion (`psd`);
+* the certify chain: subspace-lattice embeddings of a support,
+  conversions between rank factorizations, embeddings and psd
+  factorizations, psd factorization certificates and randomized support
+  realization (`psd`);
+* beyond the pattern: multi-quadratic extension scalars for entrywise
+  square roots, matrix rank over those fields, the square-root sign
+  enumeration and the order-3 exclusion certificate (`scalars`);
 * floating-point psd rank reduction along constraint-preserving
   directions (`reduction`, which needs numpy);
-* cut/clique slack matrices and disjointness graphs (`cutpoly`).
+* the generators: cut/clique slack matrices, disjointness graphs and the
+  S_n family (`cutpoly`).
 
 The namespace is lazy (PEP 562): ``import psdbounds`` loads no submodule,
 and each name below loads its defining module on first use.  So a command
@@ -87,12 +89,8 @@ DEFAULT_BUDGET = 2_000_000
 _EXPORTS = {
     "cutpoly": (
         "AppendixCheckResult", "Clique", "Cut", "SubsetVertex", "all_cliques",
-        "all_cuts", "appendix_reduction_check", "cut_clique_slack", "graph_G",
-        "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
-    ),
-    "embed": (
-        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
-        "psd_from_embedding", "verify_embedding",
+        "all_cuts", "appendix_reduction_check", "cut_clique_slack", "generate_sn",
+        "graph_G", "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
     ),
     "linalg": (
         "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
@@ -105,16 +103,20 @@ _EXPORTS = {
         "minimum_feasible_cover", "poset_of", "support", "triangular_rank",
     ),
     "psd": (
-        "FactorizationReport", "Order3Certificate", "PsdCertificate", "PsdFactorization",
-        "RealizationError", "SignAssignment", "SqrtRankResult", "check_sign_square",
-        "generate_sn", "min_sqrt_rank", "order3_exclusion", "psd_certificate",
-        "realize_support", "verify_psd_factorization",
+        "FactorizationReport", "PsdCertificate", "PsdFactorization", "RealizationError",
+        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
+        "psd_certificate", "psd_from_embedding", "realize_support", "verify_embedding",
+        "verify_psd_factorization",
     ),
     "reduction": (
         "FactorReductionReport", "FloatPsdMatrix", "ReductionError",
         "barvinok_reduce", "factorization_to_float", "reduce_factor_ranks",
     ),
-    "scalars": ("MultiQuadScalar", "multiquad_rank", "sqrt_embed", "squarefree_decompose"),
+    "scalars": (
+        "MultiQuadScalar", "Order3Certificate", "SignAssignment", "SqrtRankResult",
+        "check_sign_square", "min_sqrt_rank", "multiquad_rank", "order3_exclusion",
+        "sqrt_embed", "squarefree_decompose",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

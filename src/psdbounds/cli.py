@@ -199,20 +199,20 @@ def _dispatch(args):
         return report.to_doc(identity), report.to_text(identity) + "\n", EXIT_OK
 
     if cmd == "embed" and args.mode == "from-rank":
-        from .embed import embedding_from_rank_factorization
+        from .psd import embedding_from_rank_factorization
 
         emb = embedding_from_rank_factorization(formats.parse_matrix(_read(args.file)))
         return formats.embedding_doc(emb), None, EXIT_OK
 
     if cmd == "embed" and args.mode == "from-psd":
-        from .embed import embedding_from_psd
+        from .psd import embedding_from_psd
 
         fact = formats.factorization_from_json(_read(args.file))
         emb = embedding_from_psd(fact)
         return formats.embedding_doc(emb), None, EXIT_OK
 
     if cmd == "psd" and args.mode == "from-embedding":
-        from .embed import psd_from_embedding
+        from .psd import psd_from_embedding
 
         emb = formats.embedding_from_json(_read(args.file))
         fact, t = psd_from_embedding(emb)
@@ -237,7 +237,7 @@ def _dispatch(args):
         return doc, f"FAIL: {report.summary()}\n", EXIT_VERIFICATION
 
     if cmd == "verify" and args.mode == "embedding":
-        from .embed import verify_embedding
+        from .psd import verify_embedding
 
         emb = formats.embedding_from_json(_read(args.embedding))
         pat = formats.parse_pattern(_read(args.pattern))
@@ -257,7 +257,7 @@ def _dispatch(args):
             return _error(exc, EXIT_EXHAUSTED)
 
     if cmd == "sqrt-bound":
-        from .psd import min_sqrt_rank
+        from .scalars import min_sqrt_rank
 
         matrix = formats.parse_matrix(_read(args.file))
         # checked here, so that the message quotes the 1-based index as typed
@@ -286,7 +286,7 @@ def _dispatch(args):
         return doc, text, EXIT_OK
 
     if cmd == "order3-exclude":
-        from .psd import order3_exclusion
+        from .scalars import order3_exclusion
 
         matrix = formats.parse_matrix(_read(args.file))
         cert = order3_exclusion(matrix, fix_global_sign=not args.no_sign_fix)
@@ -339,7 +339,7 @@ def _dispatch(args):
         return doc, text, EXIT_OK
 
     if cmd == "gen" and args.mode == "sn":
-        from .psd import generate_sn
+        from .cutpoly import generate_sn
 
         return _matrix(generate_sn(args.n))
 

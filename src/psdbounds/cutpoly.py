@@ -1,10 +1,11 @@
-"""Cuts, cliques and disjointness graphs at desk scale.
+"""The generators: cuts, cliques, disjointness graphs and the S_n family.
 
 Builds the bipartite graph between cliques of K_n and cuts (edge exactly
 when the clique inequality has positive slack on the cut), the integer
 clique-inequality slack matrix, the two disjointness graphs on l-element
-subsets, and the subset identity used to map covers between the two worlds.
-Vertex sets are bitsets over {0..n-1}.
+subsets, the subset identity used to map covers between the two worlds,
+and the banded rank-3 matrices S_n.  Vertex sets are bitsets over
+{0..n-1}.
 """
 
 from __future__ import annotations
@@ -80,6 +81,19 @@ class SubsetVertex:
             raise ValueError(f"subset must have exactly {self.l} elements")
 
 
+def _check_cut_n(n: int) -> None:
+    """Refuse a K_n outside 2 <= n <= MAX_CUT_N."""
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    if n > MAX_CUT_N:
+        raise ValueError(f"n = {n} exceeds the cap {MAX_CUT_N}")
+
+
+def _l_subsets(n_ground: int, l: int) -> list[int]:
+    """The l-subsets of {1..n_ground} as sorted bitsets, element i at bit i - 1."""
+    return sorted(sum(1 << i for i in combo) for combo in combinations(range(n_ground), l))
+
+
 def all_cuts(n: int) -> list[Cut]:
     """The 2^(n-1) distinct cuts of K_n, sorted by canonical bitmask."""
     full = (1 << n) - 1
@@ -116,10 +130,7 @@ def graph_G(n: int) -> BipartiteGraph:
     """
     from .pattern import BipartiteGraph
 
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    if n > MAX_CUT_N:
-        raise ValueError(f"n = {n} exceeds the cap {MAX_CUT_N}")
+    _check_cut_n(n)
     cliques = all_cliques(n)
     cuts = all_cuts(n)
     adj = []
@@ -151,10 +162,7 @@ def slack_matrix_cut_clique(n: int) -> ExactMatrix:
 
 def iter_slack_rows(n: int):
     """Row-wise generator behind :func:`slack_matrix_cut_clique`."""
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    if n > MAX_CUT_N:
-        raise ValueError(f"n = {n} exceeds the cap {MAX_CUT_N}")
+    _check_cut_n(n)
     cuts = all_cuts(n)
     for u in all_cliques(n):
         row = []
@@ -181,10 +189,7 @@ def graph_H(n_ground: int, l: int) -> tuple[BipartiteGraph, BipartiteGraph]:
         raise ValueError(
             f"binomial({n_ground},{l}) = {count} exceeds the cap {MAX_SUBSET_COUNT}"
         )
-    subsets = sorted(
-        sum(1 << (i - 1) for i in combo)
-        for combo in combinations(range(1, n_ground + 1), l)
-    )
+    subsets = _l_subsets(n_ground, l)
     h_adj = []
     hbar_adj = []
     for x in subsets:
@@ -237,10 +242,7 @@ def appendix_reduction_check(n: int, cap: int = MAX_REDUCTION_N) -> AppendixChec
     for pos in range(ground, ground + l - 2):
         tail |= 1 << pos
     u_size = 2 * l - 2
-    subsets = [
-        sum(1 << (i - 1) for i in combo)
-        for combo in combinations(range(1, ground + 1), l)
-    ]
+    subsets = _l_subsets(ground, l)
     pairs = 0
     ok = True
     for x in subsets:
@@ -255,3 +257,18 @@ def appendix_reduction_check(n: int, cap: int = MAX_REDUCTION_N) -> AppendixChec
             if balanced != unique_meet:
                 ok = False
     return AppendixCheckResult(ok, pairs, n, ground, l)
+
+
+def generate_sn(n: int) -> ExactMatrix:
+    """The n x n matrix with entry (i, j) = (i-j-1)(i-j-2)/2, 1-indexed.
+
+    Nonnegative, of rank 3 for n >= 3, with a diagonal band of zeros; the
+    canonical example whose psd rank exceeds what any support-based bound
+    can certify.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    one_to_n = range(1, n + 1)
+    return ExactMatrix(
+        n, n, [Fraction((i - j - 1) * (i - j - 2), 2) for i in one_to_n for j in one_to_n]
+    )

@@ -22,9 +22,9 @@ from .linalg import ExactMatrix, Subspace
 # The other layers' types are imported where a parser builds them, so that
 # reading a matrix loads `linalg` and nothing of the searches.
 if TYPE_CHECKING:
-    from .embed import SubspaceEmbedding
     from .pattern import BipartiteGraph, SupportPattern
-    from .psd import Order3Certificate, PsdFactorization, SignAssignment
+    from .psd import PsdFactorization, SubspaceEmbedding
+    from .scalars import Order3Certificate, SignAssignment
 
 SCHEMA_VERSION = 1
 
@@ -69,7 +69,10 @@ def _exact(token) -> Fraction:
 
 
 def _float(token) -> float:
-    """``float(Fraction(token))``; int / int rounds correctly, as it does."""
+    """``float(Fraction(token))`` of a string or JSON number; int / int rounds
+    correctly, as it does.  A JSON literal (``true``, ``null``) is refused."""
+    if type(token) not in (str, int, float):
+        raise TypeError(f"entries are numbers or strings, got {json.dumps(token)}")
     pq = _ratio(token)
     return float(Fraction(token)) if pq is None else pq[0] / pq[1]
 
@@ -244,7 +247,7 @@ def embedding_to_json(e: SubspaceEmbedding) -> str:
 
 
 def embedding_from_json(text: str) -> SubspaceEmbedding:
-    from .embed import SubspaceEmbedding
+    from .psd import SubspaceEmbedding
 
     doc = _load(text, "subspace_embedding")
     with _fields("subspace_embedding"):

@@ -37,6 +37,12 @@ class EnumerationTooLarge(ValueError):
     """Raised when a cover search refuses to list its candidate bicliques."""
 
 
+def _check_budget(budget: int) -> None:
+    """Refuse a negative node budget before any search runs."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -499,8 +505,7 @@ def minimum_feasible_cover(
     maximal bicliques of the bipartite complement of ``forbidden``.
     ``budget`` must be nonnegative.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
+    _check_budget(budget)
     if (
         ones.left_count != forbidden.left_count
         or ones.right_count != forbidden.right_count
@@ -646,14 +651,15 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     to list its candidates, the boolean rank is reported as the proven
     interval of :func:`boolean_rank_outcome`; a value when its ends meet.
     The order-3 certificate runs only when the triangular rank is below 4,
-    the most it can prove, so only then is `psd` loaded.
+    the most it can prove, so only then is `scalars` loaded.
     """
+    _check_budget(budget)
     tri, rk = embrkl_bounds(s)
     lo, hi, bsource = boolean_rank_outcome(s, budget, tri)
     brank, bbounds = (lo, None) if lo == hi else (None, (lo, hi))
     psd_lb, source = tri, "triangular rank"
     if tri < 4 and s.is_nonnegative():
-        from .psd import order3_exclusion
+        from .scalars import order3_exclusion
 
         # keep the report snappy: small enumeration cap and few blocks here,
         # the dedicated order3-exclude command has the full defaults

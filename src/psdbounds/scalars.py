@@ -1,4 +1,4 @@
-"""Exact arithmetic in real multi-quadratic extensions of the rationals.
+"""Entrywise square roots over multi-quadratic fields: the order-3 exclusion.
 
 A :class:`MultiQuadScalar` is a finite sum ``sum_s c_s * sqrt(s)`` where the
 radicands ``s`` are distinct square-free positive integers and the
@@ -6,18 +6,34 @@ coefficients ``c_s`` are rationals.  Square roots of distinct square-free
 integers are linearly independent over Q, so this representation is
 canonical: a scalar is zero exactly when every coefficient is zero, which
 makes equality (and hence matrix rank over these fields, see
-:func:`multiquad_rank`) decidable.
+:func:`multiquad_rank`) decidable.  These ranks carry the argument
+beyond the pattern: the sign enumeration :func:`min_sqrt_rank` over the
+entrywise square roots of a block, and :func:`order3_exclusion`, the
+certificate that a matrix has psd rank at least 4.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import combinations, islice, product
+from math import comb, gcd, lcm, prod
+from typing import TYPE_CHECKING
 
-from .linalg import _MODULAR_PRIME
+from . import _frozen
+from .linalg import _MODULAR_PRIME, ExactMatrix, rank_mod_p
+
+# `pattern` is imported where the support is needed, so that `sqrt-bound`
+# does not load it
+if TYPE_CHECKING:
+    from .pattern import SupportPattern
 
 # primes p = 3 (mod 4) that modular_images tries, downward from _MODULAR_PRIME
 _PRIME_CANDIDATES = 4096
+
+DEFAULT_SIGN_CAP = 24
+_SCAN_LIMIT = 200_000  # block pairs the order-3 scan scores
+_SCAN_CHUNK = 1024  # column sets the order-3 scan tables at a time
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -388,3 +404,313 @@ def multiquad_rank(rows) -> int:
             a[i] = new
         r += 1
     return r
+
+
+# -- square-root sign enumeration ---------------------------------------------
+
+
+@_frozen
+class SignAssignment:
+    """Signs for the nonzero entries of a submatrix, in row-major order."""
+
+    positions: tuple[tuple[int, int], ...]
+    signs: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.positions) != len(self.signs):
+            raise ValueError("one sign per position")
+        if any(s not in (-1, 1) for s in self.signs):
+            raise ValueError("signs must be +1 or -1")
+
+
+@_frozen
+class SqrtRankResult:
+    min_rank: int
+    witness: SignAssignment | None
+    assignments_checked: int
+
+
+def min_sqrt_rank(
+    s: ExactMatrix,
+    row_set,
+    col_set,
+    fix_global_sign: bool = True,
+    cap: int = DEFAULT_SIGN_CAP,
+) -> SqrtRankResult:
+    """Minimum exact rank over all entrywise square roots of a submatrix.
+
+    Every matrix Y with Y(k,l)^2 = S(k,l) on the selected block arises from
+    one of 2^z sign choices on the z nonzero entries (zeros stay zero); the
+    rank is computed exactly over the multi-quadratic field generated by
+    the square-free parts.  Since Y and -Y have equal rank, the first sign
+    is fixed unless ``fix_global_sign`` is false.
+
+    Flipping the signs of one row or one column multiplies Y by a diagonal
+    +-1 matrix D on that side, and rank(D_r Y D_c) = rank(Y) over every
+    field, so the choices fall into orbits of 2^(r+c-k) choices of equal
+    rank (r, c the block's nonzero rows and columns, k the connected
+    components of its nonzero entries).  Only the smallest code of each
+    orbit is ranked, in increasing code order, so the first minimizer is
+    the first one of the full enumeration.  ``assignments_checked`` still
+    counts every choice the orbits cover, 2^z or 2^(z-1).
+    """
+    rows = list(row_set)
+    cols = list(col_set)
+    for kind, idx, size in (("row", rows, s.rows), ("column", cols, s.cols)):
+        bad = [k for k in idx if not 0 <= k < size]
+        if bad:
+            raise ValueError(
+                f"{kind} index {bad[0]} outside the {s.rows}x{s.cols} matrix "
+                "(indices are 0-based)"
+            )
+        repeated = [k for i, k in enumerate(idx) if k in idx[:i]]
+        if repeated:
+            raise ValueError(
+                f"{kind} index {repeated[0]} is repeated (indices are 0-based)"
+            )
+    sub = s.submatrix(rows, cols)
+    if not sub.is_nonnegative():
+        raise ValueError("selected submatrix must be nonnegative")
+    local = [
+        (i, j) for i in range(sub.rows) for j in range(sub.cols) if sub[i, j]
+    ]
+    positions = [(rows[i], cols[j]) for i, j in local]
+    z = len(positions)
+    if z > cap:
+        raise ValueError(f"{z} nonzero entries exceed the enumeration cap {cap}")
+    if z == 0:
+        return SqrtRankResult(0, SignAssignment((), ()), 1)
+
+    roots = [sqrt_embed(sub[p]) for p in local]
+    zero = MultiQuadScalar.zero()
+    n_free = z - 1 if fix_global_sign else z
+    # the rank mod p never exceeds the exact rank, so a sign choice whose
+    # modular rank already reaches the best exact rank cannot lower the minimum
+    modular = modular_images(roots)
+
+    # a sign choice's code has bit t set where sign t is negative; flipping a
+    # row or a column xors the code with that line's mask.  With the first
+    # sign fixed, a flip that changes it is followed by the global flip, so
+    # a mask with bit 0 set acts as its complement
+    lines = [0] * (sub.rows + sub.cols)
+    for t, (i, j) in enumerate(local):
+        lines[i] |= 1 << t
+        lines[sub.rows + j] |= 1 << t
+    full = (1 << z) - 1
+    basis: dict[int, int] = {}  # highest set bit -> vector of the span
+    for mask in lines:
+        if fix_global_sign and mask & 1:
+            mask ^= full
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in basis:
+                basis[top] = mask
+                break
+            mask ^= basis[top]
+    # the codes zero at every pivot are the smallest code of each orbit; a
+    # binary counter over the other free positions, the lowest in its lowest
+    # bit, visits them in increasing code order, so the witness is the first
+    # minimizing choice of the counter over all 2^n_free codes
+    free = [t for t in range(z - n_free, z) if t not in basis][::-1]
+    best_rank, best_signs = sub.rows + sub.cols + 1, ()
+    signs = [1] * z
+    for choice in product((1, -1), repeat=len(free)):
+        for t, sign in zip(free, choice):
+            signs[t] = sign
+        if modular is not None:
+            p, images = modular
+            grid = [[0] * sub.cols for _ in range(sub.rows)]
+            for t, (i, j) in enumerate(local):
+                grid[i][j] = images[t] if signs[t] > 0 else p - images[t]
+            if rank_mod_p(grid, p) >= best_rank:
+                continue
+        entries = [[zero] * sub.cols for _ in range(sub.rows)]
+        for t, (i, j) in enumerate(local):
+            entries[i][j] = roots[t] if signs[t] > 0 else -roots[t]
+        r = multiquad_rank(entries)
+        if r < best_rank:
+            best_rank, best_signs = r, tuple(signs)
+
+    witness = SignAssignment(tuple(positions), best_signs)
+    return SqrtRankResult(best_rank, witness, 1 << n_free)
+
+
+def check_sign_square(s: ExactMatrix, assignment: SignAssignment) -> bool:
+    """Entrywise: (sign * sqrt(S(k,l)))^2 equals S(k,l) exactly."""
+    for (i, j), sign in zip(assignment.positions, assignment.signs):
+        y = sqrt_embed(s[i, j]) * sign
+        if (y * y) != MultiQuadScalar.from_rational(s[i, j]):
+            return False
+    return True
+
+
+# -- the order-3 exclusion certificate ----------------------------------------
+
+
+@_frozen
+class Order3Certificate:
+    """Result of the dimension-forcing + sign-enumeration argument.
+
+    When ``conclusive``, no order-3 psd factorization of the matrix exists,
+    i.e. its psd rank is at least ``bound`` (= 4).  The hypothesis fields
+    record which rows/columns had their subspace dimensions pinned; column
+    distinctness is checked at support level only (distinct zero patterns),
+    which is the machine-checkable form of the underlying argument.
+    """
+
+    conclusive: bool
+    bound: int | None
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    min_rank: int | None
+    assignments_checked: int
+    witness: SignAssignment | None
+    pinned_rows: tuple[int, ...]
+    pinned_cols: tuple[int, ...]
+    reason: str = ""
+    column_distinctness: str = "support-level"
+
+    @property
+    def claim(self) -> str:
+        return "psd rank >= 4" if self.conclusive else "inconclusive"
+
+
+def _pinned_sets(pat: SupportPattern) -> tuple[list[int], list[int]]:
+    """Rows forced to 1-dimensional lines and columns forced to planes.
+
+    In any order-3 factorization, via the induced embedding with
+    U_k = img A_k and V_l = ker B_l:
+
+    * a row with a nonzero entry has dim U_k >= 1; if it also has two zeros
+      in columns of distinct zero pattern (each column containing some
+      nonzero entry, so dim V <= 2 there), dim U_k = 2 or 3 would force two
+      distinct columns to share their V, hence dim U_k = 1;
+    * a column with a nonzero entry has dim V_l <= 2; two zeros at rows of
+      distinct zero pattern (each row containing a nonzero) rule out
+      dim V_l <= 1, hence dim V_l = 2.
+    """
+    col_bits = pat.col_bits()
+    return _pinned(pat.row_bits, col_bits), _pinned(col_bits, pat.row_bits)
+
+
+def _pinned(lines: list[int], cross: list[int]) -> list[int]:
+    """Nonzero lines whose zeros meet nonzero cross lines of two distinct
+    zero patterns; ``lines`` are the rows (or columns) as bitmasks over the
+    ``cross`` lines."""
+    from .pattern import _bits
+
+    full = (1 << len(cross)) - 1
+    return [
+        k
+        for k, bits in enumerate(lines)
+        if bits and len({cross[l] for l in _bits(full ^ bits) if cross[l]}) >= 2
+    ]
+
+
+def _cheapest_blocks(
+    row_bits, pinned_rows: list[int], pinned_cols: list[int], cap: int, keep: int
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The ``keep`` smallest ``(z, rows, cols)`` with ``z <= cap``, sorted.
+
+    The candidates are the 4x4 blocks of pinned rows x pinned columns, z
+    counts a block's nonzero entries, and only the lexicographically first
+    ``_SCAN_LIMIT`` (row set, column set) pairs are scored, which caps huge
+    inputs deterministically.  The column sets are taken ``_SCAN_CHUNK`` at
+    a time: per chunk, each row's nonzero count on every column set is
+    tabled once, and a block's z is the sum of four table entries.
+    """
+    n_col_sets = comb(len(pinned_cols), 4)
+    n_pairs = min(_SCAN_LIMIT, comb(len(pinned_rows), 4) * n_col_sets)
+    n_row_sets = -(-n_pairs // n_col_sets)
+    # a pair's key orders like (z, rows, cols), since combinations() yields
+    # the sets of a sorted list in lexicographic order
+    stride = n_row_sets * n_col_sets
+    kept: list[tuple[int, tuple, tuple]] = []  # max-heap on -key
+    worst = cap  # the largest z that can still be kept
+    col_sets = combinations(pinned_cols, 4)
+    for start in range(0, min(n_col_sets, n_pairs), _SCAN_CHUNK):
+        chunk = list(islice(col_sets, _SCAN_CHUNK))
+        masks = [(1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in chunk]
+        table: dict[int, list[int]] = {}
+        for r, krows in enumerate(combinations(pinned_rows, 4)):
+            width = min(len(chunk), n_pairs - r * n_col_sets - start)
+            if width <= 0:
+                break
+            counts = []
+            for k in krows:
+                if k not in table:
+                    table[k] = [(row_bits[k] & m).bit_count() for m in masks]
+                counts.append(table[k])
+            zs = [a + b + c + d for a, b, c, d in zip(*counts)][:width]
+            if min(zs) > worst:
+                continue
+            base = r * n_col_sets + start
+            for j, z in enumerate(zs):
+                if z <= worst:
+                    item = (-(z * stride + base + j), krows, chunk[j])
+                    if len(kept) < keep:
+                        heapq.heappush(kept, item)
+                    else:
+                        heapq.heappushpop(kept, item)
+                    if len(kept) == keep:
+                        worst = -kept[0][0] // stride
+    return [(-neg // stride, kr, lc) for neg, kr, lc in sorted(kept, reverse=True)]
+
+
+def order3_exclusion(
+    s: ExactMatrix,
+    fix_global_sign: bool = True,
+    cap: int = DEFAULT_SIGN_CAP,
+    max_attempts: int = 64,
+) -> Order3Certificate:
+    """Certificate that a nonnegative matrix has psd rank at least 4.
+
+    If an order-3 factorization existed, the pinned rows would carry rank-1
+    A factors and the pinned columns rank-1 B factors, making the selected
+    block an entrywise square of a rank <= 3 matrix.  Enumerating all sign
+    choices of the square roots and finding every rank >= 4 refutes that.
+    Returns an inconclusive certificate (not an error) when the hypothesis
+    fails or every tried block admits a low-rank square root.
+    """
+    from .pattern import support
+
+    if not s.is_nonnegative():
+        raise ValueError("order-3 exclusion needs a nonnegative matrix")
+    if max_attempts < 0:
+        raise ValueError(f"max_attempts must be nonnegative, got {max_attempts}")
+    pat = support(s)
+    pinned_rows, pinned_cols = _pinned_sets(pat)
+
+    def inconclusive(reason: str) -> Order3Certificate:
+        return Order3Certificate(
+            False, None, (), (), None, 0, None,
+            tuple(pinned_rows), tuple(pinned_cols), reason,
+        )
+
+    if len(pinned_rows) < 4 or len(pinned_cols) < 4:
+        return inconclusive(
+            "fewer than four rows or columns have forced subspace dimensions"
+        )
+
+    # one block is kept even when none will be tried, to tell an empty scan
+    # from a zero attempt count
+    blocks = _cheapest_blocks(
+        pat.row_bits, pinned_rows, pinned_cols, cap, max(max_attempts, 1)
+    )
+    if not blocks:
+        return inconclusive("every candidate block exceeds the enumeration cap")
+    blocks = blocks[:max_attempts]
+    for z, krows, lcols in blocks:
+        result = min_sqrt_rank(
+            s, krows, lcols, fix_global_sign=fix_global_sign, cap=cap
+        )
+        if result.min_rank >= 4:
+            return Order3Certificate(
+                True, 4, tuple(krows), tuple(lcols),
+                result.min_rank, result.assignments_checked, result.witness,
+                tuple(pinned_rows), tuple(pinned_cols),
+            )
+    return inconclusive(
+        f"all {len(blocks)} candidate blocks admit a square root of rank <= 3"
+    )
+

@@ -30,7 +30,7 @@ from psdbounds import (
     SqrtRankResult,
     SupportPattern,
 )
-from psdbounds.psd import DEFAULT_SIGN_CAP
+from psdbounds.scalars import DEFAULT_SIGN_CAP
 
 
 def naive_rank(m: ExactMatrix) -> int:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from psdbounds import (
-    ExactMatrix, cli, embed, formats, generate_sn, slack_matrix_cut_clique, support
+    ExactMatrix, cli, formats, generate_sn, psd, slack_matrix_cut_clique, support
 )
 from psdbounds.cli import _build_parser, run
 
@@ -232,7 +232,6 @@ with open(sys.argv[1], "w") as fh:
     json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
 """
 
-EXPENSIVE = {"cutpoly", "embed", "pattern", "psd", "reduction"}
 # about 10 ms of start-up together, and no exact command needs them
 SLOW_STDLIB = {"dataclasses", "inspect"}
 
@@ -264,8 +263,8 @@ def bare_modules() -> set[str]:
 def chain_files(tmp_path):
     s6 = tmp_path / "s6.txt"
     s6.write_text(s6_text())
-    emb = embed.embedding_from_rank_factorization(generate_sn(6))
-    fact, t = embed.psd_from_embedding(emb)
+    emb = psd.embedding_from_rank_factorization(generate_sn(6))
+    fact, t = psd.psd_from_embedding(emb)
     (tmp_path / "emb.json").write_text(formats.embedding_to_json(emb))
     (tmp_path / "fact.json").write_text(formats.factorization_to_json(fact))
     (tmp_path / "t.txt").write_text(formats.format_matrix(t))
@@ -277,37 +276,45 @@ def chain_files(tmp_path):
     return tmp_path
 
 
+LAYERS = {"cutpoly", "pattern", "psd", "reduction", "scalars"}
+
+
+def only(*layers) -> set[str]:
+    """The layers a command leaves unloaded when it loads just ``layers``
+    beyond the `cli`, `formats` and `linalg` that every command loads."""
+    return LAYERS - set(layers)
+
+
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        (["rank", "s6.txt"], EXPENSIVE),
-        (["verify", "psd", "fact.json", "t.txt"],
-         {"embed", "cutpoly", "pattern", "reduction", "scalars"}),
-        (["reduce-rank", "fact.json"], {"pattern", "psd", "embed", "cutpoly"}),
-        (["order3-exclude", "s6.txt"], {"embed", "cutpoly"}),
-        (["sqrt-bound", "--rows", "3,4,5,6", "--cols", "1,2,3,4", "s6.txt"],
-         {"embed", "cutpoly", "pattern"}),
-        (["gen", "sn", "6"], {"embed", "cutpoly", "pattern", "scalars"}),
-        (["embed", "from-rank", "s6.txt"], EXPENSIVE - {"embed"}),
-        (["psd", "from-embedding", "emb.json"],
-         {"cutpoly", "pattern", "reduction", "scalars"}),
+        # the certify chain loads `psd`, and neither the searches nor the
+        # sign enumeration; the order-3 argument loads `scalars`, and not
+        # the factorizations.  New cases go last: a case's position is part
+        # of its test id.
+        (["rank", "s6.txt"], only()),
+        (["verify", "psd", "fact.json", "t.txt"], only("psd")),
+        (["reduce-rank", "fact.json"], only("reduction")),
+        (["order3-exclude", "s6.txt"], only("pattern", "scalars")),
+        (["sqrt-bound", "--rows", "3,4,5,6", "--cols", "1,2,3,4", "s6.txt"], only("scalars")),
+        (["gen", "sn", "6"], only("cutpoly")),
+        (["embed", "from-rank", "s6.txt"], only("psd")),
+        (["psd", "from-embedding", "emb.json"], only("psd")),
         # triangular rank 7: no order-3 certificate, so no sign enumeration
-        (["bounds", "cutpoly4.txt"], {"cutpoly", "embed", "psd", "reduction", "scalars"}),
-        (["boolrank", "id21.txt"], {"embed", "psd", "scalars", "cutpoly", "reduction"}),
-        (["trirank", "s6.txt"], {"embed", "psd", "scalars", "cutpoly", "reduction"}),
-        (["gen", "cutpoly", "4"], {"embed", "pattern", "psd", "reduction", "scalars"}),
-        (["appendix-check", "18"], {"embed", "pattern", "psd", "reduction", "scalars"}),
+        (["bounds", "cutpoly4.txt"], only("pattern")),
+        (["boolrank", "id21.txt"], only("pattern")),
+        (["trirank", "s6.txt"], only("pattern")),
+        (["gen", "cutpoly", "4"], only("cutpoly")),
+        (["appendix-check", "18"], only("cutpoly")),
+        (["embed", "from-psd", "fact.json"], only("psd")),
+        (["bounds", "s6.txt"], only("pattern", "scalars")),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_each_command_loads_only_its_modules(chain_files, bare_modules, argv, unloaded):
     modules = command_modules(chain_files, *argv)
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("psdbounds.")}
-    assert not loaded & unloaded, sorted(loaded & unloaded)
-    if argv[0] == "rank":
-        assert loaded == {"cli", "formats", "linalg"}
-    if argv[:2] == ["embed", "from-rank"]:
-        assert loaded == {"cli", "formats", "linalg", "embed"}
+    assert loaded == {"cli", "formats", "linalg", *LAYERS - unloaded}
     if argv[0] != "reduce-rank":  # numpy imports inspect
         slow = (modules - bare_modules) & SLOW_STDLIB
         assert not slow, sorted(slow)
@@ -621,6 +628,19 @@ def test_bounds_computes_triangular_rank_once(capsys, monkeypatch):
     code, out, _ = invoke(capsys, ["bounds"], stdin=s6_text())
     assert code == 0 and "embedding dimension:  between 3 and 3" in out
     assert len(calls) == 1
+
+
+def test_bounds_refuses_a_negative_budget_before_any_search(capsys, monkeypatch):
+    from psdbounds import pattern
+
+    calls = []
+    original = pattern.triangular_rank
+    monkeypatch.setattr(
+        pattern, "triangular_rank", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    code, out, err = invoke(capsys, ["bounds", "--budget", "-1"], stdin=s6_text())
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: budget must be nonnegative, got -1\n"
 
 
 def test_boolrank_computes_triangular_rank_only_when_undecided(capsys, monkeypatch):

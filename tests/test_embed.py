@@ -30,7 +30,7 @@ from psdbounds import (
     boolean_rank,
     formats,
     minimum_biclique_cover,
-    psd,
+    scalars,
     slack_matrix_cut_clique,
 )
 from psdbounds.cli import run
@@ -317,9 +317,9 @@ def test_refused_cover_search_interval_is_shared(capsys, m, interval):
 
 def test_analyze_runs_order3_only_when_it_can_raise_the_bound(monkeypatch):
     calls = []
-    order3 = psd.order3_exclusion
+    order3 = scalars.order3_exclusion
     monkeypatch.setattr(
-        psd, "order3_exclusion", lambda *a, **kw: calls.append(1) or order3(*a, **kw)
+        scalars, "order3_exclusion", lambda *a, **kw: calls.append(1) or order3(*a, **kw)
     )
     # triangular rank 7 already beats the certificate's 4; S_6's is 3
     assert analyze(slack_matrix_cut_clique(4)).psd_lower_bound == 7

@@ -288,6 +288,26 @@ def test_float_tokens_are_bit_identical_to_fraction(token, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("token, spelled", [(True, "true"), (False, "false"),
+                                            (None, "null")])
+def test_float_reader_refuses_json_literals(token, spelled, tmp_path, capsys):
+    # JSON numbers and decimal strings are float entries; a literal is not
+    for number, value in ((0.1, 0.1), (2, 2.0), ("0.25", 0.25)):
+        a, _, _ = formats.float_factors_from_json(_factorization_text(number))
+        assert a == [[value], [value]]
+    message = ("malformed psd_factorization document: "
+               f"entries are numbers or strings, got {spelled}")
+    text = _factorization_text(token)
+    with pytest.raises(formats.FormatError) as raised:
+        formats.float_factors_from_json(text)
+    assert str(raised.value) == message
+    path = tmp_path / "fact.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run(["reduce-rank", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_matrix_entries_read_as_before():
     # the fast reader takes only what the checked path accepted unchanged
     for token in ("0", "-0", "7", "-3/4", "6/4", "007/010", "9" * 400 + "/7"):

@@ -19,12 +19,8 @@ from test_cli import src_env
 EAGER = {
     "cutpoly": [
         "AppendixCheckResult", "Clique", "Cut", "SubsetVertex", "all_cliques", "all_cuts",
-        "appendix_reduction_check", "cut_clique_slack", "graph_G", "graph_H",
-        "iter_slack_rows", "slack_matrix_cut_clique",
-    ],
-    "embed": [
-        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
-        "psd_from_embedding", "verify_embedding",
+        "appendix_reduction_check", "cut_clique_slack", "generate_sn", "graph_G",
+        "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
     ],
     "linalg": [
         "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
@@ -37,12 +33,16 @@ EAGER = {
         "minimum_feasible_cover", "poset_of", "support", "triangular_rank",
     ],
     "psd": [
-        "FactorizationReport", "Order3Certificate", "PsdCertificate", "PsdFactorization",
-        "RealizationError", "SignAssignment", "SqrtRankResult", "check_sign_square",
-        "generate_sn", "min_sqrt_rank", "order3_exclusion", "psd_certificate",
-        "realize_support", "verify_psd_factorization",
+        "FactorizationReport", "PsdCertificate", "PsdFactorization", "RealizationError",
+        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
+        "psd_certificate", "psd_from_embedding", "realize_support", "verify_embedding",
+        "verify_psd_factorization",
     ],
-    "scalars": ["MultiQuadScalar", "sqrt_embed", "squarefree_decompose"],
+    "scalars": [
+        "MultiQuadScalar", "Order3Certificate", "SignAssignment", "SqrtRankResult",
+        "check_sign_square", "min_sqrt_rank", "multiquad_rank", "order3_exclusion",
+        "sqrt_embed", "squarefree_decompose",
+    ],
 }
 # resolved on first use before, too: they need numpy
 REDUCTION = [
@@ -72,6 +72,15 @@ def test_each_lazy_name_is_its_modules_attribute(module):
     assert getattr(psdbounds, module) is defining
     for name in EAGER.get(module, REDUCTION):
         assert getattr(psdbounds, name) is getattr(defining, name), name
+
+
+def test_embed_module_is_gone():
+    # its names live in `psd`, and no alias module stands in for it
+    assert "embed" not in psdbounds.__all__
+    with pytest.raises(AttributeError, match="no attribute 'embed'"):
+        psdbounds.embed  # noqa: B018
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("psdbounds.embed")
 
 
 def test_unknown_names_still_raise_attribute_error():

@@ -14,7 +14,7 @@ from oracles import (
     min_sqrt_rank_reference,
     psd_certificate_reference,
 )
-from psdbounds import formats, psd, scalars
+from psdbounds import formats, scalars
 from psdbounds import (
     ExactMatrix,
     MultiQuadScalar,
@@ -588,13 +588,13 @@ def test_min_sqrt_rank_ranks_one_choice_per_flip_orbit(monkeypatch):
     # each representative is ranked once mod p, or exactly when no prime is
     # usable; there are 2^(z - (r + c - k)) of them with either fixed sign
     modular_calls = []
-    rank_mod_p = psd.rank_mod_p
+    rank_mod_p = scalars.rank_mod_p
 
     def counted(grid, p):
         modular_calls.append(1)
         return rank_mod_p(grid, p)
 
-    monkeypatch.setattr(psd, "rank_mod_p", counted)
+    monkeypatch.setattr(scalars, "rank_mod_p", counted)
     exact_calls = count_exact_ranks(monkeypatch)
     rng = random.Random(3961)
     radicands = [2 * 3 * 5 * 7 * 11, 13 * 17 * 19 * 23 * 29,
@@ -622,11 +622,11 @@ def test_min_sqrt_rank_at_the_sign_cap(monkeypatch):
     v = [(0, 1), (1, 1), (1, -2), (2, 1), (3, 1)]
     y = [[a * c + b * d for c, d in v] for a, b in u]
     s = ExactMatrix.from_rows([[x * x for x in row] for row in y])
-    assert support(s).ones_count() == psd.DEFAULT_SIGN_CAP == 24
+    assert support(s).ones_count() == scalars.DEFAULT_SIGN_CAP == 24
     modular_calls = []
-    rank_mod_p = psd.rank_mod_p
+    rank_mod_p = scalars.rank_mod_p
     monkeypatch.setattr(
-        psd, "rank_mod_p", lambda grid, p: modular_calls.append(1) or rank_mod_p(grid, p)
+        scalars, "rank_mod_p", lambda grid, p: modular_calls.append(1) or rank_mod_p(grid, p)
     )
     res = min_sqrt_rank(s, range(5), range(5))
     assert (res.min_rank, res.assignments_checked) == (2, 2**23)
@@ -740,7 +740,7 @@ def test_order3_exclusion_tries_the_cheapest_blocks(monkeypatch):
         tried.append((rows, cols))
         return min_sqrt_rank(s, rows, cols, **kw)
 
-    monkeypatch.setattr(psd, "min_sqrt_rank", spy)
+    monkeypatch.setattr(scalars, "min_sqrt_rank", spy)
     cert = order3_exclusion(s, cap=12, max_attempts=8)
     blocks = sorted(
         (sum(1 for k in kr for l in lc if s[k, l]), kr, lc)
@@ -753,12 +753,12 @@ def test_order3_exclusion_tries_the_cheapest_blocks(monkeypatch):
     # S_12 has C(10, 4) = 210 pinned column sets, so a limit of 1000 pairs
     # stops partway through the fifth row set
     s = generate_sn(12)
-    monkeypatch.setattr(psd, "_SCAN_LIMIT", 1000)
+    monkeypatch.setattr(scalars, "_SCAN_LIMIT", 1000)
     monkeypatch.setattr(
-        psd, "min_sqrt_rank",
+        scalars, "min_sqrt_rank",
         lambda s, rows, cols, **kw: tried.append((rows, cols)) or SqrtRankResult(3, None, 0),
     )
-    pinned_rows, pinned_cols = psd._pinned_sets(support(s))
+    pinned_rows, pinned_cols = scalars._pinned_sets(support(s))
     pairs = islice(
         ((kr, lc) for kr in combinations(pinned_rows, 4) for lc in combinations(pinned_cols, 4)),
         1000,
