@@ -256,13 +256,13 @@ def embedding_from_json(text: str) -> SubspaceEmbedding:
         read = _memo(_exact)
 
         def space(obj) -> Subspace:
-            rows = [[read(v) for v in row] for row in obj["basis"]]
+            rows = [[read(v) for v in _array(row)] for row in _array(obj["basis"])]
             return Subspace.from_vectors(q, rows)
 
         return SubspaceEmbedding(
             q,
-            tuple(space(u) for u in doc["U"]),
-            tuple(space(v) for v in doc["V"]),
+            tuple(space(u) for u in _array(doc["U"])),
+            tuple(space(v) for v in _array(doc["V"])),
         )
 
 
@@ -282,14 +282,19 @@ def factorization_to_json(f: PsdFactorization) -> str:
 
 def _factors(text: str, convert, build) -> tuple[int, list, list]:
     """The order and the A and B lists of a factorization document: each
-    factor's entries read by ``convert``, then ``build(order, entries)``."""
+    factor's order^2 entries read by ``convert``, then ``build(order, entries)``."""
     doc = _load(text, "psd_factorization")
     with _fields("psd_factorization"):
         q = _size(doc, "order")
         read = _memo(convert)
 
+        def factor(entries: list):
+            if len(entries) != q * q:
+                raise FormatError(f"expected {q * q} entries, got {len(entries)}")
+            return build(q, [read(v) for v in entries])
+
         def factors(entry_lists) -> list:
-            return [build(q, [read(v) for v in e]) for e in entry_lists]
+            return [factor(_array(e)) for e in _array(entry_lists)]
 
         return q, factors(doc["A"]), factors(doc["B"])
 
@@ -352,6 +357,13 @@ def _fields(kind: str):
         raise FormatError(f"malformed {kind} document: {exc}") from None
 
 
+def _array(value) -> list:
+    """``value`` if a JSON array: a string or object would iterate its characters or keys."""
+    if type(value) is not list:
+        raise TypeError(f"expected an array, got {json.dumps(value)}")
+    return value
+
+
 def _size(doc: dict, key: str) -> int:
     value = doc[key]
     # bool is an int subclass, and int() would truncate 1.9 to 1
@@ -367,6 +379,7 @@ def _load(text: str, kind: str) -> dict:
         raise FormatError(f"bad JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise FormatError(f"expected a {kind} document")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise FormatError(f"unsupported schema {doc.get('schema')!r}")
+    # true == 1 and 1.0 == 1 in Python, but neither is the integer 1
+    if type(schema := doc.get("schema")) is not int or schema != SCHEMA_VERSION:
+        raise FormatError(f"unsupported schema {schema!r}")
     return doc

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over the rationals.
 
 :class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`,
-and there is no floating point anywhere in this module.  The exact
-kernels run on integers: products are :func:`scaled_dot` dot products of
-rows scaled to a common denominator, and rank, determinant, RREF, kernel,
+and there is no floating point anywhere in this module.  Its support in
+bitmask form, one int per row, is :meth:`ExactMatrix.support_bits`.  The
+exact kernels run on integers: products are :func:`scaled_dot` dot products
+of rows scaled to a common denominator, and rank, determinant, RREF, kernel,
 image, subspaces and inverse all come from one fraction-free Gauss-Jordan
 elimination (:func:`_eliminate`).  The rank mod p of :func:`rank_mod_p`
 runs on packed rows instead: each row is one int with a fixed-width slot
@@ -108,6 +109,11 @@ class ExactMatrix:
 
     def is_nonnegative(self) -> bool:
         return all(v >= 0 for v in self._e)
+
+    def support_bits(self) -> list[int]:
+        """One int per row, bit j set where entry j is nonzero (exact zero test)."""
+        rows = map(self.row, range(self.rows))
+        return [sum(1 << j for j, v in enumerate(r) if v) for r in rows]
 
     # -- arithmetic ---------------------------------------------------------
 

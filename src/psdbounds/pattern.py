@@ -150,14 +150,7 @@ class SupportPattern:
 
 def support(m: ExactMatrix) -> SupportPattern:
     """Replace every nonzero entry by 1 (exact zero test)."""
-    masks = []
-    for i in range(m.rows):
-        mask = 0
-        for j, v in enumerate(m.row(i)):
-            if v:
-                mask |= 1 << j
-        masks.append(mask)
-    return SupportPattern(m.rows, m.cols, masks)
+    return SupportPattern(m.rows, m.cols, m.support_bits())
 
 
 class BipartiteGraph(SupportPattern):

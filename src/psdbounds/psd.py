@@ -22,9 +22,7 @@ from . import _frozen
 from .linalg import (ExactMatrix, Subspace, image, kernel, projection_matrix, row_space,
                      scaled_dot, scaled_entries)
 
-# `pattern` is imported where the support is needed, so that `verify psd`
-# and the embedding commands do not load it
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # verify_embedding's annotation only: psd never loads `pattern`
     from .pattern import SupportPattern
 
 
@@ -201,13 +199,11 @@ def realize_support(
     automatically (there A_k B_l = 0); nonzero entries survive outside a
     measure-zero set, so a few retries suffice.  Deterministic per seed.
     """
-    from .pattern import support
-
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     _require_psd(f)
     s = f.product_matrix()
-    pattern = support(s)
+    pattern = s.support_bits()
     rng = random.Random(seed)
     amplitude = max(17, f.m * f.n)
     a = [scaled_entries(x.entries) for x in f.A]
@@ -216,7 +212,7 @@ def realize_support(
         xs = [_times_random_vector(x, f.order, rng, amplitude) for x in a]
         ys = [_times_random_vector(y, f.order, rng, amplitude) for y in b]
         t = ExactMatrix(f.m, f.n, [scaled_dot(x, y) for x in xs for y in ys])
-        if support(t) == pattern:
+        if t.support_bits() == pattern:
             return t
     raise RealizationError(
         f"no support-realizing sample in {max_tries} tries (seed {seed})"

@@ -18,15 +18,9 @@ import heapq
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, gcd, lcm, prod
-from typing import TYPE_CHECKING
 
 from . import _frozen
 from .linalg import _MODULAR_PRIME, ExactMatrix, rank_mod_p
-
-# `pattern` is imported where the support is needed, so that `sqrt-bound`
-# does not load it
-if TYPE_CHECKING:
-    from .pattern import SupportPattern
 
 # primes p = 3 (mod 4) that modular_images tries, downward from _MODULAR_PRIME
 _PRIME_CANDIDATES = 4096
@@ -575,7 +569,7 @@ class Order3Certificate:
         return "psd rank >= 4" if self.conclusive else "inconclusive"
 
 
-def _pinned_sets(pat: SupportPattern) -> tuple[list[int], list[int]]:
+def _pinned_sets(row_bits: list[int], col_bits: list[int]) -> tuple[list[int], list[int]]:
     """Rows forced to 1-dimensional lines and columns forced to planes.
 
     In any order-3 factorization, via the induced embedding with
@@ -589,21 +583,17 @@ def _pinned_sets(pat: SupportPattern) -> tuple[list[int], list[int]]:
       distinct zero pattern (each row containing a nonzero) rule out
       dim V_l <= 1, hence dim V_l = 2.
     """
-    col_bits = pat.col_bits()
-    return _pinned(pat.row_bits, col_bits), _pinned(col_bits, pat.row_bits)
+    return _pinned(row_bits, col_bits), _pinned(col_bits, row_bits)
 
 
 def _pinned(lines: list[int], cross: list[int]) -> list[int]:
     """Nonzero lines whose zeros meet nonzero cross lines of two distinct
     zero patterns; ``lines`` are the rows (or columns) as bitmasks over the
     ``cross`` lines."""
-    from .pattern import _bits
-
-    full = (1 << len(cross)) - 1
     return [
         k
         for k, bits in enumerate(lines)
-        if bits and len({cross[l] for l in _bits(full ^ bits) if cross[l]}) >= 2
+        if bits and len({c for l, c in enumerate(cross) if c and not bits >> l & 1}) >= 2
     ]
 
 
@@ -672,14 +662,12 @@ def order3_exclusion(
     Returns an inconclusive certificate (not an error) when the hypothesis
     fails or every tried block admits a low-rank square root.
     """
-    from .pattern import support
-
     if not s.is_nonnegative():
         raise ValueError("order-3 exclusion needs a nonnegative matrix")
     if max_attempts < 0:
         raise ValueError(f"max_attempts must be nonnegative, got {max_attempts}")
-    pat = support(s)
-    pinned_rows, pinned_cols = _pinned_sets(pat)
+    row_bits = s.support_bits()
+    pinned_rows, pinned_cols = _pinned_sets(row_bits, s.transpose().support_bits())
 
     def inconclusive(reason: str) -> Order3Certificate:
         return Order3Certificate(
@@ -695,7 +683,7 @@ def order3_exclusion(
     # one block is kept even when none will be tried, to tell an empty scan
     # from a zero attempt count
     blocks = _cheapest_blocks(
-        pat.row_bits, pinned_rows, pinned_cols, cap, max(max_attempts, 1)
+        row_bits, pinned_rows, pinned_cols, cap, max(max_attempts, 1)
     )
     if not blocks:
         return inconclusive("every candidate block exceeds the enumeration cap")

@@ -289,13 +289,12 @@ def only(*layers) -> set[str]:
     "argv, unloaded",
     [
         # the certify chain loads `psd`, and neither the searches nor the
-        # sign enumeration; the order-3 argument loads `scalars`, and not
-        # the factorizations.  New cases go last: a case's position is part
-        # of its test id.
+        # sign enumeration; the order-3 argument loads `scalars` alone.  New
+        # cases go last: a case's position is part of its test id.
         (["rank", "s6.txt"], only()),
         (["verify", "psd", "fact.json", "t.txt"], only("psd")),
         (["reduce-rank", "fact.json"], only("reduction")),
-        (["order3-exclude", "s6.txt"], only("pattern", "scalars")),
+        (["order3-exclude", "s6.txt"], only("scalars")),
         (["sqrt-bound", "--rows", "3,4,5,6", "--cols", "1,2,3,4", "s6.txt"], only("scalars")),
         (["gen", "sn", "6"], only("cutpoly")),
         (["embed", "from-rank", "s6.txt"], only("psd")),
@@ -308,6 +307,7 @@ def only(*layers) -> set[str]:
         (["appendix-check", "18"], only("cutpoly")),
         (["embed", "from-psd", "fact.json"], only("psd")),
         (["bounds", "s6.txt"], only("pattern", "scalars")),
+        (["realize-support", "fact.json"], only("psd")),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

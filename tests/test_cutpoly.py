@@ -7,6 +7,7 @@ from oracles import minimum_feasible_cover_bruteforce
 from psdbounds import (
     Clique,
     Cut,
+    ExactMatrix,
     SubsetVertex,
     SupportPattern,
     all_cliques,
@@ -16,7 +17,9 @@ from psdbounds import (
     cut_clique_slack,
     feasible_biclique_cover,
     graph_G,
+    generate_sn,
     graph_H,
+    rank,
     slack_matrix_cut_clique,
 )
 
@@ -166,3 +169,24 @@ def test_appendix_identity_single_pairs():
     # x = y (meet size l != 1) and disjoint x, y are both consistent
     result = appendix_reduction_check(18)
     assert result.ok
+
+
+S6_DISPLAY = [
+    [1, 3, 6, 10, 15, 21],
+    [0, 1, 3, 6, 10, 15],
+    [0, 0, 1, 3, 6, 10],
+    [1, 0, 0, 1, 3, 6],
+    [3, 1, 0, 0, 1, 3],
+    [6, 3, 1, 0, 0, 1],
+]
+
+
+def test_generate_sn():
+    assert generate_sn(6) == ExactMatrix.from_rows(S6_DISPLAY)
+    assert generate_sn(1)[0, 0] == 1  # (-1)(-2)/2
+    for n in (3, 6, 10):
+        assert rank(generate_sn(n)) == 3
+        assert generate_sn(n).is_nonnegative()
+    assert rank(generate_sn(2)) == 2
+    with pytest.raises(ValueError):
+        generate_sn(0)

@@ -333,3 +333,73 @@ def test_zero_denominator_is_a_usage_error(token, tmp_path, capsys):
     capsys.readouterr()
     assert run(["rank", str(matrix)]) == 2
     assert capsys.readouterr() == ("", f"error: bad entry {token!r}: zero denominator\n")
+
+
+def _document(kind: str, **fields) -> str:
+    """A valid order-1 document of ``kind`` with ``fields`` replaced."""
+    if kind == "psd_factorization":
+        doc = {"order": 1, "A": [["1"]], "B": [["1"]]}
+    else:
+        doc = {"ambient_dim": 1, "U": [{"basis": [["1"]]}], "V": [{"basis": []}]}
+    return json.dumps({"schema": 1, "kind": kind, **doc, **fields})
+
+
+# a string or an object where an array belongs iterated as characters or
+# keys, and true and 1.0 compared equal to schema 1: `verify psd` printed
+# "pass" on each factorization against the matrix given here
+MALFORMED = {
+    "factor string": ("psd_factorization", {"order": 2, "A": ["1001"],
+                                             "B": [["1", "0", "0", "1"]]}, '"1001"', "2"),
+    "factor list string": ("psd_factorization", {"A": "12"}, '"12"', "1\n2"),
+    "factor list object": ("psd_factorization", {"B": {"1": "1"}}, '{"1": "1"}', "1"),
+    "factorization schema true": ("psd_factorization", {"schema": True}, None, "1"),
+    "factorization schema 1.0": ("psd_factorization", {"schema": 1.0}, None, "1"),
+    "basis row string": ("subspace_embedding", {"U": [{"basis": ["1"]}]}, '"1"', None),
+    "basis string": ("subspace_embedding", {"U": [{"basis": "1"}]}, '"1"', None),
+    "V object": ("subspace_embedding", {"V": {"basis": []}}, '{"basis": []}', None),
+    "embedding schema true": ("subspace_embedding", {"schema": True}, None, None),
+    "embedding schema 1.0": ("subspace_embedding", {"schema": 1.0}, None, None),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_json_readers_take_only_arrays_and_schema_1(case, tmp_path, capsys):
+    kind, fields, got, product = MALFORMED[case]
+    message = (f"unsupported schema {fields['schema']!r}" if got is None
+               else f"malformed {kind} document: expected an array, got {got}")
+    text = _document(kind, **fields)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    if kind == "psd_factorization":
+        readers = [formats.factorization_from_json, formats.float_factors_from_json]
+        rows = product.split("\n")
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(f"{len(rows)} 1\n" + "\n".join(rows) + "\n")
+        argv = ["verify", "psd", str(path), str(matrix)]
+    else:
+        readers = [formats.embedding_from_json]
+        argv = ["psd", "from-embedding", str(path)]
+    for read in readers:
+        with pytest.raises(formats.FormatError) as raised:
+            read(text)
+        assert str(raised.value) == message
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_factor_entry_count_is_checked_by_both_readers(tmp_path, capsys):
+    text = _document("psd_factorization", order=2, A=[["1", "0", "1"]],
+                     B=[["1", "0", "0", "1"]])
+    for read in (formats.factorization_from_json, formats.float_factors_from_json):
+        with pytest.raises(formats.FormatError) as raised:
+            read(text)
+        assert str(raised.value) == "expected 4 entries, got 3"
+    path = tmp_path / "fact.json"
+    path.write_text(text)
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1 1\n1\n")
+    for argv in (["reduce-rank", str(path)], ["verify", "psd", str(path), str(matrix)]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", "error: expected 4 entries, got 3\n")

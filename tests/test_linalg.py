@@ -22,6 +22,21 @@ from psdbounds import (
 )
 
 
+def test_support_bits_sets_a_bit_per_nonzero_entry():
+    m = ExactMatrix.from_rows([[0, Fraction(1, 3), 0], [-2, 0, 5], [0, 0, 0]])
+    assert m.support_bits() == [0b010, 0b101, 0]
+    assert ExactMatrix.zeros(2, 0).support_bits() == [0, 0]
+    rng = random.Random(5)
+    for _ in range(50):
+        m = random_rational_matrix(rng)
+        assert m.support_bits() == [
+            sum(1 << j for j in range(m.cols) if m[i, j] != 0) for i in range(m.rows)
+        ]
+        assert m.transpose().support_bits() == [
+            sum(1 << i for i in range(m.rows) if m[i, j] != 0) for j in range(m.cols)
+        ]
+
+
 def test_rank_examples():
     assert rank(generate_sn(6)) == 3
     assert rank(ExactMatrix.identity(3)) == 3

@@ -37,29 +37,9 @@ from psdbounds import (
 from psdbounds.cli import run
 from psdbounds.scalars import modular_images, multiquad_rank, sqrt_embed
 
-S6_DISPLAY = [
-    [1, 3, 6, 10, 15, 21],
-    [0, 1, 3, 6, 10, 15],
-    [0, 0, 1, 3, 6, 10],
-    [1, 0, 0, 1, 3, 6],
-    [3, 1, 0, 0, 1, 3],
-    [6, 3, 1, 0, 0, 1],
-]
-
 
 def s6_factorization() -> tuple[PsdFactorization, ExactMatrix]:
     return psd_from_embedding(embedding_from_rank_factorization(generate_sn(6)))
-
-
-def test_generate_sn():
-    assert generate_sn(6) == ExactMatrix.from_rows(S6_DISPLAY)
-    assert generate_sn(1)[0, 0] == 1  # (-1)(-2)/2
-    for n in (3, 6, 10):
-        assert rank(generate_sn(n)) == 3
-        assert generate_sn(n).is_nonnegative()
-    assert rank(generate_sn(2)) == 2
-    with pytest.raises(ValueError):
-        generate_sn(0)
 
 
 def test_psd_certificate_basics():
@@ -758,7 +738,8 @@ def test_order3_exclusion_tries_the_cheapest_blocks(monkeypatch):
         scalars, "min_sqrt_rank",
         lambda s, rows, cols, **kw: tried.append((rows, cols)) or SqrtRankResult(3, None, 0),
     )
-    pinned_rows, pinned_cols = scalars._pinned_sets(support(s))
+    cert = order3_exclusion(s, max_attempts=0)
+    pinned_rows, pinned_cols = cert.pinned_rows, cert.pinned_cols
     pairs = islice(
         ((kr, lc) for kr in combinations(pinned_rows, 4) for lc in combinations(pinned_cols, 4)),
         1000,
