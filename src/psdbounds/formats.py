@@ -255,15 +255,19 @@ def embedding_from_json(text: str) -> SubspaceEmbedding:
 
         read = _memo(_exact)
 
-        def space(obj) -> Subspace:
-            rows = [[read(v) for v in _array(row)] for row in _array(obj["basis"])]
-            return Subspace.from_vectors(q, rows)
+        def spaces(key: str) -> tuple[Subspace, ...]:
+            out = []
+            for i, obj in enumerate(_array(doc[key])):
+                if type(obj) is not dict:
+                    raise TypeError(
+                        f'{key}[{i}] must be an object with a "basis" array,'
+                        f" got {json.dumps(obj)}"
+                    )
+                rows = [[read(v) for v in _array(row)] for row in _array(obj["basis"])]
+                out.append(Subspace.from_vectors(q, rows))
+            return tuple(out)
 
-        return SubspaceEmbedding(
-            q,
-            tuple(space(u) for u in _array(doc["U"])),
-            tuple(space(v) for v in _array(doc["V"])),
-        )
+        return SubspaceEmbedding(q, spaces("U"), spaces("V"))
 
 
 def factorization_doc(f: PsdFactorization) -> dict:

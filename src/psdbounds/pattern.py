@@ -245,31 +245,17 @@ class CoverSearchResult:
 # -- triangular rank ---------------------------------------------------------
 
 
-def _max_matching(row_masks: list[int], n_cols: int) -> int:
-    # Kuhn's augmenting paths, depth first on an explicit stack, so a path
-    # may be longer than the recursion limit
-    match_of_col = [-1] * n_cols
-    size = 0
-    for r, mask in enumerate(row_masks):
-        seen = 0
-        stack = [(r, _bits(mask))]  # the path's rows, with their untried columns
-        path: list[int] = []  # the columns between them
-        while stack:
-            c = next(stack[-1][1], -1)
-            if c < 0:
-                stack.pop()
-                del path[-1:]
-                continue
-            seen |= 1 << c
-            path.append(c)
-            v = match_of_col[c]
-            if v < 0:
-                for (u, _), col in zip(stack, path):
-                    match_of_col[col] = u
-                size += 1
+def _gf2_rank(row_masks: list[int]) -> int:
+    # an XOR basis keyed by each vector's top bit
+    basis: dict[int, int] = {}
+    for r in row_masks:
+        while r:
+            top = r.bit_length()
+            if top not in basis:
+                basis[top] = r
                 break
-            stack.append((v, _bits(row_masks[v] & ~seen)))
-    return size
+            r ^= basis[top]
+    return len(basis)
 
 
 def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
@@ -281,8 +267,11 @@ def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
     Exact branch and bound over sets of chosen columns: the next row must
     be zero on every chosen column, so it is never a used row, and which
     row brought a column in does not change what can follow.  The prune
-    is a bipartite matching upper bound on how many pairs can still be
-    appended.  ``embrkl_bounds`` passes ``upper=rank(S)`` to stop once the
+    bounds how many pairs can still be appended by the GF(2) rank of the
+    remaining rows: the rows of a triangular block with nonzero diagonal
+    are independent over GF(2).  That rank is at most the largest
+    matching, the term rank, so it prunes at least where a matching
+    would.  ``embrkl_bounds`` passes ``upper=rank(S)`` to stop once the
     search reaches it.
     """
     best = 0
@@ -296,7 +285,7 @@ def triangular_rank(m: SupportPattern, upper: int | None = None) -> int:
             return iter(())
         seen.add(used)
         rows = [r for r in m.row_bits if r and not r & used]
-        if depth + _max_matching(rows, m.cols) <= best:
+        if depth + _gf2_rank(rows) <= best:
             return iter(())
         free = 0
         for r in rows:
@@ -368,14 +357,25 @@ def _min_set_cover(
     consecutive.
 
     One depth-first branch and bound from the root with one node counter
-    and one incumbent, the greedy cover first.  Each node branches on the
-    uncovered element with the fewest covering sets (lowest bit on ties)
-    and tries those sets by gain, ties in index order.  Every child is one
-    node, counted and bounded in its parent's loop: a child with nothing
-    uncovered may become the incumbent, and only a child that the fooling
-    bound cannot prune is expanded.  The fooling bound is a greedy chain
-    of elements pairwise covered by no one set, lowest bit first; each
-    forces a set of its own.
+    and one incumbent, the greedy cover first.  The elements are first
+    renumbered onto consecutive bits in their order; every choice below
+    depends only on that order, so this changes nothing but the width of
+    the masks.  Each node branches on the uncovered element with the
+    fewest covering sets (lowest bit on ties) and tries those sets by
+    gain, ties in index order.  Every child is one node, counted and
+    bounded in its parent's loop: a child with nothing uncovered may
+    become the incumbent, and only a child that the fooling bound cannot
+    prune is expanded.  The fooling bound is a greedy chain of elements
+    pairwise covered by no one set, lowest bit first; each forces a set
+    of its own.
+
+    A parent is a leaf level when only a cover with one more set could
+    beat the incumbent: the chain of a child with anything uncovered uses
+    up that one set at its first element, so no child is expanded, and
+    only a set covering everything uncovered, the first child in that
+    order, can improve the incumbent.
+    Such a parent counts its children together, the first one before the
+    rest, so the count and any cut are those of the one-by-one loop.
 
     Below a node's child, the sets of its earlier siblings are excluded:
     the earlier sibling's subtree already searched every cover below the
@@ -383,42 +383,50 @@ def _min_set_cover(
     incumbent it left.  An excluded set is neither counted nor expanded
     as a child.  This only removes subtrees that could not have improved
     the incumbent, so the incumbents are found in the same order, each in
-    at most as many nodes.  Every choice depends only on the order of the
-    element bits, so spreading the elements onto other positions in the
-    same order changes nothing.  Returns (chosen set indices, nodes
-    explored).  Past ``budget`` nodes it raises
-    :class:`SearchBudgetExceeded` with the root fooling bound and the best
-    size found, unless the incumbent already meets that bound.
+    at most as many nodes.  Returns (chosen set indices, nodes explored).
+    Past ``budget`` nodes it raises :class:`SearchBudgetExceeded` with the
+    root fooling bound and the best size found, unless the incumbent
+    already meets that bound.
     """
-    # the sets covering each element, in index order, in one pass over
-    # each set's bits
-    covers_of: list[list[int]] = [[] for _ in range(universe.bit_length())]
+    # element e of the universe becomes bit dense[e], in the same order;
+    # each set is read once, into the sets covering each element (in
+    # index order) and its complement within the universe
+    dense = {e: d for d, e in enumerate(_bits(universe))}
+    full = (1 << len(dense)) - 1
+    covers_of: list[list[int]] = [[] for _ in dense]
+    packed, comp = [], []
     for i, c in enumerate(cov):
+        mask = 0
         for e in _bits(c & universe):
-            covers_of[e].append(i)
+            d = dense[e]
+            covers_of[d].append(i)
+            mask |= 1 << d
+        packed.append(mask)
+        comp.append(full ^ mask)
     # the elements no set covering e covers: where a fooling chain through
-    # e may go on; masked to the universe, since `&` on a negative int
-    # costs more, and cell-bit elements are several machine words wide
-    not_co = [0] * len(covers_of)
+    # e may go on
+    not_co = [0] * len(dense)
     # elements grouped by how many sets cover them, fewest first: the
     # branch element is the lowest bit of the first group still uncovered
     groups: dict[int, int] = {}
-    for e in _bits(universe):
-        sets = covers_of[e]
+    for e, sets in enumerate(covers_of):
         if not sets:
             raise ValueError("an element is covered by no candidate set")
         co = 0
         for i in sets:
-            co |= cov[i]
-        not_co[e] = universe & ~co
+            co |= packed[i]
+        not_co[e] = full ^ co
         groups[len(sets)] = groups.get(len(sets), 0) | 1 << e
     by_count = [groups[k] for k in sorted(groups)]
-    lower, rest = 0, universe
+    lower, rest = 0, full
     while rest:
         rest &= not_co[(rest & -rest).bit_length() - 1]
         lower += 1
-    best = _greedy_cover(cov, universe)
+    best = _greedy_cover(packed, full)
     excluded: set[int] = set()  # earlier siblings of the current path
+    # a child's sort key: what it leaves uncovered, then its index
+    shift = len(cov).bit_length()
+    index = (1 << shift) - 1
 
     def expand(uncovered: int, chosen: tuple):
         nonlocal best, nodes
@@ -428,18 +436,36 @@ def _min_set_cover(
             group &= uncovered
             if group:
                 break
-        e = (group & -group).bit_length() - 1
+        sets = covers_of[(group & -group).bit_length() - 1]
         depth = len(chosen) + 1
-        # sorted() is stable and covers_of[e] ascends, so ties keep index order
-        children = sorted(
-            (i for i in covers_of[e] if i not in excluded),
-            key=lambda i: -(cov[i] & uncovered).bit_count(),
-        )
-        for i in children:
+        if len(best) - depth <= 1:  # a leaf level
+            count = len(sets) - len(excluded.intersection(sets))
+            if count:
+                nodes += 1
+                if nodes > budget:
+                    raise SearchBudgetExceeded(lower, len(best), nodes)
+                for i in sets:
+                    if not uncovered & comp[i] and i not in excluded:
+                        best = chosen + (i,)
+                        break
+                nodes += count - 1
+                if nodes > budget:
+                    nodes = budget + 1
+                    raise SearchBudgetExceeded(lower, len(best), nodes)
+            return
+        # ascending keys: most covered first, ties in index order
+        children = [
+            (uncovered & comp[i]).bit_count() << shift | i
+            for i in sets
+            if i not in excluded
+        ]
+        children.sort()
+        for key in children:
+            i = key & index
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(lower, len(best), nodes)
-            child = uncovered & ~cov[i]
+            child = uncovered & comp[i]
             if not child:
                 if depth < len(best):
                     best = chosen + (i,)
@@ -454,14 +480,14 @@ def _min_set_cover(
                 if slack:
                     expand(child, chosen + (i,))
             excluded.add(i)
-        excluded.difference_update(children)
+        excluded.difference_update(map(index.__and__, children))
 
     nodes = 1  # the root
     try:
         if nodes > budget:
             raise SearchBudgetExceeded(lower, len(best), nodes)
         if lower < len(best):
-            expand(universe, ())
+            expand(full, ())
     except SearchBudgetExceeded:
         if len(best) > lower:
             raise

@@ -606,8 +606,12 @@ def _cheapest_blocks(
     counts a block's nonzero entries, and only the lexicographically first
     ``_SCAN_LIMIT`` (row set, column set) pairs are scored, which caps huge
     inputs deterministically.  The column sets are taken ``_SCAN_CHUNK`` at
-    a time: per chunk, each row's nonzero count on every column set is
-    tabled once, and a block's z is the sum of four table entries.
+    a time, and per chunk each row's nonzero counts on the column sets are
+    packed into one int, one byte per set: the sum of the ints that mark
+    the sets holding each of the row's columns.  A row set's z values are
+    then the sum of four row ints, byte by byte, since no z exceeds 16 and
+    so no byte carries.  Only the z values at most the largest one still
+    kept are visited.
     """
     n_col_sets = comb(len(pinned_cols), 4)
     n_pairs = min(_SCAN_LIMIT, comb(len(pinned_rows), 4) * n_col_sets)
@@ -617,25 +621,37 @@ def _cheapest_blocks(
     stride = n_row_sets * n_col_sets
     kept: list[tuple[int, tuple, tuple]] = []  # max-heap on -key
     worst = cap  # the largest z that can still be kept
+    flagged, past = None, b""  # the worst value `past` flags, and its table
     col_sets = combinations(pinned_cols, 4)
     for start in range(0, min(n_col_sets, n_pairs), _SCAN_CHUNK):
         chunk = list(islice(col_sets, _SCAN_CHUNK))
-        masks = [(1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in chunk]
-        table: dict[int, list[int]] = {}
+        # per pinned column, one byte per column set: 1 where the set holds it
+        member = {c: bytearray(len(chunk)) for c in pinned_cols}
+        for j, cols in enumerate(chunk):
+            for c in cols:
+                member[c][j] = 1
+        holds = {c: int.from_bytes(b, "little") for c, b in member.items()}
+        packed: dict[int, int] = {}  # each row's counts, one byte per set
         for r, krows in enumerate(combinations(pinned_rows, 4)):
             width = min(len(chunk), n_pairs - r * n_col_sets - start)
             if width <= 0:
                 break
-            counts = []
+            total = 0
             for k in krows:
-                if k not in table:
-                    table[k] = [(row_bits[k] & m).bit_count() for m in masks]
-                counts.append(table[k])
-            zs = [a + b + c + d for a, b, c, d in zip(*counts)][:width]
+                if k not in packed:
+                    packed[k] = sum(holds[c] for c in pinned_cols if row_bits[k] >> c & 1)
+                total += packed[k]
+            zs = total.to_bytes(len(chunk), "little")[:width]
             if min(zs) > worst:
                 continue
+            # visit only the sets at most `worst`; it can fall on the way
+            if flagged != worst:
+                flagged, past = worst, bytes(z > worst for z in range(256))
+            flags = zs.translate(past)
             base = r * n_col_sets + start
-            for j, z in enumerate(zs):
+            j = flags.find(0)
+            while j >= 0:
+                z = zs[j]
                 if z <= worst:
                     item = (-(z * stride + base + j), krows, chunk[j])
                     if len(kept) < keep:
@@ -644,6 +660,7 @@ def _cheapest_blocks(
                         heapq.heappushpop(kept, item)
                     if len(kept) == keep:
                         worst = -kept[0][0] // stride
+                j = flags.find(0, j + 1)
     return [(-neg // stride, kr, lc) for neg, kr, lc in sorted(kept, reverse=True)]
 
 

@@ -16,10 +16,16 @@ column flip orbits must match in minimum, witness and count.
 ``rank_mod_p_reference`` is the earlier row-list rank mod p, entry by
 entry, which the packed-row kernel must match; the sign-enumeration
 reference uses it, so that it shares no kernel with the library.
+``min_set_cover_per_child`` is the cover search before leaf levels were
+counted in one step, which the search must match node for node at every
+budget, and ``cheapest_blocks_reference`` the order-3 scan on count
+lists, which the byte-packed scan must match block for block.
 """
 
+import heapq
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import comb
 
 from psdbounds import (
     BipartiteGraph,
@@ -30,7 +36,7 @@ from psdbounds import (
     SqrtRankResult,
     SupportPattern,
 )
-from psdbounds.scalars import DEFAULT_SIGN_CAP
+from psdbounds.scalars import _SCAN_CHUNK, _SCAN_LIMIT, DEFAULT_SIGN_CAP
 
 
 def naive_rank(m: ExactMatrix) -> int:
@@ -291,6 +297,121 @@ def min_set_cover_reference(
     return best, nodes
 
 
+# -- frozen per-child cover search --------------------------------------------
+# Verbatim copy of ``pattern._min_set_cover`` as of c20c8d1, the per-child
+# loop: every child is sorted, counted and tested in its parent's loop,
+# on the element bits as given.  Only the name differs.  The search must
+# keep its traversal: the same result, node count and cut at every budget.
+
+
+def min_set_cover_per_child(
+    cov: list[int], universe: int, budget: int
+) -> tuple[tuple[int, ...], int]:
+    """Exact minimum cover of the elements of ``universe`` by the bitsets
+    ``cov``; an element is a bit position, so the elements need not be
+    consecutive.
+
+    One depth-first branch and bound from the root with one node counter
+    and one incumbent, the greedy cover first.  Each node branches on the
+    uncovered element with the fewest covering sets (lowest bit on ties)
+    and tries those sets by gain, ties in index order.  Every child is one
+    node, counted and bounded in its parent's loop: a child with nothing
+    uncovered may become the incumbent, and only a child that the fooling
+    bound cannot prune is expanded.  The fooling bound is a greedy chain
+    of elements pairwise covered by no one set, lowest bit first; each
+    forces a set of its own.
+
+    Below a node's child, the sets of its earlier siblings are excluded:
+    the earlier sibling's subtree already searched every cover below the
+    node that uses its set, so such a cover can be no smaller than the
+    incumbent it left.  An excluded set is neither counted nor expanded
+    as a child.  This only removes subtrees that could not have improved
+    the incumbent, so the incumbents are found in the same order, each in
+    at most as many nodes.  Every choice depends only on the order of the
+    element bits, so spreading the elements onto other positions in the
+    same order changes nothing.  Returns (chosen set indices, nodes
+    explored).  Past ``budget`` nodes it raises
+    :class:`SearchBudgetExceeded` with the root fooling bound and the best
+    size found, unless the incumbent already meets that bound.
+    """
+    # the sets covering each element, in index order, in one pass over
+    # each set's bits
+    covers_of: list[list[int]] = [[] for _ in range(universe.bit_length())]
+    for i, c in enumerate(cov):
+        for e in _bits(c & universe):
+            covers_of[e].append(i)
+    # the elements no set covering e covers: where a fooling chain through
+    # e may go on; masked to the universe, since `&` on a negative int
+    # costs more, and cell-bit elements are several machine words wide
+    not_co = [0] * len(covers_of)
+    # elements grouped by how many sets cover them, fewest first: the
+    # branch element is the lowest bit of the first group still uncovered
+    groups: dict[int, int] = {}
+    for e in _bits(universe):
+        sets = covers_of[e]
+        if not sets:
+            raise ValueError("an element is covered by no candidate set")
+        co = 0
+        for i in sets:
+            co |= cov[i]
+        not_co[e] = universe & ~co
+        groups[len(sets)] = groups.get(len(sets), 0) | 1 << e
+    by_count = [groups[k] for k in sorted(groups)]
+    lower, rest = 0, universe
+    while rest:
+        rest &= not_co[(rest & -rest).bit_length() - 1]
+        lower += 1
+    best = _greedy_cover(cov, universe)
+    excluded: set[int] = set()  # earlier siblings of the current path
+
+    def expand(uncovered: int, chosen: tuple):
+        nonlocal best, nodes
+        # every set covering an uncovered element is still useful, so this
+        # picks the uncovered element with the fewest useful sets
+        for group in by_count:
+            group &= uncovered
+            if group:
+                break
+        e = (group & -group).bit_length() - 1
+        depth = len(chosen) + 1
+        # sorted() is stable and covers_of[e] ascends, so ties keep index order
+        children = sorted(
+            (i for i in covers_of[e] if i not in excluded),
+            key=lambda i: -(cov[i] & uncovered).bit_count(),
+        )
+        for i in children:
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(lower, len(best), nodes)
+            child = uncovered & ~cov[i]
+            if not child:
+                if depth < len(best):
+                    best = chosen + (i,)
+            else:
+                # the child's greedy fooling chain, followed only as far as
+                # it could still let the child beat the incumbent: slack is
+                # left only when the chain ended short of the incumbent
+                rest, slack = child, len(best) - depth
+                while rest and slack:
+                    rest &= not_co[(rest & -rest).bit_length() - 1]
+                    slack -= 1
+                if slack:
+                    expand(child, chosen + (i,))
+            excluded.add(i)
+        excluded.difference_update(children)
+
+    nodes = 1  # the root
+    try:
+        if nodes > budget:
+            raise SearchBudgetExceeded(lower, len(best), nodes)
+        if lower < len(best):
+            expand(universe, ())
+    except SearchBudgetExceeded:
+        if len(best) > lower:
+            raise
+    return best, nodes
+
+
 def psd_certificate_reference(m: ExactMatrix) -> PsdCertificate:
     """Exact psd test by symmetric elimination with diagonal pivoting.
 
@@ -454,3 +575,60 @@ def min_sqrt_rank_reference(
 
     witness = SignAssignment(tuple(positions), best_signs)
     return SqrtRankResult(best_rank, witness, 1 << n_free)
+
+
+# -- frozen order-3 candidate scan --------------------------------------------
+# Verbatim copy of ``scalars._cheapest_blocks`` as of c20c8d1, which tables
+# each row's count on every column set as a list and sums four lists per
+# row set.  Only the name differs.  The packed scan must return the same
+# blocks in the same order.
+
+
+def cheapest_blocks_reference(
+    row_bits, pinned_rows: list[int], pinned_cols: list[int], cap: int, keep: int
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The ``keep`` smallest ``(z, rows, cols)`` with ``z <= cap``, sorted.
+
+    The candidates are the 4x4 blocks of pinned rows x pinned columns, z
+    counts a block's nonzero entries, and only the lexicographically first
+    ``_SCAN_LIMIT`` (row set, column set) pairs are scored, which caps huge
+    inputs deterministically.  The column sets are taken ``_SCAN_CHUNK`` at
+    a time: per chunk, each row's nonzero count on every column set is
+    tabled once, and a block's z is the sum of four table entries.
+    """
+    n_col_sets = comb(len(pinned_cols), 4)
+    n_pairs = min(_SCAN_LIMIT, comb(len(pinned_rows), 4) * n_col_sets)
+    n_row_sets = -(-n_pairs // n_col_sets)
+    # a pair's key orders like (z, rows, cols), since combinations() yields
+    # the sets of a sorted list in lexicographic order
+    stride = n_row_sets * n_col_sets
+    kept: list[tuple[int, tuple, tuple]] = []  # max-heap on -key
+    worst = cap  # the largest z that can still be kept
+    col_sets = combinations(pinned_cols, 4)
+    for start in range(0, min(n_col_sets, n_pairs), _SCAN_CHUNK):
+        chunk = list(islice(col_sets, _SCAN_CHUNK))
+        masks = [(1 << a) | (1 << b) | (1 << c) | (1 << d) for a, b, c, d in chunk]
+        table: dict[int, list[int]] = {}
+        for r, krows in enumerate(combinations(pinned_rows, 4)):
+            width = min(len(chunk), n_pairs - r * n_col_sets - start)
+            if width <= 0:
+                break
+            counts = []
+            for k in krows:
+                if k not in table:
+                    table[k] = [(row_bits[k] & m).bit_count() for m in masks]
+                counts.append(table[k])
+            zs = [a + b + c + d for a, b, c, d in zip(*counts)][:width]
+            if min(zs) > worst:
+                continue
+            base = r * n_col_sets + start
+            for j, z in enumerate(zs):
+                if z <= worst:
+                    item = (-(z * stride + base + j), krows, chunk[j])
+                    if len(kept) < keep:
+                        heapq.heappush(kept, item)
+                    else:
+                        heapq.heappushpop(kept, item)
+                    if len(kept) == keep:
+                        worst = -kept[0][0] // stride
+    return [(-neg // stride, kr, lc) for neg, kr, lc in sorted(kept, reverse=True)]

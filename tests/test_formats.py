@@ -388,6 +388,27 @@ def test_json_readers_take_only_arrays_and_schema_1(case, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "key, element, got",
+    [("U", ["1"], '["1"]'), ("U", "x", '"x"'), ("V", 1, "1")],
+    ids=["U array", "U string", "V number"],
+)
+def test_subspace_that_is_not_an_object_is_named(key, element, got, tmp_path, capsys):
+    text = _document("subspace_embedding", **{key: [element]})
+    message = (
+        "malformed subspace_embedding document: "
+        f'{key}[0] must be an object with a "basis" array, got {got}'
+    )
+    with pytest.raises(formats.FormatError) as raised:
+        formats.embedding_from_json(text)
+    assert str(raised.value) == message
+    path = tmp_path / "emb.json"
+    path.write_text(text)
+    capsys.readouterr()
+    assert run(["psd", "from-embedding", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_factor_entry_count_is_checked_by_both_readers(tmp_path, capsys):
     text = _document("psd_factorization", order=2, A=[["1", "0", "1"]],
                      B=[["1", "0", "0", "1"]])

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_rational_matrix
 from oracles import (
     _all_maximal_rectangles,
+    min_set_cover_per_child,
     min_set_cover_reference,
     minimum_cover_bruteforce,
     minimum_feasible_cover_bruteforce,
@@ -29,7 +30,7 @@ from psdbounds import (
     support,
     triangular_rank,
 )
-from psdbounds.pattern import _max_matching, _maximal_bicliques, _min_set_cover
+from psdbounds.pattern import _maximal_bicliques, _min_set_cover
 
 # the nine zero entries of the 6x6 band matrix, 0-based
 S6_ZEROS = {(1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4)}
@@ -101,6 +102,21 @@ def test_triangular_rank_matches_bruteforce():
             assert triangular_rank(p.transpose()) == value
 
 
+def test_triangular_rank_gf2_prune_matches_bruteforce():
+    # the prune bounds what can still be appended by the GF(2) rank of the
+    # remaining rows; at every density the search must still reach the
+    # exhaustive value
+    rng = random.Random(2027)
+    for _ in range(1500):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        density = rng.choice((0.2, 0.4, 0.6, 0.8))
+        p = SupportPattern(rows, cols, [
+            sum(1 << j for j in range(cols) if rng.random() < density)
+            for _ in range(rows)
+        ])
+        assert triangular_rank(p) == triangular_rank_bruteforce(p)
+
+
 def test_triangular_rank_bounds_rank_of_any_realization():
     rng = random.Random(55)
     for _ in range(40):
@@ -124,8 +140,6 @@ def test_triangular_rank_stops_at_the_rank():
 
 def test_triangular_rank_searches_deeper_than_the_recursion_limit():
     assert triangular_rank(SupportPattern.identity(1100), upper=1100) == 1100
-    # rows {k, k+1}, then {0}: the last row's augmenting path passes every row
-    assert _max_matching([3 << k for k in range(1500)] + [1], 1501) == 1501
 
 
 def test_boolean_rank_examples():
@@ -244,6 +258,18 @@ def _cover_outcome(search, *args):
         return ("budget", exc.lower, exc.upper, exc.nodes)
 
 
+def _spread(cov: list[int], n_elems: int, rng: random.Random):
+    """The system with element e moved onto a gapped bit, in the same order."""
+    spread, pos = [], -1
+    for _ in range(n_elems):
+        pos += rng.randint(1, 4)
+        spread.append(pos)
+    spread_cov = [
+        sum(1 << spread[e] for e in range(n_elems) if c >> e & 1) for c in cov
+    ]
+    return spread_cov, sum(1 << p for p in spread)
+
+
 def test_min_set_cover_keeps_the_reference_traversal():
     # The reference is the search without sibling exclusion.  This one
     # visits a subset of its nodes and finds the same incumbents in the
@@ -264,14 +290,7 @@ def test_min_set_cover_keeps_the_reference_traversal():
         for e in range(n_elems):
             if not any(c >> e & 1 for c in cov):
                 cov[rng.randrange(n_sets)] |= 1 << e
-        spread, pos = [], -1
-        for _ in range(n_elems):
-            pos += gaps.randint(1, 4)
-            spread.append(pos)
-        spread_cov = [
-            sum(1 << spread[e] for e in range(n_elems) if c >> e & 1) for c in cov
-        ]
-        spread_universe = sum(1 << p for p in spread)
+        spread_cov, spread_universe = _spread(cov, n_elems, gaps)
         for budget in (0, 1, 2, 5, 20, 100, 1000, 10**6):
             want = _cover_outcome(min_set_cover_reference, cov, n_elems, budget)
             got = _cover_outcome(_min_set_cover, cov, (1 << n_elems) - 1, budget)
@@ -291,6 +310,64 @@ def test_min_set_cover_keeps_the_reference_traversal():
                 assert got[3] == want[3] == budget + 1
     assert 0 < raised < 2000 * 8
     assert finished_sooner > 0 and fewer_nodes > 0
+
+
+def _assert_same_traversal(cov: list[int], universe: int, *spread):
+    finished = min_set_cover_per_child(cov, universe, 10**9)
+    for budget in range(finished[1] + 2):
+        want = _cover_outcome(min_set_cover_per_child, cov, universe, budget)
+        assert _cover_outcome(_min_set_cover, cov, universe, budget) == want
+        if spread:
+            assert _cover_outcome(_min_set_cover, *spread, budget) == want
+
+
+# Small systems whose leaf levels can be followed by hand
+LEAF_LEVEL_SYSTEMS = {
+    # the greedy cover has 2 sets and the fooling bound is 1, so the root
+    # is a leaf level with two children and no full cover: budget 2 cuts
+    # between its first child and the rest
+    "root": ([0b011, 0b101, 0b110], 0b111),
+    # below the root's one child, {3, 4, 5} is left and the leaf level's
+    # second child covers it: budget 3 cuts after that improvement, which
+    # meets the fooling bound, so the search returns it with 4 nodes
+    "improved then cut": ([0b011011, 0b000111, 0b111000, 0b100000], 0b111111),
+    # one leaf level of this search finds every set covering its branch
+    # element excluded, so it counts no node
+    "all excluded": ([24, 1, 98, 4, 36, 70, 19, 8], 0b1111111),
+}
+
+
+@pytest.mark.parametrize("cov, universe", LEAF_LEVEL_SYSTEMS.values(), ids=LEAF_LEVEL_SYSTEMS)
+def test_leaf_levels_keep_the_per_child_traversal(cov, universe):
+    _assert_same_traversal(cov, universe)
+
+
+def test_leaf_level_cuts_are_pinned():
+    assert _cover_outcome(_min_set_cover, *LEAF_LEVEL_SYSTEMS["root"], 2) == (
+        "budget", 1, 2, 3,
+    )
+    assert _min_set_cover(*LEAF_LEVEL_SYSTEMS["improved then cut"], 3) == ((1, 2), 4)
+
+
+def test_min_set_cover_keeps_the_per_child_traversal_at_every_budget():
+    # Counting a leaf level's children together, the packed elements and
+    # the integer sort keys change no node: at every budget from 0 to one
+    # past the finished count the search returns, or cuts with, what the
+    # per-child loop does, also with its elements on gapped bits.
+    rng = random.Random(4099)
+    gaps = random.Random(4111)
+    for _ in range(300):
+        n_elems = rng.randint(4, 24)
+        n_sets = rng.randint(4, 30)
+        density = rng.choice((0.1, 0.2, 0.3))
+        cov = [
+            sum(1 << e for e in range(n_elems) if rng.random() < density)
+            for _ in range(n_sets)
+        ]
+        for e in range(n_elems):
+            if not any(c >> e & 1 for c in cov):
+                cov[rng.randrange(n_sets)] |= 1 << e
+        _assert_same_traversal(cov, (1 << n_elems) - 1, *_spread(cov, n_elems, gaps))
 
 
 def test_budget_caps_the_whole_feasible_cover_search():

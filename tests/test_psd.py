@@ -10,6 +10,7 @@ import pytest
 
 from conftest import random_rational_matrix
 from oracles import (
+    cheapest_blocks_reference,
     is_psd_by_principal_minors,
     min_sqrt_rank_reference,
     psd_certificate_reference,
@@ -35,7 +36,13 @@ from psdbounds import (
     verify_psd_factorization,
 )
 from psdbounds.cli import run
-from psdbounds.scalars import modular_images, multiquad_rank, sqrt_embed
+from psdbounds.scalars import (
+    _cheapest_blocks,
+    _pinned_sets,
+    modular_images,
+    multiquad_rank,
+    sqrt_embed,
+)
 
 
 def s6_factorization() -> tuple[PsdFactorization, ExactMatrix]:
@@ -751,6 +758,42 @@ def test_order3_exclusion_tries_the_cheapest_blocks(monkeypatch):
         expected = heapq.nsmallest(attempts, (b for b in scored if b[0] <= cap))
         assert tried == [(kr, lc) for z, kr, lc in expected]
         assert len(tried) == attempts and not cert.conclusive
+
+
+def test_order3_scan_matches_the_list_table_scan():
+    # the packed scan sums four rows' byte-packed counts per row set; it
+    # must keep the same blocks in the same order as the scan that sums
+    # four count lists, over several chunks and a cut at the scan limit
+    matrices = [generate_sn(n) for n in (6, 12, 16, 24)] + [slack_matrix_cut_clique(5)]
+    for s in matrices:
+        row_bits = s.support_bits()
+        pinned = _pinned_sets(row_bits, s.transpose().support_bits())
+        for cap, keep in ((24, 64), (12, 8)):
+            args = (row_bits, *pinned, cap, keep)
+            assert _cheapest_blocks(*args) == cheapest_blocks_reference(*args)
+    # 14 x 16 ones, but for a zero block on the last column set in the row
+    # set that the scan limit cuts: that block lies past the limit
+    row_sets, col_sets = list(combinations(range(14), 4)), list(combinations(range(16), 4))
+    cut = scalars._SCAN_LIMIT // len(col_sets)
+    row_bits = [(1 << 16) - 1 - (0xF << 12) * (k in row_sets[cut]) for k in range(14)]
+    args = (row_bits, list(range(14)), list(range(16)), 24, 1)
+    assert _cheapest_blocks(*args) == cheapest_blocks_reference(*args)
+    assert _cheapest_blocks(*args)[0][0] > 0
+    rng = random.Random(3001)
+    for _ in range(400):
+        rows, cols = rng.randint(4, 14), rng.randint(4, 16)
+        # a density per row, so that the z values spread
+        row_bits = [
+            sum(1 << j for j in range(cols) if rng.random() < density)
+            for density in [rng.random() for _ in range(rows)]
+        ]
+        pinned_rows = sorted(rng.sample(range(rows), rng.randint(4, rows)))
+        pinned_cols = sorted(rng.sample(range(cols), rng.randint(4, cols)))
+        args = (
+            row_bits, pinned_rows, pinned_cols,
+            rng.choice((0, 4, 8, 10, 12, 16, 24)), rng.choice((1, 3, 8, 64)),
+        )
+        assert _cheapest_blocks(*args) == cheapest_blocks_reference(*args)
 
 
 def test_order3_scan_memory_stays_bounded():
