@@ -253,20 +253,40 @@ def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int, int]:
 def rank(m: ExactMatrix) -> int:
     """Exact rank, by fraction-free elimination.
 
-    The rows are scaled to integers first, and their rank modulo the prime
-    ``_MODULAR_PRIME`` = 2^31 - 1 is computed before the elimination, by
-    :func:`rank_mod_p` on packed rows (a ``2 * 31 + rows.bit_length()``-bit
-    slot per column).  It never exceeds the rank over Q (a minor nonzero
-    mod p is a nonzero integer minor), so when it is already
-    ``min(rows, cols)`` that is the rank and the elimination is skipped.
+    Its rank modulo the prime ``_MODULAR_PRIME`` = 2^31 - 1 is computed
+    first, by :func:`rank_mod_p` on packed rows (a
+    ``2 * 31 + rows.bit_length()``-bit slot per column), each entry read
+    as its numerator times the inverse of its denominator mod p.  It never
+    exceeds the rank over Q (scaling each row to integers multiplies it by
+    a unit mod p, and a minor nonzero mod p is a nonzero integer minor), so
+    when it is already ``min(rows, cols)`` that is the rank and the
+    elimination is skipped.  Only the elimination scales the rows to
+    integers, and it alone runs when p divides a denominator.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows = _integer_rows(m)
     full = min(m.rows, m.cols)
-    if rank_mod_p(rows, _MODULAR_PRIME) == full:
+    rows = _residue_rows(m, _MODULAR_PRIME)
+    if rows is not None and rank_mod_p(rows, _MODULAR_PRIME) == full:
         return full
-    return len(_eliminate(rows, m.cols)[0])
+    return len(_eliminate(_integer_rows(m), m.cols)[0])
+
+
+def _residue_rows(m: ExactMatrix, p: int) -> list[list[int]] | None:
+    """The rows of ``m`` mod p, each entry as its numerator times the
+    inverse of its denominator (reduced later); None when p divides a
+    denominator, which leaves that entry no residue."""
+    inverse: dict[int, int] = {}
+    flat = []
+    for v in m._e:
+        num, den = v.as_integer_ratio()
+        inv = inverse.get(den)
+        if inv is None:
+            if den % p == 0:
+                return None
+            inv = inverse[den] = pow(den, -1, p)
+        flat.append(num * inv)
+    return [flat[i : i + m.cols] for i in range(0, len(flat), m.cols)]
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:

@@ -358,16 +358,20 @@ def _min_set_cover(
 
     One depth-first branch and bound from the root with one node counter
     and one incumbent, the greedy cover first.  The elements are first
-    renumbered onto consecutive bits in their order; every choice below
-    depends only on that order, so this changes nothing but the width of
-    the masks.  Each node branches on the uncovered element with the
-    fewest covering sets (lowest bit on ties) and tries those sets by
-    gain, ties in index order.  Every child is one node, counted and
-    bounded in its parent's loop: a child with nothing uncovered may
-    become the incumbent, and only a child that the fooling bound cannot
-    prune is expanded.  The fooling bound is a greedy chain of elements
-    pairwise covered by no one set, lowest bit first; each forces a set
-    of its own.
+    renumbered onto consecutive bits, ordered by how many sets cover them
+    and then by bit; only that order matters below, so spreading the
+    elements onto other bits in the same order changes nothing.  Each
+    node branches on the uncovered element with the fewest covering sets
+    (lowest bit of ``universe`` on ties), which is the lowest uncovered
+    dense bit, and tries those sets by gain, ties in index order.  Every
+    child is one node, counted in its parent's loop, which tests the
+    budget only once the children left could pass it: a child with
+    nothing uncovered may become the incumbent, and only a child that the
+    fooling bound cannot prune is expanded.  The fooling bound is a
+    greedy chain of elements pairwise covered by no one set, lowest dense
+    bit first, so the elements with the fewest sets come first; each
+    forces a set of its own.  The root's bound is the longer of that
+    chain and the one taken in the order of ``universe``; both are valid.
 
     A parent is a leaf level when only a cover with one more set could
     beat the incumbent: the chain of a child with anything uncovered uses
@@ -388,40 +392,47 @@ def _min_set_cover(
     root fooling bound and the best size found, unless the incumbent
     already meets that bound.
     """
-    # element e of the universe becomes bit dense[e], in the same order;
-    # each set is read once, into the sets covering each element (in
-    # index order) and its complement within the universe
-    dense = {e: d for d, e in enumerate(_bits(universe))}
-    full = (1 << len(dense)) - 1
-    covers_of: list[list[int]] = [[] for _ in dense]
-    packed, comp = [], []
+    # the sets covering each element, in index order, in one pass over
+    # each set's bits
+    cells = list(_bits(universe))
+    sets_of: dict[int, list[int]] = {e: [] for e in cells}
     for i, c in enumerate(cov):
-        mask = 0
         for e in _bits(c & universe):
-            d = dense[e]
-            covers_of[d].append(i)
-            mask |= 1 << d
-        packed.append(mask)
-        comp.append(full ^ mask)
+            sets_of[e].append(i)
+    if not all(sets_of.values()):
+        raise ValueError("an element is covered by no candidate set")
+    # element e becomes a dense bit, ordered by how many sets cover it and
+    # then by e (sorted() is stable); each set is packed onto those bits,
+    # with its complement within the universe
+    order = sorted(cells, key=lambda e: len(sets_of[e]))
+    covers_of = [sets_of[e] for e in order]
+    full = (1 << len(order)) - 1
+    packed = [0] * len(cov)
+    for d, sets in enumerate(covers_of):
+        for i in sets:
+            packed[i] |= 1 << d
+    comp = [full ^ mask for mask in packed]
     # the elements no set covering e covers: where a fooling chain through
     # e may go on
-    not_co = [0] * len(dense)
-    # elements grouped by how many sets cover them, fewest first: the
-    # branch element is the lowest bit of the first group still uncovered
-    groups: dict[int, int] = {}
+    not_co = [0] * len(order)
     for e, sets in enumerate(covers_of):
-        if not sets:
-            raise ValueError("an element is covered by no candidate set")
         co = 0
         for i in sets:
             co |= packed[i]
         not_co[e] = full ^ co
-        groups[len(sets)] = groups.get(len(sets), 0) | 1 << e
-    by_count = [groups[k] for k in sorted(groups)]
-    lower, rest = 0, full
-    while rest:
-        rest &= not_co[(rest & -rest).bit_length() - 1]
-        lower += 1
+    def chain(bits) -> int:
+        # the greedy fooling chain that takes the elements in this order
+        length, rest = 0, full
+        for d in bits:
+            if rest >> d & 1:
+                rest &= not_co[d]
+                length += 1
+        return length
+
+    # the root's fooling bound: the longer of the chains taken lowest
+    # dense bit first and in the order of the universe's bits
+    dense = range(len(order))
+    lower = max(chain(dense), chain(sorted(dense, key=order.__getitem__)))
     best = _greedy_cover(packed, full)
     excluded: set[int] = set()  # earlier siblings of the current path
     # a child's sort key: what it leaves uncovered, then its index
@@ -430,13 +441,9 @@ def _min_set_cover(
 
     def expand(uncovered: int, chosen: tuple):
         nonlocal best, nodes
-        # every set covering an uncovered element is still useful, so this
-        # picks the uncovered element with the fewest useful sets
-        for group in by_count:
-            group &= uncovered
-            if group:
-                break
-        sets = covers_of[(group & -group).bit_length() - 1]
+        # every set covering an uncovered element is still useful, so the
+        # lowest uncovered bit is the one with the fewest useful sets
+        sets = covers_of[(uncovered & -uncovered).bit_length() - 1]
         depth = len(chosen) + 1
         if len(best) - depth <= 1:  # a leaf level
             count = len(sets) - len(excluded.intersection(sets))
@@ -460,10 +467,14 @@ def _min_set_cover(
             if i not in excluded
         ]
         children.sort()
+        # the count once every child is counted, unless one is expanded:
+        # while it is within the budget no child needs the budget test
+        end = nodes + len(children)
+        check = end > budget
         for key in children:
             i = key & index
             nodes += 1
-            if nodes > budget:
+            if check and nodes > budget:
                 raise SearchBudgetExceeded(lower, len(best), nodes)
             child = uncovered & comp[i]
             if not child:
@@ -478,7 +489,10 @@ def _min_set_cover(
                     rest &= not_co[(rest & -rest).bit_length() - 1]
                     slack -= 1
                 if slack:
+                    end -= nodes
                     expand(child, chosen + (i,))
+                    end += nodes
+                    check = end > budget
             excluded.add(i)
         excluded.difference_update(map(index.__and__, children))
 

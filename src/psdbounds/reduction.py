@@ -9,6 +9,8 @@ floating-point corner of the package; everything exact stays elsewhere.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from . import _frozen
@@ -84,8 +86,8 @@ def barvinok_reduce(
         big = vals > tol
         g = vecs[:, big] * np.sqrt(vals[big])
         # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D
-        iu = np.triu_indices(r)
-        system = (g.T @ mats @ g)[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
+        iu, weights = _symmetric_coords(r)
+        system = (g.T @ mats @ g)[:, iu[0], iu[1]] * weights
         null = _null_vector(system)
         drift = float(np.linalg.norm(system @ null))
         if drift > 1e-8 * max(1.0, float(np.linalg.norm(system))):
@@ -114,6 +116,18 @@ def barvinok_reduce(
         _check_residuals(new.entries, mats, targets, tol, "step")
         x, r = new, new_r
     return x
+
+
+@cache
+def _symmetric_coords(r: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The upper-triangle indices of an order-r matrix and each one's weight
+    in a trace inner product: 1 on the diagonal, 2 off it.  Built once per
+    order and shared, so the arrays are read-only."""
+    iu = np.triu_indices(r)
+    weights = np.where(iu[0] == iu[1], 1.0, 2.0)
+    for a in (*iu, weights):
+        a.flags.writeable = False
+    return iu, weights
 
 
 def _null_vector(system: np.ndarray) -> np.ndarray:

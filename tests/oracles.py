@@ -20,6 +20,11 @@ reference uses it, so that it shares no kernel with the library.
 counted in one step, which the search must match node for node at every
 budget, and ``cheapest_blocks_reference`` the order-3 scan on count
 lists, which the byte-packed scan must match block for block.
+The search numbers its elements by how many sets cover them, then by
+bit, and its fooling chains follow that order; both frozen cover
+searches take their elements lowest bit first, so they are compared
+with it on the system that ``renumber_by_cover_count`` puts in that
+order.
 """
 
 import heapq
@@ -241,6 +246,18 @@ def _fooling_bound(co_cover: list[int], uncovered: int) -> int:
         count += 1
         rest &= ~co_cover[e]
     return count
+
+
+def renumber_by_cover_count(cov: list[int], universe: int) -> tuple[list[int], int]:
+    """The system with its elements on bits 0..n-1, ordered by how many sets
+    cover them and then by their bit in ``universe``."""
+    cells = [e for e in range(universe.bit_length()) if universe >> e & 1]
+    count = {e: sum(c >> e & 1 for c in cov) for e in cells}
+    order = sorted(cells, key=lambda e: (count[e], e))
+    renumbered = [
+        sum(1 << d for d, e in enumerate(order) if c >> e & 1) for c in cov
+    ]
+    return renumbered, (1 << len(order)) - 1
 
 
 def min_set_cover_reference(

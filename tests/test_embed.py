@@ -180,9 +180,9 @@ def test_analyze_s6():
 
 
 def test_analyze_exhausted_budget_keeps_bounds():
-    report = analyze(generate_sn(10), budget=20000)
+    report = analyze(generate_sn(12), budget=20000)
     assert report.boolean_rank is None
-    assert report.boolean_rank_bounds == (3, 6)
+    assert report.boolean_rank_bounds == (3, 7)
 
 
 def test_analyze_refused_cover_reports_proven_bounds():
@@ -196,16 +196,18 @@ def test_analyze_refused_cover_reports_proven_bounds():
 
 
 def test_analyze_raises_a_cut_cover_search_to_the_triangular_rank():
-    # the triangular rank is above the greedy fooling bound of the root on
-    # both; at budget 0 the search is cut with the greedy cover as upper
+    # the triangular rank is above the root's fooling bound on both; at
+    # budget 0 the search is cut with the greedy cover as upper.  Both are
+    # random patterns drawn from random.Random(7)
     via = "triangular rank / cover search incumbent (budget reached)"
     bracketed = ExactMatrix.from_rows([
-        [0, 0, 0, 1, 0, 1], [1, 1, 0, 1, 0, 0], [1, 1, 1, 1, 0, 1],
-        [0, 0, 1, 1, 0, 1], [1, 1, 0, 1, 1, 1], [1, 0, 1, 1, 0, 0],
-        [1, 1, 1, 0, 0, 1],
+        [1, 1, 0, 0, 0, 0], [0, 1, 1, 0, 0, 1], [1, 1, 0, 1, 1, 1],
+        [0, 0, 0, 1, 0, 1], [0, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 0],
+        [1, 0, 0, 1, 1, 1],
     ])
     met = ExactMatrix.from_rows([
-        [1, 1, 1, 1, 0], [1, 0, 1, 0, 0], [0, 1, 1, 0, 1], [0, 0, 1, 0, 1],
+        [1, 0, 1, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 0, 1], [1, 0, 1, 1, 1],
+        [1, 1, 1, 0, 0], [0, 1, 0, 0, 0],
     ])
     for m, tri, lower, upper, exact in ((bracketed, 5, 4, 6, 6), (met, 4, 3, 4, 4)):
         pat = support(m)
@@ -229,7 +231,7 @@ def test_analyze_labels_which_search_gave_the_boolean_rank():
     # exact, out of budget, refused
     for m, via in (
         (generate_sn(6), searched),
-        (generate_sn(10), searched),
+        (generate_sn(12), searched),
         (slack_matrix_cut_clique(6), refused),
     ):
         report = analyze(m, budget=20000)

@@ -27,6 +27,7 @@ CASES = [
     (["gen", "sn", "6"], "s6.txt", 0),
     (["gen", "cutpoly", "4"], "cutpoly4.txt", 0),
     (["gen", "sn", "10"], "s10.txt", 0),
+    (["gen", "sn", "12"], "s12.txt", 0),
     (["gen", "cutpoly", "6"], "cutpoly6.txt", 0),
     (["gen", "disjointness", "5", "2", "--json"], "disjointness_5_2.json", 0),
     (["--json", "rank", "matrix.txt"], "rank_matrix.json", 0),
@@ -40,8 +41,10 @@ CASES = [
      "verify_product.json", 0),
     (["bounds", "--json", "s6.txt"], "bounds_s6.json", 0),
     (["bounds", "--json", "cutpoly4.txt"], "bounds_cutpoly4.json", 0),
-    # the boolean rank undecided: a cut cover search, then a refused one
+    # the boolean rank decided inside the budget, then undecided: a cut
+    # cover search, then a refused one
     (["bounds", "--json", "--budget", "20000", "s10.txt"], "bounds_s10.json", 0),
+    (["bounds", "--json", "--budget", "20000", "s12.txt"], "bounds_s12.json", 0),
     (["bounds", "--json", "cutpoly6.txt"], "bounds_cutpoly6.json", 0),
     (["trirank", "--json", "cutpoly6.txt"], "trirank_cutpoly6.json", 0),
     (["order3-exclude", "--json", "s6.txt"], "order3_s6.json", 0),
@@ -56,10 +59,13 @@ CASES = [
     (["rank", "s6.txt"], "rank_s6.txt", 0),
     (["trirank", "s6.txt"], "trirank_s6.txt", 0),
     (["boolrank", "s6.txt"], "boolrank_s6.txt", 0),
-    (["boolrank", "--budget", "20000", "s10.txt"], "boolrank_s10.txt", 3),
-    # the boolean rank undecided: a refused cover search, then a cut one as JSON
+    (["boolrank", "--budget", "20000", "s10.txt"], "boolrank_s10.txt", 0),
+    (["boolrank", "--json", "--budget", "20000", "s10.txt"], "boolrank_s10.json", 0),
+    # the boolean rank undecided: a cut cover search, a refused one, and
+    # the cut one as JSON
+    (["boolrank", "--budget", "20000", "s12.txt"], "boolrank_s12.txt", 3),
     (["boolrank", "cutpoly6.txt"], "boolrank_cutpoly6.txt", 3),
-    (["boolrank", "--json", "--budget", "20000", "s10.txt"], "boolrank_s10.json", 3),
+    (["boolrank", "--json", "--budget", "20000", "s12.txt"], "boolrank_s12.json", 3),
     (["bounds", "s6.txt"], "bounds_s6.txt", 0),
     (["verify", "psd", "factorization.json", "product.txt"], "verify_product.txt", 0),
     (["verify", "embedding", "embedding.json", "pattern.txt"],

@@ -115,6 +115,35 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
     assert len(calls) == 1
 
 
+def test_rank_takes_the_exact_path_when_the_prime_divides_a_denominator(monkeypatch):
+    # an entry 1/p has no residue mod the filter's prime p, so the filter
+    # is skipped and the elimination decides, full rank or not
+    sympy = pytest.importorskip("sympy")
+    calls = count_elimination_calls(monkeypatch)
+    p = linalg._MODULAR_PRIME
+    assert p == 2147483647
+    tiny = Fraction(1, p)
+    for rows in (
+        [[tiny, 1], [1, 1]],
+        [[tiny, 1], [2 * tiny, 2]],
+        # rank 1, but full if the entry 1/p were read as 0 mod p
+        [[tiny, 1], [1, p]],
+        [[tiny, Fraction(1, 3), 5], [0, Fraction(7, 2 * p), 1], [tiny, 0, 6]],
+    ):
+        m = ExactMatrix.from_rows(rows)
+        expected = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
+        ).rank()
+        del calls[:]
+        assert rank(m) == expected
+        assert len(calls) == 1
+    # the other entries reduce as numerator times the inverse denominator:
+    # a full rank with denominators coprime to p needs no elimination
+    m = ExactMatrix.from_rows([[Fraction(1, p - 1), 1], [1, Fraction(3, p + 1)]])
+    del calls[:]
+    assert rank(m) == 2 and not calls
+
+
 # the primes of the rank mod p tests: 2, 3, the largest prime below 2^15,
 # 10^6 + 3 and rank's filter prime 2^31 - 1
 PRIMES = [2, 3, 32749, 1000003, (1 << 31) - 1]

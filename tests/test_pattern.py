@@ -6,13 +6,16 @@ import pytest
 from conftest import random_rational_matrix
 from oracles import (
     _all_maximal_rectangles,
+    _greedy_cover,
     min_set_cover_per_child,
     min_set_cover_reference,
     minimum_cover_bruteforce,
     minimum_feasible_cover_bruteforce,
+    renumber_by_cover_count,
     triangular_rank_bruteforce,
 )
 from psdbounds import (
+    DEFAULT_BUDGET,
     Biclique,
     BipartiteGraph,
     ExactMatrix,
@@ -198,7 +201,7 @@ def test_budget_exhaustion():
 
 def test_budget_caps_the_whole_boolean_rank_search():
     with pytest.raises(SearchBudgetExceeded) as info:
-        minimum_biclique_cover(support(generate_sn(10)), budget=20000)
+        minimum_biclique_cover(support(generate_sn(12)), budget=20000)
     assert info.value.nodes == 20001
     assert info.value.lower <= info.value.upper
 
@@ -224,26 +227,29 @@ def test_h62_feasible_cover_budget_bounds_are_pinned():
 
 
 @pytest.mark.parametrize(
-    "matrix, size, nodes",
+    "matrix, budget, size, nodes",
     [
-        (generate_sn(8), 6, 3_862),
-        (generate_sn(9), 6, 32_533),
-        (slack_matrix_cut_clique(5), 15, 4_630),
+        (generate_sn(6), DEFAULT_BUDGET, 5, 16),
+        (generate_sn(8), DEFAULT_BUDGET, 6, 585),
+        (generate_sn(9), DEFAULT_BUDGET, 6, 1_218),
+        (generate_sn(10), 20_000, 6, 7_853),
+        (slack_matrix_cut_clique(5), DEFAULT_BUDGET, 15, 572),
     ],
-    ids=["S_8", "S_9", "cutpoly 5"],
+    ids=["S_6", "S_8", "S_9", "S_10", "cutpoly 5"],
 )
-def test_cover_node_counts_are_pinned(matrix, size, nodes):
-    result = minimum_biclique_cover(support(matrix))
+def test_cover_node_counts_are_pinned(matrix, budget, size, nodes):
+    result = minimum_biclique_cover(support(matrix), budget=budget)
     assert (result.size, result.nodes) == (size, nodes)
 
 
 @pytest.mark.parametrize(
     "matrix, budget, cut",
     [
-        (generate_sn(10), 20_000, (3, 6, 20_001)),
+        (generate_sn(11), 20_000, (3, 7, 20_001)),
+        (generate_sn(12), 20_000, (3, 7, 20_001)),
         (generate_sn(12), 200_000, (3, 7, 200_001)),
     ],
-    ids=["S_10", "S_12"],
+    ids=["S_11", "S_12 at 20000", "S_12"],
 )
 def test_cover_cut_bounds_are_pinned(matrix, budget, cut):
     with pytest.raises(SearchBudgetExceeded) as info:
@@ -270,15 +276,30 @@ def _spread(cov: list[int], n_elems: int, rng: random.Random):
     return spread_cov, sum(1 << p for p in spread)
 
 
+def _lowest_bit_chain(cov: list[int], universe: int) -> int:
+    """The greedy fooling chain of the system, lowest bit first."""
+    length, rest = 0, universe
+    while rest:
+        e = (rest & -rest).bit_length() - 1
+        for c in cov:
+            if c >> e & 1:
+                rest &= ~c
+        length += 1
+    return length
+
+
 def test_min_set_cover_keeps_the_reference_traversal():
-    # The reference is the search without sibling exclusion.  This one
-    # visits a subset of its nodes and finds the same incumbents in the
-    # same order, so it never needs more nodes for the same cover.  Every
-    # system is also run with its elements spread onto gapped bit
-    # positions in the same order, which must change nothing.
+    # The reference is the search without sibling exclusion, run on the
+    # system renumbered into the search's element order.  This one visits
+    # a subset of its nodes and finds the same incumbents in the same
+    # order, so it never needs more nodes for the same cover.  Its root
+    # bound may be the longer cell-order chain, so a cut reports at least
+    # the reference's lower end.  Every system is also run with its
+    # elements spread onto gapped bit positions in the same order, which
+    # must change nothing.
     rng = random.Random(1009)
     gaps = random.Random(2017)  # its own stream, so the systems stay the same
-    raised = finished_sooner = fewer_nodes = 0
+    raised = finished_sooner = fewer_nodes = higher_lower = 0
     for _ in range(2000):
         n_elems = rng.randint(1, 24)
         n_sets = rng.randint(1, 30)
@@ -291,8 +312,9 @@ def test_min_set_cover_keeps_the_reference_traversal():
             if not any(c >> e & 1 for c in cov):
                 cov[rng.randrange(n_sets)] |= 1 << e
         spread_cov, spread_universe = _spread(cov, n_elems, gaps)
+        renumbered, _ = renumber_by_cover_count(cov, (1 << n_elems) - 1)
         for budget in (0, 1, 2, 5, 20, 100, 1000, 10**6):
-            want = _cover_outcome(min_set_cover_reference, cov, n_elems, budget)
+            want = _cover_outcome(min_set_cover_reference, renumbered, n_elems, budget)
             got = _cover_outcome(_min_set_cover, cov, (1 << n_elems) - 1, budget)
             assert _cover_outcome(
                 _min_set_cover, spread_cov, spread_universe, budget
@@ -302,23 +324,48 @@ def test_min_set_cover_keeps_the_reference_traversal():
                 assert got[0] == want[0] and got[1] <= want[1]
                 fewer_nodes += got[1] < want[1]
             elif got[0] != "budget":
-                unbudgeted = min_set_cover_reference(cov, n_elems, 10**9)
+                unbudgeted = min_set_cover_reference(renumbered, n_elems, 10**9)
                 assert got[0] == unbudgeted[0]
                 finished_sooner += 1
             else:
-                assert got[1] == want[1] and got[2] <= want[2]
+                assert got[1] >= want[1] and got[2] <= want[2]
                 assert got[3] == want[3] == budget + 1
+                higher_lower += got[1] > want[1]
     assert 0 < raised < 2000 * 8
-    assert finished_sooner > 0 and fewer_nodes > 0
+    assert finished_sooner > 0 and fewer_nodes > 0 and higher_lower > 0
 
 
-def _assert_same_traversal(cov: list[int], universe: int, *spread):
-    finished = min_set_cover_per_child(cov, universe, 10**9)
+def _with_root_bound(want, lower: int, greedy: tuple, finished: tuple):
+    """The per-child outcome ``want`` had its root's fooling bound been
+    ``lower``: the root is not expanded once ``lower`` meets the greedy
+    cover, and a cut whose incumbent meets ``lower`` returns that
+    incumbent, which is then the finished search's cover."""
+    if lower >= len(greedy):
+        return greedy, 1
+    if want[0] != "budget":
+        return want
+    if want[2] <= lower:
+        return finished[0], want[3]
+    return ("budget", lower, *want[2:])
+
+
+def _assert_same_traversal(cov: list[int], universe: int, *spread) -> bool:
+    """At every budget the search returns, or cuts with, what the per-child
+    search does on the renumbered system, with the root bound raised to the
+    cell-order chain where that is longer; says whether it was."""
+    renumbered = renumber_by_cover_count(cov, universe)
+    finished = min_set_cover_per_child(*renumbered, 10**9)
+    by_cell = _lowest_bit_chain(cov, universe)
+    raised = by_cell > _lowest_bit_chain(*renumbered)
+    greedy = _greedy_cover(*renumbered)
     for budget in range(finished[1] + 2):
-        want = _cover_outcome(min_set_cover_per_child, cov, universe, budget)
+        want = _cover_outcome(min_set_cover_per_child, *renumbered, budget)
+        if raised:
+            want = _with_root_bound(want, by_cell, greedy, finished)
         assert _cover_outcome(_min_set_cover, cov, universe, budget) == want
         if spread:
             assert _cover_outcome(_min_set_cover, *spread, budget) == want
+    return raised
 
 
 # Small systems whose leaf levels can be followed by hand
@@ -333,7 +380,7 @@ LEAF_LEVEL_SYSTEMS = {
     "improved then cut": ([0b011011, 0b000111, 0b111000, 0b100000], 0b111111),
     # one leaf level of this search finds every set covering its branch
     # element excluded, so it counts no node
-    "all excluded": ([24, 1, 98, 4, 36, 70, 19, 8], 0b1111111),
+    "all excluded": ([565, 326, 320, 269, 640, 146, 44, 836, 132], 0b1111111111),
 }
 
 
@@ -350,12 +397,16 @@ def test_leaf_level_cuts_are_pinned():
 
 
 def test_min_set_cover_keeps_the_per_child_traversal_at_every_budget():
-    # Counting a leaf level's children together, the packed elements and
-    # the integer sort keys change no node: at every budget from 0 to one
+    # Numbering the elements by how many sets cover them leaves the branch
+    # element, the children and the exclusions as they were; counting a
+    # leaf level's children together and testing the budget only where it
+    # can run out change no node either.  At every budget from 0 to one
     # past the finished count the search returns, or cuts with, what the
-    # per-child loop does, also with its elements on gapped bits.
+    # per-child loop does on the renumbered system, also with its elements
+    # on gapped bits, except for the root bound's cell-order chain.
     rng = random.Random(4099)
     gaps = random.Random(4111)
+    raised = 0
     for _ in range(300):
         n_elems = rng.randint(4, 24)
         n_sets = rng.randint(4, 30)
@@ -367,7 +418,10 @@ def test_min_set_cover_keeps_the_per_child_traversal_at_every_budget():
         for e in range(n_elems):
             if not any(c >> e & 1 for c in cov):
                 cov[rng.randrange(n_sets)] |= 1 << e
-        _assert_same_traversal(cov, (1 << n_elems) - 1, *_spread(cov, n_elems, gaps))
+        raised += _assert_same_traversal(
+            cov, (1 << n_elems) - 1, *_spread(cov, n_elems, gaps)
+        )
+    assert raised > 0
 
 
 def test_budget_caps_the_whole_feasible_cover_search():
