@@ -31,7 +31,7 @@ print("\ndisjointness on singletons of {1..5}:")
 print("  H   edges (disjoint pairs):        ", h.edge_count())
 print("  Hbar edges (unique intersections): ", hbar.edge_count())
 cover = feasible_biclique_cover(h, hbar)
-plain = boolean_rank(h.to_pattern())
+plain = boolean_rank(h)
 print("  bicliques needed avoiding Hbar:    ", cover)
 print("  plain rectangle cover of the same pattern:", plain)
 

@@ -163,13 +163,6 @@ def parse_pattern(text: str) -> SupportPattern:
     return support(mat)
 
 
-def format_pattern(p: SupportPattern) -> str:
-    lines = [f"{p.rows} {p.cols}"]
-    for i in range(p.rows):
-        lines.append(" ".join(str(p[i, j]) for j in range(p.cols)))
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph(text: str) -> BipartiteGraph:
     from .pattern import BipartiteGraph
 

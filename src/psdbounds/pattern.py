@@ -132,9 +132,6 @@ class SupportPattern:
     def ones_count(self) -> int:
         return sum(row.bit_count() for row in self.row_bits)
 
-    def zero_count(self) -> int:
-        return self.rows * self.cols - self.ones_count()
-
     def ones_positions(self) -> list[tuple[int, int]]:
         return [
             (i, j) for i in range(self.rows) for j in _bits(self.row_bits[i])
@@ -165,20 +162,8 @@ class BipartiteGraph(SupportPattern):
     edges = SupportPattern.ones_positions
     edge_count = SupportPattern.ones_count
 
-    @classmethod
-    def from_edges(cls, left_count: int, right_count: int, edges) -> "BipartiteGraph":
-        masks = [0] * left_count
-        for u, v in edges:
-            if not (0 <= u < left_count and 0 <= v < right_count):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            masks[u] |= 1 << v
-        return cls(left_count, right_count, masks)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.row_bits[u] >> v) & 1)
-
-    def to_pattern(self) -> SupportPattern:
-        return SupportPattern(self.rows, self.cols, self.row_bits)
 
     def __repr__(self):
         return (
@@ -364,14 +349,14 @@ def _min_set_cover(
     node branches on the uncovered element with the fewest covering sets
     (lowest bit of ``universe`` on ties), which is the lowest uncovered
     dense bit, and tries those sets by gain, ties in index order.  Every
-    child is one node, counted in its parent's loop, which tests the
-    budget only once the children left could pass it: a child with
-    nothing uncovered may become the incumbent, and only a child that the
-    fooling bound cannot prune is expanded.  The fooling bound is a
-    greedy chain of elements pairwise covered by no one set, lowest dense
-    bit first, so the elements with the fewest sets come first; each
-    forces a set of its own.  The root's bound is the longer of that
-    chain and the one taken in the order of ``universe``; both are valid.
+    child is one node, counted and tested against the budget in its
+    parent's loop: a child with nothing uncovered may become the
+    incumbent, and only a child that the fooling bound cannot prune is
+    expanded.  The fooling bound is a greedy chain of elements pairwise
+    covered by no one set, lowest dense bit first, so the elements with
+    the fewest sets come first; each forces a set of its own.  The root's
+    bound is the longer of that chain and the one taken in the order of
+    ``universe``; both are valid.
 
     A parent is a leaf level when only a cover with one more set could
     beat the incumbent: the chain of a child with anything uncovered uses
@@ -467,14 +452,10 @@ def _min_set_cover(
             if i not in excluded
         ]
         children.sort()
-        # the count once every child is counted, unless one is expanded:
-        # while it is within the budget no child needs the budget test
-        end = nodes + len(children)
-        check = end > budget
         for key in children:
             i = key & index
             nodes += 1
-            if check and nodes > budget:
+            if nodes > budget:
                 raise SearchBudgetExceeded(lower, len(best), nodes)
             child = uncovered & comp[i]
             if not child:
@@ -489,10 +470,7 @@ def _min_set_cover(
                     rest &= not_co[(rest & -rest).bit_length() - 1]
                     slack -= 1
                 if slack:
-                    end -= nodes
                     expand(child, chosen + (i,))
-                    end += nodes
-                    check = end > budget
             excluded.add(i)
         excluded.difference_update(map(index.__and__, children))
 

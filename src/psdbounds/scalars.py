@@ -147,11 +147,6 @@ class MultiQuadScalar:
     def is_rational(self) -> bool:
         return all(r == 1 for r in self._terms)
 
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -31,6 +31,13 @@ def s6_text() -> str:
     return formats.format_matrix(generate_sn(6))
 
 
+# the support of S_6 as pattern text
+S6_PATTERN = (
+    "6 6\n1 1 1 1 1 1\n0 1 1 1 1 1\n0 0 1 1 1 1\n"
+    "1 0 0 1 1 1\n1 1 0 0 1 1\n1 1 1 0 0 1\n"
+)
+
+
 def src_env() -> dict:
     """The environment for a fresh interpreter that imports from ``src``."""
     env = dict(os.environ)
@@ -158,7 +165,7 @@ def test_embed_psd_verify_pipeline(tmp_path, capsys):
     emb2_file = tmp_path / "emb2.json"
     emb2_file.write_text(emb2)
     pat_file = tmp_path / "pat.txt"
-    pat_file.write_text(formats.format_pattern(support(generate_sn(6))))
+    pat_file.write_text(S6_PATTERN)
     code, out, _ = invoke(
         capsys, ["verify", "embedding", str(emb2_file), str(pat_file)]
     )
@@ -268,7 +275,7 @@ def chain_files(tmp_path):
     (tmp_path / "emb.json").write_text(formats.embedding_to_json(emb))
     (tmp_path / "fact.json").write_text(formats.factorization_to_json(fact))
     (tmp_path / "t.txt").write_text(formats.format_matrix(t))
-    (tmp_path / "pat.txt").write_text(formats.format_pattern(support(generate_sn(6))))
+    (tmp_path / "pat.txt").write_text(S6_PATTERN)
     (tmp_path / "ones.txt").write_text("6 6\n" + "1 1 1 1 1 1\n" * 6)
     (tmp_path / "cutpoly4.txt").write_text(formats.format_matrix(slack_matrix_cut_clique(4)))
     # the cover search refuses it, and the triangular rank closes the interval

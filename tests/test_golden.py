@@ -45,6 +45,8 @@ CASES = [
     # cover search, then a refused one
     (["bounds", "--json", "--budget", "20000", "s10.txt"], "bounds_s10.json", 0),
     (["bounds", "--json", "--budget", "20000", "s12.txt"], "bounds_s12.json", 0),
+    # cut at a leaf level's bulk count, not in the per-child loop
+    (["bounds", "--json", "--budget", "50", "s12.txt"], "bounds_s12_budget50.json", 0),
     (["bounds", "--json", "cutpoly6.txt"], "bounds_cutpoly6.json", 0),
     (["trirank", "--json", "cutpoly6.txt"], "trirank_cutpoly6.json", 0),
     (["order3-exclude", "--json", "s6.txt"], "order3_s6.json", 0),
