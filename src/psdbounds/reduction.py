@@ -72,50 +72,150 @@ def barvinok_reduce(
     m = len(constraints)
     x = FloatPsdMatrix(x.entries, tol)
     mats = np.array([a for a, _ in constraints], dtype=float).reshape(m, x.order, x.order)
-    targets = np.array([float(alpha) for _, alpha in constraints])
-    if not x.is_certified_psd():
-        raise ReductionError(
-            f"input is not psd within tolerance (min eig {x.min_eigenvalue():.3e})"
-        )
-    _check_residuals(x.entries, mats, targets, tol, "input")
+    targets = np.array([[float(alpha) for _, alpha in constraints]])
+    _reduce_side(x.entries[None], mats, targets, tol)  # updates x.entries
+    return x
+
+
+# The factors of one side step together in groups of this many, and the
+# constraint systems of a step are formed for as many factors of a group at
+# once as fit in this many entries (one factor's at rank 16 against 32
+# constraints).  Both keep a step's temporaries near one factor's: they set
+# the peak memory of reduce-rank.
+_GROUP = 8
+_SYSTEM_ENTRIES = 4352
+
+
+def _reduce_side(x, mats, targets, tol):
+    """Reduce each factor x[i] of a stack, in place, against the shared
+    constraints tr(mats[j] X_i) = targets[i, j], one group of consecutive
+    factors after another.  A failure raises the error of the lowest
+    failing factor, the one a factor-by-factor loop meets first."""
+    for lo in range(0, len(x), _GROUP):
+        _reduce_group(x[lo : lo + _GROUP], mats, targets[lo : lo + _GROUP], tol)
+
+
+def _reduce_group(x, mats, targets, tol):
+    """The steps of `barvinok_reduce` for a stack of factors in lockstep.
+
+    Each round, the factors still above the bound that sit at one rank r
+    take their step together, in stacked numpy calls that give every factor
+    the bits its own calls give it.  A factor that fails stops, and so does
+    every factor after it, which alone would never have run; the lowest
+    failure is raised once the rest finish.
+    """
+    k, m, n = len(x), len(mats), x.shape[-1]
+    failure = [k, ""]  # the lowest failing factor so far, and its error
+
+    def fail(i, message):
+        if i < failure[0]:
+            failure[:] = i, message
+
+    flat = mats.reshape(m, n * n)
+    if m:
+        scales = np.abs(targets).max(axis=1).tolist()
+        limits = [max(tol, 1e-7 * max(1.0, scale)) for scale in scales]
+
+    def check_residuals(rows, sel, stage):
+        if not m:
+            return
+        # an overflow shows as inf or nan here, and fails, instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = flat @ x[sel].reshape(len(rows), n * n, 1)
+            worst = np.abs(prods[..., 0] - targets[sel]).max(axis=1).tolist()
+        for i, residual in zip(rows, worst):
+            if not residual <= limits[i]:
+                fail(i, f"constraint residual {residual:.3e} too large after {stage}"
+                     if residual < np.inf else
+                     f"constraint residual is not finite after {stage}")
+
+    for i, low in enumerate(np.linalg.eigvalsh(x)[:, 0].tolist()):
+        if not low >= -tol:
+            fail(i, f"input is not psd within tolerance (min eig {low:.3e})")
+    check_residuals(range(k), slice(None), "input")
 
     # one eigendecomposition per step: it gives the next G and the new rank
-    vals, vecs = np.linalg.eigh(x.entries)
-    r = int(np.sum(vals > tol))
-    while r and m < r * (r + 1) // 2:
-        big = vals > tol
-        g = vecs[:, big] * np.sqrt(vals[big])
-        # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D
-        iu, weights = _symmetric_coords(r)
-        system = (g.T @ mats @ g)[:, iu[0], iu[1]] * weights
-        null = _null_vector(system)
-        drift = float(np.linalg.norm(system @ null))
-        if drift > 1e-8 * max(1.0, float(np.linalg.norm(system))):
-            raise ReductionError(
-                f"no constraint-preserving direction at rank {r} "
-                f"(null-vector residual {drift:.3e})"
-            )
-        delta = np.zeros((r, r))
-        delta[iu] = null
-        delta = delta + delta.T - np.diag(np.diag(delta))
-        delta /= np.linalg.norm(delta)
-        dvals = np.linalg.eigvalsh(delta)
-        # step toward the extreme eigenvalue of larger magnitude: delta has
-        # unit norm, so that eigenvalue is at least 1/sqrt(r) and |t| <= sqrt(r)
-        if -dvals[0] >= dvals[-1]:
-            t = -1.0 / dvals[0]
-        else:
-            delta = -delta
-            t = 1.0 / dvals[-1]
-        step = np.eye(r) + t * delta
-        new = FloatPsdMatrix(g @ step @ g.T, tol)
-        vals, vecs = np.linalg.eigh(new.entries)
-        new_r = int(np.sum(vals > tol))
-        if new_r >= r:
-            raise ReductionError(f"step failed to reduce the rank below {r}")
-        _check_residuals(new.entries, mats, targets, tol, "step")
-        x, r = new, new_r
-    return x
+    vals, vecs = np.linalg.eigh(x)
+    ranks = np.sum(vals > tol, axis=1).tolist()
+    while True:
+        levels = {}
+        for i in range(failure[0]):
+            if m < ranks[i] * (ranks[i] + 1) // 2:  # false at rank 0
+                levels.setdefault(ranks[i], []).append(i)
+        if not levels:
+            break
+        for r, rows in levels.items():
+            rows = [i for i in rows if i < failure[0]]
+            if not rows:
+                continue
+            # a run of consecutive factors is a slice: views, not copies
+            contiguous = rows[-1] - rows[0] == len(rows) - 1
+            sel = slice(rows[0], rows[-1] + 1) if contiguous else rows
+            new, drifts, most = _step(vals, vecs, sel, mats, r)
+            for i, drift, limit in zip(rows, drifts, most):
+                if drift > limit:
+                    fail(i, f"no constraint-preserving direction at rank {r} "
+                         f"(null-vector residual {drift:.3e})")
+            x[sel] = new
+            vals[sel], vecs[sel] = np.linalg.eigh(new)
+            for i, new_r in zip(rows, np.sum(vals[sel] > tol, axis=1).tolist()):
+                if new_r >= r:
+                    fail(i, f"step failed to reduce the rank below {r}")
+                ranks[i] = new_r
+            check_residuals(rows, sel, "step")
+    if failure[0] < k:
+        raise ReductionError(failure[1])
+
+
+def _step(vals, vecs, sel, mats, r):
+    """One step of each factor vecs[sel] diag(vals[sel]) vecs[sel]^T of a
+    stack, all at rank r: the new factors G (I + tD) G^T, then the
+    null-vector residuals and their limits as lists."""
+    n = vecs.shape[-1]
+    # eigh sorts ascending, so the range is the last r columns.  G is stored
+    # column by column, as `vecs[:, big]` lays one out: BLAS then reads it
+    # the same way, and gives each factor the bits of its own step
+    gt = np.multiply(
+        vecs[sel, :, n - r :].swapaxes(1, 2),
+        np.sqrt(vals[sel, n - r :])[:, :, None],
+        order="C",
+    )
+    g = gt.swapaxes(1, 2)
+    # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D, and
+    # their null vectors, for a batch of factors at a time
+    iu, weights = _symmetric_coords(r)
+    null = np.empty((len(g), len(weights)))
+    drifts, most = [], []
+    batch = max(1, _SYSTEM_ENTRIES // (max(1, len(mats)) * len(weights)))
+    for lo in range(0, len(g), batch):
+        part = slice(lo, lo + batch)
+        system = (gt[part, None] @ mats @ g[part, None])[..., iu[0], iu[1]] * weights
+        null[part] = _null_vector(system)
+        drifts += _norms(system @ null[part, :, None]).tolist()
+        most += [1e-8 * max(1.0, s) for s in _norms(system).tolist()]
+        del system
+    delta = np.zeros((len(g), r, r))
+    delta[:, iu[0], iu[1]] = null
+    delta[:, iu[1], iu[0]] = null
+    delta /= _norms(delta)[:, None, None]
+    dvals = np.linalg.eigvalsh(delta)
+    # step toward the extreme eigenvalue of larger magnitude: delta has unit
+    # norm, so that eigenvalue is at least 1/sqrt(r) and |t| <= sqrt(r)
+    flip = -dvals[:, 0] < dvals[:, -1]
+    delta[flip] *= -1.0
+    delta *= (1.0 / np.where(flip, dvals[:, -1], -dvals[:, 0]))[:, None, None]
+    delta += np.eye(r)  # the step I + tD
+    new = g @ delta @ gt
+    new += new.swapaxes(1, 2)
+    new /= 2.0
+    return new, drifts, most
+
+
+def _norms(a) -> np.ndarray:
+    """The 2-norm of each matrix of a stack, flattened: one dot product per
+    matrix, the sum `np.linalg.norm` takes, so each norm has its bits."""
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
 @cache
@@ -131,28 +231,21 @@ def _symmetric_coords(r: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray
 
 
 def _null_vector(system: np.ndarray) -> np.ndarray:
-    """A unit vector v with system @ v = 0, for an m x k system with m < k.
+    """A unit vector v with system @ v = 0, for an m x k system with m < k,
+    or one such vector for each system of a stack.
 
     Q (k x m, orthonormal columns) spans the row space, so e_i - Q Q[i] is
     orthogonal to it for every i.  The row of Q with the smallest norm has
     squared norm at most m/k, so that choice has norm at least sqrt(1 - m/k).
     """
-    q = np.linalg.qr(system.T)[0]
-    i = int(np.argmin(np.einsum("ij,ij->i", q, q)))
-    null = -(q @ q[i])
-    null[i] += 1.0
-    return null / np.linalg.norm(null)
-
-
-def _check_residuals(entries, mats, targets, tol, stage: str):
-    if not len(mats):
-        return
-    residuals = np.abs(np.tensordot(mats, entries) - targets)
-    scale = max(1.0, float(np.abs(targets).max()))
-    if residuals.max() > max(tol, 1e-7 * scale):
-        raise ReductionError(
-            f"constraint residual {residuals.max():.3e} too large after {stage}"
-        )
+    if system.ndim == 2:
+        return _null_vector(system[None])[0]
+    q = np.linalg.qr(system.swapaxes(1, 2))[0]
+    i = np.argmin(np.einsum("sij,sij->si", q, q), axis=1)
+    each = np.arange(len(q))
+    null = -(q @ q[each, i, :, None])[..., 0]
+    null[each, i] += 1.0
+    return null / _norms(null)[:, None]
 
 
 @_frozen
@@ -168,44 +261,53 @@ class FactorReductionReport:
 def reduce_factor_ranks(
     a_factors, b_factors, tol: float = DEFAULT_TOL
 ) -> FactorReductionReport:
-    """Reduce each factor of a float psd factorization in turn.
+    """Reduce each factor of a float psd factorization.
 
     First every A_k is reduced against the constraints tr(A_k B_l) = S(k,l)
-    with B fixed, then every B_l against the updated A side.  The final
-    ranks r obey r(r+1)/2 <= n for the A side and <= m for the B side.
+    with B fixed, then every B_l against the updated A side; the factors of
+    a side step together.  The final ranks r obey r(r+1)/2 <= n for the A
+    side and <= m for the B side.
     """
-    a_mats = [np.asarray(a, dtype=float) for a in a_factors]
-    b_mats = [np.asarray(b, dtype=float) for b in b_factors]
-    if not a_mats or not b_mats:
+    if not len(a_factors) or not len(b_factors):
         raise ValueError("rank reduction needs at least one A and one B factor")
-    targets = _traces(a_mats, b_mats)
+    a, b = np.array(a_factors, dtype=float), np.array(b_factors, dtype=float)
+    # the checks FloatPsdMatrix makes, before any arithmetic: the factors
+    # share one shape, so the first one speaks for all
+    FloatPsdMatrix(a[0], tol)
+    targets = _traces(a, b)
+    _symmetrize(a)
+    _reduce_side(a, b, targets, tol)  # against the B factors as given
+    _symmetrize(b)
+    _reduce_side(b, a, targets.T, tol)
 
-    new_a = []
-    for k, a in enumerate(a_mats):
-        cons = [(b_mats[l], targets[k, l]) for l in range(len(b_mats))]
-        new_a.append(barvinok_reduce(FloatPsdMatrix(a, tol), cons, tol))
-    new_b = []
-    for l, b in enumerate(b_mats):
-        cons = [(new_a[k].entries, targets[k, l]) for k in range(len(new_a))]
-        new_b.append(barvinok_reduce(FloatPsdMatrix(b, tol), cons, tol))
-
-    residuals = _traces([a.entries for a in new_a], [b.entries for b in new_b]) - targets
+    residuals = _traces(a, b) - targets
     # one spectrum per factor gives both its rank and its smallest eigenvalue
-    spectra = [(f.eigenvalues(), f.tolerance) for f in new_a + new_b]
-    ranks = tuple(int(np.sum(v > t)) for v, t in spectra)
+    spectra = [np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)]
+    a_ranks, b_ranks = (tuple(np.sum(v > tol, axis=1).tolist()) for v in spectra)
     return FactorReductionReport(
-        tuple(new_a),
-        tuple(new_b),
-        ranks[: len(new_a)],
-        ranks[len(new_a) :],
+        tuple(FloatPsdMatrix(f, tol) for f in a),
+        tuple(FloatPsdMatrix(f, tol) for f in b),
+        a_ranks,
+        b_ranks,
         float(np.abs(residuals).max()),
-        min(float(v[0]) for v, _ in spectra),
+        float(min(v[:, 0].min() for v in spectra)),
     )
 
 
-def _traces(a_mats, b_mats) -> np.ndarray:
-    """The matrix of tr(A_k B_l), as one product of the flattened stacks."""
-    return np.tensordot(np.array(a_mats), np.array(b_mats), axes=([1, 2], [1, 2]))
+def _symmetrize(stack):
+    """Replace each factor X of a stack by (X + X^T) / 2, in place."""
+    stack += stack.swapaxes(1, 2)
+    stack /= 2.0
+
+
+def _traces(a, b) -> np.ndarray:
+    """The matrix of tr(A_k B_l), as one product of the flattened stacks.
+    A product that overflows is an error, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = np.tensordot(a, b, axes=([1, 2], [1, 2]))
+    if not np.abs(traces).max() < np.inf:  # also catches nan
+        raise ReductionError("trace products tr(A_k B_l) are not finite")
+    return traces
 
 
 def factorization_to_float(f) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -1,5 +1,6 @@
 import json
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from psdbounds import (
     reduce_factor_ranks,
 )
 from psdbounds.cli import run
-from psdbounds.reduction import _null_vector
+from psdbounds.reduction import DEFAULT_TOL, _null_vector, _reduce_side
 
 
 def random_psd(rng, n):
@@ -185,6 +186,37 @@ def reference_reduce(x, mats, targets, tol=1e-9):
             assert abs(float(np.sum(a * x)) - alpha) <= 1e-7 * max(1.0, abs(alpha))
 
 
+def per_factor_reduce(x, mats, targets, tol=1e-9):
+    """The reduction loop for one factor, one numpy call per operation:
+    lockstep must give each factor these bits, not merely close ones."""
+    vals, vecs = np.linalg.eigh(x)
+    r = int(np.sum(vals > tol))
+    while r and len(mats) < r * (r + 1) // 2:
+        big = vals > tol
+        g = vecs[:, big] * np.sqrt(vals[big])
+        iu = np.triu_indices(r)
+        system = (g.T @ mats @ g)[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
+        q = np.linalg.qr(system.T)[0]
+        i = int(np.argmin(np.einsum("ij,ij->i", q, q)))
+        null = -(q @ q[i])
+        null[i] += 1.0
+        null /= np.linalg.norm(null)
+        delta = np.zeros((r, r))
+        delta[iu] = null
+        delta = delta + delta.T - np.diag(np.diag(delta))
+        delta /= np.linalg.norm(delta)
+        dvals = np.linalg.eigvalsh(delta)
+        if -dvals[0] >= dvals[-1]:
+            t = -1.0 / dvals[0]
+        else:
+            delta, t = -delta, 1.0 / dvals[-1]
+        new = g @ (np.eye(r) + t * delta) @ g.T
+        x = (new + new.T) / 2.0
+        vals, vecs = np.linalg.eigh(x)
+        r = int(np.sum(vals > tol))
+    return x
+
+
 def chain_factors(seed, m, n, r):
     """Float factors of the projection factorization of a seeded W @ H."""
     rng = random.Random(seed)
@@ -270,6 +302,15 @@ def test_zero_tolerance_is_accepted():
     assert FloatPsdMatrix(np.eye(2), 0.0).numerical_rank() == 2
 
 
+def test_reduction_without_constraints_reaches_rank_zero():
+    # with no constraint every direction is free, so each step drops the
+    # rank until none is left
+    x = FloatPsdMatrix(np.diag([3.0, 2.0, 1.0]))
+    out = barvinok_reduce(x, [])
+    assert out.numerical_rank() == 0
+    assert np.array_equal(out.entries, per_factor_reduce(x.entries, np.zeros((0, 3, 3)), []))
+
+
 @pytest.mark.parametrize("tol, shown", [
     ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
 ])
@@ -285,3 +326,119 @@ def test_reduce_rank_cli_rejects_bad_tolerance(tmp_path, capsys, tol, shown):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: tolerance must be finite and nonnegative, got {shown}\n"
+
+
+def test_overflowing_trace_products_raise_without_warning():
+    # tr(A B) = 1e400 overflows; a nan residual must fail its check, and
+    # numpy must not warn (package warnings are errors under pytest)
+    huge = [np.array([[1e200]])]
+    with pytest.raises(ReductionError, match="trace products tr\\(A_k B_l\\) are not finite"):
+        reduce_factor_ranks(huge, huge)
+    # a residual that overflows, or one against a nan target, fails its check
+    with pytest.raises(ReductionError, match="constraint residual is not finite after input"):
+        barvinok_reduce(FloatPsdMatrix(np.array([[1e200]])), [(np.array([[1e200]]), 1.0)])
+    with pytest.raises(ReductionError, match="constraint residual is not finite after input"):
+        barvinok_reduce(FloatPsdMatrix(np.eye(2)), [(np.eye(2), float("nan"))])
+
+
+def test_reduce_rank_cli_refuses_overflowing_trace_products(tmp_path, capsys):
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "psd_factorization", "order": 1,
+        "A": [[1e200]], "B": [[1e200]],
+    }))
+    assert run(["reduce-rank", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trace products tr(A_k B_l) are not finite\n"
+    # a bad tolerance is a usage error, found before any arithmetic
+    assert run(["reduce-rank", "--tol=-1", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerance must be finite and nonnegative, got -1.0\n"
+
+
+def mixed_side(rng, ranks, order, m):
+    """Factors of one side of the given ranks, so that they need different
+    numbers of steps, and m psd factors of the other side."""
+    side = []
+    for r in ranks:
+        g = rng.normal(size=(order, r))
+        side.append(g @ g.T)
+    return side, [random_psd(rng, order) for _ in range(m)]
+
+
+# more than one group of factors, a zero factor, factors already within the
+# bound, and factors that start at different ranks; the order-16 case runs
+# through every rank from 16 down to 7, as the largest benchmark chain does
+MIXED_SIDES = [
+    pytest.param([6, 0, 4, 2, 5, 6, 3, 1, 6, 4, 5], 6, 4, id="order6"),
+    pytest.param([16, 12, 0, 16, 9, 7, 16, 14, 3, 16, 11], 16, 32, id="order16"),
+]
+
+
+@pytest.mark.parametrize("ranks, order, m", MIXED_SIDES)
+def test_lockstep_matches_each_factor_reduced_alone(ranks, order, m):
+    a, b = mixed_side(np.random.default_rng(11), ranks, order, m)
+    report = reduce_factor_ranks(a, b)
+    targets = np.tensordot(np.array(a), np.array(b), axes=([1, 2], [1, 2]))
+    alone_a = [
+        barvinok_reduce(FloatPsdMatrix(x), [(y, targets[k, l]) for l, y in enumerate(b)])
+        for k, x in enumerate(a)
+    ]
+    alone_b = [
+        barvinok_reduce(
+            FloatPsdMatrix(y), [(x.entries, targets[k, l]) for k, x in enumerate(alone_a)]
+        )
+        for l, y in enumerate(b)
+    ]
+    assert len(set(report.a_ranks)) > 1  # the side really was mixed
+    for got, want in zip(report.a_factors + report.b_factors, alone_a + alone_b):
+        assert np.array_equal(got.entries, want.entries)
+    mats = np.array(b)
+    for k, x in enumerate(a):
+        want = per_factor_reduce((x + x.T) / 2.0, mats, targets[k])
+        assert np.array_equal(report.a_factors[k].entries, want)
+    assert report.a_ranks == tuple(x.numerical_rank() for x in alone_a)
+
+
+@pytest.mark.parametrize("bad_target, not_psd", [(3, 6), (5, 1), (4, 9)])
+def test_lockstep_raises_the_lowest_failing_factor(bad_target, not_psd):
+    # the input checks meet the psd failure first; the error must still be
+    # that of the lower factor, which a factor-by-factor loop meets first
+    a, b = mixed_side(np.random.default_rng(12), [6, 0, 4, 2, 5, 6, 3, 1, 6, 4, 5], 6, 4)
+    mats = np.array(b)
+    targets = np.tensordot(np.array(a), mats, axes=([1, 2], [1, 2]))
+    a[not_psd] = -a[not_psd] - np.eye(6)
+    targets[bad_target] += 1.0
+
+    def alone(k):
+        with pytest.raises(ReductionError) as caught:
+            barvinok_reduce(FloatPsdMatrix(a[k]), list(zip(b, targets[k])))
+        return str(caught.value)
+
+    stack = np.array([(x + x.T) / 2.0 for x in a])
+    with pytest.raises(ReductionError) as caught:
+        _reduce_side(stack, mats, targets, DEFAULT_TOL)
+    assert str(caught.value) == alone(min(bad_target, not_psd))
+    assert alone(bad_target).startswith("constraint residual")
+    assert alone(not_psd).startswith("input is not psd")
+
+
+def test_reduction_is_identical_across_threads():
+    a, b = chain_factors(304, 8, 8, 4)
+
+    def result(_):
+        report = reduce_factor_ranks(a, b)
+        return (
+            [f.entries for f in report.a_factors + report.b_factors],
+            report.a_ranks, report.b_ranks, report.max_residual, report.min_eigenvalue,
+        )
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        (want,) = pool.map(result, [0])
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(result, range(8)))
+    for factors, *rest in got:
+        assert rest == list(want[1:])
+        assert all(np.array_equal(x, y) for x, y in zip(factors, want[0]))
