@@ -9,8 +9,6 @@ floating-point corner of the package; everything exact stays elsewhere.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from . import _frozen
@@ -49,9 +47,6 @@ class FloatPsdMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[0])
 
-    def is_certified_psd(self) -> bool:
-        return self.min_eigenvalue() >= -self.tolerance
-
     def numerical_rank(self) -> int:
         return int(np.sum(self.eigenvalues() > self.tolerance))
 
@@ -67,7 +62,9 @@ def barvinok_reduce(
     direction D with <G^T A_j G, D> = 0 for all j (possible whenever
     r(r+1)/2 exceeds the constraint count), and moves to G(I + tD)G^T with
     t chosen so the smallest eigenvalue of I + tD is exactly zero: the
-    constraints are untouched and the rank drops by at least one.
+    constraints are untouched and the rank drops by at least one.  An input
+    with an entry that is not finite, one that is not psd within `tol`, or
+    one off its constraints raises `ReductionError`.
     """
     m = len(constraints)
     x = FloatPsdMatrix(x.entries, tol)
@@ -98,11 +95,13 @@ def _reduce_side(x, mats, targets, tol):
 def _reduce_group(x, mats, targets, tol):
     """The steps of `barvinok_reduce` for a stack of factors in lockstep.
 
-    Each round, the factors still above the bound that sit at one rank r
-    take their step together, in stacked numpy calls that give every factor
-    the bits its own calls give it.  A factor that fails stops, and so does
-    every factor after it, which alone would never have run; the lowest
-    failure is raised once the rest finish.
+    The input checks refuse a factor with an entry that is not finite, then
+    one not psd within tol, then one off its constraints.  Each round, the
+    factors still above the bound that sit at one rank r take their step
+    together, in stacked numpy calls that give every factor the bits its
+    own calls give it.  A factor that fails stops, and so does every factor
+    after it, which alone would never have run; the lowest failure is
+    raised once the rest finish.
     """
     k, m, n = len(x), len(mats), x.shape[-1]
     failure = [k, ""]  # the lowest failing factor so far, and its error
@@ -112,23 +111,23 @@ def _reduce_group(x, mats, targets, tol):
             failure[:] = i, message
 
     flat = mats.reshape(m, n * n)
-    if m:
-        scales = np.abs(targets).max(axis=1).tolist()
-        limits = [max(tol, 1e-7 * max(1.0, scale)) for scale in scales]
+    scales = np.abs(targets).max(axis=1, initial=0.0).tolist()
+    limits = [max(tol, 1e-7 * max(1.0, scale)) for scale in scales]
 
     def check_residuals(rows, sel, stage):
-        if not m:
-            return
         # an overflow shows as inf or nan here, and fails, instead of warning
         with np.errstate(over="ignore", invalid="ignore"):
             prods = flat @ x[sel].reshape(len(rows), n * n, 1)
-            worst = np.abs(prods[..., 0] - targets[sel]).max(axis=1).tolist()
+            worst = np.abs(prods[..., 0] - targets[sel]).max(axis=1, initial=0.0).tolist()
         for i, residual in zip(rows, worst):
             if not residual <= limits[i]:
                 fail(i, f"constraint residual {residual:.3e} too large after {stage}"
                      if residual < np.inf else
                      f"constraint residual is not finite after {stage}")
 
+    for i, top in enumerate(np.abs(x).max(axis=(1, 2)).tolist()):
+        if not top < np.inf:  # also catches nan
+            fail(i, "input has an entry that is not finite")
     for i, low in enumerate(np.linalg.eigvalsh(x)[:, 0].tolist()):
         if not low >= -tol:
             fail(i, f"input is not psd within tolerance (min eig {low:.3e})")
@@ -153,9 +152,9 @@ def _reduce_group(x, mats, targets, tol):
             sel = slice(rows[0], rows[-1] + 1) if contiguous else rows
             new, drifts, most = _step(vals, vecs, sel, mats, r)
             for i, drift, limit in zip(rows, drifts, most):
-                if drift > limit:
+                if not drift <= limit:  # also fails nan
                     fail(i, f"no constraint-preserving direction at rank {r} "
-                         f"(null-vector residual {drift:.3e})")
+                         f"(relative null-vector residual {drift:.3e})")
             x[sel] = new
             vals[sel], vecs[sel] = np.linalg.eigh(new)
             for i, new_r in zip(rows, np.sum(vals[sel] > tol, axis=1).tolist()):
@@ -170,7 +169,8 @@ def _reduce_group(x, mats, targets, tol):
 def _step(vals, vecs, sel, mats, r):
     """One step of each factor vecs[sel] diag(vals[sel]) vecs[sel]^T of a
     stack, all at rank r: the new factors G (I + tD) G^T, then the
-    null-vector residuals and their limits as lists."""
+    null-vector residuals and their limits as lists, both in units of the
+    largest entry of the factor's constraint system."""
     n = vecs.shape[-1]
     # eigh sorts ascending, so the range is the last r columns.  G is stored
     # column by column, as `vecs[:, big]` lays one out: BLAS then reads it
@@ -181,9 +181,10 @@ def _step(vals, vecs, sel, mats, r):
         order="C",
     )
     g = gt.swapaxes(1, 2)
-    # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D, and
-    # their null vectors, for a batch of factors at a time
-    iu, weights = _symmetric_coords(r)
+    # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D (each
+    # one off the diagonal counts twice), and their null vectors, in batches
+    iu = np.triu_indices(r)
+    weights = np.where(iu[0] == iu[1], 1.0, 2.0)
     null = np.empty((len(g), len(weights)))
     drifts, most = [], []
     batch = max(1, _SYSTEM_ENTRIES // (max(1, len(mats)) * len(weights)))
@@ -191,8 +192,12 @@ def _step(vals, vecs, sel, mats, r):
         part = slice(lo, lo + batch)
         system = (gt[part, None] @ mats @ g[part, None])[..., iu[0], iu[1]] * weights
         null[part] = _null_vector(system)
+        # check the drift on each system over its largest entry, where no norm
+        # overflows; the smallest normal float as floor keeps 1 / big finite
+        big = np.abs(system).max(axis=(1, 2), initial=np.finfo(float).tiny)
+        system /= big[:, None, None]
         drifts += _norms(system @ null[part, :, None]).tolist()
-        most += [1e-8 * max(1.0, s) for s in _norms(system).tolist()]
+        most += [1e-8 * max(1.0 / b, s) for b, s in zip(big.tolist(), _norms(system).tolist())]
         del system
     delta = np.zeros((len(g), r, r))
     delta[:, iu[0], iu[1]] = null
@@ -206,8 +211,7 @@ def _step(vals, vecs, sel, mats, r):
     delta *= (1.0 / np.where(flip, dvals[:, -1], -dvals[:, 0]))[:, None, None]
     delta += np.eye(r)  # the step I + tD
     new = g @ delta @ gt
-    new += new.swapaxes(1, 2)
-    new /= 2.0
+    _symmetrize(new)
     return new, drifts, most
 
 
@@ -218,28 +222,14 @@ def _norms(a) -> np.ndarray:
     return np.sqrt(flat @ flat.swapaxes(1, 2))[:, 0, 0]
 
 
-@cache
-def _symmetric_coords(r: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The upper-triangle indices of an order-r matrix and each one's weight
-    in a trace inner product: 1 on the diagonal, 2 off it.  Built once per
-    order and shared, so the arrays are read-only."""
-    iu = np.triu_indices(r)
-    weights = np.where(iu[0] == iu[1], 1.0, 2.0)
-    for a in (*iu, weights):
-        a.flags.writeable = False
-    return iu, weights
-
-
 def _null_vector(system: np.ndarray) -> np.ndarray:
-    """A unit vector v with system @ v = 0, for an m x k system with m < k,
-    or one such vector for each system of a stack.
+    """For each m x k system of a stack, with m < k, a unit vector v with
+    system @ v = 0.
 
     Q (k x m, orthonormal columns) spans the row space, so e_i - Q Q[i] is
     orthogonal to it for every i.  The row of Q with the smallest norm has
     squared norm at most m/k, so that choice has norm at least sqrt(1 - m/k).
     """
-    if system.ndim == 2:
-        return _null_vector(system[None])[0]
     q = np.linalg.qr(system.swapaxes(1, 2))[0]
     i = np.argmin(np.einsum("sij,sij->si", q, q), axis=1)
     each = np.arange(len(q))

@@ -17,6 +17,7 @@ from psdbounds import (
     psd_from_embedding,
     reduce_factor_ranks,
 )
+from psdbounds import reduction
 from psdbounds.cli import run
 from psdbounds.reduction import DEFAULT_TOL, _null_vector, _reduce_side
 
@@ -73,8 +74,8 @@ def test_float_psd_matrix_accessors():
     x = FloatPsdMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert np.allclose(x.entries, x.entries.T)  # symmetrized on entry
     assert FloatPsdMatrix(np.diag([1.0, 0.0])).numerical_rank() == 1
-    assert FloatPsdMatrix(np.eye(2)).is_certified_psd()
-    assert not FloatPsdMatrix(np.diag([1.0, -1.0])).is_certified_psd()
+    assert FloatPsdMatrix(np.eye(2)).min_eigenvalue() == 1.0
+    assert FloatPsdMatrix(np.diag([1.0, -1.0])).min_eigenvalue() == -1.0
 
 
 def test_inflated_identity_factorization_reduces():
@@ -125,7 +126,7 @@ def null_vector_systems():
 
 @pytest.mark.parametrize("system", null_vector_systems())
 def test_null_vector_is_a_unit_kernel_vector(system):
-    v = _null_vector(system)
+    v = _null_vector(system[None])[0]
     assert v.shape == (system.shape[1],)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert np.linalg.norm(system @ v) <= 1e-12 * max(1.0, np.linalg.norm(system))
@@ -358,6 +359,40 @@ def test_reduce_rank_cli_refuses_overflowing_trace_products(tmp_path, capsys):
     assert captured.err == "error: tolerance must be finite and nonnegative, got -1.0\n"
 
 
+def test_reduce_rank_huge_system_entry_passes_the_drift_check(tmp_path, capsys):
+    # the null-vector systems of the A side hold 1e200; the drift limit, a
+    # norm of the system, overflowed to inf and then let any drift pass
+    path = tmp_path / "fact.json"
+    path.write_text(json.dumps({
+        "schema": 1, "kind": "psd_factorization", "order": 2,
+        "A": [[1, 0, 0, 1], [0, 0, 0, 0]], "B": [[1e200, 0, 0, 0], [1, 1, 1, 1]],
+    }))
+    assert run(["reduce-rank", "--json", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["a_ranks"] == [1, 0] and doc["b_ranks"] == [1, 1]
+
+
+@pytest.mark.parametrize("entries", [[[np.inf]], [[np.inf, 0.0], [0.0, 1.0]]])
+def test_non_finite_factor_is_refused_without_warning(entries):
+    # with no constraint to catch it, [[inf]] came back as [[nan]] with a
+    # numpy warning (an error under pytest)
+    x = FloatPsdMatrix(np.array(entries))
+    with pytest.raises(ReductionError, match="^input has an entry that is not finite$"):
+        barvinok_reduce(x, [])
+    # the lowest failing factor's error is raised, as for the other checks
+    n = len(entries)
+    bad = np.zeros((3, n, n))
+    bad[1] = x.entries
+    bad[2] = -np.eye(n)
+    with pytest.raises(ReductionError, match="not finite"):
+        _reduce_side(bad, np.zeros((0, n, n)), np.zeros((3, 0)), DEFAULT_TOL)
+    bad[0] = -np.eye(n)
+    with pytest.raises(ReductionError, match="input is not psd"):
+        _reduce_side(bad, np.zeros((0, n, n)), np.zeros((3, 0)), DEFAULT_TOL)
+
+
 def mixed_side(rng, ranks, order, m):
     """Factors of one side of the given ranks, so that they need different
     numbers of steps, and m psd factors of the other side."""
@@ -425,15 +460,19 @@ def test_lockstep_raises_the_lowest_failing_factor(bad_target, not_psd):
     assert alone(not_psd).startswith("input is not psd")
 
 
+def reduction_result(a, b):
+    report = reduce_factor_ranks(a, b)
+    return (
+        [f.entries for f in report.a_factors + report.b_factors],
+        report.a_ranks, report.b_ranks, report.max_residual, report.min_eigenvalue,
+    )
+
+
 def test_reduction_is_identical_across_threads():
     a, b = chain_factors(304, 8, 8, 4)
 
     def result(_):
-        report = reduce_factor_ranks(a, b)
-        return (
-            [f.entries for f in report.a_factors + report.b_factors],
-            report.a_ranks, report.b_ranks, report.max_residual, report.min_eigenvalue,
-        )
+        return reduction_result(a, b)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
         (want,) = pool.map(result, [0])
@@ -442,3 +481,25 @@ def test_reduction_is_identical_across_threads():
     for factors, *rest in got:
         assert rest == list(want[1:])
         assert all(np.array_equal(x, y) for x, y in zip(factors, want[0]))
+
+
+@pytest.fixture(scope="module")
+def grouping_cases():
+    rng = np.random.default_rng(11)
+    return [
+        chain_factors(304, 8, 8, 4),
+        chain_factors(3101, 10, 12, 5),
+        mixed_side(rng, [16, 12, 0, 16, 9, 7, 16, 14, 3, 16, 11], 16, 32),
+    ]
+
+
+@pytest.mark.parametrize("group, entries", [(1, 1), (1, 10**9), (10**9, 1), (3, 100)])
+def test_grouping_constants_change_no_bit(grouping_cases, monkeypatch, group, entries):
+    # the group size and the system batch only bound a step's memory
+    wants = [reduction_result(a, b) for a, b in grouping_cases]
+    monkeypatch.setattr(reduction, "_GROUP", group)
+    monkeypatch.setattr(reduction, "_SYSTEM_ENTRIES", entries)
+    for (a, b), (factors, *rest) in zip(grouping_cases, wants):
+        got, *got_rest = reduction_result(a, b)
+        assert got_rest == rest
+        assert all(np.array_equal(x, y) for x, y in zip(got, factors))
