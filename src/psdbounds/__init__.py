@@ -2,13 +2,14 @@
 
 The package computes and certifies, in exact arithmetic:
 
-* ranks, determinants, kernels, images and canonical subspaces over Q
-  (`linalg`);
+* exact rational matrices, their ranks and determinants (`linalg`, which
+  every command loads);
 * support patterns, triangular rank, the embedding-dimension interval
   `embrkl_bounds`, exact biclique covers, and the bound report `analyze`
   (`pattern`);
-* the certify chain: subspace-lattice embeddings of a support,
-  conversions between rank factorizations, embeddings and psd
+* the certify chain: canonical subspaces over Q with their kernels,
+  images, inverses and projections, subspace-lattice embeddings of a
+  support, conversions between rank factorizations, embeddings and psd
   factorizations, psd factorization certificates and randomized support
   realization (`psd`);
 * beyond the pattern: multi-quadratic extension scalars for entrywise
@@ -92,10 +93,7 @@ _EXPORTS = {
         "all_cuts", "appendix_reduction_check", "cut_clique_slack", "generate_sn",
         "graph_G", "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
     ),
-    "linalg": (
-        "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
-        "projection_matrix", "rank", "row_space",
-    ),
+    "linalg": ("ExactMatrix", "det", "rank"),
     "pattern": (
         "Biclique", "BicliqueCover", "BipartiteGraph", "BoundReport", "CoverSearchResult",
         "SearchBudgetExceeded", "SupportPattern", "analyze", "boolean_rank",
@@ -104,9 +102,10 @@ _EXPORTS = {
     ),
     "psd": (
         "FactorizationReport", "PsdCertificate", "PsdFactorization", "RealizationError",
-        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
-        "psd_certificate", "psd_from_embedding", "realize_support", "verify_embedding",
-        "verify_psd_factorization",
+        "Subspace", "SubspaceEmbedding", "embedding_from_psd",
+        "embedding_from_rank_factorization", "image", "inverse", "kernel",
+        "projection_matrix", "psd_certificate", "psd_from_embedding", "realize_support",
+        "row_space", "verify_embedding", "verify_psd_factorization",
     ),
     "reduction": (
         "FactorReductionReport", "FloatPsdMatrix", "ReductionError",

@@ -18,8 +18,10 @@ import sys
 
 from . import DEFAULT_BUDGET, formats
 
-# Each branch of _dispatch imports the layers its command runs, so a launch
-# compiles only those modules and `rank` loads no search.
+# A launch pays only for its own command: `run` builds the parser of that
+# command alone, and each branch of _dispatch imports the layers its command
+# runs, so a launch compiles only those modules.  `rank` loads no search and
+# no subspace algebra, which lives in `psd` with the certify chain.
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -47,7 +49,21 @@ def _index_list(text: str) -> list[int]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the top-level commands, in the order of their parsers
+_COMMANDS = (
+    "rank", "trirank", "boolrank", "bounds", "embed", "psd", "verify", "realize-support",
+    "sqrt-bound", "order3-exclude", "reduce-rank", "gen", "appendix-check",
+)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``only`` of that command alone.
+
+    A parser of one command names them all in its ``{rank,...}`` metavar,
+    so its usage reads as the full parser's.  ``run`` asks for it only
+    when the first token is that command, so none of its errors names the
+    command argument, which the metavar would rename.
+    """
     parser = argparse.ArgumentParser(
         prog="psdbounds",
         description="Exact lower bounds on positive semidefinite and nonnegative rank.",
@@ -58,7 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+
+    def wanted(name):
+        return only in (None, name)
 
     def command(owner, name, **kw):
         return owner.add_parser(name, parents=[common], **kw)
@@ -67,75 +87,91 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", nargs="?", default="-", help="input file or - for stdin")
         return p
 
-    with_input(command(sub, "rank", help="exact rank of a matrix"))
-    with_input(command(sub, "trirank", help="triangular rank of the support"))
-    p = with_input(command(sub, "boolrank", help="boolean rank of the support"))
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node cap")
-    p = with_input(command(sub, "bounds", help="full bound report"))
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    if wanted("rank"):
+        with_input(command(sub, "rank", help="exact rank of a matrix"))
+    if wanted("trirank"):
+        with_input(command(sub, "trirank", help="triangular rank of the support"))
+    if wanted("boolrank"):
+        p = with_input(command(sub, "boolrank", help="boolean rank of the support"))
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node cap")
+    if wanted("bounds"):
+        p = with_input(command(sub, "bounds", help="full bound report"))
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p_embed = sub.add_parser("embed", help="build embeddings")
-    embed_sub = p_embed.add_subparsers(dest="mode", required=True)
-    with_input(command(embed_sub, "from-rank", help="embedding from a matrix"))
-    with_input(command(embed_sub, "from-psd", help="embedding from a factorization JSON"))
+    if wanted("embed"):
+        p_embed = sub.add_parser("embed", help="build embeddings")
+        embed_sub = p_embed.add_subparsers(dest="mode", required=True)
+        with_input(command(embed_sub, "from-rank", help="embedding from a matrix"))
+        with_input(command(embed_sub, "from-psd", help="embedding from a factorization JSON"))
 
-    p_psd = sub.add_parser("psd", help="build psd factorizations")
-    psd_sub = p_psd.add_subparsers(dest="mode", required=True)
-    with_input(
-        command(psd_sub, "from-embedding", help="projection factorization of an embedding")
-    )
+    if wanted("psd"):
+        p_psd = sub.add_parser("psd", help="build psd factorizations")
+        psd_sub = p_psd.add_subparsers(dest="mode", required=True)
+        with_input(
+            command(psd_sub, "from-embedding", help="projection factorization of an embedding")
+        )
 
-    p_verify = sub.add_parser("verify", help="check certificates")
-    verify_sub = p_verify.add_subparsers(dest="mode", required=True)
-    p = command(verify_sub, "psd", help="factorization against a matrix")
-    p.add_argument("factorization", help="factorization JSON file")
-    p.add_argument("matrix", help="matrix text file")
-    p = command(verify_sub, "embedding", help="embedding against a pattern")
-    p.add_argument("embedding", help="embedding JSON file")
-    p.add_argument("pattern", help="pattern text file")
+    if wanted("verify"):
+        p_verify = sub.add_parser("verify", help="check certificates")
+        verify_sub = p_verify.add_subparsers(dest="mode", required=True)
+        p = command(verify_sub, "psd", help="factorization against a matrix")
+        p.add_argument("factorization", help="factorization JSON file")
+        p.add_argument("matrix", help="matrix text file")
+        p = command(verify_sub, "embedding", help="embedding against a pattern")
+        p.add_argument("embedding", help="embedding JSON file")
+        p.add_argument("pattern", help="pattern text file")
 
-    p = with_input(
-        command(sub, "realize-support", help="rational matrix realizing the support")
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tries", type=int, default=5)
+    if wanted("realize-support"):
+        p = with_input(
+            command(sub, "realize-support", help="rational matrix realizing the support")
+        )
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tries", type=int, default=5)
 
-    p = with_input(
-        command(sub, "sqrt-bound", help="minimum rank over entrywise square roots")
-    )
-    p.add_argument("--rows", type=_index_list, required=True, help="1-based, e.g. 3,4,5,6")
-    p.add_argument("--cols", type=_index_list, required=True, help="1-based, e.g. 1,2,3,4")
-    p.add_argument("--no-sign-fix", action="store_true", help="enumerate all 2^z signs")
+    if wanted("sqrt-bound"):
+        p = with_input(
+            command(sub, "sqrt-bound", help="minimum rank over entrywise square roots")
+        )
+        p.add_argument("--rows", type=_index_list, required=True, help="1-based, e.g. 3,4,5,6")
+        p.add_argument("--cols", type=_index_list, required=True, help="1-based, e.g. 1,2,3,4")
+        p.add_argument("--no-sign-fix", action="store_true", help="enumerate all 2^z signs")
 
-    p = with_input(command(sub, "order3-exclude", help="psd rank >= 4 certificate"))
-    p.add_argument("--no-sign-fix", action="store_true")
+    if wanted("order3-exclude"):
+        p = with_input(command(sub, "order3-exclude", help="psd rank >= 4 certificate"))
+        p.add_argument("--no-sign-fix", action="store_true")
 
-    p = with_input(command(sub, "reduce-rank", help="reduce factor ranks (floats)"))
-    p.add_argument("--tol", type=float, default=1e-9)
+    if wanted("reduce-rank"):
+        p = with_input(command(sub, "reduce-rank", help="reduce factor ranks (floats)"))
+        p.add_argument("--tol", type=float, default=1e-9)
 
-    p_gen = sub.add_parser("gen", help="generators")
-    gen_sub = p_gen.add_subparsers(dest="mode", required=True)
-    p = command(gen_sub, "sn", help="the banded rank-3 family")
-    p.add_argument("n", type=int)
-    p = command(gen_sub, "cutpoly", help="clique-inequality slack matrix of K_n")
-    p.add_argument("n", type=int)
-    p = command(gen_sub, "disjointness", help="disjointness graph on l-subsets")
-    p.add_argument("n", type=int, metavar="N")
-    p.add_argument("l", type=int, metavar="L")
-    p.add_argument(
-        "--which",
-        choices=["h", "hbar"],
-        default="h",
-        help="h: disjoint pairs; hbar: unique-intersection pairs",
-    )
+    if wanted("gen"):
+        p_gen = sub.add_parser("gen", help="generators")
+        gen_sub = p_gen.add_subparsers(dest="mode", required=True)
+        p = command(gen_sub, "sn", help="the banded rank-3 family")
+        p.add_argument("n", type=int)
+        p = command(gen_sub, "cutpoly", help="clique-inequality slack matrix of K_n")
+        p.add_argument("n", type=int)
+        p = command(gen_sub, "disjointness", help="disjointness graph on l-subsets")
+        p.add_argument("n", type=int, metavar="N")
+        p.add_argument("l", type=int, metavar="L")
+        p.add_argument(
+            "--which",
+            choices=["h", "hbar"],
+            default="h",
+            help="h: disjoint pairs; hbar: unique-intersection pairs",
+        )
 
-    p = command(sub, "appendix-check", help="verify the cover reduction identity")
-    p.add_argument("n", type=int)
+    if wanted("appendix-check"):
+        p = command(sub, "appendix-check", help="verify the cover reduction identity")
+        p.add_argument("n", type=int)
     return parser
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    # the first token past any top-level --json names the command; any other
+    # first token (an option, -h, a misspelt command) gets the full parser
+    first = next((token for token in argv if token != "--json"), None)
+    parser = _build_parser(first if first in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

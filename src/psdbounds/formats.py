@@ -17,13 +17,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .linalg import ExactMatrix, Subspace
+from .linalg import ExactMatrix
 
 # The other layers' types are imported where a parser builds them, so that
 # reading a matrix loads `linalg` and nothing of the searches.
 if TYPE_CHECKING:
     from .pattern import BipartiteGraph, SupportPattern
-    from .psd import PsdFactorization, SubspaceEmbedding
+    from .psd import PsdFactorization, Subspace, SubspaceEmbedding
     from .scalars import Order3Certificate, SignAssignment
 
 SCHEMA_VERSION = 1
@@ -240,7 +240,7 @@ def embedding_to_json(e: SubspaceEmbedding) -> str:
 
 
 def embedding_from_json(text: str) -> SubspaceEmbedding:
-    from .psd import SubspaceEmbedding
+    from .psd import Subspace, SubspaceEmbedding
 
     doc = _load(text, "subspace_embedding")
     with _fields("subspace_embedding"):

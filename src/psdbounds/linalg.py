@@ -4,14 +4,16 @@
 and there is no floating point anywhere in this module.  Its support in
 bitmask form, one int per row, is :meth:`ExactMatrix.support_bits`.  The
 exact kernels run on integers: products are :func:`scaled_dot` dot products
-of rows scaled to a common denominator, and rank, determinant, RREF, kernel,
-image, subspaces and inverse all come from one fraction-free Gauss-Jordan
-elimination (:func:`_eliminate`).  The rank mod p of :func:`rank_mod_p`
-runs on packed rows instead: each row is one int with a fixed-width slot
-per column, wide enough that no carry crosses a slot, and clearing a
-column from a row is one big-integer multiply-add.  Ranks over the
-multi-quadratic fields of entrywise square roots are
-:func:`psdbounds.scalars.multiquad_rank`.
+of rows scaled to a common denominator, and rank and determinant come from
+one fraction-free Gauss-Jordan elimination (:func:`_eliminate`).  The rank
+mod p of :func:`rank_mod_p` runs on packed rows instead: each row is one
+int with a fixed-width slot per column, wide enough that no carry crosses a
+slot, and clearing a column from a row is one big-integer multiply-add.
+Ranks over the multi-quadratic fields of entrywise square roots are
+:func:`psdbounds.scalars.multiquad_rank`.  Every command compiles this
+module, so the subspace algebra built on the same elimination (RREF,
+kernel, image, canonical subspaces, inverse, projections) lives in
+:mod:`psdbounds.psd`, the certify chain that alone uses it.
 """
 
 from __future__ import annotations
@@ -351,171 +353,3 @@ def det(m: ExactMatrix) -> Fraction:
     if len(pivots) < m.rows:
         return Fraction(0)
     return Fraction(sign * d, prod(den for _, den in scaled))
-
-
-# -- reduced row echelon form and subspaces ---------------------------------
-
-
-def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """RREF of rational rows: (its nonzero rows, their pivot columns)."""
-    if not rows:
-        return [], []
-    a = [scaled_entries(row)[0] for row in rows]
-    pivots, _, d = _eliminate(a, len(a[0]))
-    return [[Fraction(v, d) for v in a[i]] for i in range(len(pivots))], pivots
-
-
-class Subspace:
-    """A linear subspace of Q^q, held as a canonical RREF row basis.
-
-    Two equal subspaces always carry identical basis matrices, so set
-    containment and equality are plain entry comparisons.
-    """
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: ExactMatrix):
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width must equal the ambient dimension")
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-
-    @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        if any(len(r) != ambient_dim for r in rows):
-            raise ValueError("vector length must equal the ambient dimension")
-        rows = [[Fraction(v) for v in r] for r in rows]
-        reduced, _ = _rref(rows)
-        return cls(ambient_dim, ExactMatrix.from_rows(reduced) if reduced
-                   else ExactMatrix.zeros(0, ambient_dim))
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix.zeros(0, ambient_dim))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix.identity(ambient_dim))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        vecs = ", ".join(
-            "(" + ", ".join(str(v) for v in self.basis.row(i)) + ")"
-            for i in range(self.dim)
-        )
-        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {vecs})"
-
-    def _reduce_vector(self, vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            lead = next(j for j in range(self.ambient_dim) if row[j])
-            if v[lead]:
-                f = v[lead]  # leading entries are 1 in RREF
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains_vector(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length must equal the ambient dimension")
-        return not any(self._reduce_vector(v))
-
-    def contains(self, other: "Subspace") -> bool:
-        """Exact set containment: ``other`` is a subspace of ``self``."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return all(
-            self.contains_vector(other.basis.row(i)) for i in range(other.dim)
-        )
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        """Span of the union of both bases."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        vectors = [self.basis.row(i) for i in range(self.dim)]
-        vectors += [other.basis.row(i) for i in range(other.dim)]
-        return Subspace.from_vectors(self.ambient_dim, vectors)
-
-
-def kernel(m: ExactMatrix) -> Subspace:
-    """Null space {x : m @ x = 0} as a canonical subspace of Q^cols."""
-    reduced, pivots = _rref(m.row_lists())
-    free = [c for c in range(m.cols) if c not in pivots]
-    vectors = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
-
-
-def image(m: ExactMatrix) -> Subspace:
-    """Column space of ``m`` as a canonical subspace of Q^rows."""
-    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
-
-
-def row_space(m: ExactMatrix) -> Subspace:
-    return Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
-
-
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    reduced, pivots = _rref(a)
-    if len(pivots) < n or pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return ExactMatrix.from_rows([row[n:] for row in reduced])
-
-
-def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
-    """Orthogonal projection onto ``u`` (standard inner product), or with
-    ``complement`` onto its orthogonal complement.
-
-    For a basis-row matrix B this is P = B^T (B B^T)^{-1} B: symmetric,
-    idempotent, rational, with image exactly ``u``; the complement's is
-    I - P.  Both come from integers: with N the basis rows scaled to
-    integers, the elimination of [N N^T | I] leaves M = d (N N^T)^{-1}
-    beside d I, d its last pivot, and d P = N^T M N.  Each entry of P or
-    of I - P is then one Fraction over d.
-    """
-    q = u.ambient_dim
-    if u.dim == 0:
-        return ExactMatrix.identity(q) if complement else ExactMatrix.zeros(q, q)
-    n = _integer_rows(u.basis)
-    k = len(n)
-    a = [
-        [sum(map(int.__mul__, x, y)) for y in n] + [int(i == j) for j in range(k)]
-        for i, x in enumerate(n)
-    ]
-    _, _, d = _eliminate(a, k)
-    n_cols = list(zip(*n))
-    mn_cols = list(zip(*([sum(map(int.__mul__, row[k:], c)) for c in n_cols] for row in a)))
-    # d P is symmetric: each entry above the diagonal is formed once; P's
-    # entries are dp / d and I - P's are -dp / d, or (d - dp) / d on the diagonal
-    sign, diag = (-1, d) if complement else (1, 0)
-    entries: list = [None] * (q * q)
-    for i, x in enumerate(n_cols):
-        for j in range(i, q):
-            dp = sum(map(int.__mul__, x, mn_cols[j]))
-            entries[i * q + j] = entries[j * q + i] = Fraction(
-                (diag if i == j else 0) + sign * dp, d
-            )
-    return ExactMatrix(q, q, entries)

@@ -5,11 +5,15 @@ subspaces U_1..U_m (rows) and V_1..V_n (columns) of a common Q^q with
 ``U_k <= V_l`` exactly at the zero entries of the pattern.  This module
 builds such embeddings from rank factorizations, turns them into psd
 factorizations via orthogonal projections, and recovers embeddings from
-factorizations again.  Everything is rational arithmetic: psd-ness is
-certified by an LDL^T elimination with diagonal pivoting (no eigenvalues),
-and support realization samples rational vectors.  The bounds on the
-embedding dimension are in `pattern`, the order-3 square-root argument in
-`scalars`, and the floating-point rank reduction in `reduction`.
+factorizations again.  It also holds the exact subspace algebra those
+steps run on: RREF, canonical subspaces with exact containment, kernel,
+image, row space, inverse and orthogonal projections, all from the
+fraction-free elimination of `linalg`.  Everything is rational arithmetic:
+psd-ness is certified by an LDL^T elimination with diagonal pivoting (no
+eigenvalues), and support realization samples rational vectors.  The
+bounds on the embedding dimension are in `pattern`, the order-3
+square-root argument in `scalars`, and the floating-point rank reduction
+in `reduction`.
 """
 
 from __future__ import annotations
@@ -19,8 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import _frozen
-from .linalg import (ExactMatrix, Subspace, image, kernel, projection_matrix, row_space,
-                     scaled_dot, scaled_entries)
+from .linalg import ExactMatrix, _eliminate, _integer_rows, scaled_dot, scaled_entries
 
 if TYPE_CHECKING:  # verify_embedding's annotation only: psd never loads `pattern`
     from .pattern import SupportPattern
@@ -227,6 +230,198 @@ def _times_random_vector(
     nums, den = factor
     v = [rng.randint(-amplitude, amplitude) for _ in range(q)]
     return [sum(map(int.__mul__, nums[i * q : (i + 1) * q], v)) for i in range(q)], den
+
+
+# -- reduced row echelon form and subspaces ---------------------------------
+
+
+def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """RREF of rational rows: (its nonzero rows, their pivot columns)."""
+    if not rows:
+        return [], []
+    a = [scaled_entries(row)[0] for row in rows]
+    pivots, _, d = _eliminate(a, len(a[0]))
+    return [[Fraction(v, d) for v in a[i]] for i in range(len(pivots))], pivots
+
+
+class Subspace:
+    """A linear subspace of Q^q, held as a canonical RREF row basis.
+
+    Two equal subspaces always carry identical basis matrices, so set
+    containment and equality are plain entry comparisons.
+    """
+
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: ExactMatrix):
+        """Refuses, with ``ValueError``, a basis that is not in RREF: one
+        scan for a leading 1 in each row, pivots strictly increasing, and
+        zeros above each pivot (below it the echelon form gives them)."""
+        if basis.cols != ambient_dim:
+            raise ValueError("basis width must equal the ambient dimension")
+        prev = -1  # the pivot column of the row above
+        for i in range(basis.rows):
+            row = basis.row(i)
+            lead = next((j for j, v in enumerate(row) if v), None)
+            if lead is None:
+                raise ValueError(f"basis row {i} is zero")
+            if row[lead] != 1:
+                raise ValueError(f"basis row {i} leads with {row[lead]}, not 1")
+            if lead <= prev:
+                raise ValueError(f"basis row {i} does not lead right of the row above")
+            if any(basis[k, lead] for k in range(i)):
+                raise ValueError(f"basis column {lead} is nonzero above its pivot")
+            prev = lead
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+
+    @classmethod
+    def _canonical(cls, ambient_dim: int, basis: ExactMatrix) -> "Subspace":
+        """The subspace of a basis already in RREF, without the scan."""
+        u = object.__new__(cls)
+        u.ambient_dim = ambient_dim
+        u.basis = basis
+        return u
+
+    @classmethod
+    def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
+        rows = [list(v) for v in vectors]
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("vector length must equal the ambient dimension")
+        rows = [[Fraction(v) for v in r] for r in rows]
+        reduced, _ = _rref(rows)
+        return cls._canonical(ambient_dim, ExactMatrix.from_rows(reduced) if reduced
+                              else ExactMatrix.zeros(0, ambient_dim))
+
+    @classmethod
+    def zero(cls, ambient_dim: int) -> "Subspace":
+        return cls._canonical(ambient_dim, ExactMatrix.zeros(0, ambient_dim))
+
+    @classmethod
+    def full(cls, ambient_dim: int) -> "Subspace":
+        return cls._canonical(ambient_dim, ExactMatrix.identity(ambient_dim))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        vecs = ", ".join(
+            "(" + ", ".join(str(v) for v in self.basis.row(i)) + ")"
+            for i in range(self.dim)
+        )
+        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {vecs})"
+
+    def _reduce_vector(self, vec: list[Fraction]) -> list[Fraction]:
+        v = list(vec)
+        for i in range(self.basis.rows):
+            row = self.basis.row(i)
+            lead = next(j for j in range(self.ambient_dim) if row[j])
+            if v[lead]:
+                f = v[lead]  # leading entries are 1 in RREF
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def contains_vector(self, vec) -> bool:
+        v = [Fraction(x) for x in vec]
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length must equal the ambient dimension")
+        return not any(self._reduce_vector(v))
+
+    def contains(self, other: "Subspace") -> bool:
+        """Exact set containment: ``other`` is a subspace of ``self``."""
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return all(
+            self.contains_vector(other.basis.row(i)) for i in range(other.dim)
+        )
+
+    def sum(self, other: "Subspace") -> "Subspace":
+        """Span of the union of both bases."""
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        vectors = [self.basis.row(i) for i in range(self.dim)]
+        vectors += [other.basis.row(i) for i in range(other.dim)]
+        return Subspace.from_vectors(self.ambient_dim, vectors)
+
+
+def kernel(m: ExactMatrix) -> Subspace:
+    """Null space {x : m @ x = 0} as a canonical subspace of Q^cols."""
+    reduced, pivots = _rref(m.row_lists())
+    free = [c for c in range(m.cols) if c not in pivots]
+    vectors = []
+    for f in free:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i][f]
+        vectors.append(v)
+    return Subspace.from_vectors(m.cols, vectors)
+
+
+def image(m: ExactMatrix) -> Subspace:
+    """Column space of ``m`` as a canonical subspace of Q^rows."""
+    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def row_space(m: ExactMatrix) -> Subspace:
+    return Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
+
+
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
+    if not m.is_square:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.rows
+    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    reduced, pivots = _rref(a)
+    if len(pivots) < n or pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return ExactMatrix.from_rows([row[n:] for row in reduced])
+
+
+def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
+    """Orthogonal projection onto ``u`` (standard inner product), or with
+    ``complement`` onto its orthogonal complement.
+
+    For a basis-row matrix B this is P = B^T (B B^T)^{-1} B: symmetric,
+    idempotent, rational, with image exactly ``u``; the complement's is
+    I - P.  Both come from integers: with N the basis rows scaled to
+    integers, the elimination of [N N^T | I] leaves M = d (N N^T)^{-1}
+    beside d I, d its last pivot, and d P = N^T M N.  Each entry of P or
+    of I - P is then one Fraction over d.
+    """
+    q = u.ambient_dim
+    if u.dim == 0:
+        return ExactMatrix.identity(q) if complement else ExactMatrix.zeros(q, q)
+    n = _integer_rows(u.basis)
+    k = len(n)
+    a = [
+        [sum(map(int.__mul__, x, y)) for y in n] + [int(i == j) for j in range(k)]
+        for i, x in enumerate(n)
+    ]
+    _, _, d = _eliminate(a, k)
+    n_cols = list(zip(*n))
+    mn_cols = list(zip(*([sum(map(int.__mul__, row[k:], c)) for c in n_cols] for row in a)))
+    # d P is symmetric: each entry above the diagonal is formed once; P's
+    # entries are dp / d and I - P's are -dp / d, or (d - dp) / d on the diagonal
+    sign, diag = (-1, d) if complement else (1, 0)
+    entries: list = [None] * (q * q)
+    for i, x in enumerate(n_cols):
+        for j in range(i, q):
+            dp = sum(map(int.__mul__, x, mn_cols[j]))
+            entries[i * q + j] = entries[j * q + i] = Fraction(
+                (diag if i == j else 0) + sign * dp, d
+            )
+    return ExactMatrix(q, q, entries)
 
 
 # -- subspace-lattice embeddings ----------------------------------------------

@@ -608,6 +608,43 @@ def test_help_exits_zero(capsys):
     assert invoke(capsys, ["--help"])[0] == 0
 
 
+def top_level_commands(parser) -> list[str]:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def test_command_list_is_the_full_parsers():
+    assert top_level_commands(_build_parser()) == list(cli._COMMANDS)
+
+
+# argv and the top-level commands its launch builds a parser for
+BUILT = [
+    (["rank"], ["rank"]),
+    (["--json", "rank"], ["rank"]),
+    (["rank", "--help"], ["rank"]),
+    (["--json", "gen", "sn", "3"], ["gen"]),
+    # a first token that is no exact command name gets every parser
+    (["--help", "rank"], list(cli._COMMANDS)),
+    (["--json=1", "rank"], list(cli._COMMANDS)),
+    (["no-such-command"], list(cli._COMMANDS)),
+    ([], list(cli._COMMANDS)),
+]
+
+
+@pytest.mark.parametrize("argv, built", BUILT, ids=[" ".join(a) or "-" for a, _ in BUILT])
+def test_a_launch_builds_only_its_commands_parser(capsys, monkeypatch, argv, built):
+    parsers = []
+    build = cli._build_parser
+
+    def recorded(*args):
+        parsers.append(build(*args))
+        return parsers[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    invoke(capsys, argv, stdin=s6_text())
+    assert [top_level_commands(p) for p in parsers] == [built]
+
+
 def test_no_threads_option(capsys, monkeypatch):
     assert invoke(capsys, ["--threads", "2", "rank"], stdin=s6_text())[0] == 2
     assert invoke(capsys, ["rank", "--threads", "2"], stdin=s6_text())[0] == 2

@@ -79,13 +79,49 @@ CASES = [
     (["appendix-check", "18"], "appendix_check_18.txt", 0),
 ]
 
+# the --help of the top level and of every subcommand parser, in an
+# 80-column terminal: help_<path with _ for spaces>.txt, or help.txt
+HELP_PATHS = [
+    "", "rank", "trirank", "boolrank", "bounds", "embed", "embed from-rank",
+    "embed from-psd", "psd", "psd from-embedding", "verify", "verify psd",
+    "verify embedding", "realize-support", "sqrt-bound", "order3-exclude",
+    "reduce-rank", "gen", "gen sn", "gen cutpoly", "gen disjointness", "appendix-check",
+]
+CASES += [
+    ([*path.split(), "--help"], "_".join(["help", *path.split()]) + ".txt", 0)
+    for path in HELP_PATHS
+]
+
+# argv and the file holding its exact stderr; each exits 2 with no stdout
+USAGE_ERRORS = [
+    ([], "usage_no_command.txt"),
+    (["no-such-command"], "usage_unknown_command.txt"),
+    (["rank", "a", "b"], "usage_rank_extra_argument.txt"),
+    (["--threads", "2", "rank"], "usage_threads.txt"),
+    (["--json=1", "rank"], "usage_json_value.txt"),
+]
+
 
 @pytest.mark.parametrize("argv, expected, status", CASES, ids=[e for _, e, _ in CASES])
 def test_cli_output_is_byte_identical(capsys, monkeypatch, argv, expected, status):
     monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     code, out, err = invoke(capsys, argv)
     assert (code, err) == (status, "")
     assert out == (GOLDEN / expected).read_text()
+
+
+def test_help_before_the_command_is_the_top_levels(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, ["--help", "rank"]) == (0, (GOLDEN / "help.txt").read_text(), "")
+
+
+@pytest.mark.parametrize("argv, expected", USAGE_ERRORS, ids=[e for _, e in USAGE_ERRORS])
+def test_usage_error_text_is_byte_identical(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (GOLDEN / expected).read_text()
 
 
 def test_demo_03_output_is_byte_identical():
@@ -98,7 +134,7 @@ def test_demo_03_output_is_byte_identical():
 
 
 def test_every_golden_file_is_checked():
-    checked = {e for _, e, _ in CASES} | {
+    checked = {e for _, e, _ in CASES} | {e for _, e in USAGE_ERRORS} | {
         "demo03.txt", "matrix.txt", "product.txt", "pattern.txt", "dense60.txt",
         "singular_mod_p.txt",
     }

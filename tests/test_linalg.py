@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_rational_matrix
 from oracles import naive_det, naive_rank, rank_mod_p_reference, rref_reference
-from psdbounds import linalg
+from psdbounds import linalg, psd
 from psdbounds import (
     ExactMatrix,
     Subspace,
@@ -284,7 +284,7 @@ def test_rref_matches_reference_and_sympy():
                 k = next(k for k in range(m) if k not in (i, j)) if m > 2 else j
                 rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
                 kinds["dependent"] += 1
-        reduced, pivots = linalg._rref([list(r) for r in rows])
+        reduced, pivots = psd._rref([list(r) for r in rows])
         assert (reduced, pivots) == rref_reference([[Fraction(v) for v in r] for r in rows])
         expected = sympy.Matrix(m, n, [sympy.Rational(str(v)) for r in rows for v in r])
         sym_rows, sym_pivots = expected.rref()
@@ -330,6 +330,38 @@ def test_subspace_contains_and_sum():
         e1.contains(Subspace.zero(3))
     with pytest.raises(ValueError):
         e1.sum(Subspace.zero(3))
+
+
+# bases of Q^2 that are not in RREF: before they were refused, the first
+# held no (1, 0) and did not contain itself, and the second had dim 2
+NOT_RREF = {
+    "leading 2": ([[2, 0]], "leads with 2, not 1"),
+    "repeated pivot": ([[1, 1], [1, 1]], "does not lead right of the row above"),
+    "decreasing pivots": ([[0, 1], [1, 0]], "does not lead right of the row above"),
+    "entry above a pivot": ([[1, 1], [0, 1]], "column 1 is nonzero above its pivot"),
+    "zero row": ([[1, 0], [0, 0]], "row 1 is zero"),
+}
+
+
+@pytest.mark.parametrize("shape", NOT_RREF)
+def test_subspace_refuses_a_basis_not_in_rref(shape):
+    rows, message = NOT_RREF[shape]
+    with pytest.raises(ValueError, match=message):
+        Subspace(2, ExactMatrix.from_rows(rows))
+
+
+def test_subspace_accepts_every_canonical_basis():
+    rng = random.Random(17)
+    for _ in range(80):
+        q = rng.randint(1, 5)
+        u = Subspace.from_vectors(
+            q,
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q)]
+             for _ in range(rng.randint(0, q + 1))],
+        )
+        assert Subspace(q, u.basis) == u
+        for v in (Subspace.zero(q), Subspace.full(q)):
+            assert Subspace(q, v.basis) == v
 
 
 def test_mutual_containment_is_basis_identity():

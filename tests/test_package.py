@@ -22,10 +22,7 @@ EAGER = {
         "appendix_reduction_check", "cut_clique_slack", "generate_sn", "graph_G",
         "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
     ],
-    "linalg": [
-        "ExactMatrix", "Subspace", "det", "image", "inverse", "kernel",
-        "projection_matrix", "rank", "row_space",
-    ],
+    "linalg": ["ExactMatrix", "det", "rank"],
     "pattern": [
         "Biclique", "BicliqueCover", "BipartiteGraph", "BoundReport", "CoverSearchResult",
         "SearchBudgetExceeded", "SupportPattern", "analyze", "boolean_rank",
@@ -34,9 +31,10 @@ EAGER = {
     ],
     "psd": [
         "FactorizationReport", "PsdCertificate", "PsdFactorization", "RealizationError",
-        "SubspaceEmbedding", "embedding_from_psd", "embedding_from_rank_factorization",
-        "psd_certificate", "psd_from_embedding", "realize_support", "verify_embedding",
-        "verify_psd_factorization",
+        "Subspace", "SubspaceEmbedding", "embedding_from_psd",
+        "embedding_from_rank_factorization", "image", "inverse", "kernel",
+        "projection_matrix", "psd_certificate", "psd_from_embedding", "realize_support",
+        "row_space", "verify_embedding", "verify_psd_factorization",
     ],
     "scalars": [
         "MultiQuadScalar", "Order3Certificate", "SignAssignment", "SqrtRankResult",
