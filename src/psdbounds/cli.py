@@ -49,11 +49,117 @@ def _index_list(text: str) -> list[int]:
     return values
 
 
-# the top-level commands, in the order of their parsers
-_COMMANDS = (
-    "rank", "trirank", "boolrank", "bounds", "embed", "psd", "verify", "realize-support",
-    "sqrt-bound", "order3-exclude", "reduce-rank", "gen", "appendix-check",
-)
+def _with_input(p):
+    p.add_argument("file", nargs="?", default="-", help="input file or - for stdin")
+    return p
+
+
+def _modes(sub, name, help):
+    """The subcommands of a command that only groups them, as ``embed``."""
+    return sub.add_parser(name, help=help).add_subparsers(dest="mode", required=True)
+
+
+# Each builder below adds one top-level command to ``sub``; ``command(owner,
+# name, ...)`` adds a parser that also takes ``--json`` after the name.
+
+
+def _rank(sub, command):
+    _with_input(command(sub, "rank", help="exact rank of a matrix"))
+
+
+def _trirank(sub, command):
+    _with_input(command(sub, "trirank", help="triangular rank of the support"))
+
+
+def _boolrank(sub, command):
+    p = _with_input(command(sub, "boolrank", help="boolean rank of the support"))
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node cap")
+
+
+def _bounds(sub, command):
+    p = _with_input(command(sub, "bounds", help="full bound report"))
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+
+def _embed(sub, command):
+    modes = _modes(sub, "embed", "build embeddings")
+    _with_input(command(modes, "from-rank", help="embedding from a matrix"))
+    _with_input(command(modes, "from-psd", help="embedding from a factorization JSON"))
+
+
+def _psd(sub, command):
+    modes = _modes(sub, "psd", "build psd factorizations")
+    _with_input(
+        command(modes, "from-embedding", help="projection factorization of an embedding")
+    )
+
+
+def _verify(sub, command):
+    modes = _modes(sub, "verify", "check certificates")
+    p = command(modes, "psd", help="factorization against a matrix")
+    p.add_argument("factorization", help="factorization JSON file")
+    p.add_argument("matrix", help="matrix text file")
+    p = command(modes, "embedding", help="embedding against a pattern")
+    p.add_argument("embedding", help="embedding JSON file")
+    p.add_argument("pattern", help="pattern text file")
+
+
+def _realize_support(sub, command):
+    p = _with_input(
+        command(sub, "realize-support", help="rational matrix realizing the support")
+    )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tries", type=int, default=5)
+
+
+def _sqrt_bound(sub, command):
+    p = _with_input(
+        command(sub, "sqrt-bound", help="minimum rank over entrywise square roots")
+    )
+    p.add_argument("--rows", type=_index_list, required=True, help="1-based, e.g. 3,4,5,6")
+    p.add_argument("--cols", type=_index_list, required=True, help="1-based, e.g. 1,2,3,4")
+    p.add_argument("--no-sign-fix", action="store_true", help="enumerate all 2^z signs")
+
+
+def _order3_exclude(sub, command):
+    p = _with_input(command(sub, "order3-exclude", help="psd rank >= 4 certificate"))
+    p.add_argument("--no-sign-fix", action="store_true")
+
+
+def _reduce_rank(sub, command):
+    p = _with_input(command(sub, "reduce-rank", help="reduce factor ranks (floats)"))
+    p.add_argument("--tol", type=float, default=1e-9)
+
+
+def _gen(sub, command):
+    modes = _modes(sub, "gen", "generators")
+    p = command(modes, "sn", help="the banded rank-3 family")
+    p.add_argument("n", type=int)
+    p = command(modes, "cutpoly", help="clique-inequality slack matrix of K_n")
+    p.add_argument("n", type=int)
+    p = command(modes, "disjointness", help="disjointness graph on l-subsets")
+    p.add_argument("n", type=int, metavar="N")
+    p.add_argument("l", type=int, metavar="L")
+    p.add_argument(
+        "--which",
+        choices=["h", "hbar"],
+        default="h",
+        help="h: disjoint pairs; hbar: unique-intersection pairs",
+    )
+
+
+def _appendix_check(sub, command):
+    p = command(sub, "appendix-check", help="verify the cover reduction identity")
+    p.add_argument("n", type=int)
+
+
+# the builder of each top-level command, in the order of the parsers
+_COMMANDS = {
+    "rank": _rank, "trirank": _trirank, "boolrank": _boolrank, "bounds": _bounds,
+    "embed": _embed, "psd": _psd, "verify": _verify, "realize-support": _realize_support,
+    "sqrt-bound": _sqrt_bound, "order3-exclude": _order3_exclude,
+    "reduce-rank": _reduce_rank, "gen": _gen, "appendix-check": _appendix_check,
+}
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -74,96 +180,13 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
 
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    def wanted(name):
-        return only in (None, name)
-
     def command(owner, name, **kw):
         return owner.add_parser(name, parents=[common], **kw)
 
-    def with_input(p):
-        p.add_argument("file", nargs="?", default="-", help="input file or - for stdin")
-        return p
-
-    if wanted("rank"):
-        with_input(command(sub, "rank", help="exact rank of a matrix"))
-    if wanted("trirank"):
-        with_input(command(sub, "trirank", help="triangular rank of the support"))
-    if wanted("boolrank"):
-        p = with_input(command(sub, "boolrank", help="boolean rank of the support"))
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node cap")
-    if wanted("bounds"):
-        p = with_input(command(sub, "bounds", help="full bound report"))
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-
-    if wanted("embed"):
-        p_embed = sub.add_parser("embed", help="build embeddings")
-        embed_sub = p_embed.add_subparsers(dest="mode", required=True)
-        with_input(command(embed_sub, "from-rank", help="embedding from a matrix"))
-        with_input(command(embed_sub, "from-psd", help="embedding from a factorization JSON"))
-
-    if wanted("psd"):
-        p_psd = sub.add_parser("psd", help="build psd factorizations")
-        psd_sub = p_psd.add_subparsers(dest="mode", required=True)
-        with_input(
-            command(psd_sub, "from-embedding", help="projection factorization of an embedding")
-        )
-
-    if wanted("verify"):
-        p_verify = sub.add_parser("verify", help="check certificates")
-        verify_sub = p_verify.add_subparsers(dest="mode", required=True)
-        p = command(verify_sub, "psd", help="factorization against a matrix")
-        p.add_argument("factorization", help="factorization JSON file")
-        p.add_argument("matrix", help="matrix text file")
-        p = command(verify_sub, "embedding", help="embedding against a pattern")
-        p.add_argument("embedding", help="embedding JSON file")
-        p.add_argument("pattern", help="pattern text file")
-
-    if wanted("realize-support"):
-        p = with_input(
-            command(sub, "realize-support", help="rational matrix realizing the support")
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tries", type=int, default=5)
-
-    if wanted("sqrt-bound"):
-        p = with_input(
-            command(sub, "sqrt-bound", help="minimum rank over entrywise square roots")
-        )
-        p.add_argument("--rows", type=_index_list, required=True, help="1-based, e.g. 3,4,5,6")
-        p.add_argument("--cols", type=_index_list, required=True, help="1-based, e.g. 1,2,3,4")
-        p.add_argument("--no-sign-fix", action="store_true", help="enumerate all 2^z signs")
-
-    if wanted("order3-exclude"):
-        p = with_input(command(sub, "order3-exclude", help="psd rank >= 4 certificate"))
-        p.add_argument("--no-sign-fix", action="store_true")
-
-    if wanted("reduce-rank"):
-        p = with_input(command(sub, "reduce-rank", help="reduce factor ranks (floats)"))
-        p.add_argument("--tol", type=float, default=1e-9)
-
-    if wanted("gen"):
-        p_gen = sub.add_parser("gen", help="generators")
-        gen_sub = p_gen.add_subparsers(dest="mode", required=True)
-        p = command(gen_sub, "sn", help="the banded rank-3 family")
-        p.add_argument("n", type=int)
-        p = command(gen_sub, "cutpoly", help="clique-inequality slack matrix of K_n")
-        p.add_argument("n", type=int)
-        p = command(gen_sub, "disjointness", help="disjointness graph on l-subsets")
-        p.add_argument("n", type=int, metavar="N")
-        p.add_argument("l", type=int, metavar="L")
-        p.add_argument(
-            "--which",
-            choices=["h", "hbar"],
-            default="h",
-            help="h: disjoint pairs; hbar: unique-intersection pairs",
-        )
-
-    if wanted("appendix-check"):
-        p = command(sub, "appendix-check", help="verify the cover reduction identity")
-        p.add_argument("n", type=int)
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if only is None else [only]:
+        _COMMANDS[name](sub, command)
     return parser
 
 

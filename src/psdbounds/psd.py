@@ -276,30 +276,22 @@ class Subspace:
         self.basis = basis
 
     @classmethod
-    def _canonical(cls, ambient_dim: int, basis: ExactMatrix) -> "Subspace":
-        """The subspace of a basis already in RREF, without the scan."""
-        u = object.__new__(cls)
-        u.ambient_dim = ambient_dim
-        u.basis = basis
-        return u
-
-    @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
         rows = [list(v) for v in vectors]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("vector length must equal the ambient dimension")
         rows = [[Fraction(v) for v in r] for r in rows]
         reduced, _ = _rref(rows)
-        return cls._canonical(ambient_dim, ExactMatrix.from_rows(reduced) if reduced
-                              else ExactMatrix.zeros(0, ambient_dim))
+        return cls(ambient_dim, ExactMatrix.from_rows(reduced) if reduced
+                   else ExactMatrix.zeros(0, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, ExactMatrix.zeros(0, ambient_dim))
+        return cls(ambient_dim, ExactMatrix.zeros(0, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls._canonical(ambient_dim, ExactMatrix.identity(ambient_dim))
+        return cls(ambient_dim, ExactMatrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:

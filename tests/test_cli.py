@@ -613,10 +613,6 @@ def top_level_commands(parser) -> list[str]:
     return list(sub.choices)
 
 
-def test_command_list_is_the_full_parsers():
-    assert top_level_commands(_build_parser()) == list(cli._COMMANDS)
-
-
 # argv and the top-level commands its launch builds a parser for
 BUILT = [
     (["rank"], ["rank"]),
