@@ -112,18 +112,24 @@ def _realize_support(sub, command):
     p.add_argument("--tries", type=int, default=5)
 
 
+_NO_SIGN_FIX_HELP = (
+    "let the first sign be negative: assignments_checked then counts 2^z "
+    "sign choices instead of 2^(z-1)"
+)
+
+
 def _sqrt_bound(sub, command):
     p = _with_input(
         command(sub, "sqrt-bound", help="minimum rank over entrywise square roots")
     )
     p.add_argument("--rows", type=_index_list, required=True, help="1-based, e.g. 3,4,5,6")
     p.add_argument("--cols", type=_index_list, required=True, help="1-based, e.g. 1,2,3,4")
-    p.add_argument("--no-sign-fix", action="store_true", help="enumerate all 2^z signs")
+    p.add_argument("--no-sign-fix", action="store_true", help=_NO_SIGN_FIX_HELP)
 
 
 def _order3_exclude(sub, command):
     p = _with_input(command(sub, "order3-exclude", help="psd rank >= 4 certificate"))
-    p.add_argument("--no-sign-fix", action="store_true")
+    p.add_argument("--no-sign-fix", action="store_true", help=_NO_SIGN_FIX_HELP)
 
 
 def _reduce_rank(sub, command):

@@ -441,7 +441,10 @@ def min_sqrt_rank(
     components of its nonzero entries).  Only the smallest code of each
     orbit is ranked, in increasing code order, so the first minimizer is
     the first one of the full enumeration.  ``assignments_checked`` still
-    counts every choice the orbits cover, 2^z or 2^(z-1).
+    counts every choice the orbits cover.  Both settings rank the same
+    2^(z-(r+c-k)) representatives: ``fix_global_sign=False`` lets the first
+    sign be negative, and ``assignments_checked`` then counts 2^z choices
+    instead of 2^(z-1).
     """
     rows = list(row_set)
     cols = list(col_set)

@@ -1,3 +1,5 @@
+import io
+import os
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +10,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from psdbounds import ExactMatrix
+from psdbounds.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def random_rational_matrix(
@@ -30,3 +35,23 @@ def roundtrip_corpus():
     """The 200 seeded random matrices shared by the roundtrip suites."""
     rng = random.Random(1729)
     return [random_rational_matrix(rng) for _ in range(200)]
+
+
+def invoke(capsys, argv, stdin: str = ""):
+    old = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        code = run(argv)
+    finally:
+        sys.stdin = old
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env

@@ -1,31 +1,16 @@
 import argparse
-import io
 import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import ROOT, invoke, src_env
 from psdbounds import (
     ExactMatrix, cli, formats, generate_sn, psd, slack_matrix_cut_clique, support
 )
-from psdbounds.cli import _build_parser, run
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def invoke(capsys, argv, stdin: str = ""):
-    old = sys.stdin
-    sys.stdin = io.StringIO(stdin)
-    try:
-        code = run(argv)
-    finally:
-        sys.stdin = old
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
+from psdbounds.cli import _build_parser
 
 def s6_text() -> str:
     return formats.format_matrix(generate_sn(6))
@@ -36,15 +21,6 @@ S6_PATTERN = (
     "6 6\n1 1 1 1 1 1\n0 1 1 1 1 1\n0 0 1 1 1 1\n"
     "1 0 0 1 1 1\n1 1 0 0 1 1\n1 1 1 0 0 1\n"
 )
-
-
-def src_env() -> dict:
-    """The environment for a fresh interpreter that imports from ``src``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return env
 
 
 def test_gen_then_rank(capsys):

@@ -11,14 +11,12 @@ changed.
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import ROOT, invoke, src_env
 from psdbounds.cli import _build_parser
-from test_cli import invoke, src_env
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 S6_BLOCK = ["--rows", "3,4,5,6", "--cols", "1,2,3,4"]

@@ -14,7 +14,6 @@ from psdbounds import (
     image,
     inverse,
     kernel,
-    multiquad_rank,
     projection_matrix,
     rank,
     row_space,
@@ -192,23 +191,6 @@ def test_rank_mod_p_slots_never_carry(p):
         for _ in range(3):
             rows = [[p - rng.choice((1, 2)) for _ in range(cols)] for _ in range(rows_n)]
             assert linalg.rank_mod_p(rows, p) == rank_mod_p_reference(rows, p)
-
-
-def test_rank_multiquad():
-    one, r2, r3, r6 = sqrt_embed(1), sqrt_embed(2), sqrt_embed(3), sqrt_embed(6)
-    zero = r2 - r2
-    # second row is sqrt(2) times the first: rank 1
-    assert multiquad_rank([[one, r2], [r2, r2 * r2]]) == 1
-    assert multiquad_rank([[r2, r3], [r3, r2]]) == 2
-    assert multiquad_rank([[zero, zero]]) == 0
-    assert multiquad_rank([[r2, r3], [r6, r3 * r3]]) == 1  # row2 = sqrt(3)*row1
-    assert multiquad_rank([]) == 0
-    # rational scalars: the rank over Q
-    rng = random.Random(5)
-    for _ in range(40):
-        m = random_rational_matrix(rng, max_rows=4, max_cols=4, zero_density=0.4)
-        rows = [[one * v for v in m.row(i)] for i in range(m.rows)]
-        assert multiquad_rank(rows) == rank(m)
 
 
 def test_det_examples():

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 import psdbounds
+from conftest import src_env
 from psdbounds import Biclique, BicliqueCover, ExactMatrix, SignAssignment, Subspace
-from test_cli import src_env
 
 # the names the package bound when it imported every layer, each under the
 # module that defines it
