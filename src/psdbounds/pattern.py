@@ -370,9 +370,17 @@ def _min_set_cover(
     the earlier sibling's subtree already searched every cover below the
     node that uses its set, so such a cover can be no smaller than the
     incumbent it left.  An excluded set is neither counted nor expanded
-    as a child.  This only removes subtrees that could not have improved
-    the incumbent, so the incumbents are found in the same order, each in
-    at most as many nodes.  Returns (chosen set indices, nodes explored).
+    as a child.  A child that the fooling bound leaves is not expanded
+    either when an excluded set covers every uncovered element that the
+    child's set covers: swapping the two turns any cover below the child
+    into one of the same size that uses the excluded set, and every such
+    cover was already searched.  It still counts as a node and is
+    excluded for its later siblings.  The test runs only on a child that
+    is not itself a leaf level: a leaf level counts its children in one
+    pass, which costs no more than the test.  Both rules only remove
+    subtrees that could not have improved the incumbent, so the
+    incumbents are found in the same order, each in at most as many
+    nodes.  Returns (chosen set indices, nodes explored).
     Past ``budget`` nodes it raises :class:`SearchBudgetExceeded` with the
     root fooling bound and the best size found, unless the incumbent
     already meets that bound.
@@ -452,6 +460,7 @@ def _min_set_cover(
             if i not in excluded
         ]
         children.sort()
+        dominators = None  # complements of the excluded sets in ``sets``
         for key in children:
             i = key & index
             nodes += 1
@@ -469,9 +478,21 @@ def _min_set_cover(
                 while rest and slack:
                     rest &= not_co[(rest & -rest).bit_length() - 1]
                     slack -= 1
+                if slack and len(best) - depth > 2:
+                    # an excluded set covering all the child newly covers
+                    # dominates it; a leaf-level child is not worth the test
+                    if dominators is None:
+                        dominators = [comp[j] for j in sets if j in excluded]
+                    gain = uncovered ^ child
+                    for c in dominators:
+                        if not gain & c:
+                            slack = 0
+                            break
                 if slack:
                     expand(child, chosen + (i,))
             excluded.add(i)
+            if dominators is not None:
+                dominators.append(comp[i])
         excluded.difference_update(map(index.__and__, children))
 
     nodes = 1  # the root

@@ -17,8 +17,8 @@ column flip orbits must match in minimum, witness and count.
 entry, which the packed-row kernel must match; the sign-enumeration
 reference uses it, so that it shares no kernel with the library.
 ``min_set_cover_per_child`` is the cover search before leaf levels were
-counted in one step, which the search must match node for node at every
-budget, and ``cheapest_blocks_reference`` the order-3 scan on count
+counted in one step, with its later dominance rule written plainly, which
+the search must match node for node at every budget, and ``cheapest_blocks_reference`` the order-3 scan on count
 lists, which the byte-packed scan must match block for block.
 The search numbers its elements by how many sets cover them, then by
 bit, and its fooling chains follow that order; both frozen cover
@@ -317,7 +317,9 @@ def min_set_cover_reference(
 # -- frozen per-child cover search --------------------------------------------
 # Verbatim copy of ``pattern._min_set_cover`` as of c20c8d1, the per-child
 # loop: every child is sorted, counted and tested in its parent's loop,
-# on the element bits as given.  Only the name differs.  The search must
+# on the element bits as given.  Besides the name, only the dominance by
+# an excluded set differs: the search gained it later, and it is written
+# here plainly, one test of the excluded sets per child.  The search must
 # keep its traversal: the same result, node count and cut at every budget.
 
 
@@ -342,8 +344,11 @@ def min_set_cover_per_child(
     the earlier sibling's subtree already searched every cover below the
     node that uses its set, so such a cover can be no smaller than the
     incumbent it left.  An excluded set is neither counted nor expanded
-    as a child.  This only removes subtrees that could not have improved
-    the incumbent, so the incumbents are found in the same order, each in
+    as a child.  Nor is a child expanded, unless it is a leaf level, when
+    an excluded set covers every uncovered element it covers: swapping
+    the two turns any cover below the child into one already searched.
+    Both rules only remove subtrees that could not have improved the
+    incumbent, so the incumbents are found in the same order, each in
     at most as many nodes.  Every choice depends only on the order of the
     element bits, so spreading the elements onto other positions in the
     same order changes nothing.  Returns (chosen set indices, nodes
@@ -412,6 +417,13 @@ def min_set_cover_per_child(
                 while rest and slack:
                     rest &= not_co[(rest & -rest).bit_length() - 1]
                     slack -= 1
+                # a child that is not itself a leaf level is skipped when an
+                # excluded set covers every element the child newly covers
+                if slack and len(best) - depth > 2 and any(
+                    j in excluded and not uncovered & cov[i] & ~cov[j]
+                    for j in covers_of[e]
+                ):
+                    slack = 0
                 if slack:
                     expand(child, chosen + (i,))
             excluded.add(i)

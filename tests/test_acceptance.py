@@ -13,7 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_rational_matrix
 from oracles import (
     minimum_cover_bruteforce,
     minimum_feasible_cover_bruteforce,

@@ -231,21 +231,21 @@ H62_COVER = (
 def test_h62_feasible_cover_budget_bounds_are_pinned():
     h, hbar = graph_H(6, 2)
     result = minimum_feasible_cover(h, hbar, budget=400_000)
-    assert (result.size, result.nodes) == (14, 235_249)
+    assert (result.size, result.nodes) == (14, 126_611)
     assert result.cover.covers(h) and result.cover.avoids(hbar)
     assert result.cover.bicliques == tuple(Biclique(*b) for b in H62_COVER)
     with pytest.raises(SearchBudgetExceeded) as info:
-        minimum_feasible_cover(h, hbar, budget=235_248)
-    assert (info.value.lower, info.value.upper, info.value.nodes) == (8, 14, 235_249)
+        minimum_feasible_cover(h, hbar, budget=126_610)
+    assert (info.value.lower, info.value.upper, info.value.nodes) == (8, 14, 126_611)
 
 
 @pytest.mark.parametrize(
     "matrix, budget, size, nodes",
     [
         (generate_sn(6), DEFAULT_BUDGET, 5, 16),
-        (generate_sn(8), DEFAULT_BUDGET, 6, 585),
-        (generate_sn(9), DEFAULT_BUDGET, 6, 1_218),
-        (generate_sn(10), 20_000, 6, 7_853),
+        (generate_sn(8), DEFAULT_BUDGET, 6, 519),
+        (generate_sn(9), DEFAULT_BUDGET, 6, 1_069),
+        (generate_sn(10), 20_000, 6, 7_159),
         (slack_matrix_cut_clique(5), DEFAULT_BUDGET, 15, 572),
     ],
     ids=["S_6", "S_8", "S_9", "S_10", "cutpoly 5"],
@@ -407,6 +407,20 @@ def test_leaf_level_cuts_are_pinned():
         "budget", 1, 2, 3,
     )
     assert _min_set_cover(*LEAF_LEVEL_SYSTEMS["improved then cut"], 3) == ((1, 2), 4)
+
+
+# Every element has two sets; the greedy cover (1, 0, 2, 3) has 4 and the
+# fooling bound is 3.  The root branches on element 0 and tries {0, 2}
+# (set 3), whose two children the fooling chain prunes, then {0} (set 6).
+# That child leaves the incumbent 3 more sets, so it is no leaf level, and
+# the excluded set 3 covers all it newly covers: it is not expanded, which
+# saves its two children.
+DOMINATED_CHILD = ([20, 98, 42, 5, 8, 64, 1, 16], 0b1111111)
+
+
+def test_an_excluded_set_dominates_a_child():
+    assert _min_set_cover(*DOMINATED_CHILD, 10**9) == ((1, 0, 2, 3), 5)
+    _assert_same_traversal(*DOMINATED_CHILD)
 
 
 def test_min_set_cover_keeps_the_per_child_traversal_at_every_budget():

@@ -111,8 +111,6 @@ def test_embedding_from_psd_roundtrip():
 
 def test_embedding_from_psd_order_one():
     one = ExactMatrix.from_rows([[1]])
-    from psdbounds import PsdFactorization
-
     f = PsdFactorization(1, (one, one), (one, one))
     emb = embedding_from_psd(f)
     assert all(u.dim == 1 for u in emb.U)
@@ -121,8 +119,6 @@ def test_embedding_from_psd_order_one():
 
 
 def test_embedding_from_psd_rejects_non_psd():
-    from psdbounds import PsdFactorization
-
     neg = ExactMatrix.from_rows([[-1]])
     f = PsdFactorization(1, (neg,), (neg,))
     # realize_support runs the same check and raises the same text

@@ -206,16 +206,14 @@ def test_min_sqrt_rank_bounded_by_shape():
 
 
 def test_min_sqrt_rank_invariant_under_global_flip():
-    from psdbounds.scalars import sqrt_embed as root
-
     s = generate_sn(6)
     res = min_sqrt_rank(s, [2, 3, 4, 5], [0, 1, 2, 3])
 
     def build(signs):
         rows, cols = [2, 3, 4, 5], [0, 1, 2, 3]
-        entries = [[root(0)] * 4 for _ in range(4)]
+        entries = [[sqrt_embed(0)] * 4 for _ in range(4)]
         for (i, j), sign in zip(res.witness.positions, signs):
-            entries[rows.index(i)][cols.index(j)] = root(s[i, j]) * sign
+            entries[rows.index(i)][cols.index(j)] = sqrt_embed(s[i, j]) * sign
         return entries
 
     flipped = tuple(-x for x in res.witness.signs)
