@@ -8,12 +8,15 @@ from-embedding`` have no text form and write JSON either way.  ``run`` also
 writes every error, as one ``error:`` line on stderr.  Exit status: 0 ok,
 1 verification failure or inconclusive certificate, 2 usage error,
 3 retry cap exhausted, or a cover search cut or refused with the boolean
-rank still undecided (``boolrank`` prints its proven interval).
+rank still undecided (``boolrank`` prints its proven interval), 141 stdout
+closed by its reader before the reply was written (as if killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from . import DEFAULT_BUDGET, formats
@@ -21,12 +24,16 @@ from . import DEFAULT_BUDGET, formats
 # A launch pays only for its own command: `run` builds the parser of that
 # command alone, and each branch of _dispatch imports the layers its command
 # runs, so a launch compiles only those modules.  `rank` loads no search and
-# no subspace algebra, which lives in `psd` with the certify chain.
+# no subspace algebra, which lives in `psd` with the certify chain.  `main`
+# then exits without the interpreter's shutdown collection: it freezes the
+# collector once the reply is written, since what the launch loaded is
+# freed by the OS anyway.
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool it killed
 
 
 def _read(path: str) -> str:
@@ -443,7 +450,17 @@ def _dispatch(args):
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): end silently, and point stdout
+        # at devnull so that the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    # frozen, the shutdown collections skip every object the launch loaded
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from psdbounds import ExactMatrix
 from psdbounds.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def random_rational_matrix(

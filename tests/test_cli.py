@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import ROOT, invoke, src_env
+from conftest import GOLDEN, ROOT, invoke, src_env
 from psdbounds import (
     ExactMatrix, cli, formats, generate_sn, psd, slack_matrix_cut_clique, support
 )
@@ -529,7 +530,7 @@ def test_reduce_rank_runs_on_one_blas_thread(preset):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    fact = ROOT / "tests" / "golden" / "factorization.json"
+    fact = GOLDEN / "factorization.json"
     proc = subprocess.run(
         [sys.executable, "-c", BLAS_PROBE, "reduce-rank", "--json", str(fact)],
         env=env,
@@ -671,3 +672,51 @@ def test_boolrank_computes_triangular_rank_only_when_undecided(capsys, monkeypat
     assert (code, out, calls) == (0, "5\n", [])
     code, out, _ = invoke(capsys, ["boolrank", "--budget", "0"], stdin=s6_text())
     assert code == 3 and out.startswith("unknown, bounds") and calls == [1]
+
+
+def test_main_exits_with_runs_status_and_freezes_the_collector(capsys, monkeypatch):
+    # the freeze spares the shutdown collections every object of the launch
+    argv = ["order3-exclude", "cutpoly4.txt"]
+    monkeypatch.chdir(GOLDEN)
+    reply = invoke(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["psdbounds", *argv])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == reply and reply[0] == 1
+    assert frozen > 0
+
+
+def launch_buffered(argv, stdout):
+    """``python -m psdbounds.cli argv`` in ``tests/golden``, with stdout
+    buffered, as it is unless ``PYTHONUNBUFFERED`` is set."""
+    env = src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "psdbounds.cli", *argv],
+        env=env, cwd=GOLDEN, stdout=stdout, stderr=subprocess.PIPE,
+    )
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_launch_quietly():
+    # `gen sn 400 | head -c 10`: the reply is far larger than a pipe holds
+    proc = launch_buffered(["gen", "sn", "400"], subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_a_pipe_closed_before_the_reply_ends_the_launch_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = launch_buffered(["rank", "s6.txt"], write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")

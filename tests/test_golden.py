@@ -14,10 +14,9 @@ import sys
 
 import pytest
 
-from conftest import ROOT, invoke, src_env
+from conftest import GOLDEN, ROOT, invoke, src_env
 from psdbounds.cli import _build_parser
 
-GOLDEN = ROOT / "tests" / "golden"
 
 S6_BLOCK = ["--rows", "3,4,5,6", "--cols", "1,2,3,4"]
 
@@ -155,6 +154,34 @@ def test_a_launch_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
         _build_parser().parse_args(argv)
     full = capsys.readouterr()
     assert invoke(capsys, argv) == (exc.value.code, full.out, full.err)
+
+
+# goldens the real entry point must print: the largest document, a status
+# of 1 and of 3, and a usage error on stderr
+LAUNCHES = {e: (argv, status, "stdout") for argv, e, status in CASES} | {
+    e: (argv, 2, "stderr") for argv, e in USAGE_ERRORS
+}
+ENTRY_POINT = [
+    "factorization.json", "order3_cutpoly4.txt", "boolrank_s12.txt",
+    "usage_rank_extra_argument.txt",
+]
+
+
+@pytest.mark.parametrize("expected", ENTRY_POINT)
+def test_the_entry_point_prints_the_golden(expected):
+    # `main` in a fresh interpreter, as the psdbounds script runs it
+    argv, status, stream = LAUNCHES[expected]
+    proc = subprocess.run(
+        [sys.executable, "-m", "psdbounds.cli", *argv],
+        env={**src_env(), "COLUMNS": "80"}, cwd=GOLDEN, capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == status
+    if stream == "stdout":
+        assert (proc.stdout, proc.stderr) == ((GOLDEN / expected).read_bytes(), b"")
+    else:
+        assert proc.stdout == b""
+        assert_argparse_text(proc.stderr.decode(), expected)
 
 
 def test_demo_03_output_is_byte_identical():
