@@ -89,9 +89,9 @@ DEFAULT_BUDGET = 2_000_000
 # defining module -> the public names it exports through the package
 _EXPORTS = {
     "cutpoly": (
-        "AppendixCheckResult", "Clique", "Cut", "SubsetVertex", "all_cliques",
-        "all_cuts", "appendix_reduction_check", "cut_clique_slack", "generate_sn",
-        "graph_G", "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
+        "AppendixCheckResult", "Clique", "Cut", "all_cliques", "all_cuts",
+        "appendix_reduction_check", "cut_clique_slack", "generate_sn", "graph_G",
+        "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
     ),
     "linalg": ("ExactMatrix", "det", "rank"),
     "pattern": (

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import os
 import sys
 
@@ -376,8 +377,6 @@ def _dispatch(args):
         # the only numpy command: exact commands start without loading it.
         # Its factors are small, so a BLAS thread pool costs more to start
         # than it saves; a value the caller set still wins.
-        import os
-
         if "numpy" not in sys.modules:
             os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
         # reduction is loaded before it imports numpy, which then reuses the
@@ -450,6 +449,14 @@ def _dispatch(args):
 
 
 def main() -> None:
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # unbuffered (`python -u`, PYTHONUNBUFFERED): the text layer ignores
+        # a short write into a pipe its reader closed, so write through a
+        # buffer, which writes the whole reply or raises BrokenPipeError
+        sys.stdout = open(
+            sys.stdout.fileno(), "w", encoding=sys.stdout.encoding,
+            errors=sys.stdout.errors, closefd=False,
+        )
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

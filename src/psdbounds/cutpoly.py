@@ -65,22 +65,6 @@ class Clique:
         return self.members.bit_count()
 
 
-@_frozen
-class SubsetVertex:
-    """An l-element subset of {1..N} as a bitset; vertex of H_N."""
-
-    N: int
-    members: int
-    l: int
-
-    def __post_init__(self):
-        full = (1 << self.N) - 1
-        if self.members & ~full:
-            raise ValueError("subset bitset out of range")
-        if self.members.bit_count() != self.l:
-            raise ValueError(f"subset must have exactly {self.l} elements")
-
-
 def _check_cut_n(n: int) -> None:
     """Refuse a K_n outside 2 <= n <= MAX_CUT_N."""
     if n < 2:

@@ -149,15 +149,18 @@ class FactorizationReport:
         return self.psd_ok and self.traces_ok
 
     def summary(self) -> str:
-        bad_a = [i for i, c in enumerate(self.a_certificates) if not c.is_psd]
-        bad_b = [i for i, c in enumerate(self.b_certificates) if not c.is_psd]
+        """What failed, for a reader: factors and entries count from 1, as
+        everywhere in the CLI, where the fields above count from 0."""
+        bad_a = [i + 1 for i, c in enumerate(self.a_certificates) if not c.is_psd]
+        bad_b = [i + 1 for i, c in enumerate(self.b_certificates) if not c.is_psd]
         parts = []
         if bad_a:
             parts.append(f"non-psd A factors {bad_a}")
         if bad_b:
             parts.append(f"non-psd B factors {bad_b}")
         if self.mismatches:
-            parts.append(f"trace mismatches at {list(self.mismatches)}")
+            at = [(k + 1, l + 1) for k, l in self.mismatches]
+            parts.append(f"trace mismatches at {at}")
         return "; ".join(parts) if parts else "ok"
 
 

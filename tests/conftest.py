@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,3 +57,17 @@ def src_env() -> dict:
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return env
+
+
+def launch(
+    args, *, input=None, env=None, cwd=None, stdout=subprocess.PIPE, text=True, timeout=60
+) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports from ``src``,
+    with stderr (and stdout, unless given a file descriptor) captured.
+    ``env`` changes ``src_env()``: a name set to None is removed."""
+    changed = {**src_env(), **(env or {})}
+    return subprocess.run(
+        [sys.executable, *args], input=input, cwd=cwd, stdout=stdout,
+        stderr=subprocess.PIPE, text=text, timeout=timeout,
+        env={name: value for name, value in changed.items() if value is not None},
+    )

@@ -2,12 +2,12 @@ import argparse
 import gc
 import json
 import os
-import subprocess
 import sys
+import threading
 
 import pytest
 
-from conftest import GOLDEN, ROOT, invoke, src_env
+from conftest import GOLDEN, invoke, launch, src_env
 from psdbounds import (
     ExactMatrix, cli, formats, generate_sn, psd, slack_matrix_cut_clique, support
 )
@@ -22,23 +22,6 @@ S6_PATTERN = (
     "6 6\n1 1 1 1 1 1\n0 1 1 1 1 1\n0 0 1 1 1 1\n"
     "1 0 0 1 1 1\n1 1 0 0 1 1\n1 1 1 0 0 1\n"
 )
-
-
-def test_gen_then_rank(capsys):
-    code, out, _ = invoke(capsys, ["gen", "sn", "6"])
-    assert code == 0
-    code, out, _ = invoke(capsys, ["rank"], stdin=out)
-    assert code == 0 and out.strip() == "3"
-
-
-def test_gen_json_roundtrip(capsys):
-    code, out, _ = invoke(capsys, ["gen", "sn", "5"])
-    assert code == 0
-    assert formats.parse_matrix(out) == generate_sn(5)
-    code, jout, _ = invoke(capsys, ["--json", "gen", "sn", "5"])
-    doc = json.loads(jout)
-    assert doc["rows"] == doc["cols"] == 5
-    assert doc["entries"][0][1] == "3"
 
 
 def test_trirank_and_boolrank(capsys):
@@ -67,19 +50,6 @@ def test_negative_budget_is_a_usage_error(capsys):
         assert err.startswith("error: budget must be nonnegative")
     code, out, _ = invoke(capsys, ["boolrank", "--budget", "0"], stdin=s6_text())
     assert code == 3 and out.startswith("unknown, bounds")
-
-
-def test_bounds_report(capsys):
-    code, out, _ = invoke(capsys, ["--json", "bounds"], stdin=s6_text())
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["rank"]["value"] == 3
-    assert doc["triangular_rank"]["value"] == 3
-    assert doc["embedding_dim_bounds"]["value"] == [3, 3]
-    assert doc["psd_rank_lower_bound"]["value"] == 4
-    assert doc["triangular_rank"]["value"] <= doc["rank"]["value"]
-    code, out, _ = invoke(capsys, ["bounds"], stdin=s6_text())
-    assert "psd rank lower bound: 4" in out
 
 
 def test_bounds_internally_consistent_on_random_inputs(capsys):
@@ -173,41 +143,6 @@ def test_reduce_rank_rejects_non_psd_factor(tmp_path, capsys):
     assert err == "error: input is not psd within tolerance (min eig -1.000e+00)\n"
 
 
-NO_NUMPY_PROBE = """
-import sys
-import psdbounds
-import psdbounds.cli
-assert "numpy" not in sys.modules, "import psdbounds.cli loaded numpy"
-assert psdbounds.cli.run(["bounds", sys.argv[1]]) == 0
-assert "numpy" not in sys.modules, "bounds loaded numpy"
-from psdbounds import reduction
-for name in ("FactorReductionReport", "FloatPsdMatrix", "ReductionError",
-             "barvinok_reduce", "factorization_to_float", "reduce_factor_ranks"):
-    assert getattr(psdbounds, name) is getattr(reduction, name), name
-try:
-    psdbounds.no_such_name
-except AttributeError:
-    pass
-else:
-    raise AssertionError("unknown name resolved")
-"""
-
-
-def test_exact_commands_start_without_numpy(tmp_path):
-    # a fresh interpreter: this test process has numpy loaded already
-    path = tmp_path / "s6.txt"
-    path.write_text(s6_text())
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_PROBE, str(path)],
-        env=src_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "psd rank lower bound: 4" in proc.stdout
-
-
 MODULES_PROBE = """
 import json, sys
 from psdbounds import cli
@@ -223,10 +158,7 @@ SLOW_STDLIB = {"dataclasses", "inspect"}
 def command_modules(tmp_path, *argv) -> set[str]:
     """The modules a fresh interpreter holds after running argv."""
     out = tmp_path / "modules.json"
-    proc = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, str(out), *argv],
-        env=src_env(), capture_output=True, text=True, timeout=60, cwd=tmp_path,
-    )
+    proc = launch(["-c", MODULES_PROBE, str(out), *argv], cwd=tmp_path)
     result = json.loads(out.read_text())
     assert result["code"] == 0, proc.stderr
     return set(result["modules"])
@@ -236,10 +168,8 @@ def command_modules(tmp_path, *argv) -> set[str]:
 def bare_modules() -> set[str]:
     """The modules a bare interpreter holds in the same environment (``site``
     and its ``.pth`` files may import some)."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
-        env=src_env(), capture_output=True, text=True, timeout=60, check=True,
-    )
+    proc = launch(["-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"])
+    assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout))
 
 
@@ -300,9 +230,9 @@ def test_each_command_loads_only_its_modules(chain_files, bare_modules, argv, un
     loaded = {m.split(".", 1)[1] for m in modules if m.startswith("psdbounds.")}
     assert loaded == {"cli", "formats", "linalg", *LAYERS - unloaded}
     if argv[0] != "reduce-rank":  # numpy imports inspect
+        assert "numpy" not in modules
         slow = (modules - bare_modules) & SLOW_STDLIB
         assert not slow, sorted(slow)
-
 
 
 def subcommands(parser, prefix=()):
@@ -385,14 +315,8 @@ def test_sqrt_bound_cli_rejects_out_of_range_index(tmp_path):
     # a fresh interpreter, so an uncaught exception would show as a traceback
     path = tmp_path / "s6.txt"
     path.write_text(s6_text())
-    proc = subprocess.run(
-        [sys.executable, "-m", "psdbounds.cli", "sqrt-bound",
-         "--rows", "1,2,3,99", "--cols", "1,2,3,4", str(path)],
-        env=src_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = launch(["-m", "psdbounds.cli", "sqrt-bound",
+                   "--rows", "1,2,3,99", "--cols", "1,2,3,4", str(path)])
     assert (proc.returncode, proc.stderr) == (2, "error: row index 99 outside the 6x6 matrix\n")
 
 
@@ -423,13 +347,7 @@ def test_malformed_documents_are_usage_errors(tmp_path):
         {"schema": 1, "kind": "psd_factorization", "order": 1, "A": 5, "B": [["1"]]}
     ))
     for argv in (["psd", "from-embedding", str(no_dim)], ["embed", "from-psd", str(bad_a)]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "psdbounds.cli", *argv],
-            env=src_env(),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = launch(["-m", "psdbounds.cli", *argv])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -437,14 +355,8 @@ def test_malformed_documents_are_usage_errors(tmp_path):
 
 def test_bounds_on_cutpoly_5_finishes():
     # a fresh interpreter under a time limit, so a runaway search fails the test
-    proc = subprocess.run(
-        [sys.executable, "-m", "psdbounds.cli", "bounds", "--json"],
-        input=formats.format_matrix(slack_matrix_cut_clique(5)),
-        env=src_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = launch(["-m", "psdbounds.cli", "bounds", "--json"],
+                  input=formats.format_matrix(slack_matrix_cut_clique(5)))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["rank"]["value"] == 11
@@ -455,14 +367,7 @@ def test_bounds_on_cutpoly_5_finishes():
 
 def test_bounds_on_cutpoly_6_answers_while_boolrank_refuses(capsys):
     text = formats.format_matrix(slack_matrix_cut_clique(6))
-    proc = subprocess.run(
-        [sys.executable, "-m", "psdbounds.cli", "bounds", "--json"],
-        input=text,
-        env=src_env(),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = launch(["-m", "psdbounds.cli", "bounds", "--json"], input=text)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["boolean_rank"]["value"] is None
@@ -501,15 +406,8 @@ def test_reduce_rank_without_numpy(tmp_path):
     fact.write_text(json.dumps(
         {"schema": 1, "kind": "psd_factorization", "order": 1, "A": [["1"]], "B": [["1"]]}
     ))
-    env = src_env()
-    env["PYTHONPATH"] = os.pathsep.join([str(shadow.parent), env["PYTHONPATH"]])
-    proc = subprocess.run(
-        [sys.executable, "-m", "psdbounds.cli", "reduce-rank", str(fact)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    path = os.pathsep.join([str(shadow.parent), src_env()["PYTHONPATH"]])
+    proc = launch(["-m", "psdbounds.cli", "reduce-rank", str(fact)], env={"PYTHONPATH": path})
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: reduce-rank needs numpy (pip install psdbounds[float])\n"
 
@@ -526,18 +424,9 @@ print(code, threads, os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
 
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_reduce_rank_runs_on_one_blas_thread(preset):
-    env = src_env()
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
     fact = GOLDEN / "factorization.json"
-    proc = subprocess.run(
-        [sys.executable, "-c", BLAS_PROBE, "reduce-rank", "--json", str(fact)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = launch(["-c", BLAS_PROBE, "reduce-rank", "--json", str(fact)],
+                  env={"OPENBLAS_NUM_THREADS": preset})
     code, threads, setting = proc.stderr.split()
     assert code == "0"
     doc = json.loads(proc.stdout)
@@ -563,13 +452,6 @@ def test_gen_cutpoly_and_disjointness(capsys):
     code, out, _ = invoke(capsys, ["gen", "disjointness", "5", "1", "--which", "hbar"])
     g = formats.parse_graph(out)
     assert g.edge_count() == 5
-
-
-def test_appendix_check_cli(capsys):
-    code, out, _ = invoke(capsys, ["appendix-check", "18", "--json"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["passed"] and doc["pairs_checked"] == 1296
 
 
 def test_usage_errors(capsys):
@@ -691,32 +573,40 @@ def test_main_exits_with_runs_status_and_freezes_the_collector(capsys, monkeypat
     assert frozen > 0
 
 
-def launch_buffered(argv, stdout):
-    """``python -m psdbounds.cli argv`` in ``tests/golden``, with stdout
-    buffered, as it is unless ``PYTHONUNBUFFERED`` is set."""
-    env = src_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.Popen(
-        [sys.executable, "-m", "psdbounds.cli", *argv],
-        env=env, cwd=GOLDEN, stdout=stdout, stderr=subprocess.PIPE,
-    )
+# PYTHONUNBUFFERED unset, then set: `main` buffers an unbuffered stdout
+STDOUT_SETTINGS = ({"PYTHONUNBUFFERED": None}, {"PYTHONUNBUFFERED": "1"})
+
+
+def launch_into(write, argv, env):
+    """``python -m psdbounds.cli argv`` in ``tests/golden``, writing to the
+    pipe end ``write``, which is closed once the launch has ended."""
+    try:
+        return launch(["-m", "psdbounds.cli", *argv], env=env, cwd=GOLDEN,
+                      stdout=write, text=False)
+    finally:
+        os.close(write)
 
 
 def test_a_reader_that_closes_the_pipe_early_ends_the_launch_quietly():
     # `gen sn 400 | head -c 10`: the reply is far larger than a pipe holds
-    proc = launch_buffered(["gen", "sn", "400"], subprocess.PIPE)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (141, b"")
+    for env in STDOUT_SETTINGS:
+        read, write = os.pipe()
+        head = []
+
+        def read_10_bytes_and_close():
+            head.append(os.read(read, 10))
+            os.close(read)
+
+        reader = threading.Thread(target=read_10_bytes_and_close)
+        reader.start()
+        proc = launch_into(write, ["gen", "sn", "400"], env)
+        reader.join(timeout=60)
+        assert (head, proc.returncode, proc.stderr) == ([b"400 400\n1 "], 141, b""), env
 
 
 def test_a_pipe_closed_before_the_reply_ends_the_launch_quietly():
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = launch_buffered(["rank", "s6.txt"], write)
-    finally:
-        os.close(write)
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (141, b"")
+    for env in STDOUT_SETTINGS:
+        read, write = os.pipe()
+        os.close(read)
+        proc = launch_into(write, ["rank", "s6.txt"], env)
+        assert (proc.returncode, proc.stderr) == (141, b""), env

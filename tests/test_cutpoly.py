@@ -8,7 +8,6 @@ from psdbounds import (
     Clique,
     Cut,
     ExactMatrix,
-    SubsetVertex,
     SupportPattern,
     all_cliques,
     all_cuts,
@@ -41,9 +40,6 @@ def test_cut_canonicalization_and_counts():
         Clique(3, bitset(1))
     with pytest.raises(ValueError):
         Cut(2, bitset(3))
-    assert SubsetVertex(5, bitset(1, 4), 2).members == bitset(1, 4)
-    with pytest.raises(ValueError):
-        SubsetVertex(5, bitset(1, 4), 3)
 
 
 def test_cut_clique_slack_examples():

@@ -1,13 +1,9 @@
 """Every demo script runs to completion against the package in src/."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, launch
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,16 +13,5 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        env=env,
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = launch([str(demo)], cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr

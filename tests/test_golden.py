@@ -9,12 +9,11 @@ changed.
 """
 
 import os
-import subprocess
 import sys
 
 import pytest
 
-from conftest import GOLDEN, ROOT, invoke, src_env
+from conftest import GOLDEN, ROOT, invoke, launch
 from psdbounds.cli import _build_parser
 
 
@@ -23,6 +22,7 @@ S6_BLOCK = ["--rows", "3,4,5,6", "--cols", "1,2,3,4"]
 # argv, the file holding its expected stdout, and its exit status
 CASES = [
     (["gen", "sn", "6"], "s6.txt", 0),
+    (["gen", "sn", "5", "--json"], "s5.json", 0),
     (["gen", "cutpoly", "4"], "cutpoly4.txt", 0),
     (["gen", "sn", "10"], "s10.txt", 0),
     (["gen", "sn", "12"], "s12.txt", 0),
@@ -37,6 +37,7 @@ CASES = [
     (["psd", "from-embedding", "embedding.json"], "factorization.json", 0),
     (["verify", "psd", "--json", "factorization.json", "product.txt"],
      "verify_product.json", 0),
+    (["appendix-check", "18", "--json"], "appendix_check_18.json", 0),
     (["bounds", "--json", "s6.txt"], "bounds_s6.json", 0),
     (["bounds", "--json", "cutpoly4.txt"], "bounds_cutpoly4.json", 0),
     # the boolean rank decided inside the budget, then undecided: a cut
@@ -68,6 +69,8 @@ CASES = [
     (["boolrank", "--json", "--budget", "20000", "s12.txt"], "boolrank_s12.json", 3),
     (["bounds", "s6.txt"], "bounds_s6.txt", 0),
     (["verify", "psd", "factorization.json", "product.txt"], "verify_product.txt", 0),
+    # positions count from 1, as in the JSON
+    (["verify", "psd", "factorization.json", "matrix.txt"], "verify_matrix.txt", 1),
     (["verify", "embedding", "embedding.json", "pattern.txt"],
      "verify_embedding.txt", 0),
     (["sqrt-bound", *S6_BLOCK, "s6.txt"], "sqrt_s6.txt", 0),
@@ -171,11 +174,8 @@ ENTRY_POINT = [
 def test_the_entry_point_prints_the_golden(expected):
     # `main` in a fresh interpreter, as the psdbounds script runs it
     argv, status, stream = LAUNCHES[expected]
-    proc = subprocess.run(
-        [sys.executable, "-m", "psdbounds.cli", *argv],
-        env={**src_env(), "COLUMNS": "80"}, cwd=GOLDEN, capture_output=True,
-        timeout=60,
-    )
+    proc = launch(["-m", "psdbounds.cli", *argv], env={"COLUMNS": "80"}, cwd=GOLDEN,
+                  text=False)
     assert proc.returncode == status
     if stream == "stdout":
         assert (proc.stdout, proc.stderr) == ((GOLDEN / expected).read_bytes(), b"")
@@ -185,10 +185,7 @@ def test_the_entry_point_prints_the_golden(expected):
 
 
 def test_demo_03_output_is_byte_identical():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "03_exact_square_roots.py")],
-        env=src_env(), cwd=ROOT, capture_output=True, text=True, timeout=60,
-    )
+    proc = launch([str(ROOT / "demos" / "03_exact_square_roots.py")], cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "demo03.txt").read_text()
 

@@ -4,21 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational_matrix
-from oracles import naive_det, naive_rank, rank_mod_p_reference, rref_reference
-from psdbounds import linalg, psd
-from psdbounds import (
-    ExactMatrix,
-    Subspace,
-    det,
-    generate_sn,
-    image,
-    inverse,
-    kernel,
-    projection_matrix,
-    rank,
-    row_space,
-    sqrt_embed,
-)
+from oracles import naive_det, naive_rank, rank_mod_p_reference
+from psdbounds import linalg
+from psdbounds import ExactMatrix, det, generate_sn, inverse, rank, sqrt_embed
 
 
 def test_support_bits_sets_a_bit_per_nonzero_entry():
@@ -234,184 +222,6 @@ def test_det_matches_sympy():
         scaled = linalg._integer_rows(m)
         swapped += linalg._eliminate(scaled, n)[1] < 0
     assert singular >= 40 and swapped >= 40
-
-
-def test_rref_matches_reference_and_sympy():
-    sympy = pytest.importorskip("sympy")
-
-    def exact(v):
-        return Fraction(int(sympy.numer(v)), int(sympy.denom(v)))
-
-    rng = random.Random(4242)
-    kinds = dict.fromkeys(["zero", "repeated", "dependent", "negative pivot",
-                           "inverse"], 0)
-    for trial in range(400):
-        m, n = trial % 8, trial // 8 % 8  # every shape from 0x0 to 7x7
-        rows = [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6
-             else 0 for _ in range(n)]
-            for _ in range(m)
-        ]
-        if m > 1 and n:
-            kind = trial % 5  # 3 and 4: rows as drawn
-            i, j = rng.sample(range(m), 2)
-            if kind == 0:
-                rows[i] = [0] * n
-                kinds["zero"] += 1
-            elif kind == 1:
-                rows[i] = list(rows[j])
-                kinds["repeated"] += 1
-            elif kind == 2:
-                a, b = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(-3, 7)
-                k = next(k for k in range(m) if k not in (i, j)) if m > 2 else j
-                rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
-                kinds["dependent"] += 1
-        reduced, pivots = psd._rref([list(r) for r in rows])
-        assert (reduced, pivots) == rref_reference([[Fraction(v) for v in r] for r in rows])
-        expected = sympy.Matrix(m, n, [sympy.Rational(str(v)) for r in rows for v in r])
-        sym_rows, sym_pivots = expected.rref()
-        assert pivots == list(sym_pivots)
-        assert reduced == [
-            [exact(v) for v in sym_rows.row(i)] for i in range(len(sym_pivots))
-        ]
-        assert all(isinstance(v, Fraction) for r in reduced for v in r)
-        if pivots and next(r[pivots[0]] for r in rows if r[pivots[0]]) < 0:
-            kinds["negative pivot"] += 1
-        if m == n and len(pivots) == n:
-            inv = inverse(ExactMatrix.from_rows(rows))
-            assert list(inv.entries) == [exact(v) for v in expected.inv()]
-            kinds["inverse"] += 1
-    assert kinds.pop("inverse") >= 20 and min(kinds.values()) >= 40, kinds
-
-
-def test_kernel_image_examples():
-    assert kernel(ExactMatrix.identity(3)).dim == 0
-    assert image(ExactMatrix.zeros(3, 3)).dim == 0
-    k = kernel(ExactMatrix.from_rows([[1, 1]]))
-    assert k.dim == 1
-    assert k.contains_vector([1, -1])
-
-
-def test_rank_nullity():
-    rng = random.Random(12)
-    for _ in range(80):
-        m = random_rational_matrix(rng, max_rows=5, max_cols=5, zero_density=0.4)
-        assert kernel(m).dim + rank(m) == m.cols
-        assert image(m).dim == rank(m)
-
-
-def test_subspace_contains_and_sum():
-    full = Subspace.full(2)
-    e1 = Subspace.from_vectors(2, [[1, 0]])
-    e2 = Subspace.from_vectors(2, [[0, 1]])
-    assert full.contains(e1) and full.contains(e2) and full.contains(full)
-    assert not e1.contains(e2)
-    assert e1.sum(e2) == full
-    assert e1.sum(Subspace.zero(2)) == e1
-    with pytest.raises(ValueError):
-        e1.contains(Subspace.zero(3))
-    with pytest.raises(ValueError):
-        e1.sum(Subspace.zero(3))
-
-
-# bases of Q^2 that are not in RREF: before they were refused, the first
-# held no (1, 0) and did not contain itself, and the second had dim 2
-NOT_RREF = {
-    "leading 2": ([[2, 0]], "leads with 2, not 1"),
-    "repeated pivot": ([[1, 1], [1, 1]], "does not lead right of the row above"),
-    "decreasing pivots": ([[0, 1], [1, 0]], "does not lead right of the row above"),
-    "entry above a pivot": ([[1, 1], [0, 1]], "column 1 is nonzero above its pivot"),
-    "zero row": ([[1, 0], [0, 0]], "row 1 is zero"),
-}
-
-
-@pytest.mark.parametrize("shape", NOT_RREF)
-def test_subspace_refuses_a_basis_not_in_rref(shape):
-    rows, message = NOT_RREF[shape]
-    with pytest.raises(ValueError, match=message):
-        Subspace(2, ExactMatrix.from_rows(rows))
-
-
-def test_subspace_accepts_every_canonical_basis():
-    rng = random.Random(17)
-    for _ in range(80):
-        q = rng.randint(1, 5)
-        u = Subspace.from_vectors(
-            q,
-            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q)]
-             for _ in range(rng.randint(0, q + 1))],
-        )
-        assert Subspace(q, u.basis) == u
-        for v in (Subspace.zero(q), Subspace.full(q)):
-            assert Subspace(q, v.basis) == v
-
-
-def test_mutual_containment_is_basis_identity():
-    rng = random.Random(31)
-    for _ in range(60):
-        q = rng.randint(1, 4)
-        vecs = [
-            [Fraction(rng.randint(-3, 3)) for _ in range(q)]
-            for _ in range(rng.randint(0, 3))
-        ]
-        a = Subspace.from_vectors(q, vecs)
-        # same space from scaled + permuted + summed generators
-        scrambled = [
-            [v * 3 for v in row] for row in reversed(vecs)
-        ]
-        if len(vecs) >= 2:
-            scrambled.append([x + y for x, y in zip(vecs[0], vecs[1])])
-        b = Subspace.from_vectors(q, scrambled)
-        assert a.contains(b) and b.contains(a)
-        assert a == b and a.basis == b.basis
-
-
-def test_projection_examples():
-    e1 = Subspace.from_vectors(2, [[1, 0]])
-    assert projection_matrix(e1) == ExactMatrix.from_rows([[1, 0], [0, 0]])
-    assert projection_matrix(Subspace.zero(3)) == ExactMatrix.zeros(3, 3)
-    diag = Subspace.from_vectors(2, [[1, 1]])
-    half = Fraction(1, 2)
-    assert projection_matrix(diag) == ExactMatrix.from_rows([[half, half], [half, half]])
-
-
-def test_projection_properties():
-    rng = random.Random(8)
-    for _ in range(40):
-        q = rng.randint(1, 4)
-        u = Subspace.from_vectors(
-            q,
-            [
-                [Fraction(rng.randint(-3, 3)) for _ in range(q)]
-                for _ in range(rng.randint(0, q))
-            ],
-        )
-        p = projection_matrix(u)
-        assert p == p.transpose()
-        assert p @ p == p
-        assert row_space(p) == u  # symmetric, so row space equals image
-
-
-def test_projection_matches_the_gram_formula():
-    # B^T (B B^T)^{-1} B with Fraction products and inverse, and I minus it
-    # for the orthogonal complement
-    rng = random.Random(44)
-    for _ in range(120):
-        q = rng.randint(1, 6)
-        u = Subspace.from_vectors(
-            q,
-            [
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(q)]
-                for _ in range(rng.randint(0, q + 1))
-            ],
-        )
-        b = u.basis
-        if u.dim:
-            want = b.transpose() @ inverse(b @ b.transpose()) @ b
-        else:
-            want = ExactMatrix.zeros(q, q)
-        assert projection_matrix(u) == want
-        assert projection_matrix(u, complement=True) == ExactMatrix.identity(q) - want
 
 
 def test_matrix_basics():
