@@ -2,14 +2,14 @@
 
 The package computes and certifies, in exact arithmetic:
 
-* exact rational matrices, their ranks and determinants (`linalg`, which
-  every command loads);
+* exact rational matrices and their ranks (`linalg`, which every command
+  loads);
 * support patterns, triangular rank, the embedding-dimension interval
   `embrkl_bounds`, exact biclique covers, and the bound report `analyze`
   (`pattern`);
 * the certify chain: canonical subspaces over Q with their kernels,
-  images, inverses and projections, subspace-lattice embeddings of a
-  support, conversions between rank factorizations, embeddings and psd
+  images and projections, subspace-lattice embeddings of a support,
+  conversions between rank factorizations, embeddings and psd
   factorizations, psd factorization certificates and randomized support
   realization (`psd`);
 * beyond the pattern: multi-quadratic extension scalars for entrywise
@@ -93,7 +93,7 @@ _EXPORTS = {
         "appendix_reduction_check", "cut_clique_slack", "generate_sn", "graph_G",
         "graph_H", "iter_slack_rows", "slack_matrix_cut_clique",
     ),
-    "linalg": ("ExactMatrix", "det", "rank"),
+    "linalg": ("ExactMatrix", "rank"),
     "pattern": (
         "Biclique", "BicliqueCover", "BipartiteGraph", "BoundReport", "CoverSearchResult",
         "SearchBudgetExceeded", "SupportPattern", "analyze", "boolean_rank",
@@ -103,7 +103,7 @@ _EXPORTS = {
     "psd": (
         "FactorizationReport", "PsdCertificate", "PsdFactorization", "RealizationError",
         "Subspace", "SubspaceEmbedding", "embedding_from_psd",
-        "embedding_from_rank_factorization", "image", "inverse", "kernel",
+        "embedding_from_rank_factorization", "image", "kernel",
         "projection_matrix", "psd_certificate", "psd_from_embedding", "realize_support",
         "row_space", "verify_embedding", "verify_psd_factorization",
     ),

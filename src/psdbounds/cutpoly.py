@@ -205,7 +205,7 @@ class AppendixCheckResult:
         return self.ok
 
 
-def appendix_reduction_check(n: int, cap: int = MAX_REDUCTION_N) -> AppendixCheckResult:
+def appendix_reduction_check(n: int) -> AppendixCheckResult:
     """Verify the subset identity behind the cover reduction, exhaustively.
 
     With N = n/2, l = floor(N/4), the clique U = x + fixed tail and the cut
@@ -215,8 +215,8 @@ def appendix_reduction_check(n: int, cap: int = MAX_REDUCTION_N) -> AppendixChec
     """
     if n % 8 != 2:
         raise ValueError("n must be 2 mod 8")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the cap {cap}")
+    if n > MAX_REDUCTION_N:
+        raise ValueError(f"n = {n} exceeds the cap {MAX_REDUCTION_N}")
     ground = n // 2
     l = ground // 4
     if l < 2:

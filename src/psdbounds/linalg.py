@@ -3,23 +3,23 @@
 :class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`,
 and there is no floating point anywhere in this module.  Its support in
 bitmask form, one int per row, is :meth:`ExactMatrix.support_bits`.  The
-exact kernels run on integers: products are :func:`scaled_dot` dot products
-of rows scaled to a common denominator, and rank and determinant come from
-one fraction-free Gauss-Jordan elimination (:func:`_eliminate`).  The rank
-mod p of :func:`rank_mod_p` runs on packed rows instead: each row is one
-int with a fixed-width slot per column, wide enough that no carry crosses a
-slot, and clearing a column from a row is one big-integer multiply-add.
-Ranks over the multi-quadratic fields of entrywise square roots are
-:func:`psdbounds.scalars.multiquad_rank`.  Every command compiles this
-module, so the subspace algebra built on the same elimination (RREF,
-kernel, image, canonical subspaces, inverse, projections) lives in
-:mod:`psdbounds.psd`, the certify chain that alone uses it.
+exact kernels run on integers: :func:`scaled_dot` multiplies two vectors
+scaled to common denominators (the trace products of :mod:`psdbounds.psd`),
+and rank comes from one fraction-free Gauss-Jordan elimination
+(:func:`_eliminate`).  The rank mod p of :func:`rank_mod_p` runs on packed
+rows instead: each row is one int with a fixed-width slot per column, wide
+enough that no carry crosses a slot, and clearing a column from a row is
+one big-integer multiply-add.  Ranks over the multi-quadratic fields of
+entrywise square roots are :func:`psdbounds.scalars.multiquad_rank`.
+Every command compiles this module, so the subspace algebra built on the
+same elimination (RREF, kernel, image, canonical subspaces, projections)
+lives in :mod:`psdbounds.psd`, the certify chain that alone uses it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 # 2^31 - 1, a prime: the modulus of rank's full-rank filter and the first
 # prime scalars.modular_images tries
@@ -61,14 +61,6 @@ class ExactMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, values) -> "ExactMatrix":
-        vals = list(values)
-        n = len(vals)
-        return cls.from_rows(
-            [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        )
 
     # -- access ------------------------------------------------------------
 
@@ -117,7 +109,7 @@ class ExactMatrix:
         rows = map(self.row, range(self.rows))
         return [sum(1 << j for j, v in enumerate(r) if v) for r in rows]
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- comparison and transpose -------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -131,35 +123,6 @@ class ExactMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols, self._e))
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [-v for v in self._e])
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_shape(other)
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
-        )
-
-    def __mul__(self, scalar) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [v * scalar for v in self._e])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        a = [scaled_entries(self.row(i)) for i in range(self.rows)]
-        b = [scaled_entries(other.column(j)) for j in range(other.cols)]
-        return ExactMatrix(self.rows, other.cols, [scaled_dot(x, y) for x in a for y in b])
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             self.cols,
@@ -167,25 +130,11 @@ class ExactMatrix:
             [self[i, j] for j in range(self.cols) for i in range(self.rows)],
         )
 
-    def trace(self):
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        acc = Fraction(0)
-        for i in range(self.rows):
-            acc = acc + self[i, i]
-        return acc
-
     def __repr__(self) -> str:
         body = "; ".join(
             " ".join(str(v) for v in self.row(i)) for i in range(self.rows)
         )
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
-
-    def _require_same_shape(self, other: "ExactMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
 
 
 def scaled_entries(values) -> tuple[list[int], int]:
@@ -199,7 +148,7 @@ def scaled_dot(x: tuple[list[int], int], y: tuple[list[int], int]) -> Fraction:
     return Fraction(sum(map(int.__mul__, x[0], y[0])), x[1] * y[1])
 
 
-# -- rank and determinant ----------------------------------------------------
+# -- rank ---------------------------------------------------------------------
 
 
 def _integer_rows(m: ExactMatrix) -> list[list[int]]:
@@ -208,7 +157,7 @@ def _integer_rows(m: ExactMatrix) -> list[list[int]]:
     return [scaled_entries(m.row(i))[0] for i in range(m.rows)]
 
 
-def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int, int]:
+def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of the integer rows ``a``, in place.
 
     Each pivot clears its column in every other row, above and below, and
@@ -217,11 +166,9 @@ def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int, int]:
     Afterwards the first ``len(pivots)`` rows are d times the reduced row
     echelon form, where d is the last pivot, and every other row is zero.
 
-    Returns (the pivot columns, the sign of the row swaps, d).  For a
-    nonsingular square matrix sign times d is its determinant.
+    Returns (the pivot columns, d).
     """
     prev = 1
-    sign = 1
     pivots: list[int] = []
     n_rows = len(a)
     for c in range(cols):
@@ -231,9 +178,7 @@ def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int, int]:
         piv = next((i for i in range(r, n_rows) if a[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
+        a[r], a[piv] = a[piv], a[r]
         top = a[r]
         x = top[c]
         for i in range(n_rows):
@@ -249,7 +194,7 @@ def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int, int]:
             a[i] = row
         pivots.append(c)
         prev = x
-    return pivots, sign, prev
+    return pivots, prev
 
 
 def rank(m: ExactMatrix) -> int:
@@ -341,15 +286,3 @@ def rank_mod_p(rows: list[list[int]], p: int) -> int:
             for row in rest
         ]
     return r
-
-
-def det(m: ExactMatrix) -> Fraction:
-    """Exact determinant: the elimination on the rows scaled to integers,
-    divided by the product of the row scales."""
-    if not m.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    scaled = [scaled_entries(m.row(i)) for i in range(m.rows)]
-    pivots, sign, d = _eliminate([row for row, _ in scaled], m.cols)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * d, prod(den for _, den in scaled))

@@ -7,9 +7,9 @@ builds such embeddings from rank factorizations, turns them into psd
 factorizations via orthogonal projections, and recovers embeddings from
 factorizations again.  It also holds the exact subspace algebra those
 steps run on: RREF, canonical subspaces with exact containment, kernel,
-image, row space, inverse and orthogonal projections, all from the
-fraction-free elimination of `linalg`.  Everything is rational arithmetic:
-psd-ness is certified by an LDL^T elimination with diagonal pivoting (no
+image, row space and orthogonal projections, all from the fraction-free
+elimination of `linalg`.  Everything is rational arithmetic: psd-ness is
+certified by an LDL^T elimination with diagonal pivoting (no
 eigenvalues), and support realization samples rational vectors.  The
 bounds on the embedding dimension are in `pattern`, the order-3
 square-root argument in `scalars`, and the floating-point rank reduction
@@ -243,7 +243,7 @@ def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     if not rows:
         return [], []
     a = [scaled_entries(row)[0] for row in rows]
-    pivots, _, d = _eliminate(a, len(a[0]))
+    pivots, d = _eliminate(a, len(a[0]))
     return [[Fraction(v, d) for v in a[i]] for i in range(len(pivots))], pivots
 
 
@@ -288,14 +288,6 @@ class Subspace:
         return cls(ambient_dim, ExactMatrix.from_rows(reduced) if reduced
                    else ExactMatrix.zeros(0, ambient_dim))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix.zeros(0, ambient_dim))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix.identity(ambient_dim))
-
     @property
     def dim(self) -> int:
         return self.basis.rows
@@ -339,14 +331,6 @@ class Subspace:
             self.contains_vector(other.basis.row(i)) for i in range(other.dim)
         )
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        """Span of the union of both bases."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        vectors = [self.basis.row(i) for i in range(self.dim)]
-        vectors += [other.basis.row(i) for i in range(other.dim)]
-        return Subspace.from_vectors(self.ambient_dim, vectors)
-
 
 def kernel(m: ExactMatrix) -> Subspace:
     """Null space {x : m @ x = 0} as a canonical subspace of Q^cols."""
@@ -371,18 +355,6 @@ def row_space(m: ExactMatrix) -> Subspace:
     return Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
 
 
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    a = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-    reduced, pivots = _rref(a)
-    if len(pivots) < n or pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return ExactMatrix.from_rows([row[n:] for row in reduced])
-
-
 def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
     """Orthogonal projection onto ``u`` (standard inner product), or with
     ``complement`` onto its orthogonal complement.
@@ -403,7 +375,7 @@ def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
         [sum(map(int.__mul__, x, y)) for y in n] + [int(i == j) for j in range(k)]
         for i, x in enumerate(n)
     ]
-    _, _, d = _eliminate(a, k)
+    _, d = _eliminate(a, k)
     n_cols = list(zip(*n))
     mn_cols = list(zip(*([sum(map(int.__mul__, row[k:], c)) for c in n_cols] for row in a)))
     # d P is symmetric: each entry above the diagonal is formed once; P's

@@ -1,8 +1,10 @@
 """Independent reference implementations used to freeze expected values.
 
 These deliberately avoid the library's algorithms: rank by plain Gaussian
-elimination on Fractions instead of the fraction-free one, triangular rank
-by exhaustive sequence enumeration instead of branch and bound, covers by
+elimination on Fractions instead of the fraction-free one, determinants by
+the permutation expansion, products by one Fraction sum per entry instead
+of integer dot products over common denominators, triangular rank by
+exhaustive sequence enumeration instead of branch and bound, covers by
 combinations over an independently enumerated candidate pool.
 ``min_set_cover_reference`` is the exception: a frozen copy of the cover
 search's earlier traversal, without sibling exclusion, kept so that the
@@ -77,6 +79,14 @@ def naive_det(m: ExactMatrix):
             term = term * m[i, perm[i]]
         total = term if total is None else total + term
     return total if total is not None else Fraction(1)
+
+
+def naive_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The matrix product a b, one Fraction sum per entry."""
+    return ExactMatrix(a.rows, b.cols, [
+        sum((x * y for x, y in zip(a.row(i), b.column(j))), Fraction(0))
+        for i in range(a.rows) for j in range(b.cols)
+    ])
 
 
 def triangular_rank_bruteforce(p: SupportPattern) -> int:
@@ -198,12 +208,10 @@ def minimum_feasible_cover_bruteforce(
 
 def is_psd_by_principal_minors(m: ExactMatrix) -> bool:
     """Symmetric rational matrix is psd iff every principal minor is >= 0."""
-    from psdbounds import det
-
     n = m.rows
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
-            if det(m.submatrix(combo, combo)) < 0:
+            if naive_det(m.submatrix(combo, combo)) < 0:
                 return False
     return True
 

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from oracles import minimum_feasible_cover_bruteforce
+from psdbounds import cutpoly
 from psdbounds import (
     Clique,
     Cut,
@@ -148,7 +149,7 @@ def test_feasible_cover_of_disjointness_matches_plain_cover():
     assert value == minimum_feasible_cover_bruteforce(h, hbar)
 
 
-def test_appendix_reduction_check():
+def test_appendix_reduction_check(monkeypatch):
     result = appendix_reduction_check(18)
     assert result
     assert result.pairs_checked == comb(9, 2) ** 2 == 1296
@@ -158,8 +159,9 @@ def test_appendix_reduction_check():
     with pytest.raises(ValueError):
         appendix_reduction_check(10)  # degenerate clique size
     with pytest.raises(ValueError):
-        appendix_reduction_check(26)  # beyond the default cap
-    assert appendix_reduction_check(26, cap=26).ok
+        appendix_reduction_check(26)  # beyond the cap
+    monkeypatch.setattr(cutpoly, "MAX_REDUCTION_N", 26)
+    assert appendix_reduction_check(26).ok
 
 
 def test_appendix_identity_single_pairs():

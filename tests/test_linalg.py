@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational_matrix
-from oracles import naive_det, naive_rank, rank_mod_p_reference
+from oracles import naive_product, naive_rank, rank_mod_p_reference
 from psdbounds import linalg
-from psdbounds import ExactMatrix, det, generate_sn, inverse, rank, sqrt_embed
+from psdbounds import ExactMatrix, generate_sn, rank, sqrt_embed
 
 
 def test_support_bits_sets_a_bit_per_nonzero_entry():
@@ -58,7 +58,9 @@ def random_rank_r(rng, rows, cols, r) -> ExactMatrix:
             for _ in range(m * n)
         ])
 
-    return factor(rows, r) @ factor(r, cols) if r else ExactMatrix.zeros(rows, cols)
+    if not r:
+        return ExactMatrix.zeros(rows, cols)
+    return naive_product(factor(rows, r), factor(r, cols))
 
 
 def test_rank_modular_shortcut_matches_sympy(monkeypatch):
@@ -181,61 +183,10 @@ def test_rank_mod_p_slots_never_carry(p):
             assert linalg.rank_mod_p(rows, p) == rank_mod_p_reference(rows, p)
 
 
-def test_det_examples():
-    assert det(ExactMatrix.identity(4)) == 1
-    assert det(ExactMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det(ExactMatrix.zeros(0, 0)) == 1
-    with pytest.raises(ValueError):
-        det(ExactMatrix.zeros(2, 3))
-
-
-def test_det_matches_permutation_expansion():
-    rng = random.Random(4)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = ExactMatrix(
-            n, n, [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n * n)]
-        )
-        assert det(m) == naive_det(m)
-
-
-def test_det_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(77)
-    singular = swapped = 0
-    for trial in range(320):
-        n = trial % 8  # sizes 0x0 to 7x7
-        entries = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.6 else 0
-            for _ in range(n * n)
-        ]
-        if n > 1 and trial % 5 == 0:  # a repeated row
-            entries[n : 2 * n] = entries[:n]
-        m = ExactMatrix(n, n, entries)
-        expected = sympy.Matrix(
-            n, n, [sympy.Rational(v.numerator, v.denominator) for v in m.entries]
-        ).det()
-        value = det(m)
-        assert isinstance(value, Fraction)
-        assert value == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
-        singular += value == 0
-        scaled = linalg._integer_rows(m)
-        swapped += linalg._eliminate(scaled, n)[1] < 0
-    assert singular >= 40 and swapped >= 40
-
-
 def test_matrix_basics():
     m = ExactMatrix.from_rows([[1, 2], [3, 4]])
     assert m.transpose() == ExactMatrix.from_rows([[1, 3], [2, 4]])
-    assert m.trace() == 5
-    assert (m @ inverse(m)) == ExactMatrix.identity(2)
     assert m.submatrix([1], [0, 1]) == ExactMatrix.from_rows([[3, 4]])
-    assert (m * 2)[1, 1] == 8
-    assert (m - m) == ExactMatrix.zeros(2, 2)
-    with pytest.raises(ValueError):
-        m @ ExactMatrix.zeros(3, 3)
-    with pytest.raises(ValueError):
-        inverse(ExactMatrix.from_rows([[1, 1], [1, 1]]))
     with pytest.raises(ValueError):
         ExactMatrix(2, 2, [1, 2, 3])
     with pytest.raises(IndexError):

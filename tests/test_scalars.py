@@ -222,7 +222,7 @@ def test_min_sqrt_rank_invariant_under_global_flip():
 
 def test_min_sqrt_rank_validation():
     with pytest.raises(ValueError):
-        min_sqrt_rank(-ExactMatrix.identity(2), [0], [0])
+        min_sqrt_rank(ExactMatrix.from_rows([[-1, 0], [0, -1]]), [0], [0])
     allones = ExactMatrix.from_rows([[1] * 6] * 6)
     with pytest.raises(ValueError):
         min_sqrt_rank(allones, range(6), range(6), cap=10)
@@ -566,7 +566,7 @@ def test_order3_exclusion_inconclusive_cases():
     assert not cert.conclusive
 
     with pytest.raises(ValueError):
-        order3_exclusion(-ExactMatrix.identity(3))
+        order3_exclusion(ExactMatrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]))
 
 
 def test_order3_exclusion_cap():
