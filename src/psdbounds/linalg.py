@@ -3,14 +3,14 @@
 :class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`,
 and there is no floating point anywhere in this module.  Its support in
 bitmask form, one int per row, is :meth:`ExactMatrix.support_bits`.  The
-exact kernels run on integers: :func:`scaled_dot` multiplies two vectors
-scaled to common denominators (the trace products of :mod:`psdbounds.psd`),
-and rank comes from one fraction-free Gauss-Jordan elimination
-(:func:`_eliminate`).  The rank mod p of :func:`rank_mod_p` runs on packed
-rows instead: each row is one int with a fixed-width slot per column, wide
-enough that no carry crosses a slot, and clearing a column from a row is
-one big-integer multiply-add.  Ranks over the multi-quadratic fields of
-entrywise square roots are :func:`psdbounds.scalars.multiquad_rank`.
+exact kernels run on integers: :func:`scaled_entries` puts rationals over
+their least common denominator, and rank comes from one fraction-free
+Gauss-Jordan elimination (:func:`_eliminate`).  The rank mod p of
+:func:`rank_mod_p` runs on packed rows instead: each row is one int with
+a fixed-width slot per column, wide enough that no carry crosses a slot,
+and clearing a column from a row is one big-integer multiply-add.  Ranks
+over the multi-quadratic fields of entrywise square roots are
+:func:`psdbounds.scalars.multiquad_rank`.
 Every command compiles this module, so the subspace algebra built on the
 same elimination (RREF, kernel, image, canonical subspaces, projections)
 lives in :mod:`psdbounds.psd`, the certify chain that alone uses it.
@@ -141,11 +141,6 @@ def scaled_entries(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def scaled_dot(x: tuple[list[int], int], y: tuple[list[int], int]) -> Fraction:
-    """Dot product of two :func:`scaled_entries` vectors: one Fraction in all."""
-    return Fraction(sum(map(int.__mul__, x[0], y[0])), x[1] * y[1])
 
 
 # -- rank ---------------------------------------------------------------------

@@ -10,7 +10,10 @@ steps run on: RREF, canonical subspaces with exact containment, kernel,
 image, row space and orthogonal projections, all from the fraction-free
 elimination of `linalg`.  Everything is rational arithmetic: psd-ness is
 certified by an LDL^T elimination with diagonal pivoting (no
-eigenvalues), and support realization samples rational vectors.  The
+eigenvalues), and support realization samples rational vectors.  Every
+trace product tr(A_k B_l) of a factorization, and every entry of a
+realized support, comes from one packed big-integer kernel,
+`_packed_dots`: one multiply-add per coordinate gives a whole row.  The
 bounds on the embedding dimension are in `pattern`, the order-3
 square-root argument in `scalars`, and the floating-point rank reduction
 in `reduction`.
@@ -20,10 +23,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from . import _frozen
-from .linalg import ExactMatrix, _eliminate, _integer_rows, scaled_dot, scaled_entries
+from .linalg import ExactMatrix, _eliminate, _integer_rows, scaled_entries
 
 if TYPE_CHECKING:  # verify_embedding's annotation only: psd never loads `pattern`
     from .pattern import SupportPattern
@@ -61,14 +65,76 @@ class PsdFactorization:
         return len(self.B)
 
     def product_matrix(self) -> ExactMatrix:
-        """The matrix tr(A_k B_l) this factorization factors.
+        """The matrix tr(A_k B_l) this factorization factors, from
+        :func:`_trace_products` of the factors' upper triangles."""
+        q = self.order
+        a = [scaled_entries(_upper(x.entries, q)) for x in self.A]
+        b = [scaled_entries(_upper(y.entries, q)) for y in self.B]
+        return ExactMatrix(self.m, self.n, _trace_products(q, a, b))
 
-        The factors are symmetric, so tr(A B) = sum_ij A_ij B_ij: each entry
-        is one integer dot product over the factors' common denominators.
-        """
-        a = [scaled_entries(m.entries) for m in self.A]
-        b = [scaled_entries(m.entries) for m in self.B]
-        return ExactMatrix(self.m, self.n, [scaled_dot(x, y) for x in a for y in b])
+
+def _upper(values, q: int) -> list:
+    """The upper triangle of a flat q x q list, row by row."""
+    out: list = []
+    for i in range(q):
+        out += values[i * q + i : (i + 1) * q]
+    return out
+
+
+def _packed_dots(xs: list[list[int]], ys: list[list[int]]) -> list[list[int]]:
+    """Every dot product x . y of two lists of integer vectors, one row per x.
+
+    Coordinate i of the ys is packed into one int with a w-bit slot per y,
+    the first y in the lowest: Y_i = sum_l y_l[i] 2^(l w), negative digits
+    included.  Then sum_i x[i] Y_i = sum_l (x . y_l) 2^(l w) is one
+    big-integer multiply-add per coordinate.  Each |x . y_l| is at most
+    M = len * max|x| * max|y| < 2^(w - 1) for w = M.bit_length() + 1, the
+    least width that holds both -M and M.  So adding 2^(w - 1) to every
+    slot leaves each in [0, 2^w): no borrow or carry crosses a slot, and
+    each dot product is read back as its slot minus 2^(w - 1), a balanced
+    (signed) w-bit digit.
+    """
+    length = len(xs[0]) if xs else 0
+    big_x = max(map(abs, chain.from_iterable(xs)), default=0)
+    big_y = max(map(abs, chain.from_iterable(ys)), default=0)
+    w = (length * big_x * big_y).bit_length() + 1
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    packed, bias = [0] * length, 0
+    for y in reversed(ys):
+        packed = [(p << w) + v for p, v in zip(packed, y)]
+        bias = bias << w | half
+    shifts = range(0, len(ys) * w, w)
+    return [
+        [(total >> s & mask) - half for s in shifts]
+        for total in (sum(map(int.__mul__, x, packed), bias) for x in xs)
+    ]
+
+
+def _trace_products(
+    q: int, a: list[tuple[list[int], int]], b: list[tuple[list[int], int]]
+) -> list[Fraction]:
+    """tr(A_k B_l) for every pair, row by row, of symmetric order-q factors
+    given as :func:`scaled_entries` of their upper triangles (:func:`_upper`).
+
+    Symmetry gives tr(A B) = sum_i A_ii B_ii + sum_{i<j} 2 A_ij B_ij, so each
+    product is one dot product over the q(q+1)/2 upper-triangle entries,
+    with A's off-diagonal ones doubled, and one Fraction over den_A den_B.
+    """
+    twice = [1 if i == j else 2 for i in range(q) for j in range(i, q)]
+    return _scaled_dots([(list(map(int.__mul__, twice, x)), d) for x, d in a], b)
+
+
+def _scaled_dots(
+    xs: list[tuple[list[int], int]], ys: list[tuple[list[int], int]]
+) -> list[Fraction]:
+    """x . y for every pair of :func:`scaled_entries` vectors, row by row:
+    one :func:`_packed_dots` and one Fraction per product."""
+    dots = _packed_dots([x for x, _ in xs], [y for y, _ in ys])
+    return [
+        Fraction(d, dx * dy)
+        for row, (_, dx) in zip(dots, xs)
+        for d, (_, dy) in zip(row, ys)
+    ]
 
 
 @_frozen
@@ -96,8 +162,13 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """
     if not m.is_symmetric():
         return PsdCertificate(False, (), "matrix is not symmetric")
-    n = m.rows
-    flat, den = scaled_entries(m.entries)
+    return _ldl_certificate(m.rows, scaled_entries(m.entries))
+
+
+def _ldl_certificate(n: int, scaled: tuple[list[int], int]) -> PsdCertificate:
+    """:func:`psd_certificate`'s elimination of a symmetric n x n matrix,
+    given as :func:`scaled_entries` of its entries; it works on a copy."""
+    flat, den = scaled
     work = [flat[i * n : (i + 1) * n] for i in range(n)]
     active = list(range(n))
     pivots: list[Fraction] = []
@@ -172,8 +243,13 @@ def verify_psd_factorization(
     With ``s`` omitted only the psd part is checked (the trace identities
     are vacuous against the factorization's own product matrix).
     """
-    a_certs = tuple(psd_certificate(a) for a in f.A)
-    b_certs = tuple(psd_certificate(b) for b in f.B)
+    # each factor is scaled once, for its certificate and the products; a
+    # PsdFactorization holds symmetric factors only
+    q = f.order
+    a = [scaled_entries(x.entries) for x in f.A]
+    b = [scaled_entries(y.entries) for y in f.B]
+    a_certs = tuple(_ldl_certificate(q, x) for x in a)
+    b_certs = tuple(_ldl_certificate(q, y) for y in b)
     psd_ok = all(c.is_psd for c in a_certs) and all(c.is_psd for c in b_certs)
     mismatches: list[tuple[int, int]] = []
     if s is not None:
@@ -181,7 +257,10 @@ def verify_psd_factorization(
             raise ValueError(
                 f"factorization is {f.m}x{f.n} but the matrix is {s.rows}x{s.cols}"
             )
-        pairs = zip(f.product_matrix().entries, s.entries)
+        products = _trace_products(
+            q, [(_upper(x, q), d) for x, d in a], [(_upper(y, q), d) for y, d in b]
+        )
+        pairs = zip(products, s.entries)
         mismatches = [divmod(i, f.n) for i, (x, y) in enumerate(pairs) if x != y]
     return FactorizationReport(
         psd_ok, a_certs, b_certs, not mismatches, tuple(mismatches)
@@ -208,8 +287,7 @@ def realize_support(
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     _require_psd(f)
-    s = f.product_matrix()
-    pattern = s.support_bits()
+    pattern = f.product_matrix().support_bits()
     rng = random.Random(seed)
     amplitude = max(17, f.m * f.n)
     a = [scaled_entries(x.entries) for x in f.A]
@@ -217,7 +295,7 @@ def realize_support(
     for _ in range(max_tries):
         xs = [_times_random_vector(x, f.order, rng, amplitude) for x in a]
         ys = [_times_random_vector(y, f.order, rng, amplitude) for y in b]
-        t = ExactMatrix(f.m, f.n, [scaled_dot(x, y) for x in xs for y in ys])
+        t = ExactMatrix(f.m, f.n, _scaled_dots(xs, ys))
         if t.support_bits() == pattern:
             return t
     raise RealizationError(

@@ -3,9 +3,10 @@
 Each file under ``tests/golden`` is the exact stdout of one command below,
 run from that directory; the inputs (``matrix.txt``, ``product.txt``,
 ``pattern.txt``, the support of ``matrix.txt``, a seeded dense 60x60 matrix
-``dense60.txt`` and ``singular_mod_p.txt``) and the generated matrices are
-there too.  A failure here means an output format or a certified value
-changed.
+``dense60.txt``, ``singular_mod_p.txt``, a seeded 12x14 rational matrix of
+rank 6 ``chain12.txt`` and the T of its factorization,
+``chain12_product.txt``) and the generated matrices are there too.  A
+failure here means an output format or a certified value changed.
 """
 
 import os
@@ -37,6 +38,12 @@ CASES = [
     (["psd", "from-embedding", "embedding.json"], "factorization.json", 0),
     (["verify", "psd", "--json", "factorization.json", "product.txt"],
      "verify_product.json", 0),
+    # the chain on a 12x14 matrix of rank 6: factors of order 6, so each
+    # packed coordinate of the trace products holds 14 slots
+    (["embed", "from-rank", "chain12.txt"], "chain12_embedding.json", 0),
+    (["psd", "from-embedding", "chain12_embedding.json"], "chain12_factorization.json", 0),
+    (["verify", "psd", "--json", "chain12_factorization.json", "chain12_product.txt"],
+     "chain12_verify.json", 0),
     (["appendix-check", "18", "--json"], "appendix_check_18.json", 0),
     (["bounds", "--json", "s6.txt"], "bounds_s6.json", 0),
     (["bounds", "--json", "cutpoly4.txt"], "bounds_cutpoly4.json", 0),
@@ -193,6 +200,6 @@ def test_demo_03_output_is_byte_identical():
 def test_every_golden_file_is_checked():
     checked = {e for _, e, _ in CASES} | {e for _, e in HELP + USAGE_ERRORS} | {
         "demo03.txt", "matrix.txt", "product.txt", "pattern.txt", "dense60.txt",
-        "singular_mod_p.txt",
+        "singular_mod_p.txt", "chain12.txt", "chain12_product.txt",
     }
     assert set(os.listdir(GOLDEN)) == checked

@@ -189,6 +189,37 @@ def test_psd_certificate_matches_principal_minors():
         gram = naive_product(g, g.transpose())  # always psd
         assert psd_certificate(gram).is_psd
 
+    # the elimination's zero-diagonal exit: [[0, c], [c, 0]] beside a psd
+    # block, rows and columns shuffled, and g + g^T with chosen diagonal
+    # entries set to 0
+    def value():
+        return Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2))
+
+    cases = []
+    for _ in range(30):
+        k = rng.randint(0, 3)
+        h = ExactMatrix(k, k, [value() for _ in range(k * k)])
+        gram = naive_product(h, h.transpose())
+        n = k + 2
+        e = [[gram[i, j] if i < k and j < k else Fraction(0) for j in range(n)]
+             for i in range(n)]
+        e[k][k + 1] = e[k + 1][k] = value()
+        perm = rng.sample(range(n), n)
+        cases.append(ExactMatrix.from_rows([[e[i][j] for j in perm] for i in perm]))
+
+        n = rng.randint(2, 4)
+        g = ExactMatrix(n, n, [value() for _ in range(n * n)])
+        e = [x + y for x, y in zip(g.entries, g.transpose().entries)]
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            e[i * n + i] = Fraction(0)
+        cases.append(ExactMatrix(n, n, e))
+    zero_exits = 0
+    for m in cases:
+        cert = psd_certificate(m)
+        assert cert.is_psd == is_psd_by_principal_minors(m), m
+        zero_exits += cert.reason.startswith("zero diagonal")
+    assert zero_exits >= 30
+
 
 def ldl_corpus(rng) -> list[tuple[str, ExactMatrix]]:
     """Seeded symmetric rational matrices up to 8x8 that reach every exit of
@@ -300,17 +331,44 @@ def fraction_sum_product(f: PsdFactorization) -> list[list[Fraction]]:
     ]
 
 
+def extreme_factorization(rng, order, m, n, at_max) -> PsdFactorization:
+    """Symmetric factors, each over a denominator of its own, with
+    numerators up to about 2^200 and of both signs; with ``at_max`` every
+    entry of a factor is +-(its numerator) over that denominator."""
+
+    def factor(den):
+        if at_max:
+            top = rng.randint(1, 1 << 200)
+            draw = lambda: rng.choice((-top, top))  # noqa: E731
+        else:
+            draw = lambda: rng.randint(-(1 << 200), 1 << 200)  # noqa: E731
+        upper = {(i, j): Fraction(draw(), den) for i in range(order) for j in range(i, order)}
+        return ExactMatrix(order, order, [
+            upper[min(i, j), max(i, j)] for i in range(order) for j in range(order)
+        ])
+
+    dens = iter(rng.sample(range(1, 10**6), m + n))
+    return PsdFactorization(order, tuple(factor(next(dens)) for _ in range(m)),
+                            tuple(factor(next(dens)) for _ in range(n)))
+
+
 def test_product_matrix_matches_fraction_sum(tmp_path, capsys):
     rng = random.Random(77)
     shapes = [(0, 2, 3), (3, 0, 2), (3, 2, 0), (1, 3, 2), (2, 4, 4), (4, 3, 5), (5, 2, 2)]
-    for order, m, n in shapes * 4:
-        f = PsdFactorization(
+    factorizations = [
+        PsdFactorization(
             order,
             tuple(random_symmetric(rng, order) for _ in range(m)),
             tuple(random_symmetric(rng, order) for _ in range(n)),
         )
+        for order, m, n in shapes * 4
+    ] + [
+        extreme_factorization(rng, order, m, n, at_max)
+        for order, m, n in shapes * 3 for at_max in (False, True)
+    ]
+    for f in factorizations:
         t = f.product_matrix()
-        assert (t.rows, t.cols) == (m, n)
+        assert (t.rows, t.cols) == (f.m, f.n)
         assert t.row_lists() == fraction_sum_product(f)
         assert not verify_psd_factorization(f, t).mismatches
 
@@ -328,6 +386,76 @@ def test_product_matrix_matches_fraction_sum(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 1 and not doc["passed"] and doc["psd_ok"]
     assert doc["trace_mismatches"] == [[k + 1, l + 1]]
+
+
+def test_packed_dots_match_plain_sums():
+    rng = random.Random(91)
+
+    def plain(xs, ys):
+        return [[sum(a * b for a, b in zip(x, y)) for y in ys] for x in xs]
+
+    cases = [([], [[1, 2]]), ([[1, 2]], []), ([], []), ([[], []], [[], [], []])]
+    for _ in range(40):
+        m, n, length = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 7)
+        bits = rng.choice((1, 8, 64, 200))
+        draw = lambda: rng.randint(-(1 << bits), 1 << bits)  # noqa: E731
+        cases.append(([[draw() for _ in range(length)] for _ in range(m)],
+                      [[draw() for _ in range(length)] for _ in range(n)]))
+        # every entry at +-max: the all-equal-sign pairs reach the slot's
+        # bound len * max|x| * max|y| in both signs
+        cx, cy = rng.randint(1, 1 << bits), rng.randint(1, 1 << bits)
+        cases.append(([[rng.choice((-cx, cx)) for _ in range(length)] for _ in range(m)]
+                      + [[cx] * length, [-cx] * length],
+                      [[rng.choice((-cy, cy)) for _ in range(length)] for _ in range(n)]
+                      + [[cy] * length]))
+    for xs, ys in cases:
+        assert psd._packed_dots(xs, ys) == plain(xs, ys), (xs, ys)
+
+
+def realized_reference(f: PsdFactorization, seed: int, max_tries: int = 5):
+    """realize_support's T by Fraction sums: its draws, in its order, and
+    T(k, l) = <A_k xi_k, B_l eta_l>."""
+    q, rng = f.order, random.Random(seed)
+    amplitude = max(17, f.m * f.n)
+    pattern = [[v != 0 for v in row] for row in fraction_sum_product(f)]
+
+    def times_random_vector(mat):
+        v = [rng.randint(-amplitude, amplitude) for _ in range(q)]
+        return [sum((mat[i, j] * v[j] for j in range(q)), Fraction(0)) for i in range(q)]
+
+    for _ in range(max_tries):
+        xs = [times_random_vector(a) for a in f.A]
+        ys = [times_random_vector(b) for b in f.B]
+        t = [[sum((a * b for a, b in zip(x, y)), Fraction(0)) for y in ys] for x in xs]
+        if [[v != 0 for v in row] for row in t] == pattern:
+            return t
+    raise psd.RealizationError("no support-realizing sample")
+
+
+def test_realize_support_matches_fraction_sums():
+    # psd factors: Gram matrices g g^T of numerators up to about 2^100 of
+    # both signs, each over a denominator of its own, and c v v^T with v in
+    # {-1, 1}^q, every entry at +-c
+    rng = random.Random(8)
+
+    def gram(q, den):
+        r = rng.randint(0, q)
+        g = ExactMatrix(r, q, [Fraction(rng.randint(-(1 << 100), 1 << 100), den)
+                               for _ in range(r * q)])
+        return naive_product(g.transpose(), g)
+
+    def signs(q, den):
+        v = [rng.choice((-1, 1)) for _ in range(q)]
+        c = Fraction(rng.randint(1, 1 << 200), den)
+        return ExactMatrix(q, q, [c * a * b for a in v for b in v])
+
+    for order, m, n in [(0, 2, 3), (2, 0, 3), (3, 2, 0), (1, 3, 2), (3, 4, 3), (4, 3, 5)] * 2:
+        for build in (gram, signs):
+            dens = iter(rng.sample(range(1, 10**6), m + n))
+            f = PsdFactorization(order, tuple(build(order, next(dens)) for _ in range(m)),
+                                 tuple(build(order, next(dens)) for _ in range(n)))
+            seed = rng.randrange(1000)
+            assert realize_support(f, seed=seed).row_lists() == realized_reference(f, seed)
 
 
 def test_order_one_column_factorization():
