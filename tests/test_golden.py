@@ -5,8 +5,10 @@ run from that directory; the inputs (``matrix.txt``, ``product.txt``,
 ``pattern.txt``, the support of ``matrix.txt``, a seeded dense 60x60 matrix
 ``dense60.txt``, ``singular_mod_p.txt``, a seeded 12x14 rational matrix of
 rank 6 ``chain12.txt`` and the T of its factorization,
-``chain12_product.txt``) and the generated matrices are there too.  A
-failure here means an output format or a certified value changed.
+``chain12_product.txt``, and an order-2 factorization whose A is not psd,
+``nonpsd_factorization.json``, with its T ``nonpsd_product.txt``) and the
+generated matrices are there too.  A failure here means an output format or
+a certified value changed.
 """
 
 import os
@@ -78,12 +80,18 @@ CASES = [
     (["verify", "psd", "factorization.json", "product.txt"], "verify_product.txt", 0),
     # positions count from 1, as in the JSON
     (["verify", "psd", "factorization.json", "matrix.txt"], "verify_matrix.txt", 1),
+    # the verification that fails on its traces, then on a factor that is
+    # not psd, and the inconclusive certificate, as JSON
+    (["verify", "psd", "--json", "factorization.json", "matrix.txt"], "verify_matrix.json", 1),
+    (["verify", "psd", "--json", "nonpsd_factorization.json", "nonpsd_product.txt"],
+     "verify_nonpsd.json", 1),
     (["verify", "embedding", "embedding.json", "pattern.txt"],
      "verify_embedding.txt", 0),
     (["sqrt-bound", *S6_BLOCK, "s6.txt"], "sqrt_s6.txt", 0),
     (["gen", "disjointness", "5", "2"], "disjointness_5_2.txt", 0),
     (["realize-support", "--seed", "3", "factorization.json"], "realize_support.txt", 0),
     (["order3-exclude", "cutpoly4.txt"], "order3_cutpoly4.txt", 1),
+    (["order3-exclude", "--json", "cutpoly4.txt"], "order3_cutpoly4.json", 1),
     (["appendix-check", "18"], "appendix_check_18.txt", 0),
 ]
 
@@ -201,5 +209,6 @@ def test_every_golden_file_is_checked():
     checked = {e for _, e, _ in CASES} | {e for _, e in HELP + USAGE_ERRORS} | {
         "demo03.txt", "matrix.txt", "product.txt", "pattern.txt", "dense60.txt",
         "singular_mod_p.txt", "chain12.txt", "chain12_product.txt",
+        "nonpsd_factorization.json", "nonpsd_product.txt",
     }
     assert set(os.listdir(GOLDEN)) == checked
