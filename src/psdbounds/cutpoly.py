@@ -197,7 +197,6 @@ def graph_H(n_ground: int, l: int) -> tuple[BipartiteGraph, BipartiteGraph]:
 class AppendixCheckResult:
     ok: bool
     pairs_checked: int
-    n: int
     ground_size: int
     subset_size: int
 
@@ -240,7 +239,7 @@ def appendix_reduction_check(n: int) -> AppendixCheckResult:
             unique_meet = (x & y).bit_count() == 1
             if balanced != unique_meet:
                 ok = False
-    return AppendixCheckResult(ok, pairs, n, ground, l)
+    return AppendixCheckResult(ok, pairs, ground, l)
 
 
 def generate_sn(n: int) -> ExactMatrix:

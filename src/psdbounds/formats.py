@@ -322,7 +322,7 @@ def certificate_doc(cert: Order3Certificate) -> dict:
         "witness": sign_assignment_doc(cert.witness),
         "pinned_rows": [k + 1 for k in cert.pinned_rows],
         "pinned_cols": [l + 1 for l in cert.pinned_cols],
-        "column_distinctness": cert.column_distinctness,
+        "column_distinctness": "support-level",
         "reason": cert.reason,
     }
 

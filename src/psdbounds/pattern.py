@@ -9,6 +9,10 @@ u * n + v, so elements are numbered in row-major order.  They run one
 exact search at desk scale under one total node budget; traversal order
 is deterministic, so results are reproducible.  The bound report
 `analyze`, which ``psdbounds bounds`` prints, is assembled here too.
+The records keep only their sources: a cover search's size is the
+length of its cover, and the report's boolean rank or bounds and its
+embedding-dimension interval are read from the proven boolean-rank
+interval, the triangular rank and the rank.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ class SupportPattern:
             for j, v in enumerate(r):
                 if v not in (0, 1):
                     raise ValueError(f"pattern entries must be 0/1, got {v}")
-                mask |= v << j
+                if v:
+                    mask |= 1 << j
             masks.append(mask)
         return cls(m, n, masks)
 
@@ -159,7 +164,6 @@ class BipartiteGraph(SupportPattern):
     left_count = property(lambda self: self.rows)
     right_count = property(lambda self: self.cols)
     adj = property(lambda self: self.row_bits)
-    edges = SupportPattern.ones_positions
     edge_count = SupportPattern.ones_count
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -193,9 +197,6 @@ class Biclique:
         if self.left_set <= 0 or self.right_set <= 0:
             raise ValueError("a biclique needs nonempty sides")
 
-    def covers(self, u: int, v: int) -> bool:
-        return bool((self.left_set >> u) & 1 and (self.right_set >> v) & 1)
-
     def contains_edge_of(self, g: BipartiteGraph) -> bool:
         return any(g.adj[u] & self.right_set for u in _bits(self.left_set))
 
@@ -222,9 +223,12 @@ class BicliqueCover:
 
 @_frozen
 class CoverSearchResult:
-    size: int
     cover: BicliqueCover
     nodes: int
+
+    @property
+    def size(self) -> int:
+        return len(self.cover)
 
 
 # -- triangular rank ---------------------------------------------------------
@@ -552,7 +556,7 @@ def minimum_feasible_cover(
     for u, a in enumerate(ones.adj):
         universe |= a << u * width
     if not universe:
-        return CoverSearchResult(0, BicliqueCover(()), 0)
+        return CoverSearchResult(BicliqueCover(()), 0)
     allowed = forbidden.complement()
     rects, cov = [], []
     for left, right in sorted(
@@ -566,7 +570,7 @@ def minimum_feasible_cover(
             cov.append(mask)
     chosen, nodes = _min_set_cover(cov, universe, budget)
     cover = BicliqueCover(tuple(Biclique(*rects[i]) for i in chosen))
-    return CoverSearchResult(len(chosen), cover, nodes)
+    return CoverSearchResult(cover, nodes)
 
 
 def feasible_biclique_cover(
@@ -630,12 +634,27 @@ class BoundReport:
 
     rank: int
     triangular_rank: int
-    boolean_rank: int | None
-    boolean_rank_bounds: tuple[int, int] | None
+    boolean_rank_interval: tuple[int, int]
     boolean_rank_source: str
-    embedding_dim_bounds: tuple[int, int]
     psd_lower_bound: int
     psd_lower_bound_source: str
+
+    @property
+    def boolean_rank(self) -> int | None:
+        """The boolean rank when the interval's ends meet, else None."""
+        lo, hi = self.boolean_rank_interval
+        return lo if lo == hi else None
+
+    @property
+    def boolean_rank_bounds(self) -> tuple[int, int] | None:
+        """The interval while the boolean rank is undecided, else None."""
+        lo, hi = self.boolean_rank_interval
+        return None if lo == hi else (lo, hi)
+
+    @property
+    def embedding_dim_bounds(self) -> tuple[int, int]:
+        """:func:`embrkl_bounds`: the triangular rank and the rank."""
+        return self.triangular_rank, self.rank
 
     def to_doc(self, identity: str) -> dict:
         return {
@@ -688,7 +707,6 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     _check_budget(budget)
     tri, rk = embrkl_bounds(s)
     lo, hi, bsource = boolean_rank_outcome(s, budget, tri)
-    brank, bbounds = (lo, None) if lo == hi else (None, (lo, hi))
     psd_lb, source = tri, "triangular rank"
     if tri < 4 and s.is_nonnegative():
         from .scalars import order3_exclusion
@@ -698,4 +716,4 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
         cert = order3_exclusion(s, cap=12, max_attempts=8)
         if cert.conclusive:
             psd_lb, source = cert.bound, "order-3 exclusion certificate"
-    return BoundReport(rk, tri, brank, bbounds, bsource, (tri, rk), psd_lb, source)
+    return BoundReport(rk, tri, (lo, hi), bsource, psd_lb, source)

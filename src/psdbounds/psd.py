@@ -10,13 +10,15 @@ steps run on: RREF, canonical subspaces with exact containment, kernel,
 image, row space and orthogonal projections, all from the fraction-free
 elimination of `linalg`.  Everything is rational arithmetic: psd-ness is
 certified by an LDL^T elimination with diagonal pivoting (no
-eigenvalues), and support realization samples rational vectors.  Every
-trace product tr(A_k B_l) of a factorization, and every entry of a
-realized support, comes from one packed big-integer kernel,
-`_packed_dots`: one multiply-add per coordinate gives a whole row.  The
-bounds on the embedding dimension are in `pattern`, the order-3
-square-root argument in `scalars`, and the floating-point rank reduction
-in `reduction`.
+eigenvalues), and support realization samples rational vectors.  A
+verification reports each factor's certificate and the entries whose
+trace product differs; whether the factors are psd, the traces match
+and the whole check passed is read from those.  Every trace product
+tr(A_k B_l) of a factorization, and every entry of a realized support,
+comes from one packed big-integer kernel, `_packed_dots`: one
+multiply-add per coordinate gives a whole row.  The bounds on the
+embedding dimension are in `pattern`, the order-3 square-root argument
+in `scalars`, and the floating-point rank reduction in `reduction`.
 """
 
 from __future__ import annotations
@@ -207,13 +209,20 @@ def _ldl_certificate(n: int, scaled: tuple[list[int], int]) -> PsdCertificate:
 
 @_frozen
 class FactorizationReport:
-    """Per-factor psd certificates plus exact trace-equality results."""
+    """Per-factor psd certificates plus the (k, l) where tr(A_k B_l) differs
+    from the matrix; every other verdict is read from these."""
 
-    psd_ok: bool
     a_certificates: tuple[PsdCertificate, ...]
     b_certificates: tuple[PsdCertificate, ...]
-    traces_ok: bool
     mismatches: tuple[tuple[int, int], ...] = ()
+
+    @property
+    def psd_ok(self) -> bool:
+        return all(c.is_psd for c in self.a_certificates + self.b_certificates)
+
+    @property
+    def traces_ok(self) -> bool:
+        return not self.mismatches
 
     @property
     def passed(self) -> bool:
@@ -250,7 +259,6 @@ def verify_psd_factorization(
     b = [scaled_entries(y.entries) for y in f.B]
     a_certs = tuple(_ldl_certificate(q, x) for x in a)
     b_certs = tuple(_ldl_certificate(q, y) for y in b)
-    psd_ok = all(c.is_psd for c in a_certs) and all(c.is_psd for c in b_certs)
     mismatches: list[tuple[int, int]] = []
     if s is not None:
         if s.rows != f.m or s.cols != f.n:
@@ -262,9 +270,7 @@ def verify_psd_factorization(
         )
         pairs = zip(products, s.entries)
         mismatches = [divmod(i, f.n) for i, (x, y) in enumerate(pairs) if x != y]
-    return FactorizationReport(
-        psd_ok, a_certs, b_certs, not mismatches, tuple(mismatches)
-    )
+    return FactorizationReport(a_certs, b_certs, tuple(mismatches))
 
 
 def _require_psd(f: PsdFactorization) -> None:

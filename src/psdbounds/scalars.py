@@ -6,7 +6,10 @@ coefficients ``c_s`` are rationals.  Square roots of distinct square-free
 integers are linearly independent over Q, so this representation is
 canonical: a scalar is zero exactly when every coefficient is zero, which
 makes equality (and hence matrix rank over these fields, see
-:func:`multiquad_rank`) decidable.  These ranks carry the argument
+:func:`multiquad_rank`) decidable.  A scalar has the ring operations
+``+``, ``-``, ``*`` and negation, with ints and Fractions on either side
+of ``+`` and ``*``, and :meth:`MultiQuadScalar.inverse`; a rational one
+equals and hashes like its Fraction.  These ranks carry the argument
 beyond the pattern: the sign enumeration :func:`min_sqrt_rank` over the
 entrywise square roots of a block, and :func:`order3_exclusion`, the
 certificate that a matrix has psd rank at least 4.
@@ -107,7 +110,7 @@ class MultiQuadScalar:
 
     Stored as a map from square-free radicand to rational coefficient, with
     zero coefficients dropped.  Instances are immutable; all operators
-    return fresh scalars.
+    return fresh scalars.  Division is by :meth:`inverse`.
     """
 
     __slots__ = ("_terms",)
@@ -133,15 +136,6 @@ class MultiQuadScalar:
     @classmethod
     def zero(cls) -> "MultiQuadScalar":
         return cls()
-
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    @property
-    def generators(self) -> tuple[int, ...]:
-        """Sorted square-free radicands (> 1) actually present."""
-        return tuple(sorted(r for r in self._terms if r > 1))
 
     @property
     def is_rational(self) -> bool:
@@ -189,12 +183,6 @@ class MultiQuadScalar:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "MultiQuadScalar":
         other = _coerce(other)
         if other is NotImplemented:
@@ -204,19 +192,6 @@ class MultiQuadScalar:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "MultiQuadScalar":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = MultiQuadScalar.from_rational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def conjugated(self, p: int) -> "MultiQuadScalar":
         """Negate every term whose radicand is divisible by the prime ``p``."""
@@ -242,21 +217,6 @@ class MultiQuadScalar:
         if any(r % p == 0 for r in norm._terms):  # pragma: no cover
             raise ArithmeticError("rationalization failed to eliminate a prime")
         return conj * norm.inverse()
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __float__(self) -> float:
-        return sum(float(c) * (r ** 0.5) for r, c in self._terms.items())
 
     def __repr__(self) -> str:
         return f"MultiQuadScalar({self})"
@@ -544,14 +504,14 @@ class Order3Certificate:
     """Result of the dimension-forcing + sign-enumeration argument.
 
     When ``conclusive``, no order-3 psd factorization of the matrix exists,
-    i.e. its psd rank is at least ``bound`` (= 4).  The hypothesis fields
-    record which rows/columns had their subspace dimensions pinned; column
-    distinctness is checked at support level only (distinct zero patterns),
-    which is the machine-checkable form of the underlying argument.
+    i.e. its psd rank is at least ``bound`` (= 4; None when inconclusive).
+    The hypothesis fields record which rows/columns had their subspace
+    dimensions pinned; column distinctness is checked at support level
+    only (distinct zero patterns), which is the machine-checkable form of
+    the underlying argument.
     """
 
     conclusive: bool
-    bound: int | None
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     min_rank: int | None
@@ -560,7 +520,10 @@ class Order3Certificate:
     pinned_rows: tuple[int, ...]
     pinned_cols: tuple[int, ...]
     reason: str = ""
-    column_distinctness: str = "support-level"
+
+    @property
+    def bound(self) -> int | None:
+        return 4 if self.conclusive else None
 
     @property
     def claim(self) -> str:
@@ -686,7 +649,7 @@ def order3_exclusion(
 
     def inconclusive(reason: str) -> Order3Certificate:
         return Order3Certificate(
-            False, None, (), (), None, 0, None,
+            False, (), (), None, 0, None,
             tuple(pinned_rows), tuple(pinned_cols), reason,
         )
 
@@ -709,7 +672,7 @@ def order3_exclusion(
         )
         if result.min_rank >= 4:
             return Order3Certificate(
-                True, 4, tuple(krows), tuple(lcols),
+                True, tuple(krows), tuple(lcols),
                 result.min_rank, result.assignments_checked, result.witness,
                 tuple(pinned_rows), tuple(pinned_cols),
             )

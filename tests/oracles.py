@@ -160,7 +160,7 @@ def minimum_cover_bruteforce(p: SupportPattern) -> int:
 def minimum_feasible_cover_bruteforce(
     ones: BipartiteGraph, forbidden: BipartiteGraph
 ) -> int:
-    edges = ones.edges()
+    edges = ones.ones_positions()
     if not edges:
         return 0
     universe = (1 << len(edges)) - 1

@@ -111,20 +111,20 @@ _SIGNS = SignAssignment(((0, 0),), (1,))
 # its __post_init__ refuses (None where it has no check); defaults are left
 # out so that they fill in
 RECORDS = {
-    "AppendixCheckResult": ((True, 10, 4, 5, 2), None),
+    "AppendixCheckResult": ((True, 10, 5, 2), None),
     "Clique": ((4, 0b0111), (4, 0b0100)),
     "Cut": ((4, 0b1110), (4, 0b10000)),
-    "BoundReport": ((3, 3, None, (3, 4), "x", (3, 3), 3, "rank"), None),
+    "BoundReport": ((3, 3, (3, 4), "x", 3, "rank"), None),
     "SubspaceEmbedding": ((2, (_ZERO_2,), (_FULL_2,)), (3, (_ZERO_2,), ())),
     "Biclique": ((1, 2), (0, 1)),
     "BicliqueCover": (((Biclique(1, 2), Biclique(2, 1)),), None),
-    "CoverSearchResult": ((1, _COVER, 5), None),
+    "CoverSearchResult": ((_COVER, 5), None),
     "PsdFactorization": ((1, (_ONE,), (_ONE, _ONE)), (2, (_ONE,), ())),
     "PsdCertificate": ((True, (Fraction(1, 2),)), None),
-    "FactorizationReport": ((True, (), (), True), None),
+    "FactorizationReport": (((), ()), None),
     "SignAssignment": ((((0, 0), (1, 2)), (1, -1)), (((0, 0),), (2,))),
     "SqrtRankResult": ((4, _SIGNS, 512), None),
-    "Order3Certificate": ((True, 4, (0, 1), (2, 3), 4, 512, _SIGNS, (0,), (2,)), None),
+    "Order3Certificate": ((True, (0, 1), (2, 3), 4, 512, _SIGNS, (0,), (2,)), None),
     "FloatPsdMatrix": (([[1.0]],), ([1.0],)),
     "FactorReductionReport": (((), (), (1,), (2,), 0.0, -1e-12), None),
 }
@@ -177,3 +177,56 @@ def test_post_init_rewrites_cut_and_float_matrix_fields():
     assert psdbounds.Cut(4, 0b0011) != psdbounds.Clique(4, 0b0011)
     m = psdbounds.FloatPsdMatrix([[1.0, 2.0], [0.0, 1.0]])
     assert m.entries.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
+
+_PSD, _NOT_PSD = psdbounds.PsdCertificate(True, ()), psdbounds.PsdCertificate(False, ())
+_COVER_2 = BicliqueCover((Biclique(1, 2), Biclique(2, 1)))
+_REPORT = psdbounds.BoundReport(4, 3, (5, 6), "x", 3, "rank")
+_CERT = psdbounds.Order3Certificate(True, (0,), (1,), 4, 2, _SIGNS, (0,), (1,))
+# a record and a name it once took as a field: a fact it now derives from
+# another field, or a constant, or one that nothing read
+REMOVED_FIELDS = [
+    (psdbounds.CoverSearchResult(_COVER_2, 7), "size"),
+    (psdbounds.FactorizationReport((_PSD,), (_NOT_PSD,)), "psd_ok"),
+    (psdbounds.FactorizationReport((_PSD,), (_PSD,), ((0, 1),)), "traces_ok"),
+    (_CERT, "bound"),
+    (_CERT, "column_distinctness"),
+    (_REPORT, "boolean_rank"),
+    (_REPORT, "boolean_rank_bounds"),
+    (_REPORT, "embedding_dim_bounds"),
+    (psdbounds.AppendixCheckResult(True, 10, 5, 2), "n"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field", REMOVED_FIELDS,
+    ids=[f"{type(r).__name__}.{f}" for r, f in REMOVED_FIELDS],
+)
+def test_records_refuse_a_removed_field(record, field):
+    with pytest.raises(TypeError):
+        type(record)(*vars(record).values(), **{field: getattr(record, field, None)})
+    assert field not in vars(record)
+
+
+def test_derived_facts_follow_their_source():
+    report = psdbounds.FactorizationReport
+    assert report((_PSD,), (_PSD,)).passed
+    for a, b, mismatches, verdicts in (
+        ((_PSD,), (_NOT_PSD,), (), (False, True, False)),
+        ((_NOT_PSD,), (_PSD,), (), (False, True, False)),
+        ((_PSD,), (_PSD,), ((0, 1),), (True, False, False)),
+    ):
+        r = report(a, b, mismatches)
+        assert (r.psd_ok, r.traces_ok, r.passed) == verdicts
+
+    assert psdbounds.CoverSearchResult(_COVER_2, 7).size == 2
+
+    assert (_CERT.bound, _CERT.claim) == (4, "psd rank >= 4")
+    cert = psdbounds.Order3Certificate(False, (), (), None, 0, None, (), ())
+    assert (cert.bound, cert.claim) == (None, "inconclusive")
+
+    assert _REPORT.embedding_dim_bounds == (3, 4)
+    assert (_REPORT.boolean_rank, _REPORT.boolean_rank_bounds) == (None, (5, 6))
+    met = psdbounds.BoundReport(4, 3, (5, 5), "x", 3, "rank")
+    assert (met.boolean_rank, met.boolean_rank_bounds) == (5, None)

@@ -71,7 +71,7 @@ def test_support_examples():
 
 def test_poset_of():
     g = poset_of(SupportPattern.identity(2))
-    assert sorted(g.edges()) == [(0, 1), (1, 0)]
+    assert sorted(g.ones_positions()) == [(0, 1), (1, 0)]
     assert poset_of(SupportPattern.ones(3, 3)).edge_count() == 0
     assert poset_of(support(generate_sn(6))).edge_count() == 9
 
@@ -80,11 +80,11 @@ def test_graph_is_a_pattern_read_as_a_graph():
     g = BipartiteGraph(2, 3, [0b100, 0b011])
     p = SupportPattern(2, 3, g.row_bits)
     assert (g.left_count, g.right_count, g.adj) == (p.rows, p.cols, p.row_bits)
-    assert g.edges() == p.ones_positions() and g.edge_count() == 3
+    assert g.ones_positions() == p.ones_positions() and g.edge_count() == 3
     for h, q in ((g.complement(), p.complement()), (g.transpose(), p.transpose())):
         assert type(h) is BipartiteGraph and type(q) is SupportPattern
         assert SupportPattern(h.rows, h.cols, h.row_bits) == q and h != q and q != h
-    assert g.transpose().edges() == [(0, 1), (1, 1), (2, 0)]
+    assert g.transpose().ones_positions() == [(0, 1), (1, 1), (2, 0)]
     assert g != p and p != g and SupportPattern(g.rows, g.cols, g.row_bits) == p
     assert g == BipartiteGraph(2, 3, p.row_bits) and hash(g) == hash(p)
 
@@ -552,10 +552,16 @@ def test_biclique_validation_and_pattern_accessors():
     assert p.transpose() == p
     assert p.ones_positions() == [(0, 0), (1, 1)]
     assert p.col_bits() == (1, 2)
-    with pytest.raises(ValueError):
-        SupportPattern.from_rows([[2, 0]])
+    for entry in (2, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="0/1"):
+            SupportPattern.from_rows([[entry, 0]])
     with pytest.raises(ValueError):
         SupportPattern(2, 2, [4, 0])
+
+
+@pytest.mark.parametrize("one", [Fraction(1), 1.0, True])
+def test_from_rows_reads_any_entry_equal_to_one(one):
+    assert SupportPattern.from_rows([[one, 0], [0, one]]) == SupportPattern.identity(2)
 
 
 def test_embrkl_bounds_examples():
