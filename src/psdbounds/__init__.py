@@ -25,9 +25,10 @@ and each name below loads its defining module on first use.  So a command
 that needs only `linalg` never compiles the searches, and numpy is
 imported only when a `reduction` name is used.
 
-The result types are frozen value records made by the private decorator
-`_frozen`, not by `dataclasses`, which would load `inspect` and `ast` at
-every launch and ``exec`` generated methods for each class.
+The result types and the exact value types (`ExactMatrix`,
+`SupportPattern`, `Subspace`) are frozen value records made by the private
+decorator `_frozen`, not by `dataclasses`, which would load `inspect` and
+`ast` at every launch and ``exec`` generated methods for each class.
 """
 
 from importlib import import_module
@@ -44,7 +45,8 @@ def _frozen(cls):
     keyword, then runs ``__post_init__`` if the class has one (which may
     rewrite a field with ``object.__setattr__``).  Instances refuse
     assignment and deletion, equal and hash as the tuple of their fields
-    within one class, print as ``Name(field=value, ...)``, and copy and
+    within one class, print as ``Name(field=value, ...)`` unless the class
+    defines its own ``__repr__`` (the exact value types do), and copy and
     pickle through their ``__dict__``.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
@@ -76,7 +78,9 @@ def _frozen(cls):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
         return f"{cls.__qualname__}({fields})"
 
-    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__init__, cls.__eq__ = __init__, __eq__
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = __repr__
     cls.__hash__ = lambda self: hash(key(self))
     cls.__setattr__ = cls.__delattr__ = refuse
     return cls
@@ -105,7 +109,7 @@ _EXPORTS = {
         "Subspace", "SubspaceEmbedding", "embedding_from_psd",
         "embedding_from_rank_factorization", "image", "kernel",
         "projection_matrix", "psd_certificate", "psd_from_embedding", "realize_support",
-        "row_space", "verify_embedding", "verify_psd_factorization",
+        "verify_embedding", "verify_psd_factorization",
     ),
     "reduction": (
         "FactorReductionReport", "FloatPsdMatrix", "ReductionError",

@@ -1,7 +1,10 @@
 """Dense exact linear algebra over the rationals.
 
 :class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`,
-and there is no floating point anywhere in this module.  Its support in
+and there is no floating point anywhere in this module.  It is a frozen
+record (``psdbounds._frozen``, the one package name imported here) of
+its shape and its row-major ``entries``: it equals, hashes, copies and
+pickles by value and refuses assignment.  Its support in
 bitmask form, one int per row, is :meth:`ExactMatrix.support_bits`.  The
 exact kernels run on integers: :func:`scaled_entries` puts rationals over
 their least common denominator, and rank comes from one fraction-free
@@ -21,26 +24,29 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from . import _frozen
+
 # 2^31 - 1, a prime: the modulus of rank's full-rank filter and the first
 # prime scalars.modular_images tries
 _MODULAR_PRIME = (1 << 31) - 1
 
 
+@_frozen
 class ExactMatrix:
-    """Immutable dense matrix with exact rational entries."""
+    """Immutable dense matrix with exact rational entries, row by row."""
 
-    __slots__ = ("rows", "cols", "_e")
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
 
-    def __init__(self, rows: int, cols: int, entries):
-        if rows < 0 or cols < 0:
+    def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         # a MultiQuadScalar entry fails here with the TypeError of Fraction()
-        e = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in entries)
-        if len(e) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
-        self.rows = rows
-        self.cols = cols
-        self._e = e
+        e = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.entries)
+        if len(e) != self.rows * self.cols:
+            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(e)}")
+        object.__setattr__(self, "entries", e)
 
     # -- construction -----------------------------------------------------
 
@@ -68,13 +74,13 @@ class ExactMatrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
-        return self._e[i * self.cols + j]
+        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_lists(self) -> list[list]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -87,41 +93,25 @@ class ExactMatrix:
         )
 
     @property
-    def entries(self) -> tuple:
-        return self._e
-
-    @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
         # row i left of the diagonal against column i above it
-        n, e = self.cols, self._e
+        n, e = self.cols, self.entries
         return self.is_square and all(
             e[i * n : i * n + i] == e[i : i * n : n] for i in range(n)
         )
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self._e)
+        return all(v >= 0 for v in self.entries)
 
     def support_bits(self) -> list[int]:
         """One int per row, bit j set where entry j is nonzero (exact zero test)."""
         rows = map(self.row, range(self.rows))
         return [sum(1 << j for j, v in enumerate(r) if v) for r in rows]
 
-    # -- comparison and transpose -------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self._e == other._e
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+    # -- transpose ------------------------------------------------------------
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
@@ -220,7 +210,7 @@ def _residue_rows(m: ExactMatrix, p: int) -> list[list[int]] | None:
     denominator, which leaves that entry no residue."""
     inverse: dict[int, int] = {}
     flat = []
-    for v in m._e:
+    for v in m.entries:
         num, den = v.as_integer_ratio()
         inv = inverse.get(den)
         if inv is None:

@@ -1,11 +1,12 @@
 """Support patterns, triangular rank, and exact biclique cover search.
 
 A pattern is stored as bitsets, one int per row, which keeps the
-branch-and-bound searches allocation-free.  A bipartite graph is a pattern
-read as a graph: row u is left vertex u, column v is right vertex v, and
-the 1-entries are the edges.  Both cover problems cover cells of that one
-relation, and cell (u, v) of a pattern with n columns is element bit
-u * n + v, so elements are numbered in row-major order.  They run one
+branch-and-bound searches allocation-free; like the matrix it comes from,
+it is a frozen record.  A bipartite graph is a pattern read as a graph:
+row u is left vertex u, column v is right vertex v, and the 1-entries are
+the edges; a graph never equals a pattern.  Both cover problems cover
+cells of that one relation, and cell (u, v) of a pattern with n columns
+is element bit u * n + v, so elements are numbered in row-major order.  They run one
 exact search at desk scale under one total node budget; traversal order
 is deterministic, so results are reproducible.  The bound report
 `analyze`, which ``psdbounds bounds`` prints, is assembled here too.
@@ -54,21 +55,22 @@ def _bits(mask: int):
         mask ^= low
 
 
+@_frozen
 class SupportPattern:
     """0/1 pattern of an m x n matrix, one bitmask per row."""
 
-    __slots__ = ("rows", "cols", "row_bits")
+    rows: int
+    cols: int
+    row_bits: tuple[int, ...]
 
-    def __init__(self, rows: int, cols: int, row_bits):
-        bits = tuple(row_bits)
-        if len(bits) != rows:
+    def __post_init__(self):
+        bits = tuple(self.row_bits)
+        if len(bits) != self.rows:
             raise ValueError("need one bitmask per row")
-        full = (1 << cols) - 1
+        full = (1 << self.cols) - 1
         if any(b & ~full for b in bits):
             raise ValueError("row bitmask wider than the column count")
-        self.rows = rows
-        self.cols = cols
-        self.row_bits = bits
+        object.__setattr__(self, "row_bits", bits)
 
     @classmethod
     def from_rows(cls, rows) -> "SupportPattern":
@@ -105,20 +107,6 @@ class SupportPattern:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
         return (self.row_bits[i] >> j) & 1
-
-    def __eq__(self, other):
-        # a graph never equals a pattern, even one with the same bits
-        if not isinstance(other, SupportPattern):
-            return NotImplemented
-        return (
-            type(other) is type(self)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.row_bits == other.row_bits
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.row_bits))
 
     def __repr__(self):
         body = "; ".join(
@@ -157,9 +145,9 @@ def support(m: ExactMatrix) -> SupportPattern:
 
 class BipartiteGraph(SupportPattern):
     """A pattern read as a bipartite graph: left vertex u is row u, right
-    vertex v is column v, and (u, v) is an edge where the entry is 1."""
-
-    __slots__ = ()
+    vertex v is column v, and (u, v) is an edge where the entry is 1.  It
+    is a record of its own class: a graph never equals a pattern, even one
+    with the same bits."""
 
     left_count = property(lambda self: self.rows)
     right_count = property(lambda self: self.cols)

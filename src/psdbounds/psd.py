@@ -6,11 +6,12 @@ subspaces U_1..U_m (rows) and V_1..V_n (columns) of a common Q^q with
 builds such embeddings from rank factorizations, turns them into psd
 factorizations via orthogonal projections, and recovers embeddings from
 factorizations again.  It also holds the exact subspace algebra those
-steps run on: RREF, canonical subspaces with exact containment, kernel,
-image, row space and orthogonal projections, all from the fraction-free
-elimination of `linalg`.  Everything is rational arithmetic: psd-ness is
-certified by an LDL^T elimination with diagonal pivoting (no
-eigenvalues), and support realization samples rational vectors.  A
+steps run on: RREF, canonical subspaces (frozen records like the matrices
+they hold) with exact containment, kernel, image and orthogonal
+projections, all from the fraction-free elimination of `linalg`.
+Everything is rational arithmetic: psd-ness is certified by an LDL^T
+elimination with diagonal pivoting (no eigenvalues), and support
+realization samples rational vectors.  A
 verification reports each factor's certificate and the entries whose
 trace product differs; whether the factors are psd, the traces match
 and the whole check passed is read from those.  Every trace product
@@ -121,7 +122,10 @@ def _trace_products(
     Symmetry gives tr(A B) = sum_i A_ii B_ii + sum_{i<j} 2 A_ij B_ij, so each
     product is one dot product over the q(q+1)/2 upper-triangle entries,
     with A's off-diagonal ones doubled, and one Fraction over den_A den_B.
+    With no factor on one side there is no product, whatever the order.
     """
+    if not (a and b):
+        return []
     twice = [1 if i == j else 2 for i in range(q) for j in range(i, q)]
     return _scaled_dots([(list(map(int.__mul__, twice, x)), d) for x, d in a], b)
 
@@ -331,20 +335,23 @@ def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
     return [[Fraction(v, d) for v in a[i]] for i in range(len(pivots))], pivots
 
 
+@_frozen
 class Subspace:
     """A linear subspace of Q^q, held as a canonical RREF row basis.
 
-    Two equal subspaces always carry identical basis matrices, so set
-    containment and equality are plain entry comparisons.
+    Two equal subspaces always carry identical basis matrices, so equality
+    is a plain entry comparison.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    ambient_dim: int
+    basis: ExactMatrix
 
-    def __init__(self, ambient_dim: int, basis: ExactMatrix):
+    def __post_init__(self):
         """Refuses, with ``ValueError``, a basis that is not in RREF: one
         scan for a leading 1 in each row, pivots strictly increasing, and
         zeros above each pivot (below it the echelon form gives them)."""
-        if basis.cols != ambient_dim:
+        basis = self.basis
+        if basis.cols != self.ambient_dim:
             raise ValueError("basis width must equal the ambient dimension")
         prev = -1  # the pivot column of the row above
         for i in range(basis.rows):
@@ -359,8 +366,6 @@ class Subspace:
             if any(basis[k, lead] for k in range(i)):
                 raise ValueError(f"basis column {lead} is nonzero above its pivot")
             prev = lead
-        self.ambient_dim = ambient_dim
-        self.basis = basis
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
@@ -376,14 +381,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
     def __repr__(self):
         vecs = ", ".join(
             "(" + ", ".join(str(v) for v in self.basis.row(i)) + ")"
@@ -391,29 +388,14 @@ class Subspace:
         )
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {vecs})"
 
-    def _reduce_vector(self, vec: list[Fraction]) -> list[Fraction]:
-        v = list(vec)
-        for i in range(self.basis.rows):
-            row = self.basis.row(i)
-            lead = next(j for j in range(self.ambient_dim) if row[j])
-            if v[lead]:
-                f = v[lead]  # leading entries are 1 in RREF
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
-
-    def contains_vector(self, vec) -> bool:
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length must equal the ambient dimension")
-        return not any(self._reduce_vector(v))
-
     def contains(self, other: "Subspace") -> bool:
-        """Exact set containment: ``other`` is a subspace of ``self``."""
+        """Exact set containment: ``other`` is a subspace of ``self``, that
+        is, stacking both bases adds no pivot to the elimination beyond
+        ``self.dim``."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(
-            self.contains_vector(other.basis.row(i)) for i in range(other.dim)
-        )
+        rows = _integer_rows(self.basis) + _integer_rows(other.basis)
+        return len(_eliminate(rows, self.ambient_dim)[0]) == self.dim
 
 
 def kernel(m: ExactMatrix) -> Subspace:
@@ -433,10 +415,6 @@ def kernel(m: ExactMatrix) -> Subspace:
 def image(m: ExactMatrix) -> Subspace:
     """Column space of ``m`` as a canonical subspace of Q^rows."""
     return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
-
-
-def row_space(m: ExactMatrix) -> Subspace:
-    return Subspace.from_vectors(m.cols, [m.row(i) for i in range(m.rows)])
 
 
 def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
@@ -520,21 +498,13 @@ def embedding_from_rank_factorization(s: ExactMatrix) -> SubspaceEmbedding:
     U_k is the line spanned by the k-th row, V_l the span of the rows that
     vanish in column l.  Rows with S(k,l) != 0 have a nonzero l-coordinate
     while V_l only contains vectors vanishing there, so containment holds
-    exactly at the zeros.  Coordinates are re-expressed in a row-space
-    basis, shrinking the ambient space from n to rank(s).
+    exactly at the zeros.  Coordinates are re-expressed in the RREF basis
+    of the row space, shrinking the ambient space from n to rank(s): the
+    coefficient on basis row i is the coordinate at its pivot column.
     """
-    basis = row_space(s)  # RREF basis of the row space, dimension = rank
-    q = basis.dim
-    pivots = []
-    for i in range(q):
-        row = basis.basis.row(i)
-        pivots.append(next(j for j in range(s.cols) if row[j]))
-
-    def coords(vec) -> list[Fraction]:
-        # RREF basis: the coefficient on basis row i is the pivot coordinate
-        return [vec[p] for p in pivots]
-
-    row_coords = [coords(s.row(k)) for k in range(s.rows)]
+    pivots, _ = _eliminate(_integer_rows(s), s.cols)
+    q = len(pivots)
+    row_coords = [[row[p] for p in pivots] for row in map(s.row, range(s.rows))]
     u_spaces = tuple(Subspace.from_vectors(q, [rc]) for rc in row_coords)
     v_spaces = []
     for l in range(s.cols):

@@ -60,14 +60,16 @@ def src_env() -> dict:
 
 
 def launch(
-    args, *, input=None, env=None, cwd=None, stdout=subprocess.PIPE, text=True, timeout=60
+    args, *, input=None, env=None, cwd=None, stdout=subprocess.PIPE, text=True, timeout=60,
+    preexec_fn=None,
 ) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports from ``src``,
     with stderr (and stdout, unless given a file descriptor) captured.
-    ``env`` changes ``src_env()``: a name set to None is removed."""
+    ``env`` changes ``src_env()``: a name set to None is removed.
+    ``preexec_fn`` runs in the child only, before the interpreter starts."""
     changed = {**src_env(), **(env or {})}
     return subprocess.run(
         [sys.executable, *args], input=input, cwd=cwd, stdout=stdout,
-        stderr=subprocess.PIPE, text=text, timeout=timeout,
+        stderr=subprocess.PIPE, text=text, timeout=timeout, preexec_fn=preexec_fn,
         env={name: value for name, value in changed.items() if value is not None},
     )

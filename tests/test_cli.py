@@ -397,6 +397,32 @@ def test_realize_support_rejects_fewer_than_one_try(tmp_path, capsys):
     assert (code, out) == (3, "") and err.startswith("error: ") and "in 1 tries" in err
 
 
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+EMPTY_FACTORIZATION = {"schema": 1, "kind": "psd_factorization", "order": 100_000, "A": [], "B": []}
+EMPTY_EMBEDDING = {"schema": 1, "kind": "subspace_embedding", "ambient_dim": 100_000, "U": [], "V": []}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "psd", "factorization.json", "matrix.txt"], "pass\n"),
+    (["realize-support", "factorization.json"], "0 0\n"),
+    (["psd", "from-embedding", "embedding.json"], {**EMPTY_FACTORIZATION, "T": []}),
+], ids=["verify-psd", "realize-support", "psd-from-embedding"])
+def test_an_empty_factor_side_costs_nothing_at_any_order(tmp_path, argv, expected):
+    # no factor on one side means no trace product: nothing of size
+    # order^2 may be built, so each launch fits in 512 MiB of address space
+    (tmp_path / "factorization.json").write_text(json.dumps(EMPTY_FACTORIZATION))
+    (tmp_path / "embedding.json").write_text(json.dumps(EMPTY_EMBEDDING))
+    (tmp_path / "matrix.txt").write_text("0 0\n")
+    proc = launch(["-m", "psdbounds.cli", *argv], cwd=tmp_path, preexec_fn=_cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert (json.loads(proc.stdout) if isinstance(expected, dict) else proc.stdout) == expected
+
+
 def test_reduce_rank_without_numpy(tmp_path):
     # a fresh interpreter whose numpy is a shadow package that fails to import
     shadow = tmp_path / "shadow" / "numpy"

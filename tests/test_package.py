@@ -10,7 +10,10 @@ import pytest
 
 import psdbounds
 from conftest import launch
-from psdbounds import Biclique, BicliqueCover, ExactMatrix, SignAssignment, Subspace
+from psdbounds import (
+    Biclique, BicliqueCover, BipartiteGraph, ExactMatrix, SignAssignment, Subspace,
+    SupportPattern,
+)
 
 # the names the package bound when it imported every layer, each under the
 # module that defines it
@@ -32,7 +35,7 @@ EAGER = {
         "Subspace", "SubspaceEmbedding", "embedding_from_psd",
         "embedding_from_rank_factorization", "image", "kernel",
         "projection_matrix", "psd_certificate", "psd_from_embedding", "realize_support",
-        "row_space", "verify_embedding", "verify_psd_factorization",
+        "verify_embedding", "verify_psd_factorization",
     ],
     "scalars": [
         "MultiQuadScalar", "Order3Certificate", "SignAssignment", "SqrtRankResult",
@@ -168,6 +171,47 @@ def test_result_records_are_frozen_values(name):
         assert hash(record) == hash(cls(*args)) == hash(values)
     assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(names, values))})"
     assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+
+
+# each exact value type: one value, its fields and its own repr, which
+# the generic ``Name(field=...)`` form of RECORDS does not cover
+VALUES = {
+    "ExactMatrix": (ExactMatrix.identity(2), ("rows", "cols", "entries"),
+                    "ExactMatrix(2x2: 1 0; 0 1)"),
+    "SupportPattern": (SupportPattern.identity(2), ("rows", "cols", "row_bits"),
+                       "SupportPattern(2x2: 10; 01)"),
+    "BipartiteGraph": (BipartiteGraph(2, 2, (1, 2)), ("rows", "cols", "row_bits"),
+                       "BipartiteGraph(2+2 vertices, 2 edges)"),
+    "Subspace": (Subspace.from_vectors(2, [[1, 0]]), ("ambient_dim", "basis"),
+                 "Subspace(dim 1 of Q^2: (1, 0))"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_exact_value_types_are_frozen_values(name):
+    value, names, text = VALUES[name]
+    cls = type(value)
+    values = tuple(getattr(value, field) for field in names)
+    before = hash(value)
+    assert before == hash(values)
+
+    for change in (lambda: setattr(value, names[0], values[0]),
+                   lambda: setattr(value, names[-1], values[0]),
+                   lambda: delattr(value, names[0]),
+                   lambda: setattr(value, "no_such_field", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    assert tuple(getattr(value, field) for field in names) == values
+    assert hash(value) == before
+
+    assert cls(**dict(zip(names, values))) == cls(*values) == value
+    assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+    # equal within one class only: a graph never equals the pattern of its bits
+    assert value != values and value != object()
+    for other, (_, other_names, _) in VALUES.items():
+        if other != name and other_names == names:
+            assert getattr(psdbounds, other)(*values) != value
+    assert repr(value) == text
 
 
 def test_post_init_rewrites_cut_and_float_matrix_fields():

@@ -29,7 +29,6 @@ from psdbounds import (
     psd_from_embedding,
     rank,
     realize_support,
-    row_space,
     support,
     triangular_rank,
     verify_embedding,
@@ -569,7 +568,7 @@ def test_kernel_image_examples():
     assert image(ExactMatrix.zeros(3, 3)).dim == 0
     k = kernel(ExactMatrix.from_rows([[1, 1]]))
     assert k.dim == 1
-    assert k.contains_vector([1, -1])
+    assert k.contains(Subspace.from_vectors(2, [[1, -1]]))
 
 
 def test_rank_nullity():
@@ -589,6 +588,38 @@ def test_subspace_contains():
     assert e1.contains(Subspace.from_vectors(2, []))
     with pytest.raises(ValueError):
         e1.contains(Subspace.from_vectors(3, []))
+
+
+def test_containment_matches_the_rank_of_the_stacked_bases():
+    # U <= V exactly when U's basis rows add nothing to V's rank, in
+    # sympy's exact rationals; U comes from combinations of V's generators
+    # (contained) or at random (mostly not)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(53)
+
+    def vector(q):
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q)]
+
+    outcomes = {True: 0, False: 0}
+    for case in range(200):
+        q = rng.randint(1, 5)
+        gens = [vector(q) for _ in range(rng.randint(0, q))]
+        v = Subspace.from_vectors(q, gens)
+        if case % 2:
+            vecs = [vector(q) for _ in range(rng.randint(1, q))]
+        else:
+            coeffs = [vector(len(gens)) for _ in range(rng.randint(0, q))]
+            vecs = [[sum((c * g[j] for c, g in zip(cs, gens)), Fraction(0)) for j in range(q)]
+                    for cs in coeffs]
+        u = Subspace.from_vectors(q, vecs)
+        stacked = sympy.Matrix(v.dim + u.dim, q, [
+            sympy.Rational(x.numerator, x.denominator)
+            for x in v.basis.entries + u.basis.entries
+        ])
+        contained = stacked.rank() == v.dim
+        assert v.contains(u) == contained, (v, u)
+        outcomes[contained] += 1
+    assert min(outcomes.values()) >= 40, outcomes
 
 
 # bases of Q^2 that are not in RREF: before they were refused, the first
@@ -666,7 +697,7 @@ def test_projection_properties():
         p = projection_matrix(u)
         assert p == p.transpose()
         assert naive_product(p, p) == p
-        assert row_space(p) == u  # symmetric, so row space equals image
+        assert Subspace.from_vectors(q, p.row_lists()) == u  # symmetric: rows span the image
 
 
 def test_projection_matches_the_gram_formula():
