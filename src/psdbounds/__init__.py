@@ -117,8 +117,8 @@ _EXPORTS = {
     ),
     "scalars": (
         "MultiQuadScalar", "Order3Certificate", "SignAssignment", "SqrtRankResult",
-        "check_sign_square", "min_sqrt_rank", "multiquad_rank", "order3_exclusion",
-        "sqrt_embed", "squarefree_decompose",
+        "min_sqrt_rank", "multiquad_rank", "order3_exclusion", "sqrt_embed",
+        "squarefree_decompose",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -311,6 +311,7 @@ def _maximal_bicliques(adj: list[int], left_count: int, right_count: int):
 
 
 def _greedy_cover(cov_masks: list[int], universe: int) -> tuple[int, ...]:
+    # every element of universe lies in some set; _min_set_cover checks that
     chosen = []
     uncovered = universe
     while uncovered:
@@ -319,8 +320,6 @@ def _greedy_cover(cov_masks: list[int], universe: int) -> tuple[int, ...]:
             gain = (cov & uncovered).bit_count()
             if gain > best_gain:
                 best_i, best_gain = i, gain
-        if best_i < 0:  # pragma: no cover - guarded by construction
-            raise ValueError("an element is covered by no candidate set")
         chosen.append(best_i)
         uncovered &= ~cov_masks[best_i]
     return tuple(chosen)

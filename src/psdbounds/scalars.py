@@ -17,7 +17,6 @@ certificate that a matrix has psd rank at least 4.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, gcd, lcm, prod
@@ -82,27 +81,13 @@ def _mul_terms(x: dict, y: dict) -> dict:
 
 
 def _is_prime(n: int) -> bool:
-    # Miller-Rabin with bases 2, 7, 61 is exact below 4,759,123,141
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 61):
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 7, 61):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether ``n`` is prime, for ``n = 3 (mod 4)`` below 4,759,123,141.
+
+    Below that bound the Miller-Rabin test with bases 2, 7 and 61 is exact.
+    Such an ``n`` has ``n - 1 = 2 d`` with ``d`` odd, so the test asks only
+    whether ``a^d = +-1 (mod n)``.  The prime 7 fails it at its own base.
+    """
+    return n == 7 or all(pow(a, (n - 1) // 2, n) in (1, n - 1) for a in (2, 7, 61))
 
 
 class MultiQuadScalar:
@@ -487,15 +472,6 @@ def min_sqrt_rank(
     return SqrtRankResult(best_rank, witness, 1 << n_free)
 
 
-def check_sign_square(s: ExactMatrix, assignment: SignAssignment) -> bool:
-    """Entrywise: (sign * sqrt(S(k,l)))^2 equals S(k,l) exactly."""
-    for (i, j), sign in zip(assignment.positions, assignment.signs):
-        y = sqrt_embed(s[i, j]) * sign
-        if (y * y) != MultiQuadScalar.from_rational(s[i, j]):
-            return False
-    return True
-
-
 # -- the order-3 exclusion certificate ----------------------------------------
 
 
@@ -571,18 +547,15 @@ def _cheapest_blocks(
     packed into one int, one byte per set: the sum of the ints that mark
     the sets holding each of the row's columns.  A row set's z values are
     then the sum of four row ints, byte by byte, since no z exceeds 16 and
-    so no byte carries.  Only the z values at most the largest one still
-    kept are visited.
+    so no byte carries.  Each z lands in one byte array at its pair's
+    index, row set times column sets plus column set, which orders like
+    (rows, cols) since combinations() yields the sets of a sorted list in
+    lexicographic order.  The blocks are then the first ``keep`` bytes
+    found for z = 0, 1, ... in turn.
     """
     n_col_sets = comb(len(pinned_cols), 4)
     n_pairs = min(_SCAN_LIMIT, comb(len(pinned_rows), 4) * n_col_sets)
-    n_row_sets = -(-n_pairs // n_col_sets)
-    # a pair's key orders like (z, rows, cols), since combinations() yields
-    # the sets of a sorted list in lexicographic order
-    stride = n_row_sets * n_col_sets
-    kept: list[tuple[int, tuple, tuple]] = []  # max-heap on -key
-    worst = cap  # the largest z that can still be kept
-    flagged, past = None, b""  # the worst value `past` flags, and its table
+    zs = bytearray(n_pairs)
     col_sets = combinations(pinned_cols, 4)
     for start in range(0, min(n_col_sets, n_pairs), _SCAN_CHUNK):
         chunk = list(islice(col_sets, _SCAN_CHUNK))
@@ -594,7 +567,8 @@ def _cheapest_blocks(
         holds = {c: int.from_bytes(b, "little") for c, b in member.items()}
         packed: dict[int, int] = {}  # each row's counts, one byte per set
         for r, krows in enumerate(combinations(pinned_rows, 4)):
-            width = min(len(chunk), n_pairs - r * n_col_sets - start)
+            base = r * n_col_sets + start
+            width = min(len(chunk), n_pairs - base)
             if width <= 0:
                 break
             total = 0
@@ -602,27 +576,22 @@ def _cheapest_blocks(
                 if k not in packed:
                     packed[k] = sum(holds[c] for c in pinned_cols if row_bits[k] >> c & 1)
                 total += packed[k]
-            zs = total.to_bytes(len(chunk), "little")[:width]
-            if min(zs) > worst:
-                continue
-            # visit only the sets at most `worst`; it can fall on the way
-            if flagged != worst:
-                flagged, past = worst, bytes(z > worst for z in range(256))
-            flags = zs.translate(past)
-            base = r * n_col_sets + start
-            j = flags.find(0)
-            while j >= 0:
-                z = zs[j]
-                if z <= worst:
-                    item = (-(z * stride + base + j), krows, chunk[j])
-                    if len(kept) < keep:
-                        heapq.heappush(kept, item)
-                    else:
-                        heapq.heappushpop(kept, item)
-                    if len(kept) == keep:
-                        worst = -kept[0][0] // stride
-                j = flags.find(0, j + 1)
-    return [(-neg // stride, kr, lc) for neg, kr, lc in sorted(kept, reverse=True)]
+            zs[base : base + width] = total.to_bytes(len(chunk), "little")[:width]
+    picked = []  # (z, pair index), in (z, rows, cols) order
+    for z in range(min(cap, 16) + 1):
+        j = zs.find(z)
+        while j >= 0 and len(picked) < keep:
+            picked.append((z, j))
+            j = zs.find(z, j + 1)
+
+    def sets_at(items: list[int], wanted: set[int]) -> dict[int, tuple[int, ...]]:
+        # the 4-sets of items at these positions, in one pass up to the last
+        sets = islice(combinations(items, 4), max(wanted, default=-1) + 1)
+        return {i: s for i, s in enumerate(sets) if i in wanted}
+
+    row_sets = sets_at(pinned_rows, {j // n_col_sets for _, j in picked})
+    col_sets = sets_at(pinned_cols, {j % n_col_sets for _, j in picked})
+    return [(z, row_sets[j // n_col_sets], col_sets[j % n_col_sets]) for z, j in picked]
 
 
 def order3_exclusion(

@@ -30,6 +30,8 @@ CASES = [
     (["gen", "sn", "10"], "s10.txt", 0),
     (["gen", "sn", "12"], "s12.txt", 0),
     (["gen", "cutpoly", "6"], "cutpoly6.txt", 0),
+    (["gen", "sn", "24"], "s24.txt", 0),
+    (["gen", "cutpoly", "5"], "cutpoly5.txt", 0),
     (["gen", "disjointness", "5", "2", "--json"], "disjointness_5_2.json", 0),
     (["--json", "rank", "matrix.txt"], "rank_matrix.json", 0),
     # full rank mod 2^31 - 1, so the elimination is skipped; then full rank
@@ -59,6 +61,11 @@ CASES = [
     (["trirank", "--json", "cutpoly6.txt"], "trirank_cutpoly6.json", 0),
     (["order3-exclude", "--json", "s6.txt"], "order3_s6.json", 0),
     (["order3-exclude", "s6.txt"], "order3_s6.txt", 0),
+    # a scan of many blocks: 44,100 pairs, under the scan limit; then two
+    # cut at the limit, one conclusive, one inconclusive after 64 blocks
+    (["order3-exclude", "--json", "s12.txt"], "order3_s12.json", 0),
+    (["order3-exclude", "--json", "s24.txt"], "order3_s24.json", 0),
+    (["order3-exclude", "--json", "cutpoly5.txt"], "order3_cutpoly5.json", 1),
     (["sqrt-bound", "--json", "--no-sign-fix", *S6_BLOCK, "s6.txt"], "sqrt_s6.json", 0),
     (["embed", "from-psd", "factorization.json"], "embedding_from_psd.json", 0),
     (["realize-support", "--json", "--seed", "3", "factorization.json"],

@@ -39,8 +39,8 @@ EAGER = {
     ],
     "scalars": [
         "MultiQuadScalar", "Order3Certificate", "SignAssignment", "SqrtRankResult",
-        "check_sign_square", "min_sqrt_rank", "multiquad_rank", "order3_exclusion",
-        "sqrt_embed", "squarefree_decompose",
+        "min_sqrt_rank", "multiquad_rank", "order3_exclusion", "sqrt_embed",
+        "squarefree_decompose",
     ],
 }
 # resolved on first use before, too: they need numpy

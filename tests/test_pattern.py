@@ -301,6 +301,13 @@ def _lowest_bit_chain(cov: list[int], universe: int) -> int:
     return length
 
 
+def test_min_set_cover_refuses_an_element_no_set_covers():
+    # element 2 is in the universe but in no set; the greedy start would
+    # never end on it
+    with pytest.raises(ValueError, match="an element is covered by no candidate set"):
+        _min_set_cover([0b011, 0b001], 0b111, 100)
+
+
 def test_min_set_cover_keeps_the_reference_traversal():
     # The reference is the search without sibling exclusion, run on the
     # system renumbered into the search's element order.  This one visits

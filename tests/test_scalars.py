@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
+from math import isqrt
 
 import pytest
 
@@ -15,7 +16,6 @@ from psdbounds import (
     MultiQuadScalar,
     SignAssignment,
     SqrtRankResult,
-    check_sign_square,
     generate_sn,
     min_sqrt_rank,
     order3_exclusion,
@@ -25,7 +25,9 @@ from psdbounds import (
     squarefree_decompose,
     support,
 )
-from psdbounds.scalars import _cheapest_blocks, _pinned_sets, modular_images, multiquad_rank
+from psdbounds.scalars import (
+    _cheapest_blocks, _is_prime, _pinned_sets, modular_images, multiquad_rank,
+)
 
 
 def test_squarefree_decompose():
@@ -153,7 +155,6 @@ def test_min_sqrt_rank_trivial():
     assert res.witness.signs == (1,)
     root = res.witness.positions[0]
     assert root == (0, 0)
-    assert check_sign_square(single, res.witness)
 
 
 def test_min_sqrt_rank_s6_block():
@@ -195,7 +196,6 @@ def test_min_sqrt_rank_bounded_by_shape():
             continue
         res = min_sqrt_rank(nonneg, rows, cols)
         assert res.min_rank <= min(len(rows), len(cols))
-        assert check_sign_square(nonneg, res.witness)
 
 
 def test_min_sqrt_rank_invariant_under_global_flip():
@@ -523,6 +523,23 @@ def test_modular_images_is_a_ring_map():
         assert product_image == a * b % p
 
 
+def test_is_prime_matches_trial_division_on_its_inputs():
+    # modular_images tests only n = 3 (mod 4), and such an n is odd
+    def by_trial(n):
+        return n > 1 and all(n % q for q in range(3, isqrt(n) + 1, 2))
+
+    for n in range(3, 200_000, 4):
+        assert _is_prime(n) == by_trial(n), n
+
+
+def test_modular_images_keeps_the_prime_of_the_s6_block():
+    # the block of sqrt_s6.json: radicands 3 and 6, so the first prime
+    # p = 3 (mod 4) below 2^31 - 1 with 2 and 3 squares mod p, 26 steps down
+    sub = generate_sn(6).submatrix([2, 3, 4, 5], [0, 1, 2, 3])
+    roots = [sqrt_embed(v) for v in sub.entries if v]
+    assert modular_images(roots)[0] == 2147483543 == 2**31 - 1 - 4 * 26
+
+
 def test_min_sqrt_rank_s12_block_needs_one_exact_rank(monkeypatch):
     calls = count_exact_ranks(monkeypatch)
     res = min_sqrt_rank(generate_sn(12), [0, 1, 2, 3], [0, 3, 4, 5], fix_global_sign=False)
@@ -655,6 +672,16 @@ def test_order3_scan_matches_the_list_table_scan():
             rng.choice((0, 4, 8, 10, 12, 16, 24)), rng.choice((1, 3, 8, 64)),
         )
         assert _cheapest_blocks(*args) == cheapest_blocks_reference(*args)
+
+
+def test_order3_scan_reads_full_blocks():
+    # every 4x4 block of a 5x6 ones matrix has the largest cost, z = 16
+    args = ([(1 << 6) - 1] * 5, list(range(5)), list(range(6)), 16, 8)
+    blocks = _cheapest_blocks(*args)
+    assert blocks == cheapest_blocks_reference(*args)
+    assert [z for z, _, _ in blocks] == [16] * 8
+    assert blocks[-1][1:] == ((0, 1, 2, 3), (0, 2, 3, 5))
+    assert _cheapest_blocks(*args[:3], 15, 8) == []
 
 
 def test_order3_scan_memory_stays_bounded():
