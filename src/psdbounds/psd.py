@@ -394,8 +394,13 @@ class Subspace:
         ``self.dim``."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        rows = _integer_rows(self.basis) + _integer_rows(other.basis)
-        return len(_eliminate(rows, self.ambient_dim)[0]) == self.dim
+        return _spans(_integer_rows(self.basis), _integer_rows(other.basis), self.ambient_dim)
+
+
+def _spans(basis: list[list[int]], rows: list[list[int]], q: int) -> bool:
+    """Whether the independent integer rows ``basis`` of Q^q span ``rows``:
+    stacked, they add no pivot.  Neither list is changed."""
+    return len(_eliminate(basis + rows, q)[0]) == len(basis)
 
 
 def kernel(m: ExactMatrix) -> Subspace:
@@ -484,10 +489,12 @@ def verify_embedding(e: SubspaceEmbedding, m: SupportPattern) -> bool:
         raise ValueError(
             f"embedding is {e.m}x{e.n} but the pattern is {m.rows}x{m.cols}"
         )
-    for k in range(e.m):
-        for l in range(e.n):
-            contained = e.V[l].contains(e.U[k])
-            if contained != (m[k, l] == 0):
+    # each basis is scaled to integers once, not once per pair
+    u_rows = [_integer_rows(u.basis) for u in e.U]
+    v_rows = [_integer_rows(v.basis) for v in e.V]
+    for k, u in enumerate(u_rows):
+        for l, v in enumerate(v_rows):
+            if _spans(v, u, e.ambient_dim) != (m[k, l] == 0):
                 return False
     return True
 

@@ -9,6 +9,8 @@ floating-point corner of the package; everything exact stays elsewhere.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _frozen
@@ -59,10 +61,12 @@ def barvinok_reduce(
     """Reduce a psd solution of tr(A_j X) = alpha_j to rank r(r+1)/2 <= m.
 
     Each step factors X = G G^T on its numerical range, finds a symmetric
-    direction D with <G^T A_j G, D> = 0 for all j (possible whenever
-    r(r+1)/2 exceeds the constraint count), and moves to G(I + tD)G^T with
-    t chosen so the smallest eigenvalue of I + tD is exactly zero: the
-    constraints are untouched and the rank drops by at least one.  An input
+    direction D with <G^T A_j G, D> = 0 for all j, and moves to
+    G(I + tD)G^T with t chosen so the smallest eigenvalue of I + tD is
+    exactly zero: the constraints are untouched and the rank drops by at
+    least one.  D lives on the leading k x k block, k the least with
+    k(k+1)/2 > m; such a D exists, and k <= r, whenever r(r+1)/2 > m, so
+    each step solves m equations in k(k+1)/2 unknowns, not r(r+1)/2.  An input
     with an entry that is not finite, one that is not psd within `tol`, or
     one off its constraints raises `ReductionError`.
     """
@@ -76,9 +80,11 @@ def barvinok_reduce(
 
 # The factors of one side step together in groups of this many, and the
 # constraint systems of a step are formed for as many factors of a group at
-# once as fit in this many entries (one factor's at rank 16 against 32
-# constraints).  Both keep a step's temporaries near one factor's: they set
-# the peak memory of reduce-rank.
+# once as fit in this many entries (three factors' 32 x 36 systems: 32
+# constraints on an 8 x 8 block).  Both keep a step's temporaries near one
+# factor's: they set the peak memory of reduce-rank.  A factor-by-factor
+# loop (_GROUP = 1) took about twice as long on the 32x32 benchmark
+# chain, and one group per side raised reduce-rank's peak memory.
 _GROUP = 8
 _SYSTEM_ENTRIES = 4352
 
@@ -170,8 +176,15 @@ def _step(vals, vecs, sel, mats, r):
     """One step of each factor vecs[sel] diag(vals[sel]) vecs[sel]^T of a
     stack, all at rank r: the new factors G (I + tD) G^T, then the
     null-vector residuals and their limits as lists, both in units of the
-    largest entry of the factor's constraint system."""
-    n = vecs.shape[-1]
+    largest entry of the factor's constraint system.
+
+    D is zero outside its leading k x k block, k the least with k(k+1)/2
+    above the m constraints: the k(k+1)/2 coordinates of that block leave
+    a null direction against m rows, and k <= r since the factor is above
+    the bound.  The system, its null vector and D's extreme eigenvalues
+    are formed on that block only."""
+    n, m = vecs.shape[-1], len(mats)
+    k = (math.isqrt(8 * m + 1) + 1) // 2
     # eigh sorts ascending, so the range is the last r columns.  G is stored
     # column by column, as `vecs[:, big]` lays one out: BLAS then reads it
     # the same way, and gives each factor the bits of its own step
@@ -181,16 +194,17 @@ def _step(vals, vecs, sel, mats, r):
         order="C",
     )
     g = gt.swapaxes(1, 2)
-    # rows <G^T A_j G, .> over the r(r+1)/2 coordinates of symmetric D (each
-    # one off the diagonal counts twice), and their null vectors, in batches
-    iu = np.triu_indices(r)
+    # rows <G_k^T A_j G_k, .> over the k(k+1)/2 coordinates of a symmetric
+    # block (each one off the diagonal counts twice), G_k the first k
+    # columns of G, and their null vectors, in batches
+    iu = np.triu_indices(k)
     weights = np.where(iu[0] == iu[1], 1.0, 2.0)
     null = np.empty((len(g), len(weights)))
     drifts, most = [], []
-    batch = max(1, _SYSTEM_ENTRIES // (max(1, len(mats)) * len(weights)))
+    batch = max(1, _SYSTEM_ENTRIES // (max(1, m) * len(weights)))
     for lo in range(0, len(g), batch):
         part = slice(lo, lo + batch)
-        system = (gt[part, None] @ mats @ g[part, None])[..., iu[0], iu[1]] * weights
+        system = (gt[part, None, :k] @ mats @ g[part, None, :, :k])[..., iu[0], iu[1]] * weights
         null[part] = _null_vector(system)
         # check the drift on each system over its largest entry, where no norm
         # overflows; the smallest normal float as floor keeps 1 / big finite
@@ -199,18 +213,20 @@ def _step(vals, vecs, sel, mats, r):
         drifts += _norms(system @ null[part, :, None]).tolist()
         most += [1e-8 * max(1.0 / b, s) for b, s in zip(big.tolist(), _norms(system).tolist())]
         del system
-    delta = np.zeros((len(g), r, r))
+    delta = np.zeros((len(g), k, k))
     delta[:, iu[0], iu[1]] = null
     delta[:, iu[1], iu[0]] = null
     delta /= _norms(delta)[:, None, None]
     dvals = np.linalg.eigvalsh(delta)
     # step toward the extreme eigenvalue of larger magnitude: delta has unit
-    # norm, so that eigenvalue is at least 1/sqrt(r) and |t| <= sqrt(r)
+    # norm, so that eigenvalue is at least 1/sqrt(k) and |t| <= sqrt(k).  The
+    # zeros outside the block change neither that choice nor its magnitude
     flip = -dvals[:, 0] < dvals[:, -1]
     delta[flip] *= -1.0
     delta *= (1.0 / np.where(flip, dvals[:, -1], -dvals[:, 0]))[:, None, None]
-    delta += np.eye(r)  # the step I + tD
-    new = g @ delta @ gt
+    step = np.tile(np.eye(r), (len(g), 1, 1))  # the step I + tD
+    step[:, :k, :k] += delta
+    new = g @ step @ gt
     _symmetrize(new)
     return new, drifts, most
 

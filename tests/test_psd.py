@@ -51,6 +51,25 @@ def test_verify_embedding_examples():
         verify_embedding(emb, SupportPattern.ones(3, 2))
 
 
+def test_verify_embedding_scales_each_basis_once(monkeypatch):
+    # one integer scaling per subspace, not one per (k, l) pair, and still
+    # a containment test at every pair: each flipped entry is caught
+    s = generate_sn(6)
+    emb = embedding_from_rank_factorization(s)
+    pattern = support(s)
+    rows = [[pattern[k, l] for l in range(pattern.cols)] for k in range(pattern.rows)]
+    calls = []
+    scale = psd._integer_rows
+    monkeypatch.setattr(psd, "_integer_rows", lambda m: calls.append(m) or scale(m))
+    assert verify_embedding(emb, pattern)
+    assert len(calls) == emb.m + emb.n
+    for k in range(pattern.rows):
+        for l in range(pattern.cols):
+            flipped = [row[:] for row in rows]
+            flipped[k][l] ^= 1
+            assert not verify_embedding(emb, SupportPattern.from_rows(flipped))
+
+
 def test_embedding_from_rank_identity():
     emb = embedding_from_rank_factorization(ExactMatrix.identity(2))
     assert emb.ambient_dim == 2

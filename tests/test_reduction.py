@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -152,6 +153,12 @@ def test_step_toward_larger_eigenvalue_reduces(q, seed):
         assert abs(float(np.tensordot(a, out.entries)) - alpha) <= 1e-7 * max(1.0, abs(alpha))
 
 
+def block_order(m, r):
+    """The least k with k(k+1)/2 > m, capped at r: the order of the leading
+    block of the range that a step's direction D lives on."""
+    return min(r, next(k for k in itertools.count(1) if k * (k + 1) // 2 > m))
+
+
 def reference_reduce(x, mats, targets, tol=1e-9):
     """The reduction loop written one constraint matrix at a time."""
     while True:
@@ -161,17 +168,19 @@ def reference_reduce(x, mats, targets, tol=1e-9):
         if len(mats) >= r * (r + 1) // 2 or r == 0:
             return x
         g = vecs[:, big] * np.sqrt(vals[big])
-        iu = list(zip(*np.triu_indices(r)))
+        k = block_order(len(mats), r)
+        gk = g[:, :k]
+        iu = list(zip(*np.triu_indices(k)))
         system = []
         for a in mats:
-            reduced = g.T @ a @ g
+            reduced = gk.T @ a @ gk
             system.append([reduced[i, j] * (1.0 if i == j else 2.0) for i, j in iu])
         # e_i minus its projection on the row space, for the coordinate i
         # farthest from it
         q = np.linalg.qr(np.array(system).reshape(len(mats), len(iu)).T)[0]
         far = min(range(len(iu)), key=lambda row: float(q[row] @ q[row]))
         null = np.eye(len(iu))[far] - q @ q[far]
-        delta = np.zeros((r, r))
+        delta = np.zeros((r, r))  # zero outside the leading k x k block
         for (i, j), v in zip(iu, null):
             delta[i, j] = delta[j, i] = v
         delta /= np.linalg.norm(delta)
@@ -195,14 +204,16 @@ def per_factor_reduce(x, mats, targets, tol=1e-9):
     while r and len(mats) < r * (r + 1) // 2:
         big = vals > tol
         g = vecs[:, big] * np.sqrt(vals[big])
-        iu = np.triu_indices(r)
-        system = (g.T @ mats @ g)[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
+        k = block_order(len(mats), r)
+        iu = np.triu_indices(k)
+        gk = g[:, :k]
+        system = (gk.T @ mats @ gk)[:, iu[0], iu[1]] * np.where(iu[0] == iu[1], 1.0, 2.0)
         q = np.linalg.qr(system.T)[0]
         i = int(np.argmin(np.einsum("ij,ij->i", q, q)))
         null = -(q @ q[i])
         null[i] += 1.0
         null /= np.linalg.norm(null)
-        delta = np.zeros((r, r))
+        delta = np.zeros((k, k))
         delta[iu] = null
         delta = delta + delta.T - np.diag(np.diag(delta))
         delta /= np.linalg.norm(delta)
@@ -211,7 +222,9 @@ def per_factor_reduce(x, mats, targets, tol=1e-9):
             t = -1.0 / dvals[0]
         else:
             delta, t = -delta, 1.0 / dvals[-1]
-        new = g @ (np.eye(r) + t * delta) @ g.T
+        step = np.eye(r)  # I + tD, with D zero outside its k x k block
+        step[:k, :k] += t * delta
+        new = g @ step @ g.T
         x = (new + new.T) / 2.0
         vals, vecs = np.linalg.eigh(x)
         r = int(np.sum(vals > tol))
@@ -503,3 +516,55 @@ def test_grouping_constants_change_no_bit(grouping_cases, monkeypatch, group, en
         got, *got_rest = reduction_result(a, b)
         assert got_rest == rest
         assert all(np.array_equal(x, y) for x, y in zip(got, factors))
+
+
+def test_each_step_solves_on_the_least_block(monkeypatch):
+    # the order16 side steps from rank 16 against 32 constraints (k = 8),
+    # and its B side from rank 16 against 11 (k = 5): every system has
+    # k(k+1)/2 columns, fewer than the r(r+1)/2 of the whole range
+    a, b = mixed_side(np.random.default_rng(11), *MIXED_SIDES[1].values)
+    shapes, ranks = [], []
+    step, null_vector = reduction._step, reduction._null_vector
+
+    def spy_step(vals, vecs, sel, mats, r):
+        ranks.append(r)
+        return step(vals, vecs, sel, mats, r)
+
+    def spy_null_vector(system):
+        shapes.append((ranks[-1], *system.shape[1:]))
+        return null_vector(system)
+
+    monkeypatch.setattr(reduction, "_step", spy_step)
+    monkeypatch.setattr(reduction, "_null_vector", spy_null_vector)
+    reduce_factor_ranks(a, b)
+    assert {m for _, m, _ in shapes} == {len(b), len(a)}
+    for r, m, cols in shapes:
+        k = block_order(m, r)
+        assert cols == k * (k + 1) // 2 > m
+    assert any(cols < r * (r + 1) // 2 for r, _, cols in shapes)
+    assert max(ranks) == 16
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_reductions_meet_the_bound(seed):
+    # orders 2 to 12, ranks 0 to the order, and 0 to 40 constraints, but
+    # no more than order(order+1)/2, past which no input takes a step: 20
+    # of the 60 cases step, 16 of them on a block smaller than the range
+    rng = np.random.default_rng([5077, seed])
+    order = int(rng.integers(2, 13))
+    rank = int(rng.integers(0, order + 1))
+    m = int(rng.integers(0, min(40, order * (order + 1) // 2) + 1))
+    g = rng.normal(size=(order, rank)) * rng.uniform(0.1, 10.0)
+    x = FloatPsdMatrix(g @ g.T)
+    cons = []
+    for _ in range(m):
+        c = rng.normal(size=(order, order))
+        c = (c + c.T) / 2.0
+        cons.append((c, float(np.tensordot(c, x.entries))))
+    out = barvinok_reduce(x, cons)
+    r = out.numerical_rank()
+    assert r * (r + 1) // 2 <= m
+    assert out.min_eigenvalue() >= -DEFAULT_TOL
+    scale = max([1.0] + [abs(alpha) for _, alpha in cons])
+    for c, alpha in cons:
+        assert abs(float(np.tensordot(c, out.entries)) - alpha) <= 1e-7 * scale
