@@ -2,8 +2,8 @@
 
 Matrices and patterns travel in the shared text format (stdin by default),
 embeddings/factorizations/certificates as JSON documents.  Each command
-returns one reply ``(doc, text, exit_code)``, and ``run`` writes it: the
-JSON document with ``--json``, else the text.  ``embed`` and ``psd
+returns the ``formats`` reply of one library call, and ``run`` writes it:
+the JSON document with ``--json``, else the text.  ``embed`` and ``psd
 from-embedding`` have no text form and write JSON either way.  ``run`` also
 writes every error, as one ``error:`` line on stderr.  Exit status: 0 ok,
 1 verification failure or inconclusive certificate, 2 usage error,
@@ -23,18 +23,12 @@ import sys
 from . import DEFAULT_BUDGET, formats
 
 # A launch pays only for its own command: `run` builds the parser of that
-# command alone, and each branch of _dispatch imports the layers its command
-# runs, so a launch compiles only those modules.  `rank` loads no search and
-# no subspace algebra, which lives in `psd` with the certify chain.  `main`
+# command alone, and each handler imports the layers its command runs, so a
+# launch compiles only those modules.  `rank` loads no search and no
+# subspace algebra, which lives in `psd` with the certify chain.  `main`
 # then exits without the interpreter's shutdown collection: it freezes the
-# collector once the reply is written, since what the launch loaded is
-# freed by the OS anyway.
-
-EXIT_OK = 0
-EXIT_VERIFICATION = 1
-EXIT_USAGE = 2
-EXIT_EXHAUSTED = 3
-EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool it killed
+# collector once the reply is written, since what the launch loaded is freed
+# by the OS anyway.
 
 
 def _read(path: str) -> str:
@@ -42,6 +36,10 @@ def _read(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _matrix(path: str):
+    return formats.parse_matrix(_read(path))
 
 
 def _index_list(text: str) -> list[int]:
@@ -68,54 +66,98 @@ def _modes(sub, name, help):
 
 
 # Each builder below adds one top-level command to ``sub``; ``command(owner,
-# name, ...)`` adds a parser that also takes ``--json`` after the name.
+# name, handler, ...)`` adds a parser that also takes ``--json`` after the
+# name, and whose ``handler(args)`` returns the command's ``formats`` reply.
 
 
 def _rank(sub, command):
-    _with_input(command(sub, "rank", help="exact rank of a matrix"))
+    def handler(args):
+        from .linalg import rank
+        return formats.rank_reply(rank(_matrix(args.file)))
+    _with_input(command(sub, "rank", handler, help="exact rank of a matrix"))
 
 
 def _trirank(sub, command):
-    _with_input(command(sub, "trirank", help="triangular rank of the support"))
+    def handler(args):
+        from .pattern import embrkl_bounds
+        return formats.triangular_rank_reply(embrkl_bounds(_matrix(args.file))[0])
+    _with_input(command(sub, "trirank", handler, help="triangular rank of the support"))
 
 
 def _boolrank(sub, command):
-    p = _with_input(command(sub, "boolrank", help="boolean rank of the support"))
+    def handler(args):
+        from .pattern import boolean_rank_outcome
+        lower, upper, _ = boolean_rank_outcome(_matrix(args.file), args.budget)
+        return formats.boolean_rank_reply(lower, upper)
+    p = _with_input(command(sub, "boolrank", handler, help="boolean rank of the support"))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node cap")
 
 
 def _bounds(sub, command):
-    p = _with_input(command(sub, "bounds", help="full bound report"))
+    def handler(args):
+        from .pattern import analyze
+        report = analyze(_matrix(args.file), budget=args.budget)
+        return formats.bound_report_reply(report, "stdin" if args.file == "-" else args.file)
+    p = _with_input(command(sub, "bounds", handler, help="full bound report"))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
 
 def _embed(sub, command):
+    def from_rank(args):
+        from .psd import embedding_from_rank_factorization
+        return formats.embedding_reply(embedding_from_rank_factorization(_matrix(args.file)))
+
+    def from_psd(args):
+        from .psd import embedding_from_psd
+        fact = formats.factorization_from_json(_read(args.file))
+        return formats.embedding_reply(embedding_from_psd(fact))
     modes = _modes(sub, "embed", "build embeddings")
-    _with_input(command(modes, "from-rank", help="embedding from a matrix"))
-    _with_input(command(modes, "from-psd", help="embedding from a factorization JSON"))
+    _with_input(command(modes, "from-rank", from_rank, help="embedding from a matrix"))
+    _with_input(command(modes, "from-psd", from_psd, help="embedding from a factorization JSON"))
 
 
 def _psd(sub, command):
+    def from_embedding(args):
+        from .psd import psd_from_embedding
+        emb = formats.embedding_from_json(_read(args.file))
+        return formats.factorization_reply(*psd_from_embedding(emb))
     modes = _modes(sub, "psd", "build psd factorizations")
-    _with_input(
-        command(modes, "from-embedding", help="projection factorization of an embedding")
-    )
+    _with_input(command(modes, "from-embedding", from_embedding,
+                        help="projection factorization of an embedding"))
 
 
 def _verify(sub, command):
+    def factorization(args):
+        from .psd import verify_psd_factorization
+        fact = formats.factorization_from_json(_read(args.factorization))
+        report = verify_psd_factorization(fact, _matrix(args.matrix))
+        return formats.factorization_check_reply(report)
+
+    def embedding(args):
+        from .psd import verify_embedding
+        emb = formats.embedding_from_json(_read(args.embedding))
+        pattern = formats.parse_pattern(_read(args.pattern))
+        return formats.embedding_check_reply(verify_embedding(emb, pattern))
     modes = _modes(sub, "verify", "check certificates")
-    p = command(modes, "psd", help="factorization against a matrix")
+    p = command(modes, "psd", factorization, help="factorization against a matrix")
     p.add_argument("factorization", help="factorization JSON file")
     p.add_argument("matrix", help="matrix text file")
-    p = command(modes, "embedding", help="embedding against a pattern")
+    p = command(modes, "embedding", embedding, help="embedding against a pattern")
     p.add_argument("embedding", help="embedding JSON file")
     p.add_argument("pattern", help="pattern text file")
 
 
 def _realize_support(sub, command):
-    p = _with_input(
-        command(sub, "realize-support", help="rational matrix realizing the support")
-    )
+    def handler(args):
+        from .psd import RealizationError, realize_support
+        fact = formats.factorization_from_json(_read(args.file))
+        try:
+            m = realize_support(fact, seed=args.seed, max_tries=args.tries)
+        except RealizationError as exc:
+            return formats.error_reply(exc, formats.EXIT_EXHAUSTED)
+        return formats.matrix_reply(m)
+    p = _with_input(command(sub, "realize-support", handler,
+                            help="rational matrix realizing the support"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tries", type=int, default=5)
 
@@ -127,43 +169,93 @@ _NO_SIGN_FIX_HELP = (
 
 
 def _sqrt_bound(sub, command):
-    p = _with_input(
-        command(sub, "sqrt-bound", help="minimum rank over entrywise square roots")
-    )
+    def handler(args):
+        from .scalars import min_sqrt_rank
+        matrix = _matrix(args.file)
+        # checked here, so that the message quotes the 1-based index as typed
+        for kind, idx, size in (("row", args.rows, matrix.rows),
+                                ("column", args.cols, matrix.cols)):
+            bad = [k for k in idx if k > size]
+            if bad:
+                raise ValueError(
+                    f"{kind} index {bad[0]} outside the {matrix.rows}x{matrix.cols} matrix"
+                )
+        rows, cols = [k - 1 for k in args.rows], [l - 1 for l in args.cols]
+        result = min_sqrt_rank(matrix, rows, cols, fix_global_sign=not args.no_sign_fix)
+        return formats.sqrt_rank_reply(result)
+    p = _with_input(command(sub, "sqrt-bound", handler,
+                            help="minimum rank over entrywise square roots"))
     p.add_argument("--rows", type=_index_list, required=True, help="1-based, e.g. 3,4,5,6")
     p.add_argument("--cols", type=_index_list, required=True, help="1-based, e.g. 1,2,3,4")
     p.add_argument("--no-sign-fix", action="store_true", help=_NO_SIGN_FIX_HELP)
 
 
 def _order3_exclude(sub, command):
-    p = _with_input(command(sub, "order3-exclude", help="psd rank >= 4 certificate"))
+    def handler(args):
+        from .scalars import order3_exclusion
+        cert = order3_exclusion(_matrix(args.file), fix_global_sign=not args.no_sign_fix)
+        return formats.certificate_reply(cert)
+    p = _with_input(command(sub, "order3-exclude", handler, help="psd rank >= 4 certificate"))
     p.add_argument("--no-sign-fix", action="store_true", help=_NO_SIGN_FIX_HELP)
 
 
 def _reduce_rank(sub, command):
-    p = _with_input(command(sub, "reduce-rank", help="reduce factor ranks (floats)"))
+    def handler(args):
+        # the only numpy command: exact commands start without loading it.
+        # Its factors are small, so a BLAS thread pool costs more to start
+        # than it saves; a value the caller set still wins.
+        if "numpy" not in sys.modules:
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        # reduction is loaded before it imports numpy, which then reuses the
+        # memory that loading freed: importing numpy first leaves
+        # reduce-rank's peak RSS about 0.1 MiB higher
+        try:
+            from .reduction import ReductionError, reduce_factor_ranks
+        except ImportError:  # numpy, its one dependency, is missing or broken
+            raise ValueError("reduce-rank needs numpy (pip install psdbounds[float])") from None
+        import numpy as np
+
+        a_rows, b_rows, order = formats.float_factors_from_json(_read(args.file))
+        a = [np.array(e).reshape(order, order) for e in a_rows]
+        b = [np.array(e).reshape(order, order) for e in b_rows]
+        try:
+            return formats.reduction_reply(reduce_factor_ranks(a, b, tol=args.tol))
+        except ReductionError as exc:
+            return formats.error_reply(exc, formats.EXIT_VERIFICATION)
+    p = _with_input(command(sub, "reduce-rank", handler, help="reduce factor ranks (floats)"))
     p.add_argument("--tol", type=float, default=1e-9)
 
 
 def _gen(sub, command):
+    def sn(args):
+        from .cutpoly import generate_sn
+        return formats.matrix_reply(generate_sn(args.n))
+
+    def cutpoly(args):
+        from .cutpoly import slack_matrix_cut_clique
+        return formats.matrix_reply(slack_matrix_cut_clique(args.n))
+
+    def disjointness(args):
+        from .cutpoly import graph_H
+        h, hbar = graph_H(args.n, args.l)
+        return formats.graph_reply(h if args.which == "h" else hbar)
     modes = _modes(sub, "gen", "generators")
-    p = command(modes, "sn", help="the banded rank-3 family")
+    p = command(modes, "sn", sn, help="the banded rank-3 family")
     p.add_argument("n", type=int)
-    p = command(modes, "cutpoly", help="clique-inequality slack matrix of K_n")
+    p = command(modes, "cutpoly", cutpoly, help="clique-inequality slack matrix of K_n")
     p.add_argument("n", type=int)
-    p = command(modes, "disjointness", help="disjointness graph on l-subsets")
+    p = command(modes, "disjointness", disjointness, help="disjointness graph on l-subsets")
     p.add_argument("n", type=int, metavar="N")
     p.add_argument("l", type=int, metavar="L")
-    p.add_argument(
-        "--which",
-        choices=["h", "hbar"],
-        default="h",
-        help="h: disjoint pairs; hbar: unique-intersection pairs",
-    )
+    p.add_argument("--which", choices=["h", "hbar"], default="h",
+                   help="h: disjoint pairs; hbar: unique-intersection pairs")
 
 
 def _appendix_check(sub, command):
-    p = command(sub, "appendix-check", help="verify the cover reduction identity")
+    def handler(args):
+        from .cutpoly import appendix_reduction_check
+        return formats.appendix_check_reply(appendix_reduction_check(args.n))
+    p = command(sub, "appendix-check", handler, help="verify the cover reduction identity")
     p.add_argument("n", type=int)
 
 
@@ -194,8 +286,10 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
 
-    def command(owner, name, **kw):
-        return owner.add_parser(name, parents=[common], **kw)
+    def command(owner, name, handler, **kw):
+        p = owner.add_parser(name, parents=[common], **kw)
+        p.set_defaults(handler=handler)
+        return p
 
     metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
@@ -212,240 +306,17 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
+        return formats.EXIT_USAGE if exc.code else formats.EXIT_OK
     try:
-        doc, text, code = _dispatch(args)
+        doc, text, code = args.handler(args)
     except (ValueError, OSError) as exc:
         # precondition violations and unreadable inputs are usage errors
-        doc, text, code = _error(exc, EXIT_USAGE)
+        doc, text, code = formats.error_reply(exc, formats.EXIT_USAGE)
     if doc is None:
         print(f"error: {text}", file=sys.stderr)
     else:
         sys.stdout.write(formats.dump(doc) if args.json or text is None else text)
     return code
-
-
-def _error(exc: Exception, code: int):
-    """The reply of an error: no document, and its message as the text."""
-    return None, str(exc), code
-
-
-def _matrix(m):
-    doc = {"kind": "matrix", "rows": m.rows, "cols": m.cols,
-           "entries": formats.matrix_rows(m)}
-    return doc, formats.format_matrix(m), EXIT_OK
-
-
-def _dispatch(args):
-    """The reply ``(doc, text, exit_code)`` of one command.  ``doc`` is its
-    JSON document and ``text`` its exact text form, or None where it has
-    none.  A library error that exits with its own status replies with no
-    document and its message as ``text`` (``_error``)."""
-    cmd = args.command
-    if cmd == "rank":
-        from .linalg import rank
-
-        value = rank(formats.parse_matrix(_read(args.file)))
-        return {"kind": "rank", "value": value}, f"{value}\n", EXIT_OK
-
-    if cmd == "trirank":
-        from .pattern import embrkl_bounds
-
-        value, _ = embrkl_bounds(formats.parse_matrix(_read(args.file)))
-        return {"kind": "triangular_rank", "value": value}, f"{value}\n", EXIT_OK
-
-    if cmd == "boolrank":
-        from .pattern import boolean_rank_outcome
-
-        matrix = formats.parse_matrix(_read(args.file))
-        lower, upper, _ = boolean_rank_outcome(matrix, args.budget)
-        if lower < upper:
-            doc = {"kind": "boolean_rank", "value": None, "bounds": [lower, upper]}
-            return doc, f"unknown, bounds [{lower},{upper}]\n", EXIT_EXHAUSTED
-        return {"kind": "boolean_rank", "value": lower}, f"{lower}\n", EXIT_OK
-
-    if cmd == "bounds":
-        from .pattern import analyze
-
-        report = analyze(formats.parse_matrix(_read(args.file)), budget=args.budget)
-        identity = args.file if args.file != "-" else "stdin"
-        return report.to_doc(identity), report.to_text(identity) + "\n", EXIT_OK
-
-    if cmd == "embed" and args.mode == "from-rank":
-        from .psd import embedding_from_rank_factorization
-
-        emb = embedding_from_rank_factorization(formats.parse_matrix(_read(args.file)))
-        return formats.embedding_doc(emb), None, EXIT_OK
-
-    if cmd == "embed" and args.mode == "from-psd":
-        from .psd import embedding_from_psd
-
-        fact = formats.factorization_from_json(_read(args.file))
-        emb = embedding_from_psd(fact)
-        return formats.embedding_doc(emb), None, EXIT_OK
-
-    if cmd == "psd" and args.mode == "from-embedding":
-        from .psd import psd_from_embedding
-
-        emb = formats.embedding_from_json(_read(args.file))
-        fact, t = psd_from_embedding(emb)
-        doc = formats.factorization_doc(fact)
-        doc["T"] = formats.matrix_rows(t)
-        return doc, None, EXIT_OK
-
-    if cmd == "verify" and args.mode == "psd":
-        from .psd import verify_psd_factorization
-
-        fact = formats.factorization_from_json(_read(args.factorization))
-        matrix = formats.parse_matrix(_read(args.matrix))
-        report = verify_psd_factorization(fact, matrix)
-        doc = {
-            "kind": "verification",
-            "passed": report.passed,
-            "psd_ok": report.psd_ok,
-            "trace_mismatches": [[k + 1, l + 1] for k, l in report.mismatches],
-        }
-        if report.passed:
-            return doc, "pass\n", EXIT_OK
-        return doc, f"FAIL: {report.summary()}\n", EXIT_VERIFICATION
-
-    if cmd == "verify" and args.mode == "embedding":
-        from .psd import verify_embedding
-
-        emb = formats.embedding_from_json(_read(args.embedding))
-        pat = formats.parse_pattern(_read(args.pattern))
-        ok = verify_embedding(emb, pat)
-        doc = {"kind": "verification", "passed": ok}
-        if ok:
-            return doc, "pass\n", EXIT_OK
-        return doc, "FAIL\n", EXIT_VERIFICATION
-
-    if cmd == "realize-support":
-        from .psd import RealizationError, realize_support
-
-        fact = formats.factorization_from_json(_read(args.file))
-        try:
-            return _matrix(realize_support(fact, seed=args.seed, max_tries=args.tries))
-        except RealizationError as exc:
-            return _error(exc, EXIT_EXHAUSTED)
-
-    if cmd == "sqrt-bound":
-        from .scalars import min_sqrt_rank
-
-        matrix = formats.parse_matrix(_read(args.file))
-        # checked here, so that the message quotes the 1-based index as typed
-        for kind, idx, size in (("row", args.rows, matrix.rows),
-                                ("column", args.cols, matrix.cols)):
-            bad = [k for k in idx if k > size]
-            if bad:
-                raise ValueError(
-                    f"{kind} index {bad[0]} outside the {matrix.rows}x{matrix.cols} matrix"
-                )
-        rows = [k - 1 for k in args.rows]
-        cols = [l - 1 for l in args.cols]
-        result = min_sqrt_rank(
-            matrix, rows, cols, fix_global_sign=not args.no_sign_fix
-        )
-        doc = {
-            "kind": "sqrt_bound",
-            "min_rank": result.min_rank,
-            "assignments_checked": result.assignments_checked,
-            "witness": formats.sign_assignment_doc(result.witness),
-        }
-        text = (
-            f"minimum rank {result.min_rank} over "
-            f"{result.assignments_checked} sign assignments\n"
-        )
-        return doc, text, EXIT_OK
-
-    if cmd == "order3-exclude":
-        from .scalars import order3_exclusion
-
-        matrix = formats.parse_matrix(_read(args.file))
-        cert = order3_exclusion(matrix, fix_global_sign=not args.no_sign_fix)
-        doc = formats.certificate_doc(cert)
-        if not cert.conclusive:
-            return doc, f"inconclusive: {cert.reason}\n", EXIT_VERIFICATION
-        text = (
-            f"psd rank >= {cert.bound}: rows {[k + 1 for k in cert.rows]} x "
-            f"cols {[l + 1 for l in cert.cols]}, all "
-            f"{cert.assignments_checked} sign assignments have rank >= 4\n"
-        )
-        return doc, text, EXIT_OK
-
-    if cmd == "reduce-rank":
-        # the only numpy command: exact commands start without loading it.
-        # Its factors are small, so a BLAS thread pool costs more to start
-        # than it saves; a value the caller set still wins.
-        if "numpy" not in sys.modules:
-            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-        # reduction is loaded before it imports numpy, which then reuses the
-        # memory that loading freed: importing numpy first leaves
-        # reduce-rank's peak RSS about 0.1 MiB higher
-        try:
-            from .reduction import ReductionError, reduce_factor_ranks
-        except ImportError:  # numpy, its one dependency, is missing or broken
-            raise ValueError(
-                "reduce-rank needs numpy (pip install psdbounds[float])"
-            ) from None
-        import numpy as np
-
-        a_rows, b_rows, order = formats.float_factors_from_json(_read(args.file))
-        a = [np.array(e).reshape(order, order) for e in a_rows]
-        b = [np.array(e).reshape(order, order) for e in b_rows]
-        try:
-            report = reduce_factor_ranks(a, b, tol=args.tol)
-        except ReductionError as exc:
-            return _error(exc, EXIT_VERIFICATION)
-        doc = {
-            "kind": "rank_reduction",
-            "a_ranks": list(report.a_ranks),
-            "b_ranks": list(report.b_ranks),
-            "max_residual": report.max_residual,
-            "min_eigenvalue": report.min_eigenvalue,
-        }
-        text = (
-            f"A ranks {list(report.a_ranks)}, B ranks {list(report.b_ranks)}, "
-            f"max residual {report.max_residual:.2e}, "
-            f"min eigenvalue {report.min_eigenvalue:.2e}\n"
-        )
-        return doc, text, EXIT_OK
-
-    if cmd == "gen" and args.mode == "sn":
-        from .cutpoly import generate_sn
-
-        return _matrix(generate_sn(args.n))
-
-    if cmd == "gen" and args.mode == "cutpoly":
-        from .cutpoly import slack_matrix_cut_clique
-
-        return _matrix(slack_matrix_cut_clique(args.n))
-
-    if cmd == "gen" and args.mode == "disjointness":
-        from .cutpoly import graph_H
-
-        h, hbar = graph_H(args.n, args.l)
-        g = h if args.which == "h" else hbar
-        return formats.graph_doc(g), formats.format_graph(g), EXIT_OK
-
-    if cmd == "appendix-check":
-        from .cutpoly import appendix_reduction_check
-
-        result = appendix_reduction_check(args.n)
-        doc = {
-            "kind": "appendix_check",
-            "passed": result.ok,
-            "pairs_checked": result.pairs_checked,
-            "ground_size": result.ground_size,
-            "subset_size": result.subset_size,
-        }
-        text = (
-            f"{'pass' if result.ok else 'FAIL'}: {result.pairs_checked} pairs, "
-            f"N={result.ground_size}, l={result.subset_size}\n"
-        )
-        return doc, text, EXIT_OK if result.ok else EXIT_VERIFICATION
-
-    raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover
 
 
 def main() -> None:
@@ -464,7 +335,7 @@ def main() -> None:
         # the reader closed stdout (`| head`): end silently, and point stdout
         # at devnull so that the flush at shutdown cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_BROKEN_PIPE
+        code = formats.EXIT_BROKEN_PIPE
     # frozen, the shutdown collections skip every object the launch loaded
     gc.freeze()
     sys.exit(code)

@@ -1,4 +1,5 @@
-"""Text and JSON wire formats shared by the library and the CLI.
+"""Text and JSON wire formats shared by the library and the CLI, and the
+reply of every command.
 
 Matrix text: a header line ``m n`` followed by m lines of n entries, each
 an integer ``p`` or a fraction ``p/q`` with q > 0.  ``#`` starts a comment.
@@ -8,6 +9,13 @@ left vertex.  JSON documents carry ``"schema": 1`` and keep exact values
 as rational strings; indices in JSON are 1-based, matching the usual
 row/column numbering of matrices (the Python API is 0-based).  ``dump``
 writes every JSON document the package prints.
+
+Each result type has a ``*_reply`` function returning ``(doc, text,
+exit_status)``: the JSON document before ``dump`` adds its schema, the
+exact text form (None for an embedding or a factorization, which have
+none), and the exit status of the command that prints it.  The CLI writes
+the reply of one library call, the document with ``--json`` or where there
+is no text, so a library caller gets what a command prints.
 """
 
 from __future__ import annotations
@@ -22,11 +30,19 @@ from .linalg import ExactMatrix
 # The other layers' types are imported where a parser builds them, so that
 # reading a matrix loads `linalg` and nothing of the searches.
 if TYPE_CHECKING:
-    from .pattern import BipartiteGraph, SupportPattern
-    from .psd import PsdFactorization, Subspace, SubspaceEmbedding
-    from .scalars import Order3Certificate, SignAssignment
+    from .cutpoly import AppendixCheckResult
+    from .pattern import BipartiteGraph, BoundReport, SupportPattern
+    from .psd import FactorizationReport, PsdFactorization, Subspace, SubspaceEmbedding
+    from .reduction import FactorReductionReport
+    from .scalars import Order3Certificate, SignAssignment, SqrtRankResult
 
 SCHEMA_VERSION = 1
+
+EXIT_OK = 0
+EXIT_VERIFICATION = 1  # a check failed or a certificate is inconclusive
+EXIT_USAGE = 2
+EXIT_EXHAUSTED = 3  # a retry cap ran out, or the boolean rank is undecided
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool it killed
 
 
 class FormatError(ValueError):
@@ -207,16 +223,6 @@ def format_graph(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_doc(g: BipartiteGraph) -> dict:
-    """The JSON document of a graph, before ``dump`` adds its schema."""
-    return {
-        "kind": "graph",
-        "left": g.left_count,
-        "right": g.right_count,
-        "adj": _neighbors(g),
-    }
-
-
 # -- JSON ---------------------------------------------------------------------
 
 
@@ -372,7 +378,7 @@ def _size(doc: dict, key: str) -> int:
 def _load(text: str, kind: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"bad JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise FormatError(f"expected a {kind} document")
@@ -380,3 +386,124 @@ def _load(text: str, kind: str) -> dict:
     if type(schema := doc.get("schema")) is not int or schema != SCHEMA_VERSION:
         raise FormatError(f"unsupported schema {schema!r}")
     return doc
+
+
+# -- replies ------------------------------------------------------------------
+
+
+def error_reply(exc: Exception, status: int) -> tuple:
+    """The reply of an error: no document, and its message as the text."""
+    return None, str(exc), status
+
+
+def rank_reply(value: int) -> tuple:
+    return {"kind": "rank", "value": value}, f"{value}\n", EXIT_OK
+
+
+def triangular_rank_reply(value: int) -> tuple:
+    return {"kind": "triangular_rank", "value": value}, f"{value}\n", EXIT_OK
+
+
+def _undecided(lower: int, upper: int) -> str:
+    return f"unknown, bounds [{lower},{upper}]"
+
+
+def boolean_rank_reply(lower: int, upper: int) -> tuple:
+    """The reply of a proven boolean-rank interval: a value when its ends meet."""
+    if lower < upper:
+        doc = {"kind": "boolean_rank", "value": None, "bounds": [lower, upper]}
+        return doc, _undecided(lower, upper) + "\n", EXIT_EXHAUSTED
+    return {"kind": "boolean_rank", "value": lower}, f"{lower}\n", EXIT_OK
+
+
+def bound_report_reply(r: BoundReport, identity: str) -> tuple:
+    """The reply of ``bounds``; ``identity`` names the matrix."""
+    brank, bounds, dims = r.boolean_rank, r.boolean_rank_bounds, list(r.embedding_dim_bounds)
+    doc = {
+        "kind": "bound_report",
+        "matrix": identity,
+        "rank": {"value": r.rank, "via": "fraction-free elimination"},
+        "triangular_rank": {"value": r.triangular_rank, "via": "triangular_rank branch and bound"},
+        "boolean_rank": {"value": brank, "bounds": bounds and list(bounds),
+                         "via": r.boolean_rank_source},
+        "embedding_dim_bounds": {"value": dims, "via": "embrkl_bounds (triangular rank / rank)"},
+        "psd_rank_lower_bound": {"value": r.psd_lower_bound, "via": r.psd_lower_bound_source},
+    }
+    text = (f"matrix:               {identity}\n"
+            f"rank:                 {r.rank}\n"
+            f"triangular rank:      {r.triangular_rank}\n"
+            f"boolean rank:         {_undecided(*bounds) if brank is None else brank}\n"
+            f"embedding dimension:  between {dims[0]} and {dims[1]}\n"
+            f"psd rank lower bound: {r.psd_lower_bound} (via {r.psd_lower_bound_source})\n")
+    return doc, text, EXIT_OK
+
+
+def embedding_reply(e: SubspaceEmbedding) -> tuple:
+    return embedding_doc(e), None, EXIT_OK
+
+
+def factorization_reply(f: PsdFactorization, t: ExactMatrix) -> tuple:
+    """The reply of ``psd from-embedding``: the factorization and its T."""
+    return {**factorization_doc(f), "T": matrix_rows(t)}, None, EXIT_OK
+
+
+def _verdict(doc: dict, failure: str = "") -> tuple:
+    """The reply of a check: ``pass``, or ``FAIL`` and what failed."""
+    if doc["passed"]:
+        return doc, "pass\n", EXIT_OK
+    return doc, f"FAIL{failure}\n", EXIT_VERIFICATION
+
+
+def factorization_check_reply(report: FactorizationReport) -> tuple:
+    """The reply of ``verify psd``; trace mismatches count from 1."""
+    doc = {"kind": "verification", "passed": report.passed, "psd_ok": report.psd_ok,
+           "trace_mismatches": [[k + 1, l + 1] for k, l in report.mismatches]}
+    return _verdict(doc, "" if report.passed else f": {report.summary()}")
+
+
+def embedding_check_reply(passed: bool) -> tuple:
+    return _verdict({"kind": "verification", "passed": passed})
+
+
+def matrix_reply(m: ExactMatrix) -> tuple:
+    doc = {"kind": "matrix", "rows": m.rows, "cols": m.cols, "entries": matrix_rows(m)}
+    return doc, format_matrix(m), EXIT_OK
+
+
+def graph_reply(g: BipartiteGraph) -> tuple:
+    doc = {"kind": "graph", "left": g.left_count, "right": g.right_count, "adj": _neighbors(g)}
+    return doc, format_graph(g), EXIT_OK
+
+
+def sqrt_rank_reply(result: SqrtRankResult) -> tuple:
+    doc = {"kind": "sqrt_bound", "min_rank": result.min_rank,
+           "assignments_checked": result.assignments_checked,
+           "witness": sign_assignment_doc(result.witness)}
+    text = f"minimum rank {result.min_rank} over {result.assignments_checked} sign assignments\n"
+    return doc, text, EXIT_OK
+
+
+def certificate_reply(cert: Order3Certificate) -> tuple:
+    doc = certificate_doc(cert)
+    if not cert.conclusive:
+        return doc, f"inconclusive: {cert.reason}\n", EXIT_VERIFICATION
+    text = (f"psd rank >= {cert.bound}: rows {doc['rows']} x cols {doc['cols']}, all "
+            f"{cert.assignments_checked} sign assignments have rank >= 4\n")
+    return doc, text, EXIT_OK
+
+
+def reduction_reply(report: FactorReductionReport) -> tuple:
+    doc = {"kind": "rank_reduction", "a_ranks": list(report.a_ranks),
+           "b_ranks": list(report.b_ranks), "max_residual": report.max_residual,
+           "min_eigenvalue": report.min_eigenvalue}
+    text = (f"A ranks {doc['a_ranks']}, B ranks {doc['b_ranks']}, max residual "
+            f"{report.max_residual:.2e}, min eigenvalue {report.min_eigenvalue:.2e}\n")
+    return doc, text, EXIT_OK
+
+
+def appendix_check_reply(result: AppendixCheckResult) -> tuple:
+    doc = {"kind": "appendix_check", "passed": result.ok, "pairs_checked": result.pairs_checked,
+           "ground_size": result.ground_size, "subset_size": result.subset_size}
+    text = (f"{'pass' if result.ok else 'FAIL'}: {result.pairs_checked} pairs, "
+            f"N={result.ground_size}, l={result.subset_size}\n")
+    return doc, text, EXIT_OK if result.ok else EXIT_VERIFICATION

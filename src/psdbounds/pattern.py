@@ -643,47 +643,10 @@ class BoundReport:
         """:func:`embrkl_bounds`: the triangular rank and the rank."""
         return self.triangular_rank, self.rank
 
-    def to_doc(self, identity: str) -> dict:
-        return {
-            "kind": "bound_report",
-            "matrix": identity,
-            "rank": {"value": self.rank, "via": "fraction-free elimination"},
-            "triangular_rank": {
-                "value": self.triangular_rank,
-                "via": "triangular_rank branch and bound",
-            },
-            "boolean_rank": {
-                "value": self.boolean_rank,
-                "bounds": self.boolean_rank_bounds and list(self.boolean_rank_bounds),
-                "via": self.boolean_rank_source,
-            },
-            "embedding_dim_bounds": {
-                "value": list(self.embedding_dim_bounds),
-                "via": "embrkl_bounds (triangular rank / rank)",
-            },
-            "psd_rank_lower_bound": {
-                "value": self.psd_lower_bound,
-                "via": self.psd_lower_bound_source,
-            },
-        }
-
-    def to_text(self, identity: str) -> str:
-        brank = self.boolean_rank
-        if brank is None:
-            brank = "unknown, bounds [{},{}]".format(*self.boolean_rank_bounds)
-        return "\n".join([
-            f"matrix:               {identity}",
-            f"rank:                 {self.rank}",
-            f"triangular rank:      {self.triangular_rank}",
-            f"boolean rank:         {brank}",
-            "embedding dimension:  between {} and {}".format(*self.embedding_dim_bounds),
-            f"psd rank lower bound: {self.psd_lower_bound}"
-            f" (via {self.psd_lower_bound_source})",
-        ])
-
 
 def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
-    """The report ``psdbounds bounds`` prints; ``budget`` caps the cover search.
+    """The report ``psdbounds bounds`` prints (``formats.bound_report_reply``
+    writes it); ``budget`` caps the cover search.
 
     When the cover search runs out of budget, or refuses a graph too large
     to list its candidates, the boolean rank is reported as the proven

@@ -4,14 +4,17 @@ import json
 import os
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import psdbounds
 from conftest import GOLDEN, invoke, launch, src_env
 from psdbounds import (
     ExactMatrix, cli, formats, generate_sn, psd, slack_matrix_cut_clique, support
 )
 from psdbounds.cli import _build_parser
+from psdbounds.pattern import boolean_rank_outcome
 
 def s6_text() -> str:
     return formats.format_matrix(generate_sn(6))
@@ -287,6 +290,87 @@ def test_json_reply_is_one_document(chain_files, capsys, monkeypatch, command):
         assert out == formats.dump(doc), argv
         if command in JSON_ONLY:
             assert invoke(capsys, argv) == (code, out, err), argv
+
+
+def _read(path):
+    return Path(path).read_text()
+
+
+def _matrix(path):
+    return formats.parse_matrix(_read(path))
+
+
+def _reduce(a):
+    import numpy as np
+
+    a_rows, b_rows, q = formats.float_factors_from_json(_read(a.file))
+    factors = [[np.array(e).reshape(q, q) for e in rows] for rows in (a_rows, b_rows)]
+    return formats.reduction_reply(psdbounds.reduce_factor_ranks(*factors, tol=a.tol))
+
+
+# command -> the formats reply of its library result, from the parsed arguments
+LIBRARY = {
+    "rank": lambda a: formats.rank_reply(psdbounds.rank(_matrix(a.file))),
+    "trirank": lambda a: formats.triangular_rank_reply(
+        psdbounds.embrkl_bounds(_matrix(a.file))[0]),
+    "boolrank": lambda a: formats.boolean_rank_reply(
+        *boolean_rank_outcome(_matrix(a.file), a.budget)[:2]),
+    "bounds": lambda a: formats.bound_report_reply(
+        psdbounds.analyze(_matrix(a.file), a.budget), a.file),
+    "embed from-rank": lambda a: formats.embedding_reply(
+        psd.embedding_from_rank_factorization(_matrix(a.file))),
+    "embed from-psd": lambda a: formats.embedding_reply(
+        psd.embedding_from_psd(formats.factorization_from_json(_read(a.file)))),
+    "psd from-embedding": lambda a: formats.factorization_reply(
+        *psd.psd_from_embedding(formats.embedding_from_json(_read(a.file)))),
+    "verify psd": lambda a: formats.factorization_check_reply(psd.verify_psd_factorization(
+        formats.factorization_from_json(_read(a.factorization)), _matrix(a.matrix))),
+    "verify embedding": lambda a: formats.embedding_check_reply(psd.verify_embedding(
+        formats.embedding_from_json(_read(a.embedding)), formats.parse_pattern(_read(a.pattern)))),
+    "realize-support": lambda a: formats.matrix_reply(psd.realize_support(
+        formats.factorization_from_json(_read(a.file)), seed=a.seed, max_tries=a.tries)),
+    "sqrt-bound": lambda a: formats.sqrt_rank_reply(psdbounds.min_sqrt_rank(
+        _matrix(a.file), [k - 1 for k in a.rows], [l - 1 for l in a.cols])),
+    "order3-exclude": lambda a: formats.certificate_reply(
+        psdbounds.order3_exclusion(_matrix(a.file))),
+    "reduce-rank": _reduce,
+    "gen sn": lambda a: formats.matrix_reply(generate_sn(a.n)),
+    "gen cutpoly": lambda a: formats.matrix_reply(slack_matrix_cut_clique(a.n)),
+    "gen disjointness": lambda a: formats.graph_reply(psdbounds.graph_H(a.n, a.l)[0]),
+    "appendix-check": lambda a: formats.appendix_check_reply(
+        psdbounds.appendix_reduction_check(a.n)),
+}
+
+
+@pytest.mark.parametrize("command", list(REPLY_CASES))
+def test_library_reply_is_what_the_command_prints(chain_files, capsys, monkeypatch, command):
+    # a library caller gets the command's stdout and exit status, in both forms
+    monkeypatch.chdir(chain_files)
+    for args, status in REPLY_CASES[command]:
+        argv = [*command.split(), *args]
+        doc, text, code = LIBRARY[command](_build_parser().parse_args(argv))
+        assert code == status, argv
+        json_out = formats.dump(doc)
+        assert invoke(capsys, [*argv, "--json"]) == (code, json_out, ""), argv
+        assert invoke(capsys, argv) == (code, json_out if text is None else text, ""), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "from-psd", "deep.json"],
+    ["psd", "from-embedding", "deep.json"],
+    ["verify", "psd", "deep.json", "s6.txt"],
+    ["verify", "embedding", "deep.json", "pat.txt"],
+    ["reduce-rank", "deep.json"],
+    ["embed", "from-psd"],  # the document on stdin
+], ids=" ".join)
+def test_deeply_nested_json_is_a_usage_error(chain_files, argv):
+    # json.loads raises RecursionError past its nesting limit; a fresh
+    # interpreter, so an uncaught one would show as a traceback
+    deep = "[" * 100_000 + "\n"
+    (chain_files / "deep.json").write_text(deep)
+    proc = launch(["-m", "psdbounds.cli", *argv], input=deep, cwd=chain_files)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: bad JSON: ") and proc.stderr.count("\n") == 1
 
 def test_order3_exclude_cli(capsys):
     code, out, _ = invoke(

@@ -6,7 +6,8 @@ run from that directory; the inputs (``matrix.txt``, ``product.txt``,
 ``dense60.txt``, ``singular_mod_p.txt``, a seeded 12x14 rational matrix of
 rank 6 ``chain12.txt`` and the T of its factorization,
 ``chain12_product.txt``, and an order-2 factorization whose A is not psd,
-``nonpsd_factorization.json``, with its T ``nonpsd_product.txt``) and the
+``nonpsd_factorization.json``, with its T ``nonpsd_product.txt``, and the
+all-ones 4x4 pattern ``pattern_ones.txt``) and the
 generated matrices are there too.  A failure here means an output format or
 a certified value changed.
 """
@@ -100,6 +101,15 @@ CASES = [
     (["order3-exclude", "cutpoly4.txt"], "order3_cutpoly4.txt", 1),
     (["order3-exclude", "--json", "cutpoly4.txt"], "order3_cutpoly4.json", 1),
     (["appendix-check", "18"], "appendix_check_18.txt", 0),
+    # the undecided boolean rank in the report, in the text boolrank prints
+    (["bounds", "--budget", "20000", "s12.txt"], "bounds_s12.txt", 0),
+    # an embedding checked against a pattern it does not realize
+    (["verify", "embedding", "embedding.json", "pattern_ones.txt"],
+     "verify_embedding_ones.txt", 1),
+    (["verify", "embedding", "--json", "embedding.json", "pattern_ones.txt"],
+     "verify_embedding_ones.json", 1),
+    (["gen", "cutpoly", "--json", "4"], "cutpoly4.json", 0),
+    (["gen", "disjointness", "--which", "hbar", "5", "2"], "disjointness_hbar_5_2.txt", 0),
 ]
 
 # the --help of the top level and of every subcommand parser, in an
@@ -216,6 +226,6 @@ def test_every_golden_file_is_checked():
     checked = {e for _, e, _ in CASES} | {e for _, e in HELP + USAGE_ERRORS} | {
         "demo03.txt", "matrix.txt", "product.txt", "pattern.txt", "dense60.txt",
         "singular_mod_p.txt", "chain12.txt", "chain12_product.txt",
-        "nonpsd_factorization.json", "nonpsd_product.txt",
+        "nonpsd_factorization.json", "nonpsd_product.txt", "pattern_ones.txt",
     }
     assert set(os.listdir(GOLDEN)) == checked

@@ -630,7 +630,7 @@ def test_analyze_raises_a_cut_cover_search_to_the_triangular_rank():
     assert report.boolean_rank_source == via
     report = analyze(met, budget=0)
     assert (report.boolean_rank, report.boolean_rank_bounds) == (4, None)
-    doc = report.to_doc("m")["boolean_rank"]
+    doc = formats.bound_report_reply(report, "m")[0]["boolean_rank"]
     assert doc == {"value": 4, "bounds": None, "via": via}
 
 
@@ -645,7 +645,7 @@ def test_analyze_labels_which_search_gave_the_boolean_rank():
     ):
         report = analyze(m, budget=20000)
         assert report.boolean_rank_source == via
-        assert report.to_doc("m")["boolean_rank"]["via"] == via
+        assert formats.bound_report_reply(report, "m")[0]["boolean_rank"]["via"] == via
 
 
 def test_analyze_doc_is_the_cli_document(capsys):
@@ -658,7 +658,7 @@ def test_analyze_doc_is_the_cli_document(capsys):
         sys.stdin = old
     doc = json.loads(capsys.readouterr().out)
     del doc["schema"]
-    assert analyze(m).to_doc("stdin") == doc
+    assert formats.bound_report_reply(analyze(m), "stdin")[0] == doc
 
 
 def boolrank_answer(capsys, m: ExactMatrix, budget: int):
