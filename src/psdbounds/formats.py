@@ -79,7 +79,7 @@ def _exact(token) -> Fraction:
     """``Fraction(token)`` of a string or int, without its string parser where
     ``_ratio`` reads it.  A JSON float (``0.1`` is no decimal) or literal is refused."""
     if type(token) not in (str, int):
-        raise TypeError(f"exact entries are strings or integers, got {json.dumps(token)}")
+        raise TypeError(f"exact entries are strings or integers, got {_quote(token)}")
     pq = _ratio(token)
     return Fraction(token) if pq is None else Fraction(*pq)
 
@@ -88,7 +88,7 @@ def _float(token) -> float:
     """``float(Fraction(token))`` of a string or JSON number; int / int rounds
     correctly, as it does.  A JSON literal (``true``, ``null``) is refused."""
     if type(token) not in (str, int, float):
-        raise TypeError(f"entries are numbers or strings, got {json.dumps(token)}")
+        raise TypeError(f"entries are numbers or strings, got {_quote(token)}")
     pq = _ratio(token)
     return float(Fraction(token)) if pq is None else pq[0] / pq[1]
 
@@ -146,7 +146,7 @@ def parse_matrix(text: str) -> ExactMatrix:
     m, n = _header(lines[0], "matrix", "m n")
     rows = lines[1:]
     if not rows and n == 0:  # the m rows of an m x 0 matrix are empty lines
-        rows = [""] * m
+        return ExactMatrix(m, 0, ())
     if len(rows) != m:
         raise FormatError(f"expected {m} matrix rows, found {len(rows)}")
     entries = []
@@ -260,7 +260,7 @@ def embedding_from_json(text: str) -> SubspaceEmbedding:
                 if type(obj) is not dict:
                     raise TypeError(
                         f'{key}[{i}] must be an object with a "basis" array,'
-                        f" got {json.dumps(obj)}"
+                        f" got {_quote(obj)}"
                     )
                 rows = [[read(v) for v in _array(row)] for row in _array(obj["basis"])]
                 out.append(Subspace.from_vectors(q, rows))
@@ -363,8 +363,20 @@ def _fields(kind: str):
 def _array(value) -> list:
     """``value`` if a JSON array: a string or object would iterate its characters or keys."""
     if type(value) is not list:
-        raise TypeError(f"expected an array, got {json.dumps(value)}")
+        raise TypeError(f"expected an array, got {_quote(value)}")
     return value
+
+
+def _quote(value) -> str:
+    """``value`` as JSON for an error line: at most 60 characters, then
+    ``...``.  The encoder runs lazily, so a long or deeply nested value
+    costs no more than the characters kept."""
+    text = ""
+    for chunk in json.JSONEncoder().iterencode(value):
+        text += chunk
+        if len(text) > 60:
+            return text[:60] + "..."
+    return text
 
 
 def _size(doc: dict, key: str) -> int:

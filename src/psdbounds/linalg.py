@@ -8,9 +8,10 @@ pickles by value and refuses assignment.  Its support in
 bitmask form, one int per row, is :meth:`ExactMatrix.support_bits`.  The
 exact kernels run on integers: :func:`scaled_entries` puts rationals over
 their least common denominator, and rank comes from one fraction-free
-Gauss-Jordan elimination (:func:`_eliminate`).  The rank mod p of
-:func:`rank_mod_p` runs on packed rows instead: each row is one int with
-a fixed-width slot per column, wide enough that no carry crosses a slot,
+Gauss-Jordan elimination (:func:`_eliminate`) of the rows scaled to
+integers.  Rank's full-rank filter, the rank mod p of :func:`rank_mod_p`,
+reads the same integer rows, packed: each row is one int with a
+fixed-width slot per column, wide enough that no carry crosses a slot,
 and clearing a column from a row is one big-integer multiply-add.  Ranks
 over the multi-quadratic fields of entrywise square roots are
 :func:`psdbounds.scalars.multiquad_rank`.
@@ -82,9 +83,6 @@ class ExactMatrix:
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_lists(self) -> list[list]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
         rows = list(row_idx)
         cols = list(col_idx)
@@ -129,8 +127,9 @@ class ExactMatrix:
 
 def scaled_entries(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*{q for _, q in ratios})  # few distinct denominators, few gcds
+    return [p * (den // q) for p, q in ratios], den
 
 
 # -- rank ---------------------------------------------------------------------
@@ -185,40 +184,21 @@ def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int]:
 def rank(m: ExactMatrix) -> int:
     """Exact rank, by fraction-free elimination.
 
-    Its rank modulo the prime ``_MODULAR_PRIME`` = 2^31 - 1 is computed
-    first, by :func:`rank_mod_p` on packed rows (a
-    ``2 * 31 + rows.bit_length()``-bit slot per column), each entry read
-    as its numerator times the inverse of its denominator mod p.  It never
-    exceeds the rank over Q (scaling each row to integers multiplies it by
-    a unit mod p, and a minor nonzero mod p is a nonzero integer minor), so
-    when it is already ``min(rows, cols)`` that is the rank and the
-    elimination is skipped.  Only the elimination scales the rows to
-    integers, and it alone runs when p divides a denominator.
+    The rows are scaled to integers first (:func:`_integer_rows`), which
+    keeps the rank over Q, and their rank modulo the prime
+    ``_MODULAR_PRIME`` = 2^31 - 1 is computed by :func:`rank_mod_p` on
+    packed rows (a ``2 * 31 + rows.bit_length()``-bit slot per column).
+    It never exceeds the rank over Q, since a minor nonzero mod p is a
+    nonzero integer minor, so when it is already ``min(rows, cols)`` that
+    is the rank and the elimination of the same integer rows is skipped.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
     full = min(m.rows, m.cols)
-    rows = _residue_rows(m, _MODULAR_PRIME)
-    if rows is not None and rank_mod_p(rows, _MODULAR_PRIME) == full:
+    rows = _integer_rows(m)
+    if rank_mod_p(rows, _MODULAR_PRIME) == full:
         return full
-    return len(_eliminate(_integer_rows(m), m.cols)[0])
-
-
-def _residue_rows(m: ExactMatrix, p: int) -> list[list[int]] | None:
-    """The rows of ``m`` mod p, each entry as its numerator times the
-    inverse of its denominator (reduced later); None when p divides a
-    denominator, which leaves that entry no residue."""
-    inverse: dict[int, int] = {}
-    flat = []
-    for v in m.entries:
-        num, den = v.as_integer_ratio()
-        inv = inverse.get(den)
-        if inv is None:
-            if den % p == 0:
-                return None
-            inv = inverse[den] = pow(den, -1, p)
-        flat.append(num * inv)
-    return [flat[i : i + m.cols] for i in range(0, len(flat), m.cols)]
+    return len(_eliminate(rows, m.cols)[0])
 
 
 def rank_mod_p(rows: list[list[int]], p: int) -> int:

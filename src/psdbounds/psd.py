@@ -6,9 +6,12 @@ subspaces U_1..U_m (rows) and V_1..V_n (columns) of a common Q^q with
 builds such embeddings from rank factorizations, turns them into psd
 factorizations via orthogonal projections, and recovers embeddings from
 factorizations again.  It also holds the exact subspace algebra those
-steps run on: RREF, canonical subspaces (frozen records like the matrices
-they hold) with exact containment, kernel, image and orthogonal
-projections, all from the fraction-free elimination of `linalg`.
+steps run on: canonical subspaces (frozen records like the matrices they
+hold) with exact containment, kernel, image and orthogonal projections,
+all from the fraction-free elimination of `linalg` on integer rows.  A
+subspace's RREF basis is the eliminated rows divided once by the last
+pivot, and a kernel's null vectors are integers read off the same
+elimination.
 Everything is rational arithmetic: psd-ness is certified by an LDL^T
 elimination with diagonal pivoting (no eigenvalues), and support
 realization samples rational vectors.  A
@@ -326,15 +329,6 @@ def _times_random_vector(
 # -- reduced row echelon form and subspaces ---------------------------------
 
 
-def _rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
-    """RREF of rational rows: (its nonzero rows, their pivot columns)."""
-    if not rows:
-        return [], []
-    a = [scaled_entries(row)[0] for row in rows]
-    pivots, d = _eliminate(a, len(a[0]))
-    return [[Fraction(v, d) for v in a[i]] for i in range(len(pivots))], pivots
-
-
 @_frozen
 class Subspace:
     """A linear subspace of Q^q, held as a canonical RREF row basis.
@@ -369,13 +363,15 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        rows = [list(v) for v in vectors]
-        if any(len(r) != ambient_dim for r in rows):
+        """The span of rational ``vectors``: their RREF is d times the
+        first rows left by the elimination of the vectors scaled to
+        integers, d its last pivot."""
+        a = [scaled_entries(v)[0] for v in vectors]
+        if any(len(r) != ambient_dim for r in a):
             raise ValueError("vector length must equal the ambient dimension")
-        rows = [[Fraction(v) for v in r] for r in rows]
-        reduced, _ = _rref(rows)
-        return cls(ambient_dim, ExactMatrix.from_rows(reduced) if reduced
-                   else ExactMatrix.zeros(0, ambient_dim))
+        pivots, d = _eliminate(a, ambient_dim)
+        reduced = [Fraction(v, d) for row in a[: len(pivots)] for v in row]
+        return cls(ambient_dim, ExactMatrix(len(pivots), ambient_dim, reduced))
 
     @property
     def dim(self) -> int:
@@ -404,15 +400,20 @@ def _spans(basis: list[list[int]], rows: list[list[int]], q: int) -> bool:
 
 
 def kernel(m: ExactMatrix) -> Subspace:
-    """Null space {x : m @ x = 0} as a canonical subspace of Q^cols."""
-    reduced, pivots = _rref(m.row_lists())
+    """Null space {x : m @ x = 0} as a canonical subspace of Q^cols.
+
+    Row i of the eliminated integer rows is d times the i-th RREF row, so
+    free column f gives the integer null vector with x_f = d and
+    x_{p_i} = -a_i[f] at each pivot column p_i."""
+    a = _integer_rows(m)
+    pivots, d = _eliminate(a, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     vectors = []
     for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
+        v = [0] * m.cols
+        v[f] = d
+        for row, p in zip(a, pivots):
+            v[p] = -row[f]
         vectors.append(v)
     return Subspace.from_vectors(m.cols, vectors)
 
@@ -509,13 +510,14 @@ def embedding_from_rank_factorization(s: ExactMatrix) -> SubspaceEmbedding:
     of the row space, shrinking the ambient space from n to rank(s): the
     coefficient on basis row i is the coordinate at its pivot column.
     """
-    pivots, _ = _eliminate(_integer_rows(s), s.cols)
+    rows = _integer_rows(s)
+    pivots, _ = _eliminate(list(rows), s.cols)  # replaces rows, never changes one
     q = len(pivots)
-    row_coords = [[row[p] for p in pivots] for row in map(s.row, range(s.rows))]
+    row_coords = [[row[p] for p in pivots] for row in rows]
     u_spaces = tuple(Subspace.from_vectors(q, [rc]) for rc in row_coords)
     v_spaces = []
     for l in range(s.cols):
-        gens = [row_coords[k] for k in range(s.rows) if not s[k, l]]
+        gens = [rc for rc, row in zip(row_coords, rows) if not row[l]]
         v_spaces.append(Subspace.from_vectors(q, gens))
     return SubspaceEmbedding(q, u_spaces, tuple(v_spaces))
 

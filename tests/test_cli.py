@@ -372,6 +372,31 @@ def test_deeply_nested_json_is_a_usage_error(chain_files, argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: bad JSON: ") and proc.stderr.count("\n") == 1
 
+
+NESTED = "[" * 900 + '"1"' + "]" * 900
+
+
+@pytest.mark.parametrize("argv, doc, refused", [
+    (["embed", "from-psd", "doc.json"],
+     {"kind": "psd_factorization", "order": 1, "A": [[NESTED]], "B": [["1"]]},
+     "psd_factorization document: exact entries are strings or integers"),
+    (["psd", "from-embedding", "doc.json"],
+     {"kind": "subspace_embedding", "ambient_dim": 1, "U": [{"basis": [[NESTED]]}],
+      "V": [{"basis": []}]},
+     "subspace_embedding document: exact entries are strings or integers"),
+    (["reduce-rank", "doc.json"],
+     {"kind": "psd_factorization", "order": 1, "A": [[NESTED]], "B": [["1"]]},
+     "psd_factorization document: entries are numbers or strings"),
+], ids=["embed-from-psd", "psd-from-embedding", "reduce-rank"])
+def test_an_error_line_quotes_a_long_value_cut_short(tmp_path, argv, doc, refused):
+    # an entry nested 900 deep is quoted by its first 60 characters, not
+    # the 1,800 of its JSON text
+    text = json.dumps({"schema": 1, **doc}).replace(json.dumps(NESTED), NESTED)
+    (tmp_path / "doc.json").write_text(text)
+    proc = launch(["-m", "psdbounds.cli", *argv], cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: malformed {refused}, got {'[' * 60}...\n"
+
 def test_order3_exclude_cli(capsys):
     code, out, _ = invoke(
         capsys, ["order3-exclude", "--json", "--no-sign-fix"], stdin=s6_text()
@@ -505,6 +530,17 @@ def test_an_empty_factor_side_costs_nothing_at_any_order(tmp_path, argv, expecte
     proc = launch(["-m", "psdbounds.cli", *argv], cwd=tmp_path, preexec_fn=_cap_address_space)
     assert proc.returncode == 0, proc.stderr
     assert (json.loads(proc.stdout) if isinstance(expected, dict) else proc.stdout) == expected
+
+
+@pytest.mark.parametrize("header", ["1000000000 0", "0 1000000000"])
+def test_a_matrix_with_an_empty_side_costs_nothing_at_any_size(tmp_path, header):
+    # an m x 0 matrix has m empty rows, but none is built: rank reads the
+    # header alone within 512 MiB of address space
+    (tmp_path / "matrix.txt").write_text(header + "\n")
+    proc = launch(["-m", "psdbounds.cli", "rank", "--json", "matrix.txt"], cwd=tmp_path,
+                  preexec_fn=_cap_address_space, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"schema": 1, "kind": "rank", "value": 0}
 
 
 def test_reduce_rank_without_numpy(tmp_path):

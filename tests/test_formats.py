@@ -408,6 +408,26 @@ def test_subspace_that_is_not_an_object_is_named(key, element, got, tmp_path, ca
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_an_error_quotes_at_most_60_characters_of_a_value():
+    # a value of up to 60 characters of JSON is quoted whole, as json.dumps
+    # writes it; a longer one by its first 60 characters and "..."
+    for value in (1, 0.1, "x", None, True, {"a": [1, "2"]}, [[[]]], "x" * 58):
+        assert formats._quote(value) == json.dumps(value)
+    assert formats._quote("x" * 59) == '"' + "x" * 59 + "..."
+    long = "y" * 1000
+    for read, kind, fields, message in (
+        (formats.factorization_from_json, "psd_factorization", {"A": long},
+         "expected an array"),
+        (formats.embedding_from_json, "subspace_embedding", {"U": [long]},
+         'U[0] must be an object with a "basis" array'),
+    ):
+        with pytest.raises(formats.FormatError) as raised:
+            read(_document(kind, **fields))
+        assert str(raised.value) == (
+            f'malformed {kind} document: {message}, got "{"y" * 59}...'
+        )
+
+
 def test_factor_entry_count_is_checked_by_both_readers(tmp_path, capsys):
     text = _document("psd_factorization", order=2, A=[["1", "0", "1"]],
                      B=[["1", "0", "0", "1"]])

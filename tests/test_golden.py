@@ -6,8 +6,9 @@ run from that directory; the inputs (``matrix.txt``, ``product.txt``,
 ``dense60.txt``, ``singular_mod_p.txt``, a seeded 12x14 rational matrix of
 rank 6 ``chain12.txt`` and the T of its factorization,
 ``chain12_product.txt``, and an order-2 factorization whose A is not psd,
-``nonpsd_factorization.json``, with its T ``nonpsd_product.txt``, and the
-all-ones 4x4 pattern ``pattern_ones.txt``) and the
+``nonpsd_factorization.json``, with its T ``nonpsd_product.txt``, the
+all-ones 4x4 pattern ``pattern_ones.txt``, and ``p_denominator.txt``, a
+2x2 matrix of rank 1 with the entry 1/(2^31 - 1)) and the
 generated matrices are there too.  A failure here means an output format or
 a certified value changed.
 """
@@ -39,6 +40,9 @@ CASES = [
     # over Q but singular mod 2^31 - 1, so the elimination decides
     (["rank", "--json", "dense60.txt"], "rank_dense60.json", 0),
     (["rank", "--json", "singular_mod_p.txt"], "rank_singular_mod_p.json", 0),
+    # an entry with the filter's prime as its denominator: rank 1, which
+    # the filter on the rows scaled to integers leaves to the elimination
+    (["rank", "--json", "p_denominator.txt"], "rank_p_denominator.json", 0),
     (["embed", "from-rank", "matrix.txt"], "embedding.json", 0),
     (["psd", "from-embedding", "embedding.json"], "factorization.json", 0),
     (["verify", "psd", "--json", "factorization.json", "product.txt"],
@@ -69,6 +73,8 @@ CASES = [
     (["order3-exclude", "--json", "cutpoly5.txt"], "order3_cutpoly5.json", 1),
     (["sqrt-bound", "--json", "--no-sign-fix", *S6_BLOCK, "s6.txt"], "sqrt_s6.json", 0),
     (["embed", "from-psd", "factorization.json"], "embedding_from_psd.json", 0),
+    # images and kernels with fractional bases: 88 entries that are not integers
+    (["embed", "from-psd", "chain12_factorization.json"], "chain12_embedding_from_psd.json", 0),
     (["realize-support", "--json", "--seed", "3", "factorization.json"],
      "realize_support.json", 0),
     (["verify", "embedding", "--json", "embedding.json", "pattern.txt"],
@@ -227,5 +233,6 @@ def test_every_golden_file_is_checked():
         "demo03.txt", "matrix.txt", "product.txt", "pattern.txt", "dense60.txt",
         "singular_mod_p.txt", "chain12.txt", "chain12_product.txt",
         "nonpsd_factorization.json", "nonpsd_product.txt", "pattern_ones.txt",
+        "p_denominator.txt",
     }
     assert set(os.listdir(GOLDEN)) == checked

@@ -104,14 +104,20 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
     assert len(calls) == 1
 
 
-def test_rank_takes_the_exact_path_when_the_prime_divides_a_denominator(monkeypatch):
-    # an entry 1/p has no residue mod the filter's prime p, so the filter
-    # is skipped and the elimination decides, full rank or not
+def test_rank_is_exact_when_the_prime_divides_a_denominator(monkeypatch):
+    # an entry 1/p has no residue mod the filter's prime p, but the filter
+    # reads the rows scaled to integers, whose rank mod p never exceeds the
+    # rank over Q: a full rank mod p is still a proof
     sympy = pytest.importorskip("sympy")
-    calls = count_elimination_calls(monkeypatch)
     p = linalg._MODULAR_PRIME
     assert p == 2147483647
     tiny = Fraction(1, p)
+
+    def sympy_rank(m):
+        return sympy.Matrix(m.rows, m.cols, [
+            sympy.Rational(v.numerator, v.denominator) for v in m.entries
+        ]).rank()
+
     for rows in (
         [[tiny, 1], [1, 1]],
         [[tiny, 1], [2 * tiny, 2]],
@@ -120,16 +126,30 @@ def test_rank_takes_the_exact_path_when_the_prime_divides_a_denominator(monkeypa
         [[tiny, Fraction(1, 3), 5], [0, Fraction(7, 2 * p), 1], [tiny, 0, 6]],
     ):
         m = ExactMatrix.from_rows(rows)
-        expected = sympy.Matrix(
-            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows]
-        ).rank()
-        del calls[:]
-        assert rank(m) == expected
-        assert len(calls) == 1
-    # the other entries reduce as numerator times the inverse denominator:
-    # a full rank with denominators coprime to p needs no elimination
+        assert rank(m) == sympy_rank(m)
+    # seeded products of factors whose denominators are 1, 2, 3 or p: the
+    # filter's rank never exceeds the true one, and falls below it often
+    rng = random.Random(2147)
+
+    def factor(a, b):
+        return ExactMatrix(a, b, [
+            Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, p))) for _ in range(a * b)
+        ])
+
+    below = at = 0
+    for _ in range(120):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(1, min(rows, cols))
+        m = naive_product(factor(rows, r), factor(r, cols))
+        expected = sympy_rank(m)
+        filtered = linalg.rank_mod_p(linalg._integer_rows(m), p)
+        assert filtered <= expected == rank(m)
+        below += filtered < expected
+        at += filtered == expected
+    assert below >= 15 and at >= 15, (below, at)
+    # denominators coprime to p: a full rank mod p needs no elimination
+    calls = count_elimination_calls(monkeypatch)
     m = ExactMatrix.from_rows([[Fraction(1, p - 1), 1], [1, Fraction(3, p + 1)]])
-    del calls[:]
     assert rank(m) == 2 and not calls
 
 

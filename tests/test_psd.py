@@ -387,7 +387,7 @@ def test_product_matrix_matches_fraction_sum(tmp_path, capsys):
     for f in factorizations:
         t = f.product_matrix()
         assert (t.rows, t.cols) == (f.m, f.n)
-        assert t.row_lists() == fraction_sum_product(f)
+        assert [list(t.row(i)) for i in range(t.rows)] == fraction_sum_product(f)
         assert not verify_psd_factorization(f, t).mismatches
 
     # one corrupted entry of a 4x6 T is the only mismatch, in the library and the CLI
@@ -473,7 +473,8 @@ def test_realize_support_matches_fraction_sums():
             f = PsdFactorization(order, tuple(build(order, next(dens)) for _ in range(m)),
                                  tuple(build(order, next(dens)) for _ in range(n)))
             seed = rng.randrange(1000)
-            assert realize_support(f, seed=seed).row_lists() == realized_reference(f, seed)
+            t = realize_support(f, seed=seed)
+            assert [list(t.row(i)) for i in range(t.rows)] == realized_reference(f, seed)
 
 
 def test_order_one_column_factorization():
@@ -540,6 +541,7 @@ def test_realize_support_try_cap():
 
 
 def test_rref_matches_reference_and_sympy():
+    # the basis of Subspace.from_vectors is the RREF of the vectors
     sympy = pytest.importorskip("sympy")
 
     def exact(v):
@@ -568,7 +570,9 @@ def test_rref_matches_reference_and_sympy():
                 k = next(k for k in range(m) if k not in (i, j)) if m > 2 else j
                 rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
                 kinds["dependent"] += 1
-        reduced, pivots = psd._rref([list(r) for r in rows])
+        basis = Subspace.from_vectors(n, rows).basis
+        reduced = [list(basis.row(i)) for i in range(basis.rows)]
+        pivots = [next(j for j, v in enumerate(r) if v) for r in reduced]
         assert (reduced, pivots) == rref_reference([[Fraction(v) for v in r] for r in rows])
         expected = sympy.Matrix(m, n, [sympy.Rational(str(v)) for r in rows for v in r])
         sym_rows, sym_pivots = expected.rref()
@@ -670,7 +674,8 @@ def test_subspace_accepts_every_canonical_basis():
         )
         assert Subspace(q, u.basis) == u
         for basis in (ExactMatrix.zeros(0, q), ExactMatrix.identity(q)):
-            assert Subspace(q, basis) == Subspace.from_vectors(q, basis.row_lists())
+            rows = map(basis.row, range(basis.rows))
+            assert Subspace(q, basis) == Subspace.from_vectors(q, rows)
 
 
 def test_mutual_containment_is_basis_identity():
@@ -716,7 +721,7 @@ def test_projection_properties():
         p = projection_matrix(u)
         assert p == p.transpose()
         assert naive_product(p, p) == p
-        assert Subspace.from_vectors(q, p.row_lists()) == u  # symmetric: rows span the image
+        assert Subspace.from_vectors(q, map(p.row, range(q))) == u  # symmetric: rows span the image
 
 
 def test_projection_matches_the_gram_formula():
