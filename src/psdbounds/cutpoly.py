@@ -251,7 +251,8 @@ def generate_sn(n: int) -> ExactMatrix:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    # (i-j-1)(i-j-2) is a product of two consecutive integers, so even
     one_to_n = range(1, n + 1)
-    return ExactMatrix(
-        n, n, [Fraction((i - j - 1) * (i - j - 2), 2) for i in one_to_n for j in one_to_n]
+    return ExactMatrix._of(
+        n, n, [(i - j - 1) * (i - j - 2) // 2 for i in one_to_n for j in one_to_n], [1] * n
     )

@@ -6,9 +6,9 @@ an integer ``p`` or a fraction ``p/q`` with q > 0.  ``#`` starts a comment.
 Patterns use the same layout restricted to 0/1 entries.  Graph text: a
 header ``L R`` followed by one line of 1-based right-neighbor indices per
 left vertex.  JSON documents carry ``"schema": 1`` and keep exact values
-as rational strings; indices in JSON are 1-based, matching the usual
-row/column numbering of matrices (the Python API is 0-based).  ``dump``
-writes every JSON document the package prints.
+as rational strings; indices in JSON are 1-based (the Python API is
+0-based).  ``dump`` writes every JSON document the package prints.  Readers
+take each distinct token to integers (p, q), writers reduce p / q by a gcd.
 
 Each result type has a ``*_reply`` function returning ``(doc, text,
 exit_status)``: the JSON document before ``dump`` adds its schema, the
@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from fractions import Fraction
+from itertools import chain
+from math import gcd
 from typing import TYPE_CHECKING
 
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, _over_lcm
 
 # The other layers' types are imported where a parser builds them, so that
 # reading a matrix loads `linalg` and nothing of the searches.
@@ -58,67 +59,53 @@ def _content_lines(text: str) -> list[str]:
     return lines
 
 
-def _ratio(token) -> tuple[int, int] | None:
-    """(p, q) for a token spelled ``-?[0-9]+(/[0-9]*[1-9][0-9]*)?`` in ASCII,
-    else None.  It reads the common exact entries with two ``int`` calls;
-    every other token is left to ``Fraction``, so errors keep their text."""
-    if type(token) is not str or not token.isascii():
-        return None
-    num, slash, den = token.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if not digits.isdigit() or (slash and not den.isdigit()):
-        return None
-    try:
-        p, q = int(num), int(den) if slash else 1
-    except ValueError:  # past int's digit limit
-        return None
-    return (p, q) if q else None
-
-
-def _exact(token) -> Fraction:
-    """``Fraction(token)`` of a string or int, without its string parser where
-    ``_ratio`` reads it.  A JSON float (``0.1`` is no decimal) or literal is refused."""
-    if type(token) not in (str, int):
+def _exact(token) -> tuple[int, int]:
+    """(p, q) with p / q = ``Fraction(token)``, q > 0, in any terms, of a string or int:
+    two ``int`` calls where it is spelled ``-?[0-9]+(/[0-9]+)?`` in ASCII with q > 0, else
+    ``Fraction``, so errors keep their text.  A JSON float or literal is refused."""
+    if type(token) is int:
+        return token, 1
+    if type(token) is not str:
         raise TypeError(f"exact entries are strings or integers, got {_quote(token)}")
-    pq = _ratio(token)
-    return Fraction(token) if pq is None else Fraction(*pq)
+    num, slash, den = token.partition("/")
+    if token.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        try:
+            if q := (int(den) if slash else 1):
+                return int(num), q
+        except ValueError:  # past int's digit limit
+            pass
+    from fractions import Fraction  # loaded only here, as in `linalg`
+    return Fraction(token).as_integer_ratio()
 
 
 def _float(token) -> float:
-    """``float(Fraction(token))`` of a string or JSON number; int / int rounds
-    correctly, as it does.  A JSON literal (``true``, ``null``) is refused."""
+    """``float(Fraction(token))`` of a string or JSON number, as p / q, which
+    rounds correctly in any terms.  A JSON literal (``true``, ``null``) is refused."""
     if type(token) not in (str, int, float):
         raise TypeError(f"entries are numbers or strings, got {_quote(token)}")
-    pq = _ratio(token)
-    return float(Fraction(token)) if pq is None else pq[0] / pq[1]
+    p, q = token.as_integer_ratio() if type(token) is float else _exact(token)
+    return p / q
 
 
-def _memo(convert):
-    """``convert`` computed once per distinct string token of a document.
-    Inputs repeat tokens (zeros, the mirrored half of a symmetric factor,
-    small entry ranges), and an exact value read once is one shared object,
-    so ``is_symmetric`` compares a factor's two halves by identity."""
-    memo: dict = {}
-
-    def read(token):
-        if type(token) is not str:
-            return convert(token)
-        value = memo.get(token)
-        if value is None:
-            value = memo[token] = convert(token)
-        return value
-
-    return read
+def _read(tokens: list, convert) -> list:
+    """``convert`` of each token, once per distinct string, first uses first (the first
+    bad token raises); a list of other kinds too goes one by one: ``true`` would hit ``1``."""
+    try:
+        keys = dict.fromkeys(tokens)
+    except TypeError:  # an array or object among them
+        keys = None
+    if keys is None or not {str}.issuperset(map(type, keys)):
+        return list(map(convert, tokens))
+    memo = dict(zip(keys, map(convert, keys)))
+    return list(map(memo.__getitem__, tokens))
 
 
-def _parse_entry(token: str) -> Fraction:
-    pq = _ratio(token)
-    if pq is not None:
-        return Fraction(*pq)
+def _parse_entry(token: str) -> tuple[int, int]:
+    """(p, q) of a matrix-text entry, as ``_exact`` reads it; a decimal is refused."""
     if "." in token:
         raise FormatError(f"bad entry {token!r}: decimals are not exact, use p/q")
     try:
-        return Fraction(token)
+        return _exact(token)
     except ZeroDivisionError:
         raise FormatError(f"bad entry {token!r}: zero denominator") from None
     except ValueError as exc:
@@ -146,22 +133,34 @@ def parse_matrix(text: str) -> ExactMatrix:
     m, n = _header(lines[0], "matrix", "m n")
     rows = lines[1:]
     if not rows and n == 0:  # the m rows of an m x 0 matrix are empty lines
-        return ExactMatrix(m, 0, ())
+        return ExactMatrix._of(m, 0, (), ())
     if len(rows) != m:
         raise FormatError(f"expected {m} matrix rows, found {len(rows)}")
-    entries = []
-    read = _memo(_parse_entry)
-    for line in rows:
-        toks = line.split()
-        if len(toks) != n:
-            raise FormatError(f"expected {n} entries per row, got {len(toks)}")
-        entries.extend(map(read, toks))
-    return ExactMatrix(m, n, entries)
+    # each distinct token once, first uses first, up to a row of the wrong length
+    toks = [line.split() for line in rows]
+    short = next((i for i, row in enumerate(toks) if len(row) != n), m)
+    flat = list(chain.from_iterable(toks[:short]))
+    keys = dict.fromkeys(flat)
+    memo = dict(zip(keys, map(_parse_entry, keys)))
+    if short < m:
+        raise FormatError(f"expected {n} entries per row, got {len(toks[short])}")
+    if all(q == 1 for _, q in memo.values()):  # integers, the common case: rows over 1
+        ints = {t: p for t, (p, _) in memo.items()}
+        return ExactMatrix._of(m, n, map(ints.__getitem__, flat), (1,) * m)
+    return ExactMatrix._of(m, n, *_over_lcm(list(map(memo.__getitem__, flat)), n))
+
+
+def _texts(nums, den: int) -> list[str]:
+    """``str(Fraction(p, den))`` of each integer p, without building it."""
+    if den == 1:
+        return list(map(str, nums))
+    return [str(p // g) if (g := gcd(p, den)) == den else f"{p // g}/{den // g}" for p in nums]
 
 
 def matrix_rows(m: ExactMatrix) -> list[list[str]]:
     """The entries of ``m`` as strings, row by row."""
-    return [[str(v) for v in m.row(i)] for i in range(m.rows)]
+    dens = m.dens if m.cols else [1] * m.rows
+    return list(map(_texts, m.integer_rows(), dens))
 
 
 def format_matrix(m: ExactMatrix) -> str:
@@ -246,13 +245,11 @@ def embedding_to_json(e: SubspaceEmbedding) -> str:
 
 
 def embedding_from_json(text: str) -> SubspaceEmbedding:
-    from .psd import Subspace, SubspaceEmbedding
+    from .psd import SubspaceEmbedding, _span
 
     doc = _load(text, "subspace_embedding")
     with _fields("subspace_embedding"):
         q = _size(doc, "ambient_dim")
-
-        read = _memo(_exact)
 
         def spaces(key: str) -> tuple[Subspace, ...]:
             out = []
@@ -262,8 +259,8 @@ def embedding_from_json(text: str) -> SubspaceEmbedding:
                         f'{key}[{i}] must be an object with a "basis" array,'
                         f" got {_quote(obj)}"
                     )
-                rows = [[read(v) for v in _array(row)] for row in _array(obj["basis"])]
-                out.append(Subspace.from_vectors(q, rows))
+                basis = _array(obj["basis"])
+                out.append(_span(q, [_over_lcm(_read(_array(r), _exact))[0] for r in basis]))
             return tuple(out)
 
         return SubspaceEmbedding(q, spaces("U"), spaces("V"))
@@ -274,8 +271,8 @@ def factorization_doc(f: PsdFactorization) -> dict:
     return {
         "kind": "psd_factorization",
         "order": f.order,
-        "A": [[str(v) for v in mat.entries] for mat in f.A],
-        "B": [[str(v) for v in mat.entries] for mat in f.B],
+        "A": [_texts(*mat.scaled()) for mat in f.A],
+        "B": [_texts(*mat.scaled()) for mat in f.B],
     }
 
 
@@ -289,12 +286,11 @@ def _factors(text: str, convert, build) -> tuple[int, list, list]:
     doc = _load(text, "psd_factorization")
     with _fields("psd_factorization"):
         q = _size(doc, "order")
-        read = _memo(convert)
 
         def factor(entries: list):
             if len(entries) != q * q:
                 raise FormatError(f"expected {q * q} entries, got {len(entries)}")
-            return build(q, [read(v) for v in entries])
+            return build(q, _read(entries, convert))
 
         def factors(entry_lists) -> list:
             return [factor(_array(e)) for e in _array(entry_lists)]
@@ -305,7 +301,11 @@ def _factors(text: str, convert, build) -> tuple[int, list, list]:
 def factorization_from_json(text: str) -> PsdFactorization:
     from .psd import PsdFactorization
 
-    q, a, b = _factors(text, _exact, lambda q, entries: ExactMatrix(q, q, entries))
+    def factor(q: int, ratios: list) -> ExactMatrix:
+        nums, den = _over_lcm(ratios)  # one lcm for the factor
+        return ExactMatrix._of(q, q, nums, den * q)
+
+    q, a, b = _factors(text, _exact, factor)
     return PsdFactorization(q, tuple(a), tuple(b))
 
 

@@ -1,31 +1,30 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the rationals, with no floating point.
 
-:class:`ExactMatrix` keeps every entry as a :class:`~fractions.Fraction`,
-and there is no floating point anywhere in this module.  It is a frozen
-record (``psdbounds._frozen``, the one package name imported here) of
-its shape and its row-major ``entries``: it equals, hashes, copies and
-pickles by value and refuses assignment.  Its support in
-bitmask form, one int per row, is :meth:`ExactMatrix.support_bits`.  The
-exact kernels run on integers: :func:`scaled_entries` puts rationals over
-their least common denominator, and rank comes from one fraction-free
-Gauss-Jordan elimination (:func:`_eliminate`) of the rows scaled to
-integers.  Rank's full-rank filter, the rank mod p of :func:`rank_mod_p`,
-reads the same integer rows, packed: each row is one int with a
-fixed-width slot per column, wide enough that no carry crosses a slot,
-and clearing a column from a row is one big-integer multiply-add.  Ranks
-over the multi-quadratic fields of entrywise square roots are
-:func:`psdbounds.scalars.multiquad_rank`.
+:class:`ExactMatrix` keeps the form its kernels read: integer numerators
+over one positive denominator per row.  It is a frozen record
+(``psdbounds._frozen``, the one package name imported here) of its shape
+and its row-major ``entries``, Fractions built on the first read and
+kept: it equals, hashes, copies and pickles by value and refuses
+assignment.  Rank is one fraction-free Gauss-Jordan elimination
+(:func:`_eliminate`) of the integer rows, after a full-rank filter, the
+rank mod p of :func:`rank_mod_p` on the same rows packed one int per row
+with a carry-free slot per column.  Ranks over the multi-quadratic fields
+of entrywise square roots are :func:`psdbounds.scalars.multiquad_rank`.
 Every command compiles this module, so the subspace algebra built on the
-same elimination (RREF, kernel, image, canonical subspaces, projections)
-lives in :mod:`psdbounds.psd`, the certify chain that alone uses it.
+same elimination lives in :mod:`psdbounds.psd`, the certify chain that
+alone uses it; and `fractions` (which loads `decimal`, about 2.5 ms of a
+launch on a 2-vCPU host) is imported only where a Fraction is built.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
+from typing import TYPE_CHECKING
 
 from . import _frozen
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # 2^31 - 1, a prime: the modulus of rank's full-rank filter and the first
 # prime scalars.modular_images tries
@@ -34,40 +33,70 @@ _MODULAR_PRIME = (1 << 31) - 1
 
 @_frozen
 class ExactMatrix:
-    """Immutable dense matrix with exact rational entries, row by row."""
+    """Immutable dense matrix with exact rational entries: row i is the
+    integers ``nums[i * cols : (i + 1) * cols]`` over ``dens[i]`` > 0, in
+    any terms (no denominator if ``cols`` is 0), as readers and kernels
+    build it (:meth:`_of`).  ``entries``, ``row`` and indexing give Fractions."""
 
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
+        from fractions import Fraction
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         # a MultiQuadScalar entry fails here with the TypeError of Fraction()
         e = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.entries)
         if len(e) != self.rows * self.cols:
             raise ValueError(f"expected {self.rows * self.cols} entries, got {len(e)}")
-        object.__setattr__(self, "entries", e)
+        nums, dens = _over_lcm(list(map(Fraction.as_integer_ratio, e)), self.cols)
+        self.__dict__.update(entries=e, nums=tuple(nums), dens=tuple(dens))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, nums, dens) -> "ExactMatrix":
+        """The matrix of these ``nums`` over these ``dens``, as held."""
+        m = cls.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, nums=tuple(nums), dens=tuple(dens))
+        return m
+
+    def __getattr__(self, name):
+        if name != "entries":  # only a missing ``entries`` lands here: built once, then kept
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        from fractions import Fraction
+        rows = zip(self.integer_rows(), self.dens)
+        e = self.__dict__["entries"] = tuple(Fraction(p, d) for row, d in rows for p in row)
+        return e
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
         rows = [list(r) for r in rows]
-        m = len(rows)
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
-        return cls(m, n, [v for r in rows for v in r])
+        return cls(len(rows), n, [v for r in rows for v in r])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return cls._of(n, n, [int(i == j) for i in range(n) for j in range(n)], [1] * n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._of(rows, cols, [0] * (rows * cols), [1] * (rows if cols else 0))
+
+    def integer_rows(self) -> list[tuple[int, ...]]:
+        """Each row times its denominator: the same rank, row space and zeros."""
+        n, nums = self.cols, self.nums
+        return [nums[i * n : (i + 1) * n] for i in range(self.rows)]
+
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """Every entry, row by row, as an integer over the lcm of the rows' denominators."""
+        dens, den = self.dens, lcm(*self.dens)
+        if dens.count(den) == len(dens):
+            return self.nums, den
+        return tuple(v * (den // d) for d, row in zip(dens, self.integer_rows()) for v in row), den
 
     # -- access ------------------------------------------------------------
 
@@ -84,39 +113,29 @@ class ExactMatrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
-        rows = list(row_idx)
-        cols = list(col_idx)
-        return ExactMatrix(
-            len(rows), len(cols), [self[i, j] for i in rows for j in cols]
-        )
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
+        rows, cols, n = list(row_idx), list(col_idx), self.cols
+        sub = [self.nums[i * n + j] for i in rows for j in cols]
+        dens = [self.dens[i] for i in rows] if cols else []
+        return ExactMatrix._of(len(rows), len(cols), sub, dens)
 
     def is_symmetric(self) -> bool:
         # row i left of the diagonal against column i above it
-        n, e = self.cols, self.entries
-        return self.is_square and all(
+        n, (e, _) = self.cols, self.scaled()
+        return self.rows == self.cols and all(
             e[i * n : i * n + i] == e[i : i * n : n] for i in range(n)
         )
 
     def is_nonnegative(self) -> bool:
-        return all(v >= 0 for v in self.entries)
+        return all(v >= 0 for v in self.nums)
 
     def support_bits(self) -> list[int]:
         """One int per row, bit j set where entry j is nonzero (exact zero test)."""
-        rows = map(self.row, range(self.rows))
-        return [sum(1 << j for j, v in enumerate(r) if v) for r in rows]
-
-    # -- transpose ------------------------------------------------------------
+        return [sum(1 << j for j, v in enumerate(r) if v) for r in self.integer_rows()]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        (e, den), m, n = self.scaled(), self.rows, self.cols
+        nums = [v for j in range(n) for v in e[j::n]]
+        return ExactMatrix._of(n, m, nums, [den] * (n if m else 0))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -125,20 +144,19 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
-def scaled_entries(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
-    den = lcm(*{q for _, q in ratios})  # few distinct denominators, few gcds
-    return [p * (den // q) for p, q in ratios], den
+def _over_lcm(ratios: list[tuple[int, int]], cols: int = 0) -> tuple[list[int], list[int]]:
+    """(p, q) pairs, q > 0, in rows of ``cols`` (one if 0): numerators over each row's lcm."""
+    step = cols or len(ratios) or 1
+    nums, dens = [], []
+    for i in range(0, len(ratios), step):
+        row = ratios[i : i + step]
+        den = lcm(*{q for _, q in row})  # few distinct denominators, few gcds
+        nums += [p for p, _ in row] if den == 1 else [p * (den // q) for p, q in row]
+        dens.append(den)
+    return nums, dens
 
 
 # -- rank ---------------------------------------------------------------------
-
-
-def _integer_rows(m: ExactMatrix) -> list[list[int]]:
-    # Row scaling preserves rank; clearing denominators lets the elimination
-    # run on plain integers.
-    return [scaled_entries(m.row(i))[0] for i in range(m.rows)]
 
 
 def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int]:
@@ -182,20 +200,17 @@ def _eliminate(a: list[list[int]], cols: int) -> tuple[list[int], int]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Exact rank, by fraction-free elimination.
+    """Exact rank, by fraction-free elimination of the integer rows.
 
-    The rows are scaled to integers first (:func:`_integer_rows`), which
-    keeps the rank over Q, and their rank modulo the prime
-    ``_MODULAR_PRIME`` = 2^31 - 1 is computed by :func:`rank_mod_p` on
-    packed rows (a ``2 * 31 + rows.bit_length()``-bit slot per column).
-    It never exceeds the rank over Q, since a minor nonzero mod p is a
-    nonzero integer minor, so when it is already ``min(rows, cols)`` that
-    is the rank and the elimination of the same integer rows is skipped.
+    Their rank modulo the prime ``_MODULAR_PRIME`` = 2^31 - 1, from
+    :func:`rank_mod_p`, never exceeds the rank over Q, since a minor
+    nonzero mod p is a nonzero integer minor; so when it is already
+    ``min(rows, cols)`` that is the rank and the elimination is skipped.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
     full = min(m.rows, m.cols)
-    rows = _integer_rows(m)
+    rows = m.integer_rows()
     if rank_mod_p(rows, _MODULAR_PRIME) == full:
         return full
     return len(_eliminate(rows, m.cols)[0])

@@ -580,8 +580,8 @@ def embrkl_bounds(s: ExactMatrix) -> tuple[int, int]:
     triangular-rank search once reached.  Every rank-capped triangular rank
     of the package is this one call.
     """
-    upper = rank(s)
-    return triangular_rank(support(s), upper=upper), upper
+    upper = rank(s)  # rank 0: no nonzero entry, and no support (a mask per row) built
+    return (triangular_rank(support(s), upper=upper) if upper else 0), upper
 
 
 def boolean_rank_outcome(
@@ -595,8 +595,11 @@ def boolean_rank_outcome(
     (a triangular diagonal is a fooling set), the count of nonzero rows or
     columns above.  A cut search adds its fooling bound and best cover.
     """
-    m = support(s)
     searched = "minimum_biclique_cover branch and bound"
+    _check_budget(budget)
+    if not (s.rows and s.cols):  # no 1-entry to cover, and no line to build
+        return 0, 0, searched
+    m = support(s)
     try:
         value = boolean_rank(m, budget=budget)
         return value, value, searched
@@ -658,7 +661,7 @@ def analyze(s: ExactMatrix, budget: int = DEFAULT_BUDGET) -> BoundReport:
     tri, rk = embrkl_bounds(s)
     lo, hi, bsource = boolean_rank_outcome(s, budget, tri)
     psd_lb, source = tri, "triangular rank"
-    if tri < 4 and s.is_nonnegative():
+    if tri < 4 and rk and s.is_nonnegative():  # a zero matrix has no block to try
         from .scalars import order3_exclusion
 
         # keep the report snappy: small enumeration cap and few blocks here,

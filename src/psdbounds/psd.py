@@ -5,37 +5,33 @@ subspaces U_1..U_m (rows) and V_1..V_n (columns) of a common Q^q with
 ``U_k <= V_l`` exactly at the zero entries of the pattern.  This module
 builds such embeddings from rank factorizations, turns them into psd
 factorizations via orthogonal projections, and recovers embeddings from
-factorizations again.  It also holds the exact subspace algebra those
-steps run on: canonical subspaces (frozen records like the matrices they
-hold) with exact containment, kernel, image and orthogonal projections,
-all from the fraction-free elimination of `linalg` on integer rows.  A
-subspace's RREF basis is the eliminated rows divided once by the last
-pivot, and a kernel's null vectors are integers read off the same
-elimination.
-Everything is rational arithmetic: psd-ness is certified by an LDL^T
-elimination with diagonal pivoting (no eigenvalues), and support
-realization samples rational vectors.  A
-verification reports each factor's certificate and the entries whose
-trace product differs; whether the factors are psd, the traces match
-and the whole check passed is read from those.  Every trace product
-tr(A_k B_l) of a factorization, and every entry of a realized support,
-comes from one packed big-integer kernel, `_packed_dots`: one
-multiply-add per coordinate gives a whole row.  The bounds on the
-embedding dimension are in `pattern`, the order-3 square-root argument
-in `scalars`, and the floating-point rank reduction in `reduction`.
+factorizations again, on the subspace algebra held here: canonical
+subspaces (frozen records like the matrices they hold) with containment,
+kernel, image and projections, all integers from the fraction-free
+elimination of `linalg` on the matrices' integer rows.  Psd-ness is
+certified by an LDL^T elimination with diagonal pivoting (no
+eigenvalues); a verification reports each factor's certificate and the
+entries whose trace product differs.  Every trace product tr(A_k B_l),
+and every entry of a realized support, comes from one packed big-integer
+kernel, `_packed_dots`.  The bounds on the embedding dimension are in
+`pattern`, the order-3 square-root argument in `scalars`, and the
+floating-point rank reduction in `reduction`.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import TYPE_CHECKING
 
 from . import _frozen
-from .linalg import ExactMatrix, _eliminate, _integer_rows, scaled_entries
+from .linalg import ExactMatrix, _eliminate, _over_lcm
 
-if TYPE_CHECKING:  # verify_embedding's annotation only: psd never loads `pattern`
+# annotations only: psd loads no `pattern`, and `fractions` for pivots and errors only
+if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .pattern import SupportPattern
 
 
@@ -73,10 +69,8 @@ class PsdFactorization:
     def product_matrix(self) -> ExactMatrix:
         """The matrix tr(A_k B_l) this factorization factors, from
         :func:`_trace_products` of the factors' upper triangles."""
-        q = self.order
-        a = [scaled_entries(_upper(x.entries, q)) for x in self.A]
-        b = [scaled_entries(_upper(y.entries, q)) for y in self.B]
-        return ExactMatrix(self.m, self.n, _trace_products(q, a, b))
+        a, b = [x.scaled() for x in self.A], [y.scaled() for y in self.B]
+        return _trace_products(self.order, a, b)
 
 
 def _upper(values, q: int) -> list:
@@ -118,32 +112,27 @@ def _packed_dots(xs: list[list[int]], ys: list[list[int]]) -> list[list[int]]:
 
 def _trace_products(
     q: int, a: list[tuple[list[int], int]], b: list[tuple[list[int], int]]
-) -> list[Fraction]:
-    """tr(A_k B_l) for every pair, row by row, of symmetric order-q factors
-    given as :func:`scaled_entries` of their upper triangles (:func:`_upper`).
-
-    Symmetry gives tr(A B) = sum_i A_ii B_ii + sum_{i<j} 2 A_ij B_ij, so each
-    product is one dot product over the q(q+1)/2 upper-triangle entries,
-    with A's off-diagonal ones doubled, and one Fraction over den_A den_B.
-    With no factor on one side there is no product, whatever the order.
-    """
+) -> ExactMatrix:
+    """The matrix tr(A_k B_l) of symmetric order-q factors given as :meth:`ExactMatrix.scaled`
+    gives them: tr(A B) = sum_i A_ii B_ii + sum_{i<j} 2 A_ij B_ij, one dot product over the
+    upper triangles (:func:`_upper`), A's off-diagonal entries doubled.  With no factor on
+    one side there is no product, whatever the order."""
     if not (a and b):
-        return []
+        return ExactMatrix._of(len(a), len(b), (), ())
     twice = [1 if i == j else 2 for i in range(q) for j in range(i, q)]
-    return _scaled_dots([(list(map(int.__mul__, twice, x)), d) for x, d in a], b)
+    xs = [(list(map(int.__mul__, twice, _upper(x, q))), d) for x, d in a]
+    return _scaled_dots(xs, [(_upper(y, q), d) for y, d in b])
 
 
 def _scaled_dots(
     xs: list[tuple[list[int], int]], ys: list[tuple[list[int], int]]
-) -> list[Fraction]:
-    """x . y for every pair of :func:`scaled_entries` vectors, row by row:
-    one :func:`_packed_dots` and one Fraction per product."""
+) -> ExactMatrix:
+    """x . y for each pair of (integers, denominator), row k over dx_k lcm(dy): one _packed_dots."""
     dots = _packed_dots([x for x, _ in xs], [y for y, _ in ys])
-    return [
-        Fraction(d, dx * dy)
-        for row, (_, dx) in zip(dots, xs)
-        for d, (_, dy) in zip(row, ys)
-    ]
+    den = lcm(*(d for _, d in ys))
+    scale = [den // d for _, d in ys]
+    nums = [v * c for row in dots for v, c in zip(row, scale)]
+    return ExactMatrix._of(len(xs), len(ys), nums, [dx * den for _, dx in xs] if ys else ())
 
 
 @_frozen
@@ -163,7 +152,7 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     zero the remaining block is entirely zero.
 
     The elimination is fraction-free (symmetric Bareiss) on the integer
-    matrix A = D m, D the entries' least common denominator.  After pivots
+    matrix A = D m of :meth:`ExactMatrix.scaled`.  After pivots
     p_1..p_k an entry (i, j) is the minor det A[{p_1..p_k, i}, {p_1..p_k, j}],
     which is the rational Schur complement's entry times the positive
     d_k = det A[p_1..p_k].  So signs and zeros are those of the rational
@@ -171,37 +160,29 @@ def psd_certificate(m: ExactMatrix) -> PsdCertificate:
     """
     if not m.is_symmetric():
         return PsdCertificate(False, (), "matrix is not symmetric")
-    return _ldl_certificate(m.rows, scaled_entries(m.entries))
+    return _ldl_certificate(m.rows, m.scaled())
 
 
-def _ldl_certificate(n: int, scaled: tuple[list[int], int]) -> PsdCertificate:
+def _ldl_certificate(n: int, scaled: tuple[tuple[int, ...], int]) -> PsdCertificate:
     """:func:`psd_certificate`'s elimination of a symmetric n x n matrix,
-    given as :func:`scaled_entries` of its entries; it works on a copy."""
+    given as :meth:`ExactMatrix.scaled` gives it; it works on a copy."""
+    from fractions import Fraction
     flat, den = scaled
-    work = [flat[i * n : (i + 1) * n] for i in range(n)]
+    work = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
     active = list(range(n))
     pivots: list[Fraction] = []
     prev = 1  # d_{k-1}; every update divides by it exactly
     while active:
-        diag = [(work[i][i], i) for i in active]
-        if any(d < 0 for d, _ in diag):
-            bad = next(i for d, i in diag if d < 0)
-            return PsdCertificate(
-                False, tuple(pivots), f"negative diagonal entry at index {bad}"
-            )
-        pos = [i for d, i in diag if d > 0]
-        if not pos:
-            # all remaining diagonal entries are zero: psd iff block is zero
-            for i in active:
-                for j in active:
-                    if work[i][j]:
-                        return PsdCertificate(
-                            False,
-                            tuple(pivots),
-                            f"zero diagonal with nonzero entry at ({i}, {j})",
-                        )
+        bad = next((i for i in active if work[i][i] < 0), None)
+        if bad is not None:
+            return PsdCertificate(False, tuple(pivots), f"negative diagonal entry at index {bad}")
+        p = next((i for i in active if work[i][i]), None)
+        if p is None:  # all remaining diagonal entries are zero: psd iff the block is zero
+            bad = next(((i, j) for i in active for j in active if work[i][j]), None)
+            if bad is not None:
+                reason = f"zero diagonal with nonzero entry at {bad}"
+                return PsdCertificate(False, tuple(pivots), reason)
             break
-        p = pos[0]
         piv = work[p][p]
         pivots.append(Fraction(piv, prev * den))
         active.remove(p)
@@ -259,11 +240,10 @@ def verify_psd_factorization(
     With ``s`` omitted only the psd part is checked (the trace identities
     are vacuous against the factorization's own product matrix).
     """
-    # each factor is scaled once, for its certificate and the products; a
-    # PsdFactorization holds symmetric factors only
+    # a PsdFactorization holds symmetric factors only
     q = f.order
-    a = [scaled_entries(x.entries) for x in f.A]
-    b = [scaled_entries(y.entries) for y in f.B]
+    a = [x.scaled() for x in f.A]
+    b = [y.scaled() for y in f.B]
     a_certs = tuple(_ldl_certificate(q, x) for x in a)
     b_certs = tuple(_ldl_certificate(q, y) for y in b)
     mismatches: list[tuple[int, int]] = []
@@ -272,11 +252,11 @@ def verify_psd_factorization(
             raise ValueError(
                 f"factorization is {f.m}x{f.n} but the matrix is {s.rows}x{s.cols}"
             )
-        products = _trace_products(
-            q, [(_upper(x, q), d) for x, d in a], [(_upper(y, q), d) for y, d in b]
-        )
-        pairs = zip(products, s.entries)
-        mismatches = [divmod(i, f.n) for i, (x, y) in enumerate(pairs) if x != y]
+        t = _trace_products(q, a, b)
+        # x / dx != y / dy, compared crosswise, row by row
+        rows = zip(t.integer_rows(), t.dens, s.integer_rows(), s.dens)
+        for k, (xs, dx, ys, dy) in enumerate(rows):
+            mismatches += [(k, l) for l, (x, y) in enumerate(zip(xs, ys)) if x * dy != y * dx]
     return FactorizationReport(a_certs, b_certs, tuple(mismatches))
 
 
@@ -303,12 +283,12 @@ def realize_support(
     pattern = f.product_matrix().support_bits()
     rng = random.Random(seed)
     amplitude = max(17, f.m * f.n)
-    a = [scaled_entries(x.entries) for x in f.A]
-    b = [scaled_entries(x.entries) for x in f.B]
+    a = [x.scaled() for x in f.A]
+    b = [x.scaled() for x in f.B]
     for _ in range(max_tries):
         xs = [_times_random_vector(x, f.order, rng, amplitude) for x in a]
         ys = [_times_random_vector(y, f.order, rng, amplitude) for y in b]
-        t = ExactMatrix(f.m, f.n, _scaled_dots(xs, ys))
+        t = _scaled_dots(xs, ys)
         if t.support_bits() == pattern:
             return t
     raise RealizationError(
@@ -317,7 +297,7 @@ def realize_support(
 
 
 def _times_random_vector(
-    factor: tuple[list[int], int], q: int, rng: random.Random, amplitude: int
+    factor: tuple[tuple[int, ...], int], q: int, rng: random.Random, amplitude: int
 ) -> tuple[list[int], int]:
     """A scaled q x q factor times a vector uniform over {-amplitude..amplitude}^q,
     as integers over the factor's denominator."""
@@ -344,44 +324,36 @@ class Subspace:
         """Refuses, with ``ValueError``, a basis that is not in RREF: one
         scan for a leading 1 in each row, pivots strictly increasing, and
         zeros above each pivot (below it the echelon form gives them)."""
-        basis = self.basis
-        if basis.cols != self.ambient_dim:
+        basis, q = self.basis, self.ambient_dim
+        if basis.cols != q:
             raise ValueError("basis width must equal the ambient dimension")
         prev = -1  # the pivot column of the row above
-        for i in range(basis.rows):
-            row = basis.row(i)
+        for i, row in enumerate(basis.integer_rows()):
             lead = next((j for j, v in enumerate(row) if v), None)
             if lead is None:
                 raise ValueError(f"basis row {i} is zero")
-            if row[lead] != 1:
-                raise ValueError(f"basis row {i} leads with {row[lead]}, not 1")
+            if row[lead] != basis.dens[i]:
+                from fractions import Fraction
+                value = Fraction(row[lead], basis.dens[i])
+                raise ValueError(f"basis row {i} leads with {value}, not 1")
             if lead <= prev:
                 raise ValueError(f"basis row {i} does not lead right of the row above")
-            if any(basis[k, lead] for k in range(i)):
+            if any(basis.nums[lead : i * q : q]):
                 raise ValueError(f"basis column {lead} is nonzero above its pivot")
             prev = lead
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors) -> "Subspace":
-        """The span of rational ``vectors``: their RREF is d times the
-        first rows left by the elimination of the vectors scaled to
-        integers, d its last pivot."""
-        a = [scaled_entries(v)[0] for v in vectors]
-        if any(len(r) != ambient_dim for r in a):
-            raise ValueError("vector length must equal the ambient dimension")
-        pivots, d = _eliminate(a, ambient_dim)
-        reduced = [Fraction(v, d) for row in a[: len(pivots)] for v in row]
-        return cls(ambient_dim, ExactMatrix(len(pivots), ambient_dim, reduced))
+        """The span of rational ``vectors``: :func:`_span` of them scaled to integers."""
+        ratios = ([v.as_integer_ratio() for v in vec] for vec in vectors)
+        return _span(ambient_dim, [_over_lcm(r)[0] for r in ratios])
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
     def __repr__(self):
-        vecs = ", ".join(
-            "(" + ", ".join(str(v) for v in self.basis.row(i)) + ")"
-            for i in range(self.dim)
-        )
+        vecs = ", ".join(f"({', '.join(map(str, self.basis.row(i)))})" for i in range(self.dim))
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {vecs})"
 
     def contains(self, other: "Subspace") -> bool:
@@ -390,7 +362,19 @@ class Subspace:
         ``self.dim``."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return _spans(_integer_rows(self.basis), _integer_rows(other.basis), self.ambient_dim)
+        return _spans(self.basis.integer_rows(), other.basis.integer_rows(), self.ambient_dim)
+
+
+def _span(q: int, rows: list) -> Subspace:
+    """The span of the integer ``rows`` of Q^q: its RREF is the first rows
+    left by their elimination over its last pivot.  ``rows`` is changed."""
+    if any(len(r) != q for r in rows):
+        raise ValueError("vector length must equal the ambient dimension")
+    pivots, d = _eliminate(rows, q)
+    nums = [v for row in rows[: len(pivots)] for v in row]
+    if d < 0:
+        nums, d = [-v for v in nums], -d
+    return Subspace(q, ExactMatrix._of(len(pivots), q, nums, [d] * len(pivots)))
 
 
 def _spans(basis: list[list[int]], rows: list[list[int]], q: int) -> bool:
@@ -405,7 +389,7 @@ def kernel(m: ExactMatrix) -> Subspace:
     Row i of the eliminated integer rows is d times the i-th RREF row, so
     free column f gives the integer null vector with x_f = d and
     x_{p_i} = -a_i[f] at each pivot column p_i."""
-    a = _integer_rows(m)
+    a = m.integer_rows()
     pivots, d = _eliminate(a, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     vectors = []
@@ -415,12 +399,13 @@ def kernel(m: ExactMatrix) -> Subspace:
         for row, p in zip(a, pivots):
             v[p] = -row[f]
         vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+    return _span(m.cols, vectors)
 
 
 def image(m: ExactMatrix) -> Subspace:
     """Column space of ``m`` as a canonical subspace of Q^rows."""
-    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+    (nums, _), n = m.scaled(), m.cols
+    return _span(m.rows, [nums[j::n] for j in range(n)])
 
 
 def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
@@ -429,15 +414,15 @@ def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
 
     For a basis-row matrix B this is P = B^T (B B^T)^{-1} B: symmetric,
     idempotent, rational, with image exactly ``u``; the complement's is
-    I - P.  Both come from integers: with N the basis rows scaled to
-    integers, the elimination of [N N^T | I] leaves M = d (N N^T)^{-1}
-    beside d I, d its last pivot, and d P = N^T M N.  Each entry of P or
-    of I - P is then one Fraction over d.
+    I - P.  Both come from integers: with N the integer basis rows, the
+    elimination of [N N^T | I] leaves M = d (N N^T)^{-1} beside d I, d its
+    last pivot (a leading principal minor of N N^T, so positive), and P or
+    I - P is d P = N^T M N, or d I minus it, over d.
     """
     q = u.ambient_dim
     if u.dim == 0:
         return ExactMatrix.identity(q) if complement else ExactMatrix.zeros(q, q)
-    n = _integer_rows(u.basis)
+    n = u.basis.integer_rows()
     k = len(n)
     a = [
         [sum(map(int.__mul__, x, y)) for y in n] + [int(i == j) for j in range(k)]
@@ -449,14 +434,12 @@ def projection_matrix(u: Subspace, complement: bool = False) -> ExactMatrix:
     # d P is symmetric: each entry above the diagonal is formed once; P's
     # entries are dp / d and I - P's are -dp / d, or (d - dp) / d on the diagonal
     sign, diag = (-1, d) if complement else (1, 0)
-    entries: list = [None] * (q * q)
+    nums = [0] * (q * q)
     for i, x in enumerate(n_cols):
         for j in range(i, q):
             dp = sum(map(int.__mul__, x, mn_cols[j]))
-            entries[i * q + j] = entries[j * q + i] = Fraction(
-                (diag if i == j else 0) + sign * dp, d
-            )
-    return ExactMatrix(q, q, entries)
+            nums[i * q + j] = nums[j * q + i] = (diag if i == j else 0) + sign * dp
+    return ExactMatrix._of(q, q, nums, [d] * q)
 
 
 # -- subspace-lattice embeddings ----------------------------------------------
@@ -490,14 +473,11 @@ def verify_embedding(e: SubspaceEmbedding, m: SupportPattern) -> bool:
         raise ValueError(
             f"embedding is {e.m}x{e.n} but the pattern is {m.rows}x{m.cols}"
         )
-    # each basis is scaled to integers once, not once per pair
-    u_rows = [_integer_rows(u.basis) for u in e.U]
-    v_rows = [_integer_rows(v.basis) for v in e.V]
-    for k, u in enumerate(u_rows):
-        for l, v in enumerate(v_rows):
-            if _spans(v, u, e.ambient_dim) != (m[k, l] == 0):
-                return False
-    return True
+    # each basis's integer rows are read once, not once per pair
+    u_rows = [u.basis.integer_rows() for u in e.U]
+    v_rows = [v.basis.integer_rows() for v in e.V]
+    pairs = ((k, u, l, v) for k, u in enumerate(u_rows) for l, v in enumerate(v_rows))
+    return all(_spans(v, u, e.ambient_dim) == (m[k, l] == 0) for k, u, l, v in pairs)
 
 
 def embedding_from_rank_factorization(s: ExactMatrix) -> SubspaceEmbedding:
@@ -510,15 +490,15 @@ def embedding_from_rank_factorization(s: ExactMatrix) -> SubspaceEmbedding:
     of the row space, shrinking the ambient space from n to rank(s): the
     coefficient on basis row i is the coordinate at its pivot column.
     """
-    rows = _integer_rows(s)
+    rows = s.integer_rows()
     pivots, _ = _eliminate(list(rows), s.cols)  # replaces rows, never changes one
     q = len(pivots)
     row_coords = [[row[p] for p in pivots] for row in rows]
-    u_spaces = tuple(Subspace.from_vectors(q, [rc]) for rc in row_coords)
+    u_spaces = tuple(_span(q, [rc]) for rc in row_coords)
     v_spaces = []
     for l in range(s.cols):
         gens = [rc for rc, row in zip(row_coords, rows) if not row[l]]
-        v_spaces.append(Subspace.from_vectors(q, gens))
+        v_spaces.append(_span(q, gens))
     return SubspaceEmbedding(q, u_spaces, tuple(v_spaces))
 
 

@@ -319,7 +319,8 @@ def _traces(a, b) -> np.ndarray:
 def factorization_to_float(f) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Cast an exact psd factorization to float factor lists."""
 
-    def floats(mat) -> np.ndarray:
-        return np.array([float(v) for v in mat.entries]).reshape(mat.rows, mat.cols)
+    def floats(mat) -> np.ndarray:  # p / den rounds as float() of the Fraction does
+        nums, den = mat.scaled()
+        return np.array([p / den for p in nums]).reshape(mat.rows, mat.cols)
 
     return [floats(mat) for mat in f.A], [floats(mat) for mat in f.B]

@@ -543,6 +543,31 @@ def test_a_matrix_with_an_empty_side_costs_nothing_at_any_size(tmp_path, header)
     assert json.loads(proc.stdout) == {"schema": 1, "kind": "rank", "value": 0}
 
 
+EMPTY_BOUNDS = """matrix:               matrix.txt
+rank:                 0
+triangular rank:      0
+boolean rank:         0
+embedding dimension:  between 0 and 0
+psd rank lower bound: 0 (via triangular rank)
+"""
+
+
+@pytest.mark.parametrize("header", ["1000000000 0", "0 1000000000"])
+@pytest.mark.parametrize("argv, expected", [
+    (["trirank"], "0\n"),
+    (["boolrank", "--json"], {"schema": 1, "kind": "boolean_rank", "value": 0}),
+    (["bounds"], EMPTY_BOUNDS),
+], ids=["trirank", "boolrank", "bounds"])
+def test_the_pattern_commands_read_an_empty_side_at_once(tmp_path, header, argv, expected):
+    # no pattern of the m x 0 or 0 x n matrix is built, nor a mask per line:
+    # each search sees a matrix of rank 0 with no entries, within 512 MiB
+    (tmp_path / "matrix.txt").write_text(header + "\n")
+    proc = launch(["-m", "psdbounds.cli", *argv, "matrix.txt"], cwd=tmp_path,
+                  preexec_fn=_cap_address_space, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (json.loads(proc.stdout) if isinstance(expected, dict) else proc.stdout) == expected
+
+
 def test_reduce_rank_without_numpy(tmp_path):
     # a fresh interpreter whose numpy is a shadow package that fails to import
     shadow = tmp_path / "shadow" / "numpy"

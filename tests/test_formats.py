@@ -1,4 +1,7 @@
 import json
+import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -237,6 +240,73 @@ def test_exact_tokens_read_as_fraction_does(token, tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", "psd", str(path), str(matrix)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _random_token(rng) -> str:
+    """A seeded exact token: a sign, leading zeros, and an unreduced or zero
+    denominator, all spelled the way a writer never spells them."""
+    num = rng.choice(["", "-"]) + "0" * rng.randint(0, 2)
+    num += str(rng.randint(0, 10 ** rng.randint(0, 25)))
+    if rng.random() < 0.6:
+        k = rng.randint(1, 9)
+        num = str(int(num) * k) + "/" + "0" * rng.randint(0, 1) + str(rng.randint(0, 40) * k)
+    return num
+
+
+def _valid_token(rng) -> str:
+    while True:
+        token = _random_token(rng)
+        if _reference(Fraction, token)[1] is None:
+            return token
+
+
+def test_token_reader_agrees_with_fraction_and_builds_equal_matrices():
+    rng = random.Random(4406)
+    # past int's digit limit (4300 unless changed; Python 3.10.6 and older have none)
+    digits = "9" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+    named = ["4/6", "0/7", "-0", "007", "-007/014", digits, "1/" + digits, "1/0", "0/0", "0.5",
+             "1e3", "1/-2", "-4/-6", "+3", " 5"]
+    for token in named + [_random_token(rng) for _ in range(400)]:
+        value, error = _reference(Fraction, token)
+        got, got_error = _reference(lambda t: Fraction(*formats._exact(t)), token)
+        assert (got, type(got_error), str(got_error)) == (value, type(error), str(error))
+        text = f"1 1\n{token}\n"
+        if "." in token:
+            message = f"bad entry {token!r}: decimals are not exact, use p/q"
+        elif isinstance(error, ZeroDivisionError):
+            message = f"bad entry {token!r}: zero denominator"
+        else:
+            message = error and f"bad entry {token!r}: {error}"
+        if message:
+            with pytest.raises(formats.FormatError, match=re.escape(message)):
+                formats.parse_matrix(text)
+        else:
+            assert formats.parse_matrix(text).entries == (value,)
+    for token in (0, -12, 10 ** 40):  # JSON integers
+        assert Fraction(*formats._exact(token)) == Fraction(token)
+        assert formats._float(token) == float(Fraction(token))
+
+    # the same values from tokens, from Fractions and from rows: equal records,
+    # equal hashes, and the writers spell each entry as str(Fraction) does
+    for shape in ((1, 1), (3, 4), (5, 5), (4, 0), (0, 3)):
+        m, n = shape
+        tokens = [[_valid_token(rng) for _ in range(n)] for _ in range(m)]
+        values = [[Fraction(t) for t in row] for row in tokens]
+        text = f"{m} {n}\n" + "".join(" ".join(row) + "\n" for row in tokens)
+        parsed = formats.parse_matrix(text)
+        built = ExactMatrix(m, n, [v for row in values for v in row])
+        rows = ExactMatrix.from_rows(values) if m else built
+        assert parsed == built == rows and hash(parsed) == hash(built) == hash(rows)
+        assert formats.matrix_rows(parsed) == [[str(v) for v in row] for row in values]
+        if m == n:
+            sym = [[values[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            doc = {"schema": 1, "kind": "psd_factorization", "order": n,
+                   "A": [[str(v) for row in sym for v in row]],
+                   "B": [[tokens[min(i, j)][max(i, j)] for i in range(n) for j in range(n)]]}
+            fact = formats.factorization_from_json(json.dumps(doc))
+            want = ExactMatrix(n, n, [v for row in sym for v in row])
+            assert fact.A[0] == fact.B[0] == want and hash(fact.B[0]) == hash(want)
+            assert formats.factorization_doc(fact)["B"] == doc["A"]
 
 
 @pytest.mark.parametrize("token, spelled", [(0.1, "0.1"), (1.5, "1.5"), (True, "true"),

@@ -98,7 +98,7 @@ def test_rank_modular_shortcut_matches_sympy(monkeypatch):
     # full rank over Q but singular mod the filter's prime: the elimination decides
     p = linalg._MODULAR_PRIME
     m = ExactMatrix.from_rows([[1, 1], [1, 1 + p]])
-    assert linalg.rank_mod_p(linalg._integer_rows(m), p) == 1
+    assert linalg.rank_mod_p(m.integer_rows(), p) == 1
     del calls[:]
     assert rank(m) == 2 == sympy.Matrix([[1, 1], [1, 1 + p]]).rank()
     assert len(calls) == 1
@@ -142,7 +142,7 @@ def test_rank_is_exact_when_the_prime_divides_a_denominator(monkeypatch):
         r = rng.randint(1, min(rows, cols))
         m = naive_product(factor(rows, r), factor(r, cols))
         expected = sympy_rank(m)
-        filtered = linalg.rank_mod_p(linalg._integer_rows(m), p)
+        filtered = linalg.rank_mod_p(m.integer_rows(), p)
         assert filtered <= expected == rank(m)
         below += filtered < expected
         at += filtered == expected

@@ -52,15 +52,15 @@ def test_verify_embedding_examples():
 
 
 def test_verify_embedding_scales_each_basis_once(monkeypatch):
-    # one integer scaling per subspace, not one per (k, l) pair, and still
-    # a containment test at every pair: each flipped entry is caught
+    # one read of the integer rows per subspace, not one per (k, l) pair,
+    # and still a containment test at every pair: each flipped entry is caught
     s = generate_sn(6)
     emb = embedding_from_rank_factorization(s)
     pattern = support(s)
     rows = [[pattern[k, l] for l in range(pattern.cols)] for k in range(pattern.rows)]
     calls = []
-    scale = psd._integer_rows
-    monkeypatch.setattr(psd, "_integer_rows", lambda m: calls.append(m) or scale(m))
+    read = ExactMatrix.integer_rows
+    monkeypatch.setattr(ExactMatrix, "integer_rows", lambda m: calls.append(m) or read(m))
     assert verify_embedding(emb, pattern)
     assert len(calls) == emb.m + emb.n
     for k in range(pattern.rows):
